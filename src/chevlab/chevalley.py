@@ -8,15 +8,16 @@ root-string magnitude checks.
 
 The group-level coefficients of the two-parameter commutator expansion
     [e_a(s), e_b(t)] = prod e_{i*a+j*b}(C[i,j] * s^i * t^j)
-are computed symbolically in the adjoint representation over Q[s, t] and
-asserted integral; no per-type case tables are used.
+are computed in the adjoint representation by expanding the commutator over
+Z[s, t] from the integral divided powers X^k / k!; no per-type case tables
+are used.
 """
 from __future__ import annotations
 
 import random
 from fractions import Fraction
 
-from .roots import RootSystem, _add, _neg, _scale, _sub
+from .roots import RootSystem, _add, _neg, _sub
 
 
 class ChevalleyError(ValueError):
@@ -31,13 +32,7 @@ def int_zero(n: int):
     return [[0] * n for _ in range(n)]
 
 
-def int_identity(n: int):
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
 def int_mul(a, b):
-    n = len(a)
-    m = len(b[0])
     bt = list(zip(*b))
     return [
         [sum(x * y for x, y in zip(row, col)) for col in bt] for row in a
@@ -48,14 +43,6 @@ def int_bracket(a, b):
     ab = int_mul(a, b)
     ba = int_mul(b, a)
     return [[x - y for x, y in zip(r1, r2)] for r1, r2 in zip(ab, ba)]
-
-
-def int_scale(c, a):
-    return [[c * x for x in row] for row in a]
-
-
-def int_add(a, b):
-    return [[x + y for x, y in zip(r1, r2)] for r1, r2 in zip(a, b)]
 
 
 def int_is_zero(a):
@@ -461,8 +448,9 @@ class ChevalleyBasisTable:
         """Integer coefficients C[i,j] of the commutator expansion for (a, b).
 
         The expansion is taken over the roots i*a+j*b ordered by (i+j, i); the
-        coefficients are solved symbolically over Q[s, t] in the adjoint
-        representation and asserted integral.
+        commutator is expanded over Z[s, t] in the adjoint representation from
+        the integral divided powers, and each C[i,j] is read off by exact
+        division and checked against the whole (i, j) monomial.
         """
         a, b = tuple(a), tuple(b)
         if b == _neg(a):
@@ -470,74 +458,38 @@ class ChevalleyBasisTable:
         hit = self._coeff_cache.get((a, b))
         if hit is not None:
             return dict(hit)
-        entries = self.rs.commutator_root_list(a, b)
         _, _, xmats = self.adjoint_data()
-        dim = len(self.basis_keys())
-        sa = _sparse_from_dense(xmats[a])
-        sb = _sparse_from_dense(xmats[b])
-        ea = _exp_poly(sa, (1, 0), Fraction(1), dim)
-        eb = _exp_poly(sb, (0, 1), Fraction(1), dim)
-        ea_inv = _exp_poly(sa, (1, 0), Fraction(-1), dim)
-        eb_inv = _exp_poly(sb, (0, 1), Fraction(-1), dim)
-        m = _smat_mul(_smat_mul(ea, eb), _smat_mul(ea_inv, eb_inv))
+        dim = len(xmats[a])
+        pa = divided_powers(xmats[a])
+        pb = divided_powers(xmats[b])
+        m = _pmat_mul(
+            _pmat_mul(_exp_series(pa, (1, 0), 1, dim), _exp_series(pb, (0, 1), 1, dim)),
+            _pmat_mul(_exp_series(pa, (1, 0), -1, dim), _exp_series(pb, (0, 1), -1, dim)),
+        )
         out = {}
-        for i, j, g in entries:
-            xg = _sparse_from_dense(xmats[g])
-            coeff = None
-            for (r, c), val in _collect_monomial(m, (i, j)).items():
-                base = xg.get(r, {}).get(c, 0)
-                if base:
-                    coeff = val / base
-                    break
-            if coeff is None:
-                coeff = Fraction(0)
-            if coeff.denominator != 1:
+        for i, j, g in self.rs.commutator_root_list(a, b):
+            pg = divided_powers(xmats[g])
+            xg = pg[0]
+            mono = m.get((i, j), {})
+            r, row = next(iter(xg.items()))
+            c, base = next(iter(row.items()))
+            coeff, rem = divmod(mono.get(r, {}).get(c, 0), base)
+            if rem:
                 raise ChevalleyError("non-integral commutator coefficient")
-            # verify the full monomial matrix matches coeff * X_g
-            mono = _collect_monomial(m, (i, j))
-            for r, row in xg.items():
-                for c, val in row.items():
-                    if mono.get((r, c), Fraction(0)) != coeff * val:
-                        raise ChevalleyError("commutator coefficient mismatch")
-            for (r, c), val in mono.items():
-                if xg.get(r, {}).get(c, 0) == 0 and val != 0:
-                    raise ChevalleyError("stray monomial in commutator")
-            out[(i, j)] = int(coeff)
-            strip = _exp_poly(xg, (i, j), Fraction(-int(coeff)), dim)
-            m = _smat_mul(strip, m)
-        if not _smat_is_identity(m, dim):
+            if mono != _smat_scale(coeff, xg):
+                raise ChevalleyError("commutator coefficient mismatch")
+            out[(i, j)] = coeff
+            if coeff:
+                m = _pmat_mul(_exp_series(pg, (i, j), -coeff, dim), m)
+        if m != {(0, 0): _smat_identity(dim)}:
             raise ChevalleyError("commutator expansion failed to close")
         self._coeff_cache[(a, b)] = dict(out)
         return out
 
 
 # ---------------------------------------------------------------------------
-# Bivariate polynomials over Q and sparse matrices of them
-#
-# Poly2 = dict[(i, j)] -> Fraction (coefficient of s^i t^j)
-# Sparse matrix = dict[row] -> dict[col] -> Poly2
-
-
-def _p2_mul(f: dict, g: dict) -> dict:
-    out: dict = {}
-    for (i1, j1), c1 in f.items():
-        for (i2, j2), c2 in g.items():
-            k = (i1 + i2, j1 + j2)
-            v = out.get(k, Fraction(0)) + c1 * c2
-            if v:
-                out[k] = v
-            elif k in out:
-                del out[k]
-    return out
-
-
-def _p2_add_into(acc: dict, f: dict):
-    for k, c in f.items():
-        v = acc.get(k, Fraction(0)) + c
-        if v:
-            acc[k] = v
-        elif k in acc:
-            del acc[k]
+# Sparse integer matrices (dict[row] -> dict[col] -> int, no zero entries)
+# and matrices over Z[s, t] (dict[(i, j)] -> sparse matrix of s^i t^j)
 
 
 def _sparse_from_dense(m) -> dict:
@@ -547,6 +499,16 @@ def _sparse_from_dense(m) -> dict:
             if v:
                 out.setdefault(r, {})[c] = v
     return out
+
+
+def _smat_identity(dim: int) -> dict:
+    return {r: {r: 1} for r in range(dim)}
+
+
+def _smat_scale(k: int, a: dict) -> dict:
+    if not k:
+        return {}
+    return {r: {c: k * v for c, v in row.items()} for r, row in a.items()}
 
 
 def _int_smat_mul(a: dict, b: dict) -> dict:
@@ -565,68 +527,57 @@ def _int_smat_mul(a: dict, b: dict) -> dict:
     return out
 
 
-def _exp_poly(x: dict, mono: tuple, scale: Fraction, dim: int) -> dict:
-    """exp(scale * u * X) for the monomial u = s^i t^j and nilpotent integer X."""
-    out: dict = {r: {r: {(0, 0): Fraction(1)}} for r in range(dim)}
-    power = x
+def divided_powers(x) -> list:
+    """Sparse M_k = X^k / k! for k = 1, 2, ... until X^k = 0.
+
+    Raises ChevalleyError when some M_k is not integral or X is not nilpotent.
+    """
+    mk = _sparse_from_dense(x)
+    out = []
     k = 1
-    fact = 1
-    while power:
-        coeff = scale**k / fact
-        m = (mono[0] * k, mono[1] * k)
-        for r, row in power.items():
-            orow = out.setdefault(r, {})
-            for c, v in row.items():
-                entry = orow.setdefault(c, {})
-                _p2_add_into(entry, {m: coeff * v})
+    while mk:
+        if k > len(x):
+            raise ChevalleyError("matrix is not nilpotent")
+        out.append(mk)
         k += 1
-        fact *= k
-        power = _int_smat_mul(power, x)
-        if k > dim + 2:
-            raise ChevalleyError("root vector is not nilpotent")
+        nxt: dict = {}
+        for r, row in _int_smat_mul(mk, out[0]).items():
+            nrow = {}
+            for c, v in row.items():
+                q, rem = divmod(v, k)
+                if rem:
+                    raise ChevalleyError(f"divided power X^{k}/{k}! is not integral")
+                nrow[c] = q
+            nxt[r] = nrow
+        mk = nxt
     return out
 
 
-def _smat_mul(a: dict, b: dict) -> dict:
+def _exp_series(powers: list, mono: tuple, scale: int, dim: int) -> dict:
+    """e(scale * s^i t^j) = I + sum_k scale^k s^(k*i) t^(k*j) M_k over Z[s, t]."""
+    i, j = mono
+    out = {(0, 0): _smat_identity(dim)}
+    for k, mk in enumerate(powers, 1):
+        out[(k * i, k * j)] = _smat_scale(scale**k, mk)
+    return out
+
+
+def _pmat_mul(p: dict, q: dict) -> dict:
     out: dict = {}
-    for r, row in a.items():
-        acc: dict = {}
-        for k, poly in row.items():
-            brow = b.get(k)
-            if not brow:
-                continue
-            for c, q in brow.items():
-                prod = _p2_mul(poly, q)
-                if not prod:
-                    continue
-                entry = acc.setdefault(c, {})
-                _p2_add_into(entry, prod)
-        clean = {c: p for c, p in acc.items() if p}
-        if clean:
-            out[r] = clean
-    return out
-
-
-def _collect_monomial(m: dict, mono: tuple) -> dict:
-    out = {}
-    for r, row in m.items():
-        for c, poly in row.items():
-            v = poly.get(mono)
-            if v:
-                out[(r, c)] = v
-    return out
-
-
-def _smat_is_identity(m: dict, dim: int) -> bool:
-    for r in range(dim):
-        row = m.get(r, {})
-        for c, poly in row.items():
-            expected = {(0, 0): Fraction(1)} if r == c else {}
-            if poly != expected:
-                return False
-        if row.get(r, {}) != {(0, 0): Fraction(1)}:
-            return False
-    return True
+    for (i1, j1), a in p.items():
+        for (i2, j2), b in q.items():
+            acc = out.setdefault((i1 + i2, j1 + j2), {})
+            for r, row in _int_smat_mul(a, b).items():
+                arow = acc.setdefault(r, {})
+                for c, v in row.items():
+                    w = arow.get(c, 0) + v
+                    if w:
+                        arow[c] = w
+                    else:
+                        del arow[c]
+                if not arow:
+                    del acc[r]
+    return {mono: m for mono, m in out.items() if m}
 
 
 # ---------------------------------------------------------------------------

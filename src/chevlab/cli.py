@@ -281,6 +281,7 @@ def group_decompose(type_label, ring_text, rep_tag, algorithm, input_text, fmt):
     """Decompose a matrix into a bounded product of elementary generators."""
     try:
         rs, ring_spec, rep = _setup(type_label, ring_text, rep_tag)
+        dc.check_decomposition_supported(rs)
         rows = json.loads(input_text)
         g = gp.GroupElement.from_json(rep, ring_spec, rows)
         if not rep.check_invariant(ring_spec, g.mat):

@@ -32,8 +32,9 @@ from .rings import (
     additive_closure,
     ideal_from_generators,
     principalize,
+    sorted_values,
 )
-from .roots import _neg
+from .roots import _add, _neg, _scale, _sub
 
 
 class CertificateError(ValueError):
@@ -268,7 +269,7 @@ def _a2_ideal_derivation(n, trace, table, a, b, label):
     if not weyl_level_equality(n, a, s):
         raise CertificateError("level transport failed inside the A2 pattern")
     values = level_set(n, a).values
-    for r in sorted_vals(ring, values):
+    for r in sorted_values(ring, values):
         ea = elementary(rep, ring, a, r)
         _member(n, ea, f"e_{rs.root_name(a)}({_fmt(ring, r)})")
         for t in ring.elements():
@@ -287,16 +288,6 @@ def _a2_ideal_derivation(n, trace, table, a, b, label):
         f"{len(values)}x{ring.card} instances replayed",
     )
     return values
-
-
-def _add(a, b):
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def sorted_vals(ring, values):
-    from .rings import sorted_values
-
-    return sorted_values(ring, values)
 
 
 def _find_a2_pair(rs, table, candidates):
@@ -402,12 +393,12 @@ def _certificate_b_type(n, table):
         "corrected-mixed-identity",
         f"[e_{rs.root_name(lam)}(r), e_{rs.root_name(_neg(mu))}(s)] = "
         f"e_{rs.root_name(short1)}({c1:+d}rs) "
-        f"e_{rs.root_name(_sub(lam, _scale2(mu)))}({coeffs[(1,2)]:+d}rs^2); "
+        f"e_{rs.root_name(_sub(lam, _scale(2, mu)))}({coeffs[(1,2)]:+d}rs^2); "
         "the trailing factor sits at a long root (the corrected form of the "
         "printed identity), verified by matrix multiplication",
     )
     one = ring.one
-    for r in sorted_vals(ring, values):
+    for r in sorted_values(ring, values):
         el = elementary(rep, ring, lam, r)
         _member(n, el, "long-root member")
         comm, letters = _expansion(rep, ring, table, lam, _neg(mu), r, one)
@@ -449,7 +440,7 @@ def _certificate_c_type(n, table):
     c = coeffs[(1, 1)]
     lam = _add(sigma, tau)
     c_inv = ring.inv(ring.from_int(c))
-    for t in sorted_vals(ring, values):
+    for t in sorted_values(ring, values):
         r = ring.mul(t, c_inv)
         if r not in values:
             raise CertificateError("scaled parameter escaped the ideal")
@@ -490,7 +481,7 @@ def _certificate_rank2_bc(n, table):
     one = ring.one
     half = ring.inv(ring.from_int(2 * c1 * d))
     # multiplicative closure of the starting level set
-    for r in sorted_vals(ring, start):
+    for r in sorted_values(ring, start):
         _member(n, elementary(rep, ring, sigma, r), "starting level member")
         for s in ring.elements():
             u = ring.mul(s, half)
@@ -529,7 +520,7 @@ def _certificate_rank2_bc(n, table):
     _spread_by_weyl(n, trace, values, sigma)
     # long coverage via the doubling identity at u = 1/d
     d_inv = ring.inv(ring.from_int(d))
-    for t in sorted_vals(ring, values):
+    for t in sorted_values(ring, values):
         r = ring.mul(t, d_inv)
         comm, _ = _expansion(rep, ring, table, sigma, tau, r, one)
         _member(n, comm, "long coverage instance")
@@ -563,7 +554,7 @@ def _certificate_g2(n, table):
 
     scale = ring.inv(ring.from_int(2 * eps2))
     one = ring.one
-    for t in sorted_vals(ring, values):
+    for t in sorted_values(ring, values):
         u = ring.mul(t, scale)
         if u not in values:
             raise CertificateError("scaled parameter escaped the ideal")
@@ -625,14 +616,6 @@ def _certificate_g2(n, table):
     return values, trace
 
 
-def _scale2(v):
-    return tuple(2 * x for x in v)
-
-
-def _sub(a, b):
-    return tuple(x - y for x, y in zip(a, b))
-
-
 def _find_mixed_pair(rs):
     """(lam long, mu short) with lam - mu short and lam - 2mu a long root."""
     longs = set(rs.long_roots())
@@ -640,7 +623,7 @@ def _find_mixed_pair(rs):
     for lam in sorted(longs):
         for mu in sorted(shorts):
             d1 = _sub(lam, mu)
-            d2 = _sub(lam, _scale2(mu))
+            d2 = _sub(lam, _scale(2, mu))
             if d1 in shorts and d2 in longs:
                 if not rs.is_root(_add(lam, mu)):
                     return lam, mu

@@ -44,13 +44,6 @@ def mat_from_int(spec: RingSpec, m):
     return tuple(tuple(conv(x) for x in row) for row in m)
 
 
-def scalar_matrix(spec: RingSpec, n: int, v):
-    zero = spec.zero
-    return tuple(
-        tuple(v if i == j else zero for j in range(n)) for i in range(n)
-    )
-
-
 _NUMPY_MIN_DIM = 6
 
 
@@ -82,8 +75,15 @@ def mat_mul(spec: RingSpec, a, b):
     return tuple(out)
 
 
+_INT64_BOUND = 1 << 63
+
+
 def _np_mul(spec: RingSpec, a, b):
+    """Product through numpy int64, or None when the ring has no fast path or
+    an intermediate sum could pass 2^63."""
     if isinstance(spec, ZmodRing):
+        if len(a) * (spec.n - 1) ** 2 >= _INT64_BOUND:
+            return None
         arr = (np.array(a, dtype=np.int64) @ np.array(b, dtype=np.int64)) % spec.n
         return tuple(tuple(int(x) for x in row) for row in arr)
     if isinstance(spec, PolyQuotientRing) and isinstance(spec.base, ZmodRing):
@@ -112,6 +112,8 @@ def _np_mul_polyquot(spec: PolyQuotientRing, a, b):
     p = spec.base.n
     d = spec.degree
     n = len(a)
+    if (2 * d - 1) * d * n * (p - 1) ** 3 >= _INT64_BOUND:
+        return None
     # reduction rows: x^s = sum_k red[s][k] x^k for s = 0..2d-2
     red = getattr(spec, "_np_red", None)
     if red is None:
@@ -153,18 +155,6 @@ def _np_mul_polyquot(spec: PolyQuotientRing, a, b):
         )
         for i in range(n)
     )
-
-
-def mat_vec(spec: RingSpec, a, v):
-    add, mul, zero = spec.add, spec.mul, spec.zero
-    out = []
-    for row in a:
-        acc = zero
-        for x, y in zip(row, v):
-            if x != zero and y != zero:
-                acc = add(acc, mul(x, y))
-        out.append(acc)
-    return tuple(out)
 
 
 def _gauss_inverse(spec: RingSpec, a):

@@ -18,7 +18,7 @@ from .chevalley import (
     ChevalleyError,
     build_basis,
     classical_generators,
-    int_mul,
+    divided_powers,
     freeze,
 )
 from .rings import RingSpec, xgcd
@@ -108,37 +108,17 @@ class Representation:
         return self._x[tuple(root)]
 
     def divided_powers(self, root) -> list:
-        """[M_1, M_2, ...] with M_k = X^k / k!, all integral."""
+        """[M_1, M_2, ...] with M_k = X^k / k!, all integral, as dense tuples."""
         root = tuple(root)
         hit = self._divided.get(root)
-        if hit is not None:
-            return hit
-        x = [list(row) for row in self._x[root]]
-        out = [freeze(x)]
-        power = x
-        k = 1
-        fact = 1
-        while True:
-            power = int_mul(power, [list(r) for r in self._x[root]])
-            k += 1
-            fact *= k
-            if all(all(v == 0 for v in row) for row in power):
-                break
-            mk = []
-            for row in power:
-                new = []
-                for v in row:
-                    if v % fact:
-                        raise ChevalleyError(
-                            f"divided power {k} of {root} is not integral"
-                        )
-                    new.append(v // fact)
-                mk.append(tuple(new))
-            out.append(tuple(mk))
-            if k > self.dim + 1:
-                raise ChevalleyError(f"generator for {root} is not nilpotent")
-        self._divided[root] = out
-        return out
+        if hit is None:
+            n = self.dim
+            hit = [
+                tuple(tuple(m.get(i, {}).get(j, 0) for j in range(n)) for i in range(n))
+                for m in divided_powers(self._x[root])
+            ]
+            self._divided[root] = hit
+        return hit
 
     def extraction_data(self, root):
         """Positions and Bezout multipliers solving the root coordinate.

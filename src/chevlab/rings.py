@@ -307,16 +307,7 @@ class PolyQuotientRing(RingSpec):
             out = [self.base.mul(c, x) for x in u]
             out = out[: self.degree] + [self.base.zero] * (self.degree - len(out))
             return tuple(out[: self.degree])
-        inv_map = getattr(self, "_inv_map", None)
-        if inv_map is None:
-            inv_map = {}
-            for v in self.elements():
-                for w in self.elements():
-                    if self.mul(v, w) == self.one:
-                        inv_map[v] = w
-                        break
-            self._inv_map = inv_map
-        return inv_map.get(a)
+        return _inverse_by_search(self, a)
 
     @property
     def zero(self):
@@ -469,16 +460,7 @@ class QuotientRing(RingSpec):
         return self._proj[self.base.mul(a, b)]
 
     def inv(self, a):
-        inv_map = getattr(self, "_inv_map", None)
-        if inv_map is None:
-            inv_map = {}
-            for v in self._reps:
-                for w in self._reps:
-                    if self.mul(v, w) == self.one:
-                        inv_map[v] = w
-                        break
-            self._inv_map = inv_map
-        return inv_map.get(a)
+        return _inverse_by_search(self, a)
 
     @property
     def zero(self):
@@ -499,6 +481,21 @@ class QuotientRing(RingSpec):
 
     def element_from_json(self, obj):
         return self._proj[self.base.element_from_json(obj)]
+
+
+def _inverse_by_search(spec: RingSpec, a):
+    """Inverse of a (None for a non-unit) from a table built once per ring."""
+    inv_map = getattr(spec, "_inv_map", None)
+    if inv_map is None:
+        inv_map = {}
+        values = spec.elements()
+        for v in values:
+            for w in values:
+                if spec.mul(v, w) == spec.one:
+                    inv_map[v] = w
+                    break
+        spec._inv_map = inv_map
+    return inv_map.get(a)
 
 
 def sorted_values(spec: RingSpec, values) -> list:
@@ -957,23 +954,8 @@ class IdealHandle:
 def ideal_from_generators(spec: RingSpec, generators) -> IdealHandle:
     """Smallest ideal containing the generators (exact, finite rings only)."""
     gens = [g.value if isinstance(g, RingElement) else g for g in generators]
-    seeds = {spec.zero}
-    for g in gens:
-        for r in spec.elements():
-            seeds.add(spec.mul(r, g))
-    # additive closure
-    closed = set(seeds)
-    frontier = list(seeds)
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for b in seeds:
-                s = spec.add(a, b)
-                if s not in closed:
-                    closed.add(s)
-                    nxt.append(s)
-        frontier = nxt
-    return IdealHandle(spec, gens, frozenset(closed))
+    seeds = [spec.mul(r, g) for g in gens for r in spec.elements()]
+    return IdealHandle(spec, gens, additive_closure(spec, seeds))
 
 
 def principalize(handle: IdealHandle) -> IdealHandle:

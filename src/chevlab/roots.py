@@ -225,19 +225,6 @@ class TavgenSplit:
         self.phi0 = tuple(phi0)
         self.phi1 = tuple(phi1)
 
-    @property
-    def phi0_pos(self):
-        return tuple(r for r in self.phi0 if r in self.sub_system.positive_set)
-
-    def split_signs(self, parent):
-        pos = parent.positive_set
-        return {
-            "phi0+": tuple(r for r in self.phi0 if r in pos),
-            "phi0-": tuple(r for r in self.phi0 if r not in pos),
-            "phi1+": tuple(r for r in self.phi1 if r in pos),
-            "phi1-": tuple(r for r in self.phi1 if r not in pos),
-        }
-
 
 class RootSystem:
     """A reduced irreducible root system with a chosen simple system."""

@@ -4,6 +4,7 @@ from chevlab.chevalley import (
     ChevalleyError,
     build_basis,
     classical_generators,
+    divided_powers,
     g2_epsilon_signs,
     int_bracket,
     int_is_zero,
@@ -174,3 +175,16 @@ def test_commutator_coefficients_e6_simple_pair():
     a, b = rs.simple[0], rs.simple[2]
     row = table.commutator_coefficients(a, b)
     assert set(row) == {(1, 1)} and abs(row[(1, 1)]) == 1
+
+
+def test_divided_powers_sparse_and_integral():
+    # X = 2(E12 + E23): X^2 / 2! = 2 E13 and X^3 = 0
+    x = ((0, 2, 0), (0, 0, 2), (0, 0, 0))
+    assert divided_powers(x) == [{0: {1: 2}, 1: {2: 2}}, {0: {2: 2}}]
+
+
+def test_divided_powers_reject_non_integral_and_non_nilpotent():
+    with pytest.raises(ChevalleyError):
+        divided_powers(((0, 1, 0), (0, 0, 1), (0, 0, 0)))  # X^2 / 2 = E13 / 2
+    with pytest.raises(ChevalleyError):
+        divided_powers(((1, 0), (0, 0)))

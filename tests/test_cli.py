@@ -1,5 +1,7 @@
 import json
+from pathlib import Path
 
+import pytest
 from click.testing import CliRunner
 
 from chevlab.cli import main
@@ -42,6 +44,14 @@ def test_chevalley_constants_g2():
     doc = json.loads(res.output)
     assert "unit_signs" in doc
     assert set(doc["unit_signs"]) == {"eps1", "eps2", "eps3", "eps4", "eps5"}
+
+
+@pytest.mark.parametrize("label", ["B3", "C3", "D4", "G2"])
+def test_chevalley_constants_match_golden_report(label):
+    golden = Path(__file__).parent / "golden" / f"chevalley_constants_{label}.json"
+    res = run("chevalley", "constants", label, "--format", "json")
+    assert res.exit_code == 0
+    assert res.output == golden.read_text()
 
 
 def test_chevalley_bad_type_exit_2():
@@ -122,6 +132,16 @@ def test_group_decompose_bad_matrix_exit_2():
         "--algorithm", "prop2", "--input", "[[1,0],[0,1]]",
     )
     assert res.exit_code == 2
+
+
+def test_group_decompose_unsupported_type_exit_2():
+    ident = json.dumps([[int(i == j) for j in range(6)] for i in range(6)])
+    res = run(
+        "group", "decompose", "--type", "A5", "--ring", "Z/4",
+        "--algorithm", "prop2", "--input", ident,
+    )
+    assert res.exit_code == 2
+    assert "decomposition failed" not in res.output
 
 
 def test_group_closure():

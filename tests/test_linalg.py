@@ -1,0 +1,120 @@
+import random
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from chevlab.groups import ElementaryWord
+from chevlab.linalg import mat_mul
+from chevlab.reps import make_representation
+from chevlab.rings import PolyQuotientRing, ProductRing, ZmodRing, parse_ring_spec
+from chevlab.roots import build_root_system
+
+
+def int_matmul_mod(a, b, n):
+    """Plain Python-int product of integer matrices, reduced mod n."""
+    bt = list(zip(*b))
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) % n for col in bt) for row in a)
+
+
+def poly_mulmod(f, g, modulus, m):
+    """f * g in (Z/m)[x]/(modulus) for monic modulus, with Python ints."""
+    d = len(modulus) - 1
+    conv = [0] * (2 * d - 1)
+    for i, x in enumerate(f):
+        for j, y in enumerate(g):
+            conv[i + j] += x * y
+    for top in range(2 * d - 2, d - 1, -1):
+        c = conv[top]
+        conv[top] = 0
+        for i in range(d):
+            conv[top - d + i] -= c * modulus[i]
+    return tuple(c % m for c in conv[:d])
+
+
+def poly_matmul(a, b, modulus, m):
+    d = len(modulus) - 1
+    out = []
+    for row in a:
+        orow = []
+        for col in zip(*b):
+            acc = [0] * d
+            for x, y in zip(row, col):
+                acc = [u + v for u, v in zip(acc, poly_mulmod(x, y, modulus, m))]
+            orow.append(tuple(c % m for c in acc))
+        out.append(tuple(orow))
+    return tuple(out)
+
+
+def random_matrix(rng, dim, value):
+    return tuple(tuple(value() for _ in range(dim)) for _ in range(dim))
+
+
+def composite_quotient(m, degree, rng):
+    modulus = tuple(rng.randrange(m) for _ in range(degree)) + (1,)
+    return PolyQuotientRing(ZmodRing(m), modulus)
+
+
+dims = st.integers(6, 9)
+seeds = st.integers(0, 2**32)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(2, 2**42), dim=dims, seed=seeds)
+@example(n=2**40 + 15, dim=6, seed=0)
+@example(n=4294967311, dim=6, seed=1)
+def test_mat_mul_zmod_matches_python_ints(n, dim, seed):
+    rng = random.Random(seed)
+    ring = ZmodRing(n)
+    a = random_matrix(rng, dim, lambda: rng.randrange(n))
+    b = random_matrix(rng, dim, lambda: rng.randrange(n))
+    assert mat_mul(ring, a, b) == int_matmul_mod(a, b, n)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    p=st.integers(2, 2**11), q=st.integers(2, 2**11), degree=st.integers(2, 3),
+    dim=dims, seed=seeds,
+)
+def test_mat_mul_quotient_over_composite_base(p, q, degree, dim, seed):
+    m = p * q
+    rng = random.Random(seed)
+    ring = composite_quotient(m, degree, rng)
+    value = lambda: tuple(rng.randrange(m) for _ in range(degree))
+    a = random_matrix(rng, dim, value)
+    b = random_matrix(rng, dim, value)
+    assert mat_mul(ring, a, b) == poly_matmul(a, b, ring.modulus, m)
+
+
+@settings(max_examples=20, deadline=None)
+@given(n=st.integers(2, 2**42), m=st.integers(4, 2**22), dim=dims, seed=seeds)
+def test_mat_mul_product_ring(n, m, dim, seed):
+    rng = random.Random(seed)
+    quot = composite_quotient(m, 2, rng)
+    ring = ProductRing([ZmodRing(n), quot])
+    value = lambda: (rng.randrange(n), (rng.randrange(m), rng.randrange(m)))
+    a = random_matrix(rng, dim, value)
+    b = random_matrix(rng, dim, value)
+    part = lambda mat, k: tuple(tuple(v[k] for v in row) for row in mat)
+    first = int_matmul_mod(part(a, 0), part(b, 0), n)
+    second = poly_matmul(part(a, 1), part(b, 1), quot.modulus, m)
+    expected = tuple(
+        tuple((x, y) for x, y in zip(r1, r2)) for r1, r2 in zip(first, second)
+    )
+    assert mat_mul(ring, a, b) == expected
+
+
+def test_d3_word_over_large_modulus_is_exact():
+    rep = make_representation(build_root_system("D3"), "defining-D")
+    ring = parse_ring_spec("Z/4294967311")
+    n, dim = ring.n, rep.dim
+    rng = random.Random(4294967311)
+    letters = [(rng.choice(rep.rs.roots), rng.randrange(1, n)) for _ in range(12)]
+    expected = tuple(tuple(int(i == j) for j in range(dim)) for i in range(dim))
+    for root, t in letters:
+        elem = [[int(i == j) for j in range(dim)] for i in range(dim)]
+        for k, mk in enumerate(rep.divided_powers(root), 1):
+            for i, row in enumerate(mk):
+                for j, v in enumerate(row):
+                    elem[i][j] += v * t**k
+        expected = int_matmul_mod(expected, elem, n)
+    assert ElementaryWord(rep, ring, letters).evaluate().mat == expected
