@@ -22,14 +22,13 @@ from .roots import RootSystemError, build_root_system
 
 SCHEMA = "chevlab-report/1"
 
+# parse and validation errors only: an internal error must not exit 2
 _INPUT_ERRORS = (
     RingError,
     RootSystemError,
     UnsupportedRepresentation,
     dc.UnsupportedDecomposition,
     json.JSONDecodeError,
-    KeyError,
-    ValueError,
 )
 
 
@@ -70,7 +69,7 @@ def _parse_subgroup(rep, ring, text):
         ]
         ideal = ideal_from_generators(ring, gens)
         return cg.kernel_subgroup(rep, ring, ideal)
-    raise ValueError(f"unrecognized subgroup description {text!r}")
+    _fail_input(f"unrecognized subgroup description {text!r}")
 
 
 fmt_option = click.option(
@@ -285,8 +284,8 @@ def group_decompose(type_label, ring_text, rep_tag, algorithm, input_text, fmt):
         rows = json.loads(input_text)
         g = gp.GroupElement.from_json(rep, ring_spec, rows)
         if not rep.check_invariant(ring_spec, g.mat):
-            raise ValueError("matrix does not preserve the representation form")
-    except _INPUT_ERRORS as exc:
+            _fail_input("matrix does not preserve the representation form")
+    except (*_INPUT_ERRORS, gp.GroupError) as exc:
         _fail_input(str(exc))
     try:
         if algorithm == "prop2":
@@ -345,7 +344,7 @@ def group_closure(type_label, ring_text, rep_tag, omit_text, cap, fmt):
         rs, ring_spec, rep = _setup(type_label, ring_text, rep_tag)
         omit = tuple(json.loads(omit_text)) if omit_text else None
         if omit is not None and omit not in rs.root_set:
-            raise ValueError(f"{omit} is not a root of {rs.label}")
+            _fail_input(f"{omit} is not a root of {rs.label}")
     except _INPUT_ERRORS as exc:
         _fail_input(str(exc))
     try:

@@ -18,11 +18,14 @@ from .groups import (
     GroupElement,
     GroupError,
     all_elementaries,
-    commutator,
+    commutator_expansion,
     elementary,
+    expansion_terms,
     identity_element,
     in_congruence_kernel,
     subgroup_closure,
+    weyl_letters,
+    word_matrix,
 )
 from .reps import Representation
 from .rings import (
@@ -84,16 +87,24 @@ def full_subgroup(rep, ring) -> NormalSubgroupHandle:
     return NormalSubgroupHandle(rep, ring, "full", None, "full group")
 
 
+def _conjugators(rep, ring) -> list:
+    """(e_r(t), e_r(t)^-1 = e_r(-t)) for every root r and t != 0."""
+    return [
+        (elementary(rep, ring, r, t), elementary(rep, ring, r, ring.neg(t)))
+        for r in rep.rs.roots for t in ring.elements() if t != ring.zero
+    ]
+
+
 def materialized_subgroup(rep, ring, generators, cap: int = 10**6) -> NormalSubgroupHandle:
     """Normal closure of the generators, materialized and validated."""
     gens = list(generators)
-    elem_gens = all_elementaries(rep, ring)
+    elem_pairs = _conjugators(rep, ring)
     current = set(gens) | {identity_element(rep, ring)}
     while True:
         conjugates = set()
         for g in current:
-            for e in elem_gens:
-                h = e * g * e.inverse()
+            for e, e_inv in elem_pairs:
+                h = e * g * e_inv
                 if h not in current:
                     conjugates.add(h)
         if not conjugates:
@@ -113,13 +124,13 @@ def materialized_subgroup(rep, ring, generators, cap: int = 10**6) -> NormalSubg
 def check_normal(n: NormalSubgroupHandle, samples: int = 40, seed: int = 0) -> bool:
     """Conjugation-closure validation against the elementary generators."""
     rep, ring = n.rep, n.ring
-    elem_gens = all_elementaries(rep, ring)
     if n.kind == "full":
         return True
+    elem_pairs = _conjugators(rep, ring)
     if n.kind == "materialized":
         for g in n.data:
-            for e in elem_gens:
-                if e * g * e.inverse() not in n.data:
+            for e, e_inv in elem_pairs:
+                if e * g * e_inv not in n.data:
                     return False
         return True
     # kernel: sample members as words in e_r(a), a in the ideal
@@ -134,8 +145,8 @@ def check_normal(n: NormalSubgroupHandle, samples: int = 40, seed: int = 0) -> b
         g = ElementaryWord(rep, ring, letters).evaluate()
         if not n.contains(g):
             return False
-        e = rng.choice(elem_gens)
-        if not n.contains(e * g * e.inverse()):
+        e, e_inv = rng.choice(elem_pairs)
+        if not n.contains(e * g * e_inv):
             return False
     return True
 
@@ -219,27 +230,13 @@ def _member(n: NormalSubgroupHandle, g: GroupElement, what: str):
         raise CertificateError(f"replay failed: {what} is not in N")
 
 
-def _expansion(rep, ring, table, a, b, s, t):
+def _expansion(rep, ring, a, b, s, t):
     """[e_a(s), e_b(t)] and its expected expansion letters, both verified."""
-    lhs = commutator(
-        elementary(rep, ring, a, s), elementary(rep, ring, b, t)
-    )
-    entries = rep.rs.commutator_root_list(a, b)
-    coeffs = table.commutator_coefficients(a, b)
-    letters = []
-    for i, j, g in entries:
-        si = s
-        for _ in range(i - 1):
-            si = ring.mul(si, s)
-        tj = t
-        for _ in range(j - 1):
-            tj = ring.mul(tj, t)
-        param = ring.mul(ring.from_int(coeffs[(i, j)]), ring.mul(si, tj))
-        letters.append((g, param))
-    rhs = ElementaryWord(rep, ring, letters).evaluate()
-    if lhs != rhs:
+    terms = expansion_terms(rep, ring, a, b)
+    lhs, letters = commutator_expansion(rep, ring, terms, a, b, s, t)
+    if lhs != word_matrix(rep, ring, letters):
         raise CertificateError(f"commutator expansion failed for {a}, {b}")
-    return lhs, letters
+    return GroupElement(rep, ring, lhs), letters
 
 
 def _spread_by_weyl(n, trace, aset, sample_root):
@@ -273,7 +270,7 @@ def _a2_ideal_derivation(n, trace, table, a, b, label):
         ea = elementary(rep, ring, a, r)
         _member(n, ea, f"e_{rs.root_name(a)}({_fmt(ring, r)})")
         for t in ring.elements():
-            comm, letters = _expansion(rep, ring, table, a, b, r, t)
+            comm, letters = _expansion(rep, ring, a, b, r, t)
             _member(n, comm, "commutator of an N-member with a generator")
             prod = letters[0][1]
             if prod not in values:
@@ -401,7 +398,7 @@ def _certificate_b_type(n, table):
     for r in sorted_values(ring, values):
         el = elementary(rep, ring, lam, r)
         _member(n, el, "long-root member")
-        comm, letters = _expansion(rep, ring, table, lam, _neg(mu), r, one)
+        comm, letters = _expansion(rep, ring, lam, _neg(mu), r, one)
         _member(n, comm, "mixed commutator")
         # peel the trailing long factor, which is already certified
         (g1, p1), (g2, p2) = letters
@@ -409,7 +406,7 @@ def _certificate_b_type(n, table):
             raise CertificateError("long factor parameter escaped the ideal")
         tail = elementary(rep, ring, g2, p2)
         _member(n, tail, "long factor of the mixed identity")
-        short_el = comm * tail.inverse()
+        short_el = comm * elementary(rep, ring, g2, ring.neg(p2))
         if short_el != elementary(rep, ring, g1, p1):
             raise CertificateError("mixed identity peel failed")
         _member(n, short_el, "short factor of the mixed identity")
@@ -445,7 +442,7 @@ def _certificate_c_type(n, table):
         if r not in values:
             raise CertificateError("scaled parameter escaped the ideal")
         _member(n, elementary(rep, ring, sigma, r), "short member")
-        comm, letters = _expansion(rep, ring, table, sigma, tau, r, ring.one)
+        comm, letters = _expansion(rep, ring, sigma, tau, r, ring.one)
         _member(n, comm, "doubling commutator")
         if letters[0][1] != t:
             raise CertificateError("doubling parameter mismatch")
@@ -487,17 +484,15 @@ def _certificate_rank2_bc(n, table):
             u = ring.mul(s, half)
             v = ring.mul(ring.from_int(d), ring.mul(r, u))
             glong = elementary(rep, ring, lam, v)
-            comm, _ = _expansion(rep, ring, table, sigma, tau, r, u)
+            comm, _ = _expansion(rep, ring, sigma, tau, r, u)
             if comm != glong:
                 raise CertificateError("doubling identity failed")
             _member(n, glong, "long element from the doubling identity")
-            ca, la = _expansion(rep, ring, table, lam, _neg(tau), v, one)
-            cb, lb = _expansion(
-                rep, ring, table, lam, _neg(tau), v, ring.neg(one)
-            )
+            ca, la = _expansion(rep, ring, lam, _neg(tau), v, one)
+            cb, lb = _expansion(rep, ring, lam, _neg(tau), v, ring.neg(one))
             _member(n, ca, "first mixed commutator")
             _member(n, cb, "second mixed commutator")
-            prod = ca * cb.inverse()
+            prod = ca * ElementaryWord(rep, ring, lb).inverse_word().evaluate()
             rs_val = ring.mul(r, s)
             expected = elementary(
                 rep, ring, sigma, ring.mul(ring.from_int(2 * c1), v)
@@ -522,7 +517,7 @@ def _certificate_rank2_bc(n, table):
     d_inv = ring.inv(ring.from_int(d))
     for t in sorted_values(ring, values):
         r = ring.mul(t, d_inv)
-        comm, _ = _expansion(rep, ring, table, sigma, tau, r, one)
+        comm, _ = _expansion(rep, ring, sigma, tau, r, one)
         _member(n, comm, "long coverage instance")
         if comm != elementary(rep, ring, lam, t):
             raise CertificateError("long coverage identity failed")
@@ -559,8 +554,8 @@ def _certificate_g2(n, table):
         if u not in values:
             raise CertificateError("scaled parameter escaped the ideal")
         _member(n, elementary(rep, ring, k, u), "long member")
-        c_pos, _ = _expansion(rep, ring, table, k, c, u, one)
-        c_neg, _ = _expansion(rep, ring, table, k, c, u, ring.neg(one))
+        c_pos, _ = _expansion(rep, ring, k, c, u, one)
+        c_neg, _ = _expansion(rep, ring, k, c, u, ring.neg(one))
         _member(n, c_pos, "first short-isolation commutator")
         _member(n, c_neg, "second short-isolation commutator")
         prod = c_pos * c_neg
@@ -568,7 +563,6 @@ def _certificate_g2(n, table):
             (r, x) for r, x in unipotent_coordinates(prod, +1)
             if x != ring.zero
         ]
-        rest = identity_element(rep, ring)
         short_param = None
         for r, x in coords:
             if r == target:
@@ -586,23 +580,18 @@ def _certificate_g2(n, table):
             short_param = ring.zero
         if short_param != t:
             raise CertificateError("short parameter bookkeeping failed")
-        for r, x in coords:
-            rest = rest * elementary(rep, ring, r, x)
-        if rest != prod:
+        if ElementaryWord(rep, ring, coords).evaluate() != prod:
             raise CertificateError("isolation product failed to re-evaluate")
         # peel: every non-target factor is in N, so the target factor is too
-        prefix = identity_element(rep, ring)
-        seen_target = False
-        suffix = identity_element(rep, ring)
-        for r, x in coords:
-            if r == target:
-                seen_target = True
-                continue
-            if not seen_target:
-                prefix = prefix * elementary(rep, ring, r, x)
-            else:
-                suffix = suffix * elementary(rep, ring, r, x)
-        short_el = prefix.inverse() * prod * suffix.inverse()
+        cut = next(
+            (i for i, (r, _) in enumerate(coords) if r == target), len(coords)
+        )
+        prefix = ElementaryWord(rep, ring, coords[:cut])
+        suffix = ElementaryWord(rep, ring, coords[cut + 1:])
+        short_el = (
+            prefix.inverse_word().evaluate() * prod
+            * suffix.inverse_word().evaluate()
+        )
         if short_el != elementary(rep, ring, target, t):
             raise CertificateError("short factor extraction failed")
         _member(n, short_el, "isolated doubled-short factor")
@@ -684,8 +673,6 @@ def omit_root_generation_check(
     if source in (alpha, _neg(alpha)):
         raise GroupError("reflection basis degenerated")
     # the lift of s_beta is a 3-letter word avoiding +-alpha
-    from .groups import weyl_letters
-
     lift = ElementaryWord(rep, ring, weyl_letters(rep, ring, beta, ring.one))
     w = lift.evaluate()
     w_inv = lift.inverse_word().evaluate()
@@ -743,6 +730,6 @@ def cross_factor_commute_check(rep: Representation, ring: RingSpec) -> CrossFact
                             x = elementary(rep, ring, a, ring.inject(fi, r))
                             y = elementary(rep, ring, b, ring.inject(fj, s))
                             report.parameters_checked += 1
-                            if not commutator(x, y).is_identity():
+                            if x * y != y * x:
                                 report.failures.append((fi, fj, a, b, r, s))
     return report

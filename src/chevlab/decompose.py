@@ -18,9 +18,10 @@ from .groups import (
     ElementaryWord,
     GroupElement,
     GroupError,
-    elementary,
     torus_and_weyl,
+    weyl_conjugation_check,
     weyl_lift_word,
+    word_matrix,
 )
 from .reps import Representation
 from .rings import RingSpec, is_local, residue_field
@@ -426,21 +427,6 @@ class FourfoldReport:
     verified: bool
 
 
-def _conjugation_sign(rep: Representation, ring: RingSpec, word, beta) -> int:
-    """Sign in the Weyl conjugation of e_beta by the canonical lift of word."""
-    rs = rep.rs
-    target = rs.apply_word(word, beta)
-    lift = weyl_lift_word(rep, ring, word)
-    w = lift.evaluate()
-    w_inv = lift.inverse_word().evaluate()
-    lhs = w * elementary(rep, ring, beta, ring.one) * w_inv
-    if lhs == elementary(rep, ring, target, ring.one):
-        return 1
-    if lhs == elementary(rep, ring, target, ring.neg(ring.one)):
-        return -1
-    raise GroupError("Weyl conjugation does not send a root group to a root group")
-
-
 def _rewrite_to_simple_letters(word: ElementaryWord) -> list:
     """Rewrite arbitrary-root letters as words in +-simple-root letters."""
     rep, ring = word.rep, word.ring
@@ -455,7 +441,7 @@ def _rewrite_to_simple_letters(word: ElementaryWord) -> list:
             continue
         base = next(s for s in rs.simple if rs.norm(s) == rs.norm(root))
         w = rs.same_length_conjugator(base, root)
-        eps = _conjugation_sign(rep, ring, w, base)
+        eps, _ = weyl_conjugation_check(rep, ring, w, base)
         lift = weyl_lift_word(rep, ring, w)
         s = t if eps == 1 else ring.neg(t)
         out.extend(lift.letters)
@@ -557,15 +543,25 @@ class _Machine:
     def _order(self, sign):
         return unipotent_order(self.rs, sign)
 
+    def _letters(self, sign, coords: dict) -> list:
+        zero = self.ring.zero
+        return [
+            (root, coords[root]) for root in self._order(sign)
+            if coords.get(root, zero) != zero
+        ]
+
     def _eval(self, sign, coords: dict):
-        mat = self.rep.identity(self.ring)
-        for root in self._order(sign):
-            x = coords.get(root)
-            if x is not None and x != self.ring.zero:
-                mat = linalg.mat_mul(
-                    self.ring, mat, self.rep.elementary_matrix(self.ring, root, x)
-                )
-        return mat
+        return word_matrix(self.rep, self.ring, self._letters(sign, coords))
+
+    def _eval_pair(self, sign, coords: dict):
+        """(block matrix, its inverse), the inverse from the reversed letters."""
+        ring = self.ring
+        letters = self._letters(sign, coords)
+        inverse = [(root, ring.neg(x)) for root, x in reversed(letters)]
+        return (
+            word_matrix(self.rep, ring, letters),
+            word_matrix(self.rep, ring, inverse),
+        )
 
     def _extract(self, sign, mat, support=None) -> dict:
         order = self._order(sign)
@@ -607,17 +603,16 @@ class _Machine:
         ring = self.ring
 
         # (A) factor each block as U0 * U1
-        a_coords, c_mats = [], []
+        a_coords, a_pairs, c_mats = [], [], []
         for k in range(8):
             sign = 1 if k % 2 == 0 else -1
             coords = self.blocks[k]
             u0 = {r: v for r, v in coords.items() if r in phi0}
-            u0_mat = self._eval(sign, u0)
-            u_mat = self._eval(sign, coords)
-            u0_inv = linalg.mat_inverse(ring, u0_mat)
-            u1_mat = linalg.mat_mul(ring, u0_inv, u_mat)
+            u0_mat, u0_inv = self._eval_pair(sign, u0)
+            u1_mat = linalg.mat_mul(ring, u0_inv, self._eval(sign, coords))
             self._extract(sign, u1_mat, support=phi1)  # validity check
             a_coords.append(u0)
+            a_pairs.append((u0_mat, u0_inv))
             c_mats.append(u1_mat)
 
         # (B) bubble the U1 parts to the right of all U0 blocks
@@ -626,11 +621,9 @@ class _Machine:
         p_inv = self.rep.identity(ring)
         for k in range(7, -1, -1):
             d_mats[k] = linalg.mat_mul(ring, linalg.mat_mul(ring, p_inv, c_mats[k]), p)
-            a_mat = self._eval(1 if k % 2 == 0 else -1, a_coords[k])
+            a_mat, a_inv = a_pairs[k]
             p = linalg.mat_mul(ring, a_mat, p)
-            p_inv = linalg.mat_mul(
-                ring, p_inv, linalg.mat_inverse(ring, a_mat)
-            )
+            p_inv = linalg.mat_mul(ring, p_inv, a_inv)
 
         # (C) absorb the letter into the rank-(l-1) state
         if sub.rank == 1:
@@ -644,23 +637,20 @@ class _Machine:
             new_a = inner.blocks
 
         # (D) bubble the U1 parts back in behind the refreshed U0 blocks
-        new_blocks = []
+        new_blocks = [None] * 8
         q = self.rep.identity(ring)
         q_inv = self.rep.identity(ring)
-        c_primes = [None] * 8
         for k in range(7, -1, -1):
-            c_primes[k] = linalg.mat_mul(
+            sign = 1 if k % 2 == 0 else -1
+            c_prime = linalg.mat_mul(
                 ring, linalg.mat_mul(ring, q, d_mats[k]), q_inv
             )
-            a_mat = self._eval(1 if k % 2 == 0 else -1, new_a[k])
-            q = linalg.mat_mul(ring, a_mat, q)
-            q_inv = linalg.mat_mul(ring, q_inv, linalg.mat_inverse(ring, a_mat))
-        for k in range(8):
-            sign = 1 if k % 2 == 0 else -1
-            combined = linalg.mat_mul(
-                ring, self._eval(sign, new_a[k]), c_primes[k]
+            a_mat, a_inv = self._eval_pair(sign, new_a[k])
+            new_blocks[k] = self._extract(
+                sign, linalg.mat_mul(ring, a_mat, c_prime)
             )
-            new_blocks.append(self._extract(sign, combined))
+            q = linalg.mat_mul(ring, a_mat, q)
+            q_inv = linalg.mat_mul(ring, q_inv, a_inv)
         self.blocks = new_blocks
 
     def evaluate(self) -> GroupElement:

@@ -4,11 +4,15 @@ Group elements are exact matrices over a ring spec in a chosen
 representation.  The module provides the elementary generators e_a(t), torus
 and Weyl lifts, congruence reduction, a brute-force subgroup closure, and
 exhaustive/sampled verification of the additivity and commutator relations.
+Inverses come from words, e_a(t)^-1 = e_a(-t) (`ElementaryWord.inverse_word`,
+`commutator_expansion`); Gauss-Jordan elimination (`GroupElement.inverse`,
+`commutator`) is the general reference path for arbitrary invertible matrices.
 """
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import reduce
 
 from . import linalg
 from .chevalley import build_basis
@@ -23,15 +27,6 @@ class GroupError(ValueError):
 
 class CapExceeded(RuntimeError):
     """Subgroup closure grew past the requested cap."""
-
-
-DEBUG_VALIDATE = False
-
-
-def set_debug_validation(flag: bool):
-    """Check form/determinant preservation on every constructed generator."""
-    global DEBUG_VALIDATE
-    DEBUG_VALIDATE = bool(flag)
 
 
 class GroupElement:
@@ -101,15 +96,43 @@ def elementary(rep: Representation, ring: RingSpec, root, t) -> GroupElement:
     """The root-group element e_root(t) = exp(t X_root), reduced into the ring."""
     if tuple(root) not in rep.rs.root_set:
         raise GroupError(f"{root} is not a root of {rep.rs.label}")
-    g = GroupElement(rep, ring, rep.elementary_matrix(ring, tuple(root), t))
-    if DEBUG_VALIDATE and not rep.check_invariant(ring, g.mat):
-        raise GroupError(f"generator for {root} broke the representation form")
-    return g
+    return GroupElement(rep, ring, rep.elementary_matrix(ring, tuple(root), t))
 
 
 def commutator(a: GroupElement, b: GroupElement) -> GroupElement:
-    """[g, h] = g h g^-1 h^-1."""
+    """[g, h] = g h g^-1 h^-1, for any elements (Gauss-Jordan inverses)."""
     return a * b * a.inverse() * b.inverse()
+
+
+def word_matrix(rep: Representation, ring: RingSpec, letters):
+    """Raw matrix of the product of e_root(t) over the letters, from the identity."""
+    mat = rep.identity(ring)
+    for root, t in letters:
+        mat = linalg.mat_mul(ring, mat, rep.elementary_matrix(ring, root, t))
+    return mat
+
+
+def expansion_terms(rep: Representation, ring: RingSpec, a, b) -> list:
+    """(i, j, root i*a + j*b, C_ij in the ring) of [e_a(s), e_b(t)], b != -a."""
+    coeffs = build_basis(rep.rs).commutator_coefficients(a, b)
+    return [
+        (i, j, g, ring.from_int(coeffs[(i, j)]))
+        for i, j, g in rep.rs.commutator_root_list(a, b)
+    ]
+
+
+def commutator_expansion(rep: Representation, ring: RingSpec, terms, a, b, s, t):
+    """[e_a(s), e_b(t)] = (e_a(s) e_b(t)) (e_a(-s) e_b(-t)) as a raw matrix, and
+    the letters (g, C_ij s^i t^j) of its expansion over `terms`, for the
+    caller to compare."""
+    e = rep.elementary_matrix
+    mat = linalg.mat_mul(
+        ring,
+        linalg.mat_mul(ring, e(ring, a, s), e(ring, b, t)),
+        linalg.mat_mul(ring, e(ring, a, ring.neg(s)), e(ring, b, ring.neg(t))),
+    )
+    letters = [(g, reduce(ring.mul, [s] * i + [t] * j, c)) for i, j, g, c in terms]
+    return mat, letters
 
 
 class ElementaryWord:
@@ -123,12 +146,9 @@ class ElementaryWord:
 
     def evaluate(self) -> GroupElement:
         if self._value is None:
-            mat = self.rep.identity(self.ring)
-            for root, t in self.letters:
-                mat = linalg.mat_mul(
-                    self.ring, mat, self.rep.elementary_matrix(self.ring, root, t)
-                )
-            self._value = GroupElement(self.rep, self.ring, mat)
+            self._value = GroupElement(
+                self.rep, self.ring, word_matrix(self.rep, self.ring, self.letters)
+            )
         return self._value
 
     def inverse_word(self) -> "ElementaryWord":
@@ -282,47 +302,32 @@ def _quotient_data(ideal: IdealHandle):
 def subgroup_closure(generators, cap: int, track_words: bool = False):
     """Multiplicative closure of the generators (a subgroup, the group being finite).
 
-    With track_words=True returns a dict element -> ElementaryWord whenever all
-    generators are given as (word) pairs; otherwise returns a frozenset.
-    Raises CapExceeded when the closure grows past cap.
+    With track_words=True the generators are (element, ElementaryWord) pairs
+    and a dict element -> ElementaryWord is returned; otherwise returns a
+    frozenset.  Raises CapExceeded when the closure grows past cap.
     """
     gens = list(generators)
     if not gens:
         raise GroupError("closure needs at least one generator")
-    if track_words:
-        first = gens[0][0]
-        ident = identity_element(first.rep, first.ring)
-        words = {ident: ElementaryWord(first.rep, first.ring)}
-        frontier = [ident]
-        while frontier:
-            nxt = []
-            for g in frontier:
-                gw = words[g]
-                for h, hw in gens:
-                    prod = g * h
-                    if prod not in words:
-                        words[prod] = gw + hw
-                        nxt.append(prod)
-                        if len(words) > cap:
-                            raise CapExceeded(f"closure exceeded cap {cap}")
-            frontier = nxt
-        return words
-    first = gens[0]
+    if not track_words:
+        gens = [(g, None) for g in gens]
+    first = gens[0][0]
     ident = identity_element(first.rep, first.ring)
-    seen = {ident}
+    words = {ident: ElementaryWord(first.rep, first.ring) if track_words else None}
     frontier = [ident]
     while frontier:
         nxt = []
         for g in frontier:
-            for h in gens:
+            gw = words[g]
+            for h, hw in gens:
                 prod = g * h
-                if prod not in seen:
-                    seen.add(prod)
+                if prod not in words:
+                    words[prod] = gw + hw if track_words else None
                     nxt.append(prod)
-                    if len(seen) > cap:
+                    if len(words) > cap:
                         raise CapExceeded(f"closure exceeded cap {cap}")
         frontier = nxt
-    return frozenset(seen)
+    return words if track_words else frozenset(words)
 
 
 def all_elementaries(rep: Representation, ring: RingSpec, omit_root=None):
@@ -411,7 +416,6 @@ def verify_steinberg_relations(
     Failures are collected in the report, not raised.
     """
     rs = rep.rs
-    table = build_basis(rs)
     report = RelationReport(rs.label, ring.label, rep.tag, caveat=rep.caveat)
     pairs, exhaustive = _parameter_pairs(ring, loop_cap, sample, seed)
     report.exhaustive = exhaustive
@@ -428,46 +432,17 @@ def verify_steinberg_relations(
                 if lhs != rhs:
                     report.failures.append(("R1", a, s, t))
     if mode in ("R2", "both"):
-        coeff_rows = {}
+        pair_terms = {}
         for a in rs.roots:
             for b in rs.roots:
                 if b == _neg(a):
                     report.excluded_pairs += 1
                     continue
-                coeff_rows[(a, b)] = (
-                    rs.commutator_root_list(a, b),
-                    table.commutator_coefficients(a, b),
-                )
-        for (a, b), (entries, coeffs) in coeff_rows.items():
+                pair_terms[(a, b)] = expansion_terms(rep, ring, a, b)
+        for (a, b), terms in pair_terms.items():
             for s, t in pairs:
-                ea = rep.elementary_matrix(ring, a, s)
-                eb = rep.elementary_matrix(ring, b, t)
-                ea_inv = rep.elementary_matrix(ring, a, ring.neg(s))
-                eb_inv = rep.elementary_matrix(ring, b, ring.neg(t))
-                lhs = linalg.mat_mul(
-                    ring,
-                    linalg.mat_mul(ring, ea, eb),
-                    linalg.mat_mul(ring, ea_inv, eb_inv),
-                )
-                rhs = rep.identity(ring)
-                spow = {1: s}
-                tpow = {1: t}
-                for i, j, g in entries:
-                    si = spow.get(i)
-                    if si is None:
-                        si = ring.mul(spow[i - 1], s)
-                        spow[i] = si
-                    tj = tpow.get(j)
-                    if tj is None:
-                        tj = ring.mul(tpow[j - 1], t)
-                        tpow[j] = tj
-                    param = ring.mul(
-                        ring.from_int(coeffs[(i, j)]), ring.mul(si, tj)
-                    )
-                    rhs = linalg.mat_mul(
-                        ring, rhs, rep.elementary_matrix(ring, g, param)
-                    )
+                lhs, letters = commutator_expansion(rep, ring, terms, a, b, s, t)
                 report.commutator_checked += 1
-                if lhs != rhs:
+                if lhs != word_matrix(rep, ring, letters):
                     report.failures.append(("R2", a, b, s, t))
     return report

@@ -245,16 +245,16 @@ def make_representation(rs: RootSystem, tag: str | None = None) -> Representatio
     hit = _REP_CACHE.get(key)
     if hit is not None:
         return hit
+    if tag not in available_tags(rs):
+        raise UnsupportedRepresentation(
+            f"representation {tag!r} is not available for type {rs.label}"
+        )
     if tag == "adjoint":
         table = build_basis(rs)
         keys, weights, xmats = table.adjoint_data()
         rep = Representation(rs, "adjoint", len(keys), weights, xmats)
-    elif tag == f"defining-{rs.letter}":
+    else:
         dim, xmats, weights = classical_generators(rs)
         rep = Representation(rs, tag, dim, weights, xmats)
-    else:
-        raise UnsupportedRepresentation(
-            f"representation {tag!r} is not available for type {rs.label}"
-        )
     _REP_CACHE[key] = rep
     return rep

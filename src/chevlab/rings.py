@@ -115,8 +115,8 @@ class RingSpec:
         """Image of the integer k under the unique map Z -> R."""
         raise NotImplementedError
 
-    def elements(self) -> list:
-        """All raw values in a fixed deterministic order."""
+    def elements(self):
+        """All raw values in a fixed deterministic order, as a sequence."""
         raise NotImplementedError
 
     def units(self) -> list:
@@ -210,7 +210,7 @@ class ZmodRing(RingSpec):
         return k % self.n
 
     def elements(self):
-        return list(range(self.n))
+        return range(self.n)
 
     def element_to_json(self, v):
         return v
@@ -239,7 +239,8 @@ class PolyQuotientRing(RingSpec):
         )
         # x^(degree+k) reduced mod f, for k = 0..degree-2 (covers products)
         self._high_powers = self._reduction_table()
-        self._mul_cache: dict | None = {} if self.card <= 4096 else None
+        # up to card^2 entries of about 245 bytes each: small rings only
+        self._mul_cache: dict | None = {} if self.card <= 256 else None
 
     def _reduction_table(self):
         d = self.degree

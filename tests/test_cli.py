@@ -4,7 +4,11 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+from chevlab import reps
+from chevlab.chevalley import ChevalleyError
 from chevlab.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run(*args):
@@ -48,10 +52,9 @@ def test_chevalley_constants_g2():
 
 @pytest.mark.parametrize("label", ["B3", "C3", "D4", "G2"])
 def test_chevalley_constants_match_golden_report(label):
-    golden = Path(__file__).parent / "golden" / f"chevalley_constants_{label}.json"
     res = run("chevalley", "constants", label, "--format", "json")
     assert res.exit_code == 0
-    assert res.output == golden.read_text()
+    assert res.output == (GOLDEN / f"chevalley_constants_{label}.json").read_text()
 
 
 def test_chevalley_bad_type_exit_2():
@@ -183,9 +186,30 @@ def test_congruence_levels():
 
 
 def test_ebg_check_a2_gf2():
-    res = run("ebg", "check", "--type", "A2", "--ring", "GF(2)")
+    res = run("ebg", "check", "--type", "A2", "--ring", "GF(2)", "--format", "json")
     assert res.exit_code == 0
-    assert "168/168 elements in (U+U-)^4" in res.output
+    assert res.output == (GOLDEN / "ebg_check_A2_GF2.json").read_text()
+
+
+@pytest.mark.parametrize(
+    "label, ring, ideal",
+    [
+        ("A2", "Z/27", "3"),
+        ("B2", "Z/9", "3"),
+        ("B3", "Z/27", "9"),
+        ("C3", "Z/9", "3"),
+        ("D4", "Z/4", "2"),
+        ("G2", "Z/25", "5"),
+    ],
+)
+def test_congruence_certify_matches_golden_report(label, ring, ideal):
+    res = run(
+        "congruence", "certify", "--type", label, "--ring", ring,
+        "--subgroup", f"kernel:({ideal})", "--format", "json",
+    )
+    assert res.exit_code == 0
+    name = f"congruence_certify_{label}_{ring.replace('/', '')}.json"
+    assert res.output == (GOLDEN / name).read_text()
 
 
 def test_deterministic_output():
@@ -194,6 +218,20 @@ def test_deterministic_output():
         "--format", "json", "--seed", "7",
     ]
     assert run(*args).output == run(*args).output
+
+
+def test_internal_error_in_setup_is_not_bad_input(monkeypatch):
+    def broken(rs):
+        raise ChevalleyError("structure table broke")
+
+    monkeypatch.setattr(reps, "build_basis", broken)
+    monkeypatch.setattr(reps, "_REP_CACHE", {})
+    res = run(
+        "group", "verify-relations", "--type", "G2", "--ring", "Z/4",
+        "--rep", "adjoint",
+    )
+    assert isinstance(res.exception, ChevalleyError)
+    assert res.exit_code not in (0, 2)
 
 
 def test_invalid_rep_exit_2():

@@ -1,4 +1,8 @@
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chevlab import linalg
 from chevlab.groups import (
@@ -6,19 +10,23 @@ from chevlab.groups import (
     ElementaryWord,
     all_elementaries,
     commutator,
+    commutator_expansion,
     congruence_reduce,
     elementary,
     elementary_generator_words,
+    expansion_terms,
     identity_element,
     in_congruence_kernel,
+    random_elementary_word,
     subgroup_closure,
     torus_and_weyl,
     verify_steinberg_relations,
     weyl_conjugation_check,
+    word_matrix,
 )
 from chevlab.reps import make_representation, available_tags
 from chevlab.rings import ZmodRing, ideal_from_generators, parse_ring_spec
-from chevlab.roots import build_root_system
+from chevlab.roots import _neg, build_root_system
 
 
 A2 = build_root_system("A2")
@@ -160,8 +168,6 @@ def test_congruence_reduction():
 
 
 def test_congruence_reduction_is_homomorphism():
-    import random
-
     rep = make_representation(A2, "defining-A")
     ring = ZmodRing(4)
     ideal = ideal_from_generators(ring, [2])
@@ -295,23 +301,65 @@ def test_adjoint_relations_exhaustive_small_rings():
         assert report.ok and report.exhaustive
 
 
-def test_debug_validation_mode():
-    from chevlab import groups
+def test_generators_preserve_the_representation_form():
+    ring = ZmodRing(9)
+    for rs, tag in [(A2, "defining-A"), (B2, "defining-B"), (C2, "defining-C")]:
+        rep = make_representation(rs, tag)
+        for r in rs.roots:
+            assert rep.check_invariant(ring, elementary(rep, ring, r, 5).mat)
 
-    groups.set_debug_validation(True)
-    try:
-        ring = ZmodRing(9)
-        for rs, tag in [(A2, "defining-A"), (B2, "defining-B"), (C2, "defining-C")]:
-            rep = make_representation(rs, tag)
-            for r in rs.roots:
-                elementary(rep, ring, r, 5)
-    finally:
-        groups.set_debug_validation(False)
+
+PROPERTY_GROUPS = [
+    (rs, tag, ring)
+    for rs, tag in [(A2, "defining-A"), (B2, "defining-B"), (G2, "adjoint")]
+    for ring in ["Z/9", "GF(4)", "Z/4 x GF(3)"]
+]
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    case=st.sampled_from(PROPERTY_GROUPS),
+    length=st.integers(0, 8),
+    seed=st.integers(0, 2**32),
+)
+def test_inverse_word_matches_gauss_jordan_inverse(case, length, seed):
+    rs, tag, ring_text = case
+    rep = make_representation(rs, tag)
+    ring = parse_ring_spec(ring_text)
+    w = random_elementary_word(rep, ring, length, random.Random(seed))
+    assert w.inverse_word().evaluate() == w.evaluate().inverse()
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=st.sampled_from(PROPERTY_GROUPS), data=st.data())
+def test_commutator_expansion_matches_reference_commutator(case, data):
+    rs, tag, ring_text = case
+    rep = make_representation(rs, tag)
+    ring = parse_ring_spec(ring_text)
+    a = data.draw(st.sampled_from(rs.roots))
+    b = data.draw(st.sampled_from([r for r in rs.roots if r != _neg(a)]))
+    s = data.draw(st.sampled_from(ring.elements()))
+    t = data.draw(st.sampled_from(ring.elements()))
+    terms = expansion_terms(rep, ring, a, b)
+    mat, letters = commutator_expansion(rep, ring, terms, a, b, s, t)
+    reference = commutator(elementary(rep, ring, a, s), elementary(rep, ring, b, t))
+    assert mat == reference.mat
+    assert word_matrix(rep, ring, letters) == reference.mat
+
+
+def test_random_word_over_a_huge_modulus():
+    rep = make_representation(A2, "defining-A")
+    ring = ZmodRing(2**61)
+    w = random_elementary_word(rep, ring, 4, random.Random(5))
+    assert len(w) == 4 and all(0 <= t < ring.n for _, t in w.letters)
+    # drawing from range(n) gives the same seeded letters as from a list
+    rng = random.Random(5)
+    expected = [(rng.choice(A2.roots), rng.choice(list(range(97)))) for _ in range(4)]
+    word = random_elementary_word(rep, ZmodRing(97), 4, random.Random(5))
+    assert word.letters == tuple(expected)
 
 
 def test_matmul_numpy_path_matches_pure_loop():
-    import random
-
     from chevlab.linalg import mat_mul
 
     rng = random.Random(17)

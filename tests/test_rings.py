@@ -262,3 +262,24 @@ def test_spec_equality_structural():
     assert parse_ring_spec("GF(3)") == ZmodRing(3)
     assert parse_ring_spec("GF(4)") == parse_ring_spec("GF(2)[x]/(x^2+x+1)")
     assert parse_ring_spec("Z/4") != parse_ring_spec("Z/8")
+
+
+def test_mul_cache_only_on_small_quotient_rings():
+    gf2 = ZmodRing(2)
+    small = PolyQuotientRing(gf2, (1, 0, 1, 1, 1, 0, 0, 0, 1))  # GF(256)
+    big = PolyQuotientRing(gf2, (1, 0, 0, 1) + (0,) * 8 + (1,))  # GF(4096)
+    assert small.card == 256 and big.card == 4096
+    x = (0, 1) + (0,) * 10
+    x11 = (0,) * 11 + (1,)
+    assert big.mul(x, x11) == (1, 0, 0, 1) + (0,) * 8  # x^12 = 1 + x^3
+    assert big._mul_cache is None
+    y = (0, 1) + (0,) * 6
+    assert small.mul(y, y) == small.mul(y, y) == (0, 0, 1) + (0,) * 5
+    assert len(small._mul_cache) == 1
+
+
+def test_zmod_elements_do_not_materialize():
+    ring = ZmodRing(2**61)
+    values = ring.elements()
+    assert isinstance(values, range) and len(values) == 2**61
+    assert values[-1] == 2**61 - 1
