@@ -14,8 +14,10 @@ are used.
 """
 from __future__ import annotations
 
+import functools
 import random
 from fractions import Fraction
+from types import MappingProxyType
 
 from .roots import RootSystem, _add, _neg, _sub
 
@@ -324,8 +326,6 @@ class ChevalleyBasisTable:
             self.nmap = _table_extraspecial(rs)
             self.sign_convention = "extraspecial pairs positive"
         self.hcoords = {r: rs.coroot_coords(r) for r in rs.roots}
-        self._adjoint = None
-        self._coeff_cache: dict = {}
         self._verify_magnitudes()
 
     def n_constant(self, a, b) -> int:
@@ -423,10 +423,9 @@ class ChevalleyBasisTable:
 
     # -- adjoint matrices -----------------------------------------------------
 
+    @functools.cache
     def adjoint_data(self):
         """(keys, weights, xmats) for the adjoint representation, integer dense."""
-        if self._adjoint is not None:
-            return self._adjoint
         keys = self.basis_keys()
         index = {k: i for i, k in enumerate(keys)}
         dim = len(keys)
@@ -439,25 +438,22 @@ class ChevalleyBasisTable:
                 for kk, c in self.bracket_keys(("e", r), k).items():
                     m[index[kk]][j] = c
             xmats[r] = freeze(m)
-        self._adjoint = (keys, weights, xmats)
-        return self._adjoint
+        return keys, weights, xmats
 
     # -- group-level commutator coefficients ----------------------------------
 
-    def commutator_coefficients(self, a, b) -> dict:
+    @functools.cache
+    def commutator_coefficients(self, a, b) -> MappingProxyType:
         """Integer coefficients C[i,j] of the commutator expansion for (a, b).
 
         The expansion is taken over the roots i*a+j*b ordered by (i+j, i); the
         commutator is expanded over Z[s, t] in the adjoint representation from
         the integral divided powers, and each C[i,j] is read off by exact
-        division and checked against the whole (i, j) monomial.
+        division and checked against the whole (i, j) monomial.  The result is
+        a read-only view, shared by every caller.
         """
-        a, b = tuple(a), tuple(b)
         if b == _neg(a):
             raise ChevalleyError("commutator expansion undefined for b = -a")
-        hit = self._coeff_cache.get((a, b))
-        if hit is not None:
-            return dict(hit)
         _, _, xmats = self.adjoint_data()
         dim = len(xmats[a])
         pa = divided_powers(xmats[a])
@@ -483,8 +479,7 @@ class ChevalleyBasisTable:
                 m = _pmat_mul(_exp_series(pg, (i, j), -coeff, dim), m)
         if m != {(0, 0): _smat_identity(dim)}:
             raise ChevalleyError("commutator expansion failed to close")
-        self._coeff_cache[(a, b)] = dict(out)
-        return out
+        return MappingProxyType(out)
 
 
 # ---------------------------------------------------------------------------
@@ -583,21 +578,14 @@ def _pmat_mul(p: dict, q: dict) -> dict:
 # ---------------------------------------------------------------------------
 
 
-_TABLE_CACHE: dict = {}
-
-
+@functools.cache
 def build_basis(rs: RootSystem) -> ChevalleyBasisTable:
-    """Build (and cache) the integral bracket table for a root system."""
-    key = (rs.letter, rs.rank)
-    hit = _TABLE_CACHE.get(key)
-    if hit is not None:
-        return hit
+    """The integral bracket table of a root system, built once per type."""
     table = ChevalleyBasisTable(rs)
     if rs.rank <= 4:
         table.verify_jacobi()
     else:
         table.verify_jacobi(sample=4000, seed=0)
-    _TABLE_CACHE[key] = table
     return table
 
 

@@ -239,12 +239,14 @@ def _expansion(rep, ring, a, b, s, t):
     return GroupElement(rep, ring, lhs), letters
 
 
-def _spread_by_weyl(n, trace, aset, sample_root):
+def _spread_by_weyl(n, trace, sample_root):
     """Check the level set of every root in sample_root's length class."""
     rs = n.rep.rs
     cls = [r for r in rs.roots if rs.norm(r) == rs.norm(sample_root)]
+    sample = level_set(n, sample_root).values
     for r in cls:
-        if not weyl_level_equality(n, sample_root, r):
+        rs.same_length_conjugator(sample_root, r)  # existence check
+        if level_set(n, r).values != sample:
             raise CertificateError(
                 f"level sets of {sample_root} and {r} differ; N is not normal"
             )
@@ -366,7 +368,7 @@ def _certificate_simply_laced(n, table):
     a, b = pair
     trace = CertificateTrace(None, "simply-laced: A2 subsystem")
     values = _a2_ideal_derivation(n, trace, table, a, b, "a2-multiplication")
-    _spread_by_weyl(n, trace, values, a)
+    _spread_by_weyl(n, trace, a)
     return values, trace
 
 
@@ -381,7 +383,7 @@ def _certificate_b_type(n, table):
     a, b = pair
     trace = CertificateTrace(None, "long A2 + corrected mixed identity")
     values = _a2_ideal_derivation(n, trace, table, a, b, "a2-multiplication")
-    _spread_by_weyl(n, trace, values, a)
+    _spread_by_weyl(n, trace, a)
     lam, mu = _find_mixed_pair(rs)
     short1 = _sub(lam, mu)
     coeffs = table.commutator_coefficients(lam, _neg(mu))
@@ -415,7 +417,7 @@ def _certificate_b_type(n, table):
         f"e_{rs.root_name(short1)}({c1:+d}r) in N for every r in the ideal "
         f"({len(values)} instances)",
     )
-    _spread_by_weyl(n, trace, values, short1)
+    _spread_by_weyl(n, trace, short1)
     return values, trace
 
 
@@ -431,7 +433,7 @@ def _certificate_c_type(n, table):
     a, b = pair
     trace = CertificateTrace(None, "short A2 + doubled-sum long coverage")
     values = _a2_ideal_derivation(n, trace, table, a, b, "a2-multiplication")
-    _spread_by_weyl(n, trace, values, a)
+    _spread_by_weyl(n, trace, a)
     sigma, tau = _find_doubling_pair(rs, table)
     coeffs = table.commutator_coefficients(sigma, tau)
     c = coeffs[(1, 1)]
@@ -452,7 +454,7 @@ def _certificate_c_type(n, table):
         f"e_{rs.root_name(lam)}({c:+d}r) with {c:+d} a unit "
         f"({len(values)} instances)",
     )
-    _spread_by_weyl(n, trace, values, lam)
+    _spread_by_weyl(n, trace, lam)
     return values, trace
 
 
@@ -512,7 +514,7 @@ def _certificate_rank2_bc(n, table):
         f"with v = rs scaled by the inverse of {2 * c1}; all instances replayed",
     )
     values = start
-    _spread_by_weyl(n, trace, values, sigma)
+    _spread_by_weyl(n, trace, sigma)
     # long coverage via the doubling identity at u = 1/d
     d_inv = ring.inv(ring.from_int(d))
     for t in sorted_values(ring, values):
@@ -526,7 +528,7 @@ def _certificate_rank2_bc(n, table):
         f"e_{rs.root_name(lam)}(t) in N for every t in the ideal "
         f"({len(values)} instances)",
     )
-    _spread_by_weyl(n, trace, values, lam)
+    _spread_by_weyl(n, trace, lam)
     return values, trace
 
 
@@ -540,7 +542,7 @@ def _certificate_g2(n, table):
     a, b = pair
     trace = CertificateTrace(None, "long A2 + short-factor isolation")
     values = _a2_ideal_derivation(n, trace, table, a, b, "a2-multiplication")
-    _spread_by_weyl(n, trace, values, a)
+    _spread_by_weyl(n, trace, a)
     k, c = (1, 0), (0, 1)
     coeffs = table.commutator_coefficients(k, c)
     eps2 = coeffs[(1, 2)]
@@ -601,7 +603,7 @@ def _certificate_g2(n, table):
         f"long factor in N times e_{rs.root_name(target)}(2*eps2*u); "
         f"{len(values)} instances replayed",
     )
-    _spread_by_weyl(n, trace, values, target)
+    _spread_by_weyl(n, trace, target)
     return values, trace
 
 

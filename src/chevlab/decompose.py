@@ -10,6 +10,7 @@ before being returned; verification is part of the contract.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -24,7 +25,7 @@ from .groups import (
     word_matrix,
 )
 from .reps import Representation
-from .rings import RingSpec, is_local, residue_field
+from .rings import RING_MEMO_SIZE, RingSpec, is_local, residue_field
 from .roots import RootSystem, _neg
 
 
@@ -54,21 +55,12 @@ def decomposition_constants(rs: RootSystem) -> dict:
     }
 
 
-def check_decomposition_supported(rs: RootSystem, allow_slow: bool = False):
-    letter, rank = rs.letter, rs.rank
-    if letter == "A" and 1 <= rank <= 4:
-        return
-    if letter in "BC" and 2 <= rank <= 4:
-        return
-    if letter == "D" and 3 <= rank <= 4:
-        return
-    if letter == "G":
-        return
-    if letter == "F" and allow_slow:
+def check_decomposition_supported(rs: RootSystem):
+    if rs.letter in "ABCD" and rs.rank <= 4 or rs.letter == "G":
         return
     raise UnsupportedDecomposition(
         f"decomposition algorithms cover rank <= 4 classical types and G2; "
-        f"got {rs.label}" + ("" if letter != "F" else " (pass allow_slow=True)")
+        f"got {rs.label}"
     )
 
 
@@ -140,15 +132,9 @@ def torus_word(rep: Representation, ring: RingSpec, alpha, a) -> ElementaryWord:
     return word
 
 
-_TORUS_TABLE_CACHE: dict = {}
-
-
+@functools.lru_cache(maxsize=RING_MEMO_SIZE)
 def _torus_diag_table(rep: Representation, ring: RingSpec) -> dict:
     """diag tuple -> simple-root unit tuple, over the whole torus image."""
-    key = (rep.key, ring.key())
-    hit = _TORUS_TABLE_CACHE.get(key)
-    if hit is not None:
-        return hit
     units = ring.units()
     if len(units) ** rep.rs.rank > 300000:
         raise UnsupportedDecomposition("torus enumeration too large")
@@ -166,7 +152,6 @@ def _torus_diag_table(rep: Representation, ring: RingSpec) -> dict:
             for k in range(rep.dim)
         )
         table.setdefault(diag, combo)
-    _TORUS_TABLE_CACHE[key] = table
     return table
 
 
@@ -249,12 +234,12 @@ def big_cell_factor(g: GroupElement) -> BigCellFactorization:
 # Bruhat decomposition over a finite field
 
 
-def bruhat_decompose(g: GroupElement, allow_slow: bool = False):
+def bruhat_decompose(g: GroupElement):
     """(weyl word, elementary word) with the word evaluating to g, over a field."""
     rep, ring = g.rep, g.ring
     if len(ring.units()) != ring.card - 1:
         raise GroupError("Bruhat decomposition needs a field")
-    check_decomposition_supported(rep.rs, allow_slow=allow_slow)
+    check_decomposition_supported(rep.rs)
     for word, _ in rep.rs.weyl_elements():
         lift = weyl_lift_word(rep, ring, word)
         try:
@@ -305,12 +290,12 @@ def _single_letter_fast_path(g: GroupElement):
     return None
 
 
-def local_decompose(g: GroupElement, allow_slow: bool = False) -> DecompositionReport:
+def local_decompose(g: GroupElement) -> DecompositionReport:
     """Bounded word over a local ring: Bruhat over the residue field, lift,
     then big-cell factorization of the congruence-kernel remainder."""
     rep, ring = g.rep, g.ring
     rs = rep.rs
-    check_decomposition_supported(rs, allow_slow=allow_slow)
+    check_decomposition_supported(rs)
     if not is_local(ring)[0]:
         raise GroupError("local decomposition needs a local ring")
     consts = decomposition_constants(rs)
@@ -332,7 +317,7 @@ def local_decompose(g: GroupElement, allow_slow: bool = False) -> DecompositionR
     reduced = GroupElement(
         rep, field, tuple(tuple(proj(v) for v in row) for row in g.mat)
     )
-    _, res_word = bruhat_decompose(reduced, allow_slow=allow_slow)
+    _, res_word = bruhat_decompose(reduced)
     lifted = ElementaryWord(
         rep, ring, [(r, lift(t)) for r, t in res_word.letters]
     ).nonzero()
@@ -396,7 +381,7 @@ def product_merge_decompose(
     return word
 
 
-def decompose_over_product(g: GroupElement, allow_slow: bool = False) -> DecompositionReport:
+def decompose_over_product(g: GroupElement) -> DecompositionReport:
     """Split the ring into local factors, decompose per factor, merge back."""
     from .rings import artinian_decompose
 
@@ -406,7 +391,7 @@ def decompose_over_product(g: GroupElement, allow_slow: bool = False) -> Decompo
     factor_words = []
     for idx, f in enumerate(dec.factors):
         part = factor_projection(g, dec.factors, dec.to_components, idx)
-        factor_words.append(local_decompose(part, allow_slow=allow_slow).word)
+        factor_words.append(local_decompose(part).word)
     word = product_merge_decompose(g, factor_words, dec.from_components)
     bound = consts["merge_bound"]
     if len(word) > bound:
@@ -537,7 +522,6 @@ class _Machine:
         self.rep = rep
         self.ring = ring
         self.blocks = blocks if blocks is not None else [dict() for _ in range(8)]
-        self._splits: dict = {}
 
     # coordinate evaluation in this subsystem's fixed orders
     def _order(self, sign):
@@ -593,10 +577,7 @@ class _Machine:
         alpha_idx = next(
             i for i in rs.extremal_simple_indices() if i != beta_idx
         )
-        split = self._splits.get(alpha_idx)
-        if split is None:
-            split = rs.tavgen_split(alpha_idx)
-            self._splits[alpha_idx] = split
+        split = rs.tavgen_split(alpha_idx)
         sub = split.sub_system
         phi1 = set(split.phi1)
         phi0 = set(split.phi0)
@@ -661,7 +642,7 @@ class _Machine:
         return GroupElement(self.rep, self.ring, mat)
 
 
-def tavgen_decompose(word: ElementaryWord, allow_slow: bool = False) -> FourfoldReport:
+def tavgen_decompose(word: ElementaryWord) -> FourfoldReport:
     """Rewrite a word in the elementary subgroup as u1+ u1- ... u4+ u4-.
 
     Input membership is by construction (the element is given as a word); the
@@ -669,7 +650,7 @@ def tavgen_decompose(word: ElementaryWord, allow_slow: bool = False) -> Fourfold
     """
     rep, ring = word.rep, word.ring
     rs = rep.rs
-    check_decomposition_supported(rs, allow_slow=allow_slow)
+    check_decomposition_supported(rs)
     if not is_local(ring)[0]:
         raise GroupError("the fourfold normal form needs a local ring")
     target = word.evaluate()

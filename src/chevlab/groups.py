@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import lru_cache, reduce
 
 from . import linalg
 from .chevalley import build_basis
 from .reps import Representation
-from .rings import IdealHandle, RingSpec
+from .rings import RING_MEMO_SIZE, IdealHandle, RingSpec
 from .roots import _neg
 
 
@@ -283,16 +283,9 @@ def in_congruence_kernel(g: GroupElement, ideal: IdealHandle) -> bool:
     return congruence_reduce(g, ideal).is_identity()
 
 
-_QUOTIENT_CACHE: dict = {}
-
-
+@lru_cache(maxsize=RING_MEMO_SIZE)
 def _quotient_data(ideal: IdealHandle):
-    key = (ideal.spec.key(), ideal.element_set())
-    hit = _QUOTIENT_CACHE.get(key)
-    if hit is None:
-        hit = ideal.quotient()
-        _QUOTIENT_CACHE[key] = hit
-    return hit
+    return ideal.quotient()
 
 
 # ---------------------------------------------------------------------------

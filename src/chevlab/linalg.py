@@ -7,9 +7,12 @@ and doing unit-pivot Gaussian elimination there.
 """
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .rings import (
+    RING_MEMO_SIZE,
     PolyQuotientRing,
     ProductRing,
     RingError,
@@ -114,17 +117,7 @@ def _np_mul_polyquot(spec: PolyQuotientRing, a, b):
     n = len(a)
     if (2 * d - 1) * d * n * (p - 1) ** 3 >= _INT64_BOUND:
         return None
-    # reduction rows: x^s = sum_k red[s][k] x^k for s = 0..2d-2
-    red = getattr(spec, "_np_red", None)
-    if red is None:
-        rows = []
-        for s in range(2 * d - 1):
-            if s < d:
-                rows.append([1 if k == s else 0 for k in range(d)])
-            else:
-                rows.append(list(spec._high_powers[s - d]))
-        red = np.array(rows, dtype=np.int64)
-        spec._np_red = red
+    red = _reduction_rows(spec)
     sa = [np.empty((n, n), dtype=np.int64) for _ in range(d)]
     sb = [np.empty((n, n), dtype=np.int64) for _ in range(d)]
     for i in range(n):
@@ -157,6 +150,15 @@ def _np_mul_polyquot(spec: PolyQuotientRing, a, b):
     )
 
 
+@functools.lru_cache(maxsize=RING_MEMO_SIZE)
+def _reduction_rows(spec: PolyQuotientRing):
+    """x^s = sum_k red[s][k] x^k for s = 0..2d-2, as an int64 array."""
+    d = spec.degree
+    rows = [[1 if k == s else 0 for k in range(d)] for s in range(d)]
+    rows += [list(row) for row in spec._high_powers]
+    return np.array(rows, dtype=np.int64)
+
+
 def _gauss_inverse(spec: RingSpec, a):
     """Gauss-Jordan over a local ring: every pivot must be a unit."""
     n = len(a)
@@ -184,14 +186,14 @@ def _gauss_inverse(spec: RingSpec, a):
     return tuple(tuple(row[n:]) for row in aug)
 
 
+_local_factors = functools.lru_cache(maxsize=RING_MEMO_SIZE)(artinian_decompose)
+
+
 def mat_inverse(spec: RingSpec, a):
     """Exact inverse over any finite commutative ring (local-factor Gauss)."""
     if is_local(spec)[0]:
         return _gauss_inverse(spec, a)
-    dec = getattr(spec, "_artinian_cache", None)
-    if dec is None:
-        dec = artinian_decompose(spec)
-        spec._artinian_cache = dec
+    dec = _local_factors(spec)
     n = len(a)
     comp = [[dec.to_components(v) for v in row] for row in a]
     parts = []

@@ -11,6 +11,7 @@ exact there because the central kernel meets no unipotent subgroup.
 """
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 
 from . import linalg
@@ -21,8 +22,8 @@ from .chevalley import (
     divided_powers,
     freeze,
 )
-from .rings import RingSpec, xgcd
-from .roots import RootSystem
+from .rings import RING_MEMO_SIZE, RingSpec, xgcd
+from .roots import RootSystem, _solve_coords
 
 
 class UnsupportedRepresentation(ValueError):
@@ -33,6 +34,11 @@ SO_MODEL_CAVEAT = (
     "SO matrix model: faithful on unipotent generators only; torus/Weyl "
     "identities hold up to the central kernel of the spin cover"
 )
+
+# Elementary matrices kept by value of (representation, ring, root, t): more
+# than the 1,598 distinct ones of the largest benchmark round, and about
+# 2,048 x 54 KB = 110 MB at dimension 78 (E6 adjoint over Z/n).
+ELEMENTARY_MEMO_SIZE = 2048
 
 
 class Representation:
@@ -45,10 +51,6 @@ class Representation:
         self.weights = list(weights)
         self.key = (rs.letter, rs.rank, tag)
         self._x = {r: freeze(m) for r, m in xmats.items()}
-        self._divided: dict = {}
-        self._extract: dict = {}
-        self._elem_cache: dict = {}
-        self._identity_cache: dict = {}
         self.form = self._build_form()
         self.caveat = SO_MODEL_CAVEAT if tag in ("defining-B", "defining-D") else None
         self._check_triangular()
@@ -56,7 +58,8 @@ class Representation:
     # -- construction checks --------------------------------------------------
 
     def _check_triangular(self):
-        heights = [self._weight_height(w) for w in self.weights]
+        phi = _height_functional(self.rs)
+        heights = [sum(Fraction(a) * b for a, b in zip(phi, w)) for w in self.weights]
         for a, b in zip(heights, heights[1:]):
             if a < b:
                 raise ChevalleyError(f"basis of {self.tag} is not height-sorted")
@@ -69,13 +72,6 @@ class Representation:
                         raise ChevalleyError(
                             f"generator {r} is not weight-graded in {self.tag}"
                         )
-
-    def _weight_height(self, w) -> Fraction:
-        phi = getattr(self, "_phi", None)
-        if phi is None:
-            phi = _height_functional(self.rs)
-            self._phi = phi
-        return sum(Fraction(a) * b for a, b in zip(phi, w))
 
     def _build_form(self):
         n = self.rs.rank
@@ -107,19 +103,16 @@ class Representation:
     def root_matrix(self, root):
         return self._x[tuple(root)]
 
-    def divided_powers(self, root) -> list:
-        """[M_1, M_2, ...] with M_k = X^k / k!, all integral, as dense tuples."""
-        root = tuple(root)
-        hit = self._divided.get(root)
-        if hit is None:
-            n = self.dim
-            hit = [
-                tuple(tuple(m.get(i, {}).get(j, 0) for j in range(n)) for i in range(n))
-                for m in divided_powers(self._x[root])
-            ]
-            self._divided[root] = hit
-        return hit
+    @functools.cache
+    def divided_powers(self, root) -> tuple:
+        """(M_1, M_2, ...) with M_k = X^k / k!, all integral, as dense tuples."""
+        n = self.dim
+        return tuple(
+            tuple(tuple(m.get(i, {}).get(j, 0) for j in range(n)) for i in range(n))
+            for m in divided_powers(self._x[root])
+        )
 
+    @functools.cache
     def extraction_data(self, root):
         """Positions and Bezout multipliers solving the root coordinate.
 
@@ -127,10 +120,6 @@ class Representation:
         nonzero integer entries of X_root and combo = [((r, c), m)] satisfies
         sum m * X[r][c] = 1.
         """
-        root = tuple(root)
-        hit = self._extract.get(root)
-        if hit is not None:
-            return hit
         x = self._x[root]
         entries = [
             (i, j, v)
@@ -149,26 +138,17 @@ class Representation:
                 break
         if g != 1:
             raise ChevalleyError(f"entries of X_{root} have gcd {g}")
-        combo = [(pos, m) for pos, m in combo if m]
-        self._extract[root] = (entries, combo)
-        return entries, combo
+        return tuple(entries), tuple((pos, m) for pos, m in combo if m)
 
     # -- evaluation over a ring -------------------------------------------------
 
+    @functools.lru_cache(maxsize=RING_MEMO_SIZE)
     def identity(self, ring: RingSpec):
-        key = ring.key()
-        hit = self._identity_cache.get(key)
-        if hit is None:
-            hit = linalg.identity_matrix(ring, self.dim)
-            self._identity_cache[key] = hit
-        return hit
+        return linalg.identity_matrix(ring, self.dim)
 
+    @functools.lru_cache(maxsize=ELEMENTARY_MEMO_SIZE)
     def elementary_matrix(self, ring: RingSpec, root, t):
-        root = tuple(root)
-        key = (ring.key(), root, t)
-        hit = self._elem_cache.get(key)
-        if hit is not None:
-            return hit
+        """e_root(t) = sum_k t^k M_k over the ring; root is a tuple."""
         mats = self.divided_powers(root)
         out = [list(row) for row in self.identity(ring)]
         tpow = t
@@ -189,12 +169,11 @@ class Representation:
                             out[i][j], ring.mul(tpow, conv(v))
                         )
             tpow = ring.mul(tpow, t)
-        res = tuple(tuple(row) for row in out)
-        self._elem_cache[key] = res
-        return res
+        return tuple(tuple(row) for row in out)
 
     def check_invariant(self, ring: RingSpec, mat) -> bool:
-        """Form/determinant preservation for the stored matrix."""
+        """Form/determinant preservation for the stored matrix; in the adjoint
+        representation, preservation of the Lie bracket."""
         kind, s = self.form
         if kind == "determinant":
             if self.dim <= 5:
@@ -204,7 +183,42 @@ class Representation:
             sm = linalg.mat_from_int(ring, s)
             gts = linalg.mat_mul(ring, linalg.transpose(mat), sm)
             return linalg.mat_mul(ring, gts, mat) == sm
+        return self._preserves_brackets(ring, mat)
+
+    def _preserves_brackets(self, ring: RingSpec, mat) -> bool:
+        """g ad(x) == ad(g x) g for every basis vector x, i.e. g[x, y] = [gx, gy]."""
+        n, zero = self.dim, ring.zero
+        brackets = self._brackets()
+
+        def ad(v):
+            m = [[zero] * n for _ in range(n)]
+            for j, c in enumerate(v):
+                if c != zero:
+                    for r, col, k in brackets[j]:
+                        m[r][col] = ring.add(m[r][col], ring.mul(c, ring.from_int(k)))
+            return tuple(map(tuple, m))
+
+        for i in range(n):
+            unit = [ring.one if j == i else zero for j in range(n)]
+            lhs = linalg.mat_mul(ring, mat, ad(unit))
+            if lhs != linalg.mat_mul(ring, ad([row[i] for row in mat]), mat):
+                return False
         return True
+
+    @functools.cache
+    def _brackets(self) -> tuple:
+        """Per adjoint basis vector x_j, the entries (r, c, k) of ad(x_j) over Z."""
+        table = build_basis(self.rs)
+        keys = table.basis_keys()
+        index = {key: i for i, key in enumerate(keys)}
+        return tuple(
+            tuple(
+                (index[key], c, k)
+                for c, kc in enumerate(keys)
+                for key, k in table.bracket_keys(kj, kc).items()
+            )
+            for kj in keys
+        )
 
     def __repr__(self):
         return f"<rep {self.tag} of {self.rs.label}, degree {self.dim}>"
@@ -212,8 +226,6 @@ class Representation:
 
 def _height_functional(rs: RootSystem):
     """A rational functional with value 1 on every simple root."""
-    from .roots import _solve_coords
-
     target = tuple([1] * rs.rank)
     basis = [tuple(rs.simple[i][j] for i in range(rs.rank)) for j in range(rs.ambient)]
     # solve phi . simple_i = 1: treat phi as coordinates in the standard basis
@@ -221,9 +233,6 @@ def _height_functional(rs: RootSystem):
     if sol is None:
         raise ChevalleyError("no height functional")
     return tuple(sol)
-
-
-_REP_CACHE: dict = {}
 
 
 def available_tags(rs: RootSystem) -> list[str]:
@@ -239,22 +248,18 @@ def default_tag(rs: RootSystem) -> str:
 
 
 def make_representation(rs: RootSystem, tag: str | None = None) -> Representation:
-    if tag is None:
-        tag = default_tag(rs)
-    key = (rs.letter, rs.rank, tag)
-    hit = _REP_CACHE.get(key)
-    if hit is not None:
-        return hit
+    """The representation of a type with the given tag, built once per pair."""
+    return _representation(rs, default_tag(rs) if tag is None else tag)
+
+
+@functools.cache
+def _representation(rs: RootSystem, tag: str) -> Representation:
     if tag not in available_tags(rs):
         raise UnsupportedRepresentation(
             f"representation {tag!r} is not available for type {rs.label}"
         )
     if tag == "adjoint":
-        table = build_basis(rs)
-        keys, weights, xmats = table.adjoint_data()
-        rep = Representation(rs, "adjoint", len(keys), weights, xmats)
-    else:
-        dim, xmats, weights = classical_generators(rs)
-        rep = Representation(rs, tag, dim, weights, xmats)
-    _REP_CACHE[key] = rep
-    return rep
+        keys, weights, xmats = build_basis(rs).adjoint_data()
+        return Representation(rs, "adjoint", len(keys), weights, xmats)
+    dim, xmats, weights = classical_generators(rs)
+    return Representation(rs, tag, dim, weights, xmats)

@@ -9,8 +9,13 @@ threads.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import json
+import math
+
+# Memos keyed by ring value (rings compare by `key()`) keep this many rings.
+RING_MEMO_SIZE = 64
 
 
 class RingError(ValueError):
@@ -32,33 +37,56 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_s, old_t
 
 
+# Miller-Rabin with the prime bases up to 41 is exact below this bound
+# (Sorenson and Webster, "Strong pseudoprimes to twelve prime bases", 2017).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_EXACT_BELOW = 3317044064679887385961981
+
+
 def is_prime(n: int) -> bool:
+    """Exact primality: deterministic Miller-Rabin below 3.3e24, trial division above."""
     if n < 2:
         return False
-    if n < 4:
+    for p in _MR_BASES:
+        if n % p == 0:
+            return n == p
+    if n >= _MR_EXACT_BELOW:
+        d = 43
+        while d * d <= n:
+            if n % d == 0:
+                return False
+            d += 2
         return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
 def factorize(n: int) -> list[tuple[int, int]]:
-    """Prime factorization by trial division, ascending primes."""
+    """Prime factorization by trial division, ascending primes; stops as soon
+    as the remaining cofactor is prime."""
     out = []
     d = 2
-    while d * d <= n:
-        if n % d == 0:
-            k = 0
-            while n % d == 0:
-                n //= d
-                k += 1
-            out.append((d, k))
-        d += 1 if d == 2 else 2
+    while n > 1 and not is_prime(n):
+        while n % d:
+            d += 1 if d == 2 else 2
+        k = 0
+        while n % d == 0:
+            n //= d
+            k += 1
+        out.append((d, k))
     if n > 1:
         out.append((n, 1))
     return out
@@ -119,29 +147,20 @@ class RingSpec:
         """All raw values in a fixed deterministic order, as a sequence."""
         raise NotImplementedError
 
-    def units(self) -> list:
-        cached = getattr(self, "_units", None)
-        if cached is None:
-            cached = [v for v in self.elements() if self.is_unit(v)]
-            self._units = cached
-        return cached
+    @functools.lru_cache(maxsize=RING_MEMO_SIZE)
+    def units(self) -> tuple:
+        return tuple(v for v in self.elements() if self.is_unit(v))
 
     @property
+    @functools.lru_cache(maxsize=RING_MEMO_SIZE)
     def char(self) -> int:
-        cached = getattr(self, "_char", None)
-        if cached is None:
-            k, v = 1, self.one
-            while v != self.zero:
-                v = self.add(v, self.one)
-                k += 1
-                if k > self.card + 1:
-                    raise RingError("additive order of 1 exceeds ring size")
-            cached = k if self.card > 1 else 1
-            self._char = cached
-        return cached
-
-    def spec_string(self) -> str:
-        return self.label
+        k, v = 1, self.one
+        while v != self.zero:
+            v = self.add(v, self.one)
+            k += 1
+            if k > self.card + 1:
+                raise RingError("additive order of 1 exceeds ring size")
+        return k if self.card > 1 else 1
 
     def element(self, value) -> "RingElement":
         return RingElement(self, value)
@@ -326,17 +345,12 @@ class PolyQuotientRing(RingSpec):
         out[0] = self.base.from_int(k)
         return tuple(out)
 
+    @functools.lru_cache(maxsize=RING_MEMO_SIZE)
     def elements(self):
-        cached = getattr(self, "_elements", None)
-        if cached is None:
-            cached = [
-                tuple(reversed(t))
-                for t in itertools.product(
-                    self.base.elements(), repeat=self.degree
-                )
-            ]
-            self._elements = cached
-        return cached
+        return tuple(
+            tuple(reversed(t))
+            for t in itertools.product(self.base.elements(), repeat=self.degree)
+        )
 
     def element_to_json(self, v):
         return [self.base.element_to_json(c) for c in v]
@@ -395,14 +409,9 @@ class ProductRing(RingSpec):
     def from_int(self, k: int):
         return tuple(f.from_int(k) for f in self.factors)
 
+    @functools.lru_cache(maxsize=RING_MEMO_SIZE)
     def elements(self):
-        cached = getattr(self, "_elements", None)
-        if cached is None:
-            cached = list(
-                itertools.product(*[f.elements() for f in self.factors])
-            )
-            self._elements = cached
-        return cached
+        return tuple(itertools.product(*[f.elements() for f in self.factors]))
 
     def inject(self, index: int, value):
         """Element (0, ..., value, ..., 0) supported on one factor."""
@@ -439,11 +448,12 @@ class QuotientRing(RingSpec):
                 proj[base.add(v, a)] = v
         self._proj = proj
         self._reps = reps
+        self._key = ("quotient", base.key(), tuple(ideal.elements_list()))
         self.card = len(reps)
         self.label = label or f"{base.label}/{ideal.short_label()}"
 
     def key(self):
-        return ("quotient", self.base.key(), tuple(sorted_values(self.base, self.ideal.elements_list())))
+        return self._key
 
     def project(self, v):
         return self._proj[v]
@@ -486,17 +496,19 @@ class QuotientRing(RingSpec):
 
 def _inverse_by_search(spec: RingSpec, a):
     """Inverse of a (None for a non-unit) from a table built once per ring."""
-    inv_map = getattr(spec, "_inv_map", None)
-    if inv_map is None:
-        inv_map = {}
-        values = spec.elements()
-        for v in values:
-            for w in values:
-                if spec.mul(v, w) == spec.one:
-                    inv_map[v] = w
-                    break
-        spec._inv_map = inv_map
-    return inv_map.get(a)
+    return _inverse_table(spec).get(a)
+
+
+@functools.lru_cache(maxsize=RING_MEMO_SIZE)
+def _inverse_table(spec: RingSpec) -> dict:
+    inv_map = {}
+    values = spec.elements()
+    for v in values:
+        for w in values:
+            if spec.mul(v, w) == spec.one:
+                inv_map[v] = w
+                break
+    return inv_map
 
 
 def sorted_values(spec: RingSpec, values) -> list:
@@ -955,6 +967,9 @@ class IdealHandle:
 def ideal_from_generators(spec: RingSpec, generators) -> IdealHandle:
     """Smallest ideal containing the generators (exact, finite rings only)."""
     gens = [g.value if isinstance(g, RingElement) else g for g in generators]
+    if isinstance(spec, ZmodRing):
+        step = math.gcd(spec.n, *gens)
+        return IdealHandle(spec, gens, frozenset(range(0, spec.n, step)))
     seeds = [spec.mul(r, g) for g in gens for r in spec.elements()]
     return IdealHandle(spec, gens, additive_closure(spec, seeds))
 
@@ -990,46 +1005,32 @@ def additive_closure(spec: RingSpec, values) -> frozenset:
     return frozenset(closed)
 
 
+@functools.lru_cache(maxsize=RING_MEMO_SIZE)
 def is_local(spec: RingSpec) -> tuple[bool, IdealHandle | None]:
     """A finite commutative ring is local iff its non-units form an ideal."""
-    cached = getattr(spec, "_local", None)
-    if cached is not None:
-        return cached
-    result: tuple[bool, IdealHandle | None]
     if isinstance(spec, ZmodRing):
         fact = factorize(spec.n)
-        if len(fact) == 1:
-            p = fact[0][0]
-            result = (True, ideal_from_generators(spec, [p % spec.n]))
-        else:
-            result = (False, None)
-    elif isinstance(spec, ProductRing):
-        result = (False, None)
-    elif isinstance(spec, PolyQuotientRing) and spec.base.is_field:
+        if len(fact) != 1:
+            return False, None
+        return True, ideal_from_generators(spec, [fact[0][0] % spec.n])
+    if isinstance(spec, ProductRing):
+        return False, None
+    if isinstance(spec, PolyQuotientRing) and spec.base.is_field:
         fact = poly_factor(spec.base, list(spec.modulus))
         if len(fact) != 1:
-            result = (False, None)
-        elif fact[0][1] == 1:
-            result = (True, ideal_from_generators(spec, []))
-        else:
-            g = list(fact[0][0])
-            g_val = tuple(
-                (g[i] if i < len(g) else spec.base.zero)
-                for i in range(spec.degree)
-            )
-            result = (True, ideal_from_generators(spec, [g_val]))
-    else:
-        nonunits = [v for v in spec.elements() if not spec.is_unit(v)]
-        nonunit_set = set(nonunits)
-        ok = all(
-            spec.add(a, b) in nonunit_set for a in nonunits for b in nonunits
+            return False, None
+        if fact[0][1] == 1:
+            return True, ideal_from_generators(spec, [])
+        g = list(fact[0][0])
+        g_val = tuple(
+            (g[i] if i < len(g) else spec.base.zero) for i in range(spec.degree)
         )
-        if ok:
-            result = (True, ideal_from_generators(spec, nonunits))
-        else:
-            result = (False, None)
-    spec._local = result
-    return result
+        return True, ideal_from_generators(spec, [g_val])
+    nonunits = [v for v in spec.elements() if not spec.is_unit(v)]
+    nonunit_set = set(nonunits)
+    if all(spec.add(a, b) in nonunit_set for a in nonunits for b in nonunits):
+        return True, ideal_from_generators(spec, nonunits)
+    return False, None
 
 
 def residue_field(spec: RingSpec):

@@ -7,6 +7,7 @@ stored as the pair (a, b) with the corresponding Gram matrix.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 from fractions import Fraction
 
@@ -260,26 +261,8 @@ class RootSystem:
         if len(self.root_set) != len(roots):
             raise RootSystemError("duplicate roots in realization")
         self._norms = {r: self.inner(r, r) for r in self.roots}
-        self._conjugator_cache: dict = {}
-        self._weyl_cache = None
 
     # -- construction -------------------------------------------------------
-
-    @classmethod
-    def build(cls, type_label, rank=None) -> "RootSystem":
-        if rank is None:
-            letter, rank = parse_type(type_label)
-        else:
-            letter = type_label.strip().upper()
-        dim, gram, roots, simples = _realization(letter, rank)
-        rs = cls(letter, rank, dim, gram, roots, simples)
-        if letter in _CLASSICAL_COUNTS:
-            expected = _CLASSICAL_COUNTS[letter](rank)
-        else:
-            expected = {"G": 12, "F": 48, "E": {6: 72, 7: 126, 8: 240}.get(rank)}[letter]
-        if len(rs.roots) != expected:
-            raise RootSystemError("root count mismatch for realization")
-        return rs
 
     @classmethod
     def from_subsystem(cls, parent: "RootSystem", roots, simples, label):
@@ -360,29 +343,30 @@ class RootSystem:
         """A Weyl word w with w(alpha1) = alpha2, found by breadth-first search."""
         if self.norm(alpha1) != self.norm(alpha2):
             raise RootSystemError("roots have different lengths")
-        cache = self._conjugator_cache.get(alpha1)
-        if cache is None:
-            cache = {alpha1: ()}
-            frontier = [alpha1]
-            while frontier:
-                nxt = []
-                for r in frontier:
-                    for i in range(self.rank):
-                        img = self.reflect(self.simple[i], r)
-                        if img not in cache:
-                            cache[img] = (i,) + cache[r]
-                            nxt.append(img)
-                frontier = nxt
-            self._conjugator_cache[alpha1] = cache
-        word = cache.get(alpha2)
+        word = self._conjugators(alpha1).get(alpha2)
         if word is None:
             raise RootSystemError("roots are not Weyl-conjugate")
         return word
 
-    def weyl_elements(self) -> list[tuple[WeylWord, tuple]]:
+    @functools.cache
+    def _conjugators(self, alpha1) -> dict:
+        """Weyl word w with w(alpha1) = r, for every root r in alpha1's orbit."""
+        words = {alpha1: ()}
+        frontier = [alpha1]
+        while frontier:
+            nxt = []
+            for r in frontier:
+                for i in range(self.rank):
+                    img = self.reflect(self.simple[i], r)
+                    if img not in words:
+                        words[img] = (i,) + words[r]
+                        nxt.append(img)
+            frontier = nxt
+        return words
+
+    @functools.cache
+    def weyl_elements(self) -> tuple[tuple[WeylWord, tuple], ...]:
         """All Weyl group elements as (reduced word, permutation of self.roots)."""
-        if self._weyl_cache is not None:
-            return self._weyl_cache
         index = {r: i for i, r in enumerate(self.roots)}
         refl_perms = []
         for i in range(self.rank):
@@ -403,8 +387,7 @@ class RootSystem:
                         nxt.append(newp)
             frontier = nxt
         out = sorted(seen.items(), key=lambda kv: (len(kv[1]), kv[1]))
-        self._weyl_cache = [(word, perm) for perm, word in out]
-        return self._weyl_cache
+        return tuple((word, perm) for perm, word in out)
 
     # -- structural queries --------------------------------------------------
 
@@ -431,6 +414,7 @@ class RootSystem:
     def extremal_simple_indices(self) -> list[int]:
         return [i for i in range(self.rank) if len(self.dynkin_neighbors(i)) <= 1]
 
+    @functools.cache
     def tavgen_split(self, alpha_index: int) -> TavgenSplit:
         """Split off an extremal simple root: roots without/with that root."""
         if alpha_index not in self.extremal_simple_indices():
@@ -511,5 +495,24 @@ def classify(parent: RootSystem, roots, simples) -> str:
 
 
 def build_root_system(type_label, rank=None) -> RootSystem:
-    """Standard realization for the given type; rank 1 is the internal SL2 base."""
-    return RootSystem.build(type_label, rank)
+    """Standard realization for the given type; rank 1 is the internal SL2 base.
+
+    Each type has one RootSystem object, shared by every caller."""
+    if rank is None:
+        letter, rank = parse_type(type_label)
+    else:
+        letter = type_label.strip().upper()
+    return _root_system(letter, rank)
+
+
+@functools.cache
+def _root_system(letter: str, rank: int) -> RootSystem:
+    dim, gram, roots, simples = _realization(letter, rank)
+    rs = RootSystem(letter, rank, dim, gram, roots, simples)
+    if letter in _CLASSICAL_COUNTS:
+        expected = _CLASSICAL_COUNTS[letter](rank)
+    else:
+        expected = {"G": 12, "F": 48, "E": {6: 72, 7: 126, 8: 240}.get(rank)}[letter]
+    if len(rs.roots) != expected:
+        raise RootSystemError("root count mismatch for realization")
+    return rs

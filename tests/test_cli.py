@@ -147,6 +147,26 @@ def test_group_decompose_unsupported_type_exit_2():
     assert "decomposition failed" not in res.output
 
 
+def test_group_decompose_f4_exit_2():
+    ident = json.dumps([[int(i == j) for j in range(52)] for i in range(52)])
+    res = run(
+        "group", "decompose", "--type", "F4", "--ring", "Z/2",
+        "--rep", "adjoint", "--input", ident,
+    )
+    assert res.exit_code == 2
+    assert "got F4" in res.output and "allow_slow" not in res.output
+
+
+def test_group_decompose_adjoint_non_automorphism_exit_2():
+    ones = json.dumps([[1] * 14 for _ in range(14)])
+    res = run(
+        "group", "decompose", "--type", "G2", "--ring", "Z/4",
+        "--rep", "adjoint", "--input", ones,
+    )
+    assert res.exit_code == 2
+    assert "does not preserve" in res.output
+
+
 def test_group_closure():
     res = run(
         "group", "closure", "--type", "A2", "--ring", "GF(2)",
@@ -225,7 +245,7 @@ def test_internal_error_in_setup_is_not_bad_input(monkeypatch):
         raise ChevalleyError("structure table broke")
 
     monkeypatch.setattr(reps, "build_basis", broken)
-    monkeypatch.setattr(reps, "_REP_CACHE", {})
+    reps._representation.cache_clear()
     res = run(
         "group", "verify-relations", "--type", "G2", "--ring", "Z/4",
         "--rep", "adjoint",

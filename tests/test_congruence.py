@@ -1,5 +1,6 @@
 import pytest
 
+from chevlab import congruence
 from chevlab.congruence import (
     CertificateError,
     check_normal,
@@ -37,6 +38,20 @@ def test_level_set_kernel_sl3_z4():
         ls = level_set(n, alpha)
         assert ls.values == frozenset({0, 2})
         assert ls.is_ideal
+
+
+def test_certificate_computes_each_level_set_once(monkeypatch):
+    calls = []
+
+    def counted(n, alpha):
+        calls.append(alpha)
+        return level_set(n, alpha)
+
+    monkeypatch.setattr(congruence, "level_set", counted)
+    rep, ring, n = kernel_mod(A2, "defining-A", 9, [3])
+    ideal_certificate(n)
+    # A2 derivation: a, a + b and a again; Weyl transport: the sample, then every root
+    assert len(calls) == 3 + 1 + len(A2.roots)
 
 
 def test_level_set_full_group():

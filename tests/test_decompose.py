@@ -300,9 +300,9 @@ def test_tavgen_crosscheck_with_local():
         assert local_decompose(g).word.evaluate() == g
 
 
-def test_unsupported_types_rejected():
-    e6 = build_root_system("E6")
-    rep = make_representation(e6, "adjoint")
+@pytest.mark.parametrize("label", ["E6", "F4"])
+def test_unsupported_types_rejected(label):
+    rep = make_representation(build_root_system(label), "adjoint")
     ring = ZmodRing(2)
     with pytest.raises(UnsupportedDecomposition):
         local_decompose(identity_element(rep, ring))

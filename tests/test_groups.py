@@ -347,6 +347,37 @@ def test_commutator_expansion_matches_reference_commutator(case, data):
     assert word_matrix(rep, ring, letters) == reference.mat
 
 
+ADJOINT_GROUPS = [
+    (rs, ring) for rs in (A2, B2, G2) for ring in ["Z/4", "Z/9", "GF(4)", "Z/4 x GF(3)"]
+]
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    case=st.sampled_from(ADJOINT_GROUPS),
+    length=st.integers(0, 10),
+    seed=st.integers(0, 2**32),
+)
+def test_adjoint_words_preserve_the_bracket(case, length, seed):
+    rs, ring_text = case
+    rep = make_representation(rs, "adjoint")
+    ring = parse_ring_spec(ring_text)
+    w = random_elementary_word(rep, ring, length, random.Random(seed))
+    assert rep.check_invariant(ring, w.evaluate().mat)
+
+
+def test_adjoint_check_rejects_non_automorphisms():
+    ring = ZmodRing(9)
+    for rs in (A2, G2):
+        rep = make_representation(rs, "adjoint")
+        n = rep.dim
+        ones = tuple(tuple(1 for _ in range(n)) for _ in range(n))
+        double = tuple(tuple(2 if i == j else 0 for j in range(n)) for i in range(n))
+        assert not rep.check_invariant(ring, ones)
+        assert not rep.check_invariant(ring, double)  # 2[x, y] != [2x, 2y]
+        assert rep.check_invariant(ring, rep.identity(ring))
+
+
 def test_random_word_over_a_huge_modulus():
     rep = make_representation(A2, "defining-A")
     ring = ZmodRing(2**61)

@@ -1,0 +1,87 @@
+"""One memo idiom: functools caches keyed by value, bounded where keyed by rings."""
+import ast
+from pathlib import Path
+
+from chevlab.chevalley import build_basis
+from chevlab.reps import ELEMENTARY_MEMO_SIZE, Representation, default_tag, make_representation
+from chevlab.rings import ZmodRing
+from chevlab.roots import build_root_system
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "chevlab"
+
+# slots an object sets up in __init__ and fills itself later: (method, attribute)
+FILLED_SLOTS = {
+    ("evaluate", "_value"),
+    ("__hash__", "_hash"),
+    ("elements_list", "_sorted"),
+    ("mul", "_mul_cache"),
+}
+
+
+def test_no_hand_rolled_memos():
+    problems = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in tree.body:
+            targets = node.targets if isinstance(node, ast.Assign) else (
+                [node.target] if isinstance(node, ast.AnnAssign) else [])
+            for t in targets:
+                if isinstance(t, ast.Name) and t.id.endswith("_CACHE"):
+                    problems.append(f"{path.name}:{node.lineno} module-level cache {t.id}")
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id in ("getattr", "setattr")
+                and len(node.args) >= 2
+                and isinstance(node.args[1], ast.Constant)
+                and str(node.args[1].value).startswith("_")
+            ):
+                problems.append(f"{path.name}:{node.lineno} {node.func.id} probe of {node.args[1].value}")
+        for fn in ast.walk(tree):
+            if not isinstance(fn, ast.FunctionDef) or fn.name == "__init__":
+                continue
+            for node in ast.walk(fn):
+                targets = node.targets if isinstance(node, ast.Assign) else (
+                    [node.target] if isinstance(node, (ast.AnnAssign, ast.AugAssign)) else [])
+                for t in targets:
+                    if isinstance(t, ast.Subscript):
+                        t = t.value  # self._memo[key] = value
+                    if (
+                        isinstance(t, ast.Attribute)
+                        and t.attr.startswith("_")
+                        and (fn.name, t.attr) not in FILLED_SLOTS
+                    ):
+                        problems.append(f"{path.name}:{node.lineno} {fn.name} sets .{t.attr}")
+    assert problems == []
+
+
+def test_elementary_memo_is_bounded():
+    rep = make_representation(build_root_system("A", 1), "defining-A")
+    ring = ZmodRing(2**61)
+    root = rep.rs.positive[0]
+    memo = Representation.elementary_matrix
+    assert memo.cache_info().maxsize == ELEMENTARY_MEMO_SIZE
+    for t in range(1, ELEMENTARY_MEMO_SIZE + 100):
+        assert rep.elementary_matrix(ring, root, t)[0][1] == t
+    assert memo.cache_info().currsize <= ELEMENTARY_MEMO_SIZE
+    # a hit returns the memoized object itself
+    last = ELEMENTARY_MEMO_SIZE + 99
+    assert rep.elementary_matrix(ring, root, last) is rep.elementary_matrix(ring, root, last)
+
+
+def test_one_object_per_type():
+    assert build_root_system("B3") is build_root_system("b3")
+    assert build_root_system("B3") is build_root_system("B", 3)
+    rs = build_root_system("b3")
+    assert build_basis(build_root_system("B3")) is build_basis(rs)
+    assert make_representation(rs) is make_representation(build_root_system("B3"), default_tag(rs))
+    assert make_representation(rs, "adjoint") is make_representation(build_root_system("B3"), "adjoint")
+
+
+def test_value_keyed_memos_share_between_equal_rings():
+    rep = make_representation(build_root_system("A2"))
+    a, b = ZmodRing(7), ZmodRing(7, label="GF(7)")
+    assert a is not b and a == b
+    assert rep.identity(a) is rep.identity(b)
+    assert rep.elementary_matrix(a, (1, -1, 0), 3) is rep.elementary_matrix(b, (1, -1, 0), 3)

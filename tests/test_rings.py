@@ -8,9 +8,11 @@ from chevlab.rings import (
     ZmodRing,
     additive_closure,
     artinian_decompose,
+    factorize,
     field_from_poly,
     ideal_from_generators,
     is_local,
+    is_prime,
     parse_ring_spec,
     residue_field,
 )
@@ -283,3 +285,40 @@ def test_zmod_elements_do_not_materialize():
     values = ring.elements()
     assert isinstance(values, range) and len(values) == 2**61
     assert values[-1] == 2**61 - 1
+
+
+def test_is_prime_agrees_with_a_sieve():
+    n = 10**5
+    sieve = [False, False] + [True] * (n - 2)
+    for p in range(2, int(n**0.5) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = [False] * len(range(p * p, n, p))
+    assert [k for k in range(n) if is_prime(k)] == [k for k in range(n) if sieve[k]]
+
+
+@pytest.mark.parametrize("n", [3215031751, 3825123056546413051])
+def test_strong_pseudoprimes_are_composite(n):
+    # strong pseudoprimes to the bases 2, 3, 5, 7 and 2, ..., 23 respectively
+    assert not is_prime(n)
+    (p, _), *_ = factorize(n)
+    assert 1 < p < n and n % p == 0
+
+
+def test_factorize_stops_at_a_prime_cofactor():
+    p = 2**61 - 1
+    assert factorize(p) == [(p, 1)]
+    assert factorize(12 * p) == [(2, 2), (3, 1), (p, 1)]
+
+
+def test_large_prime_modulus_parses_as_a_field():
+    ring = parse_ring_spec("Z/2305843009213693951")
+    assert ring.n == 2**61 - 1 and ring.is_field
+    flag, mx = is_local(ring)
+    assert flag and mx.is_zero()
+
+
+def test_zmod_ideals_are_multiples_of_the_gcd():
+    ring = ZmodRing(12)
+    assert ideal_from_generators(ring, [8, 6]).element_set() == {0, 2, 4, 6, 8, 10}
+    assert ideal_from_generators(ring, []).element_set() == {0}
+    assert ideal_from_generators(ring, [5]).is_unit_ideal()
