@@ -15,9 +15,16 @@ import click
 from . import congruence as cg
 from . import decompose as dc
 from . import groups as gp
+from . import linalg
 from .chevalley import build_basis, g2_epsilon_signs
 from .reps import UnsupportedRepresentation, make_representation
-from .rings import RingError, artinian_decompose, ideal_from_generators, parse_ring_spec
+from .rings import (
+    RingError,
+    artinian_decompose,
+    ideal_from_generators,
+    parse_ring_spec,
+    sorted_values,
+)
 from .roots import RootSystemError, build_root_system
 
 SCHEMA = "chevlab-report/1"
@@ -62,11 +69,8 @@ def _parse_subgroup(rep, ring, text):
         return cg.full_subgroup(rep, ring)
     if text.startswith("kernel:(") and text.endswith(")"):
         body = text[len("kernel:(") : -1]
-        gens = [
-            ring.parse_element(part.strip())
-            for part in body.split(",")
-            if part.strip()
-        ]
+        # elements are JSON: 3, [0,1] or [[1,0],2] per the ring's shape
+        gens = [ring.element_from_json(v) for v in json.loads(f"[{body}]")]
         ideal = ideal_from_generators(ring, gens)
         return cg.kernel_subgroup(rep, ring, ideal)
     _fail_input(f"unrecognized subgroup description {text!r}")
@@ -285,6 +289,10 @@ def group_decompose(type_label, ring_text, rep_tag, algorithm, input_text, fmt):
         g = gp.GroupElement.from_json(rep, ring_spec, rows)
         if not rep.check_invariant(ring_spec, g.mat):
             _fail_input("matrix does not preserve the representation form")
+        try:
+            linalg.mat_inverse(ring_spec, g.mat)
+        except linalg.SingularMatrix:
+            _fail_input("matrix is not invertible")
     except (*_INPUT_ERRORS, gp.GroupError) as exc:
         _fail_input(str(exc))
     try:
@@ -441,9 +449,9 @@ def congruence_levels(type_label, ring_text, rep_tag, subgroup_text, fmt):
     rows = []
     for r in rs.roots:
         ls = cg.level_set(n, r)
-        values = [ring_spec.element_to_json(v) for v in sorted(
-            ls.values, key=lambda v: ring_spec.elements().index(v)
-        )]
+        values = [
+            ring_spec.element_to_json(v) for v in sorted_values(ring_spec, ls.values)
+        ]
         rows.append(
             {"root": list(r), "values": values, "is_ideal": ls.is_ideal}
         )

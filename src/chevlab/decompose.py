@@ -237,7 +237,7 @@ def big_cell_factor(g: GroupElement) -> BigCellFactorization:
 def bruhat_decompose(g: GroupElement):
     """(weyl word, elementary word) with the word evaluating to g, over a field."""
     rep, ring = g.rep, g.ring
-    if len(ring.units()) != ring.card - 1:
+    if not ring.is_field:
         raise GroupError("Bruhat decomposition needs a field")
     check_decomposition_supported(rep.rs)
     for word, _ in rep.rs.weyl_elements():

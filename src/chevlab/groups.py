@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from functools import lru_cache, reduce
+from functools import reduce
 
 from . import linalg
 from .chevalley import build_basis
 from .reps import Representation
-from .rings import RING_MEMO_SIZE, IdealHandle, RingSpec
+from .rings import IdealHandle, RingSpec
 from .roots import _neg
 
 
@@ -105,8 +105,13 @@ def commutator(a: GroupElement, b: GroupElement) -> GroupElement:
 
 
 def word_matrix(rep: Representation, ring: RingSpec, letters):
-    """Raw matrix of the product of e_root(t) over the letters, from the identity."""
-    mat = rep.identity(ring)
+    """Raw matrix of the product of e_root(t) over the letters (the identity
+    for no letters)."""
+    letters = iter(letters)
+    first = next(letters, None)
+    if first is None:
+        return rep.identity(ring)
+    mat = rep.elementary_matrix(ring, *first)
     for root, t in letters:
         mat = linalg.mat_mul(ring, mat, rep.elementary_matrix(ring, root, t))
     return mat
@@ -274,18 +279,21 @@ def congruence_reduce(g: GroupElement, ideal: IdealHandle) -> GroupElement:
     """Entrywise reduction of g modulo the ideal (a group homomorphism)."""
     if ideal.spec != g.ring:
         raise GroupError("ideal belongs to a different ring")
-    qspec, proj, _ = _quotient_data(ideal)
+    qspec, proj, _ = ideal.quotient()
     mat = tuple(tuple(proj(v) for v in row) for row in g.mat)
     return GroupElement(g.rep, qspec, mat)
 
 
 def in_congruence_kernel(g: GroupElement, ideal: IdealHandle) -> bool:
-    return congruence_reduce(g, ideal).is_identity()
-
-
-@lru_cache(maxsize=RING_MEMO_SIZE)
-def _quotient_data(ideal: IdealHandle):
-    return ideal.quotient()
+    """g reduces to the identity mod the ideal: g - 1 has entries in it."""
+    ring = g.ring
+    if ideal.spec != ring:
+        raise GroupError("ideal belongs to a different ring")
+    return all(
+        ideal.contains(ring.sub(v, ring.one) if i == j else v)
+        for i, row in enumerate(g.mat)
+        for j, v in enumerate(row)
+    )
 
 
 # ---------------------------------------------------------------------------

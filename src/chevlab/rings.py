@@ -1,11 +1,12 @@
 """Finite commutative unital rings with exact arithmetic.
 
-Supported constructors: integers mod n, finite fields GF(q), polynomial
-quotients GF(p)[x]/(f) with monic f, finite direct products, and (internally)
-quotients of any of these by an ideal.  Elements are kept in canonical form,
-so equality is plain coordinate equality.  All values are immutable; ideal
-element sets are materialized eagerly, so specs are safe to share between
-threads.
+Three ring kinds: integers mod n (`ZmodRing`), polynomial quotients
+base[x]/(f) with monic f (`PolyQuotientRing`, finite fields GF(q) among them)
+and finite direct products (`ProductRing`).  The quotient of each by an ideal
+is again one of them: Z/d, GF(p)[x]/(g) or a product of quotients.  Elements
+are kept in canonical form, so equality is plain coordinate equality.  All
+values are immutable; ideal element sets are materialized eagerly, so specs
+are safe to share between threads.
 """
 from __future__ import annotations
 
@@ -97,19 +98,22 @@ def factorize(n: int) -> list[tuple[int, int]]:
 
 
 class RingSpec:
-    """A finite commutative unital ring.
+    """A finite commutative unital ring, compared and hashed by its key.
 
-    Subclasses provide raw-value arithmetic; `RingElement` wraps a value with
-    its owning spec for operator syntax.  Raw values are always hashable and
-    canonical (no normalization needed before comparing).
+    Subclasses provide raw-value arithmetic.  Raw values are always hashable
+    and canonical (no normalization needed before comparing).
     """
 
     label: str
     card: int
     is_field: bool = False
 
+    def __init__(self, key: tuple):
+        self._key = key
+        self._hash = hash(key)
+
     def key(self):
-        raise NotImplementedError
+        return self._key
 
     # raw-value arithmetic
     def add(self, a, b):
@@ -151,20 +155,6 @@ class RingSpec:
     def units(self) -> tuple:
         return tuple(v for v in self.elements() if self.is_unit(v))
 
-    @property
-    @functools.lru_cache(maxsize=RING_MEMO_SIZE)
-    def char(self) -> int:
-        k, v = 1, self.one
-        while v != self.zero:
-            v = self.add(v, self.one)
-            k += 1
-            if k > self.card + 1:
-                raise RingError("additive order of 1 exceeds ring size")
-        return k if self.card > 1 else 1
-
-    def element(self, value) -> "RingElement":
-        return RingElement(self, value)
-
     # serialization: ints / nested lists, per the constructor shape
     def element_to_json(self, v):
         raise NotImplementedError
@@ -179,10 +169,12 @@ class RingSpec:
         return self.element_from_json(json.loads(text))
 
     def __eq__(self, other):
-        return isinstance(other, RingSpec) and self.key() == other.key()
+        return self is other or (
+            isinstance(other, RingSpec) and self._key == other._key
+        )
 
     def __hash__(self):
-        return hash(self.key())
+        return self._hash
 
     def __repr__(self):
         return f"<ring {self.label} (order {self.card})>"
@@ -194,13 +186,11 @@ class ZmodRing(RingSpec):
     def __init__(self, n: int, label: str | None = None):
         if n < 1:
             raise RingError(f"invalid modulus {n}")
+        super().__init__(("zmod", n))
         self.n = n
         self.card = n
         self.label = label or f"Z/{n}"
         self.is_field = is_prime(n)
-
-    def key(self):
-        return ("zmod", self.n)
 
     def add(self, a, b):
         return (a + b) % self.n
@@ -248,6 +238,7 @@ class PolyQuotientRing(RingSpec):
             raise RingError("modulus must have degree >= 1")
         if modulus[-1] != base.one:
             raise RingError("modulus must be monic")
+        super().__init__(("polyquot", base.key(), tuple(modulus)))
         self.base = base
         self.modulus = tuple(modulus)
         self.degree = len(modulus) - 1
@@ -276,9 +267,6 @@ class PolyQuotientRing(RingSpec):
             ]
             rows.append(tuple(row))
         return rows
-
-    def key(self):
-        return ("polyquot", self.base.key(), self.modulus)
 
     def add(self, a, b):
         base = self.base
@@ -317,17 +305,20 @@ class PolyQuotientRing(RingSpec):
         return res
 
     def inv(self, a):
-        if all(x == self.base.zero for x in a):
-            return None if self.card > 1 else a
-        if self.is_field:
-            g, u, _ = poly_xgcd(self.base, list(a), list(self.modulus))
-            if len(g) != 1:
-                return None
-            c = self.base.inv(g[0])
-            out = [self.base.mul(c, x) for x in u]
-            out = out[: self.degree] + [self.base.zero] * (self.degree - len(out))
-            return tuple(out[: self.degree])
-        return _inverse_by_search(self, a)
+        # a is a unit iff gcd(a, f) = 1; then u*a = 1 mod f
+        base = self.base
+        if not base.is_field:
+            raise RingError(f"{self.label}: inverses need a field base")
+        g, u, _ = poly_xgcd(base, list(a), list(self.modulus))
+        if len(g) != 1:
+            return None
+        c = base.inv(g[0])
+        return self.pad([base.mul(c, x) for x in u])
+
+    def pad(self, coeffs) -> tuple:
+        """The value of a polynomial of degree < deg f, given low degree first."""
+        coeffs = tuple(coeffs)
+        return coeffs + (self.base.zero,) * (self.degree - len(coeffs))
 
     @property
     def zero(self):
@@ -361,8 +352,7 @@ class PolyQuotientRing(RingSpec):
         coeffs = [self.base.element_from_json(c) for c in obj]
         if len(coeffs) > self.degree:
             raise RingError("coefficient list longer than quotient degree")
-        coeffs += [self.base.zero] * (self.degree - len(coeffs))
-        return tuple(coeffs)
+        return self.pad(coeffs)
 
 
 class ProductRing(RingSpec):
@@ -371,14 +361,12 @@ class ProductRing(RingSpec):
     def __init__(self, factors: list[RingSpec], label: str | None = None):
         if len(factors) < 2:
             raise RingError("product needs at least two factors")
+        super().__init__(("product", tuple(f.key() for f in factors)))
         self.factors = tuple(factors)
         self.card = 1
         for f in factors:
             self.card *= f.card
         self.label = label or " x ".join(f.label for f in factors)
-
-    def key(self):
-        return ("product", tuple(f.key() for f in self.factors))
 
     def add(self, a, b):
         return tuple(f.add(x, y) for f, x, y in zip(self.factors, a, b))
@@ -430,143 +418,10 @@ class ProductRing(RingSpec):
         )
 
 
-class QuotientRing(RingSpec):
-    """base/ideal with canonical coset representatives (internal constructor)."""
-
-    def __init__(self, base: RingSpec, ideal: "IdealHandle", label: str | None = None):
-        if ideal.spec != base:
-            raise RingError("ideal does not belong to the base ring")
-        self.base = base
-        self.ideal = ideal
-        proj = {}
-        reps = []
-        for v in base.elements():
-            if v in proj:
-                continue
-            reps.append(v)
-            for a in ideal.elements_list():
-                proj[base.add(v, a)] = v
-        self._proj = proj
-        self._reps = reps
-        self._key = ("quotient", base.key(), tuple(ideal.elements_list()))
-        self.card = len(reps)
-        self.label = label or f"{base.label}/{ideal.short_label()}"
-
-    def key(self):
-        return self._key
-
-    def project(self, v):
-        return self._proj[v]
-
-    def lift(self, v):
-        return v
-
-    def add(self, a, b):
-        return self._proj[self.base.add(a, b)]
-
-    def neg(self, a):
-        return self._proj[self.base.neg(a)]
-
-    def mul(self, a, b):
-        return self._proj[self.base.mul(a, b)]
-
-    def inv(self, a):
-        return _inverse_by_search(self, a)
-
-    @property
-    def zero(self):
-        return self._proj[self.base.zero]
-
-    @property
-    def one(self):
-        return self._proj[self.base.one]
-
-    def from_int(self, k: int):
-        return self._proj[self.base.from_int(k)]
-
-    def elements(self):
-        return list(self._reps)
-
-    def element_to_json(self, v):
-        return self.base.element_to_json(v)
-
-    def element_from_json(self, obj):
-        return self._proj[self.base.element_from_json(obj)]
-
-
-def _inverse_by_search(spec: RingSpec, a):
-    """Inverse of a (None for a non-unit) from a table built once per ring."""
-    return _inverse_table(spec).get(a)
-
-
-@functools.lru_cache(maxsize=RING_MEMO_SIZE)
-def _inverse_table(spec: RingSpec) -> dict:
-    inv_map = {}
-    values = spec.elements()
-    for v in values:
-        for w in values:
-            if spec.mul(v, w) == spec.one:
-                inv_map[v] = w
-                break
-    return inv_map
-
-
 def sorted_values(spec: RingSpec, values) -> list:
     """Deterministic ordering of raw values, by position in spec.elements()."""
     index = {v: i for i, v in enumerate(spec.elements())}
     return sorted(values, key=lambda v: index[v])
-
-
-class RingElement:
-    """A ring value tied to its owning spec, with operator syntax."""
-
-    __slots__ = ("spec", "value")
-
-    def __init__(self, spec: RingSpec, value):
-        self.spec = spec
-        self.value = value
-
-    def _check(self, other: "RingElement"):
-        if self.spec != other.spec:
-            raise RingError(
-                f"mixed rings: {self.spec.label} vs {other.spec.label}"
-            )
-
-    def __add__(self, other):
-        self._check(other)
-        return RingElement(self.spec, self.spec.add(self.value, other.value))
-
-    def __sub__(self, other):
-        self._check(other)
-        return RingElement(self.spec, self.spec.sub(self.value, other.value))
-
-    def __mul__(self, other):
-        self._check(other)
-        return RingElement(self.spec, self.spec.mul(self.value, other.value))
-
-    def __neg__(self):
-        return RingElement(self.spec, self.spec.neg(self.value))
-
-    def inverse(self):
-        """Multiplicative inverse, or None when this element is not a unit."""
-        v = self.spec.inv(self.value)
-        return None if v is None else RingElement(self.spec, v)
-
-    def is_unit(self) -> bool:
-        return self.spec.is_unit(self.value)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, RingElement)
-            and self.spec == other.spec
-            and self.value == other.value
-        )
-
-    def __hash__(self):
-        return hash((self.spec.key(), self.value))
-
-    def __repr__(self):
-        return f"{self.spec.format_element(self.value)} in {self.spec.label}"
 
 
 # ---------------------------------------------------------------------------
@@ -936,19 +791,11 @@ class IdealHandle:
         """Quotient ring with projection and a canonical lift (section).
 
         Returns (spec, project, lift) where project is a surjective ring
-        homomorphism and project(lift(v)) == v.
+        homomorphism and project(lift(v)) == v.  The quotient is Z/d, with d
+        the gcd of n and the generators; GF(p)[x]/(g), with g the monic gcd
+        of f and the generators; or the product of the factors' quotients.
         """
-        spec = self.spec
-        if isinstance(spec, ZmodRing):
-            d = spec.n
-            for g in self.elements_list():
-                d = xgcd(d, g)[0]
-            if d == spec.n:
-                return spec, (lambda v: v), (lambda v: v)
-            q = ZmodRing(d)
-            return q, (lambda v: v % d), (lambda v: v)
-        q = QuotientRing(spec, self)
-        return q, q.project, q.lift
+        return _quotient(self.spec, self.generators)
 
     def __eq__(self, other):
         return (
@@ -964,9 +811,43 @@ class IdealHandle:
         return f"<ideal {self.short_label()} of {self.spec.label}, {self.size} elements>"
 
 
+def _same(v):
+    return v
+
+
+def _quotient(spec: RingSpec, gens):
+    if isinstance(spec, ZmodRing):
+        d = math.gcd(spec.n, *gens)
+        if d == spec.n:
+            return spec, _same, _same
+        return ZmodRing(d), (lambda v: v % d), _same
+    if isinstance(spec, ProductRing):
+        parts = [
+            _quotient(f, [g[i] for g in gens]) for i, f in enumerate(spec.factors)
+        ]
+        if all(q is f for (q, _, _), f in zip(parts, spec.factors)):
+            return spec, _same, _same
+        return (
+            ProductRing([q for q, _, _ in parts]),
+            lambda v: tuple(proj(x) for (_, proj, _), x in zip(parts, v)),
+            lambda v: tuple(lift(x) for (_, _, lift), x in zip(parts, v)),
+        )
+    base = _field_base(spec)
+    g = list(spec.modulus)
+    for a in gens:
+        g = poly_xgcd(base, g, list(a))[0]
+    if len(g) == len(spec.modulus):
+        return spec, _same, _same
+    if len(g) == 1:
+        return ZmodRing(1), (lambda v: 0), (lambda v: spec.zero)
+    c = base.inv(g[-1])
+    q = PolyQuotientRing(base, tuple(base.mul(c, x) for x in g))
+    return q, (lambda v: q.pad(poly_divmod(base, v, q.modulus)[1])), spec.pad
+
+
 def ideal_from_generators(spec: RingSpec, generators) -> IdealHandle:
     """Smallest ideal containing the generators (exact, finite rings only)."""
-    gens = [g.value if isinstance(g, RingElement) else g for g in generators]
+    gens = list(generators)
     if isinstance(spec, ZmodRing):
         step = math.gcd(spec.n, *gens)
         return IdealHandle(spec, gens, frozenset(range(0, spec.n, step)))
@@ -1005,9 +886,18 @@ def additive_closure(spec: RingSpec, values) -> frozenset:
     return frozenset(closed)
 
 
+def _field_base(spec: RingSpec) -> RingSpec:
+    """The base field of GF(p)[x]/(f); no other ring kind gets here."""
+    if isinstance(spec, PolyQuotientRing) and spec.base.is_field:
+        return spec.base
+    raise RingError(f"{spec.label}: not Z/n, GF(p)[x]/(f) or a product of these")
+
+
 @functools.lru_cache(maxsize=RING_MEMO_SIZE)
 def is_local(spec: RingSpec) -> tuple[bool, IdealHandle | None]:
-    """A finite commutative ring is local iff its non-units form an ideal."""
+    """(True, maximal ideal) when local, else (False, None): Z/n is local iff
+    n is a prime power p^k, with maximal ideal (p); GF(p)[x]/(f) iff f = g^e
+    with g irreducible, with maximal ideal (g); a product never is."""
     if isinstance(spec, ZmodRing):
         fact = factorize(spec.n)
         if len(fact) != 1:
@@ -1015,22 +905,11 @@ def is_local(spec: RingSpec) -> tuple[bool, IdealHandle | None]:
         return True, ideal_from_generators(spec, [fact[0][0] % spec.n])
     if isinstance(spec, ProductRing):
         return False, None
-    if isinstance(spec, PolyQuotientRing) and spec.base.is_field:
-        fact = poly_factor(spec.base, list(spec.modulus))
-        if len(fact) != 1:
-            return False, None
-        if fact[0][1] == 1:
-            return True, ideal_from_generators(spec, [])
-        g = list(fact[0][0])
-        g_val = tuple(
-            (g[i] if i < len(g) else spec.base.zero) for i in range(spec.degree)
-        )
-        return True, ideal_from_generators(spec, [g_val])
-    nonunits = [v for v in spec.elements() if not spec.is_unit(v)]
-    nonunit_set = set(nonunits)
-    if all(spec.add(a, b) in nonunit_set for a in nonunits for b in nonunits):
-        return True, ideal_from_generators(spec, nonunits)
-    return False, None
+    fact = poly_factor(_field_base(spec), list(spec.modulus))
+    if len(fact) != 1:
+        return False, None
+    g, e = fact[0]
+    return True, ideal_from_generators(spec, [spec.pad(g)] if e > 1 else [])
 
 
 def residue_field(spec: RingSpec):
@@ -1108,23 +987,17 @@ def _artinian_polyquot(spec: PolyQuotientRing) -> ArtinianDecomposition:
         _, e = poly_divmod(base, e, full)
         idem.append(e)
 
-    def pad(coeffs, d):
-        coeffs = list(coeffs)
-        return tuple(coeffs[:d] + [base.zero] * (d - len(coeffs)))
-
     def to_components(v):
-        out = []
-        for f, part in zip(factors, parts):
-            _, r = poly_divmod(base, list(v), part)
-            out.append(pad(r, f.degree))
-        return tuple(out)
+        return tuple(
+            f.pad(poly_divmod(base, v, part)[1]) for f, part in zip(factors, parts)
+        )
 
     def from_components(comps):
         total: list = []
         for comp, e in zip(comps, idem):
             total = poly_sub(base, total, [base.neg(c) for c in poly_mul(base, list(comp), e)])
         _, r = poly_divmod(base, total, full)
-        return pad(r, spec.degree)
+        return spec.pad(r)
 
     return ArtinianDecomposition(spec, factors, to_components, from_components)
 
@@ -1134,52 +1007,6 @@ def _poly_pow(base: RingSpec, f: list, e: int) -> list:
     for _ in range(e):
         out = poly_mul(base, out, f)
     return out
-
-
-def _artinian_generic(spec: RingSpec) -> ArtinianDecomposition:
-    if spec.card > 2**16:
-        raise RingError(
-            f"{spec.label}: too large for exhaustive idempotent decomposition"
-        )
-    idems = [v for v in spec.elements() if spec.mul(v, v) == v]
-    primitive = []
-    for e in idems:
-        if e == spec.zero:
-            continue
-        minimal = True
-        for f in idems:
-            if f in (spec.zero, e):
-                continue
-            if spec.mul(e, f) == f:
-                minimal = False
-                break
-        if minimal:
-            primitive.append(e)
-    if len(primitive) == 1:
-        def ident_to(v):
-            return (v,)
-
-        def ident_from(comps):
-            return comps[0]
-
-        return ArtinianDecomposition(spec, [spec], ident_to, ident_from)
-    quotients = []
-    for e in primitive:
-        comp = spec.sub(spec.one, e)
-        ideal = ideal_from_generators(spec, [comp])
-        q = QuotientRing(spec, ideal)
-        quotients.append(q)
-
-    def to_components(v):
-        return tuple(q.project(v) for q in quotients)
-
-    def from_components(comps):
-        total = spec.zero
-        for comp, e, q in zip(comps, primitive, quotients):
-            total = spec.add(total, spec.mul(q.lift(comp), e))
-        return total
-
-    return ArtinianDecomposition(spec, quotients, to_components, from_components)
 
 
 def artinian_decompose(spec: RingSpec) -> ArtinianDecomposition:
@@ -1210,14 +1037,8 @@ def artinian_decompose(spec: RingSpec) -> ArtinianDecomposition:
             return tuple(out)
 
         return ArtinianDecomposition(spec, factors, to_components, from_components)
-    if isinstance(spec, PolyQuotientRing) and spec.base.is_field:
-        if is_local(spec)[0]:
-            return ArtinianDecomposition(
-                spec, [spec], lambda v: (v,), lambda comps: comps[0]
-            )
-        return _artinian_polyquot(spec)
     if is_local(spec)[0]:
         return ArtinianDecomposition(
             spec, [spec], lambda v: (v,), lambda comps: comps[0]
         )
-    return _artinian_generic(spec)
+    return _artinian_polyquot(spec)

@@ -167,6 +167,16 @@ def test_group_decompose_adjoint_non_automorphism_exit_2():
     assert "does not preserve" in res.output
 
 
+def test_group_decompose_singular_adjoint_exit_2():
+    zero = json.dumps([[0] * 14 for _ in range(14)])
+    res = run(
+        "group", "decompose", "--type", "G2", "--ring", "Z/4",
+        "--rep", "adjoint", "--input", zero,
+    )
+    assert res.exit_code == 2
+    assert "not invertible" in res.output and "cell cover" not in res.output
+
+
 def test_group_closure():
     res = run(
         "group", "closure", "--type", "A2", "--ring", "GF(2)",
@@ -203,6 +213,30 @@ def test_congruence_levels():
     assert res.exit_code == 0
     doc = json.loads(res.output)
     assert all(row["values"] == [0, 2] for row in doc["levels"])
+
+
+@pytest.mark.parametrize(
+    "ring, subgroup, ideal",
+    [
+        ("GF(2)[x]/(x^3)", "kernel:([0,1])", [[0, 0, 0], [0, 1, 0], [0, 0, 1], [0, 1, 1]]),
+        ("GF(2)[x]/(x^3)", "kernel:([0,0,1], [0, 0, 1])", [[0, 0, 0], [0, 0, 1]]),
+        ("Z/4 x GF(3)", "kernel:([2,0])", [[0, 0], [2, 0]]),
+        ("Z/12", "kernel:(4, 6)", [0, 2, 4, 6, 8, 10]),
+    ],
+)
+def test_congruence_kernel_with_list_valued_generators(ring, subgroup, ideal):
+    res = run(
+        "congruence", "certify", "--type", "A2", "--ring", ring,
+        "--subgroup", subgroup, "--format", "json",
+    )
+    assert res.exit_code == 0
+    assert json.loads(res.output)["ideal"] == ideal
+    res = run(
+        "congruence", "levels", "--type", "A2", "--ring", ring,
+        "--subgroup", subgroup, "--format", "json",
+    )
+    assert res.exit_code == 0
+    assert all(row["values"] == ideal for row in json.loads(res.output)["levels"])
 
 
 def test_ebg_check_a2_gf2():

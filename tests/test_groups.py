@@ -415,3 +415,42 @@ def _dot(ring, xs, ys):
     for x, y in zip(xs, ys):
         acc = ring.add(acc, ring.mul(x, y))
     return acc
+
+
+KERNEL_CASES = [
+    ("Z/8", [4]),
+    ("Z/12", [6]),
+    ("GF(2)[x]/(x^3)", [(0, 1, 0)]),
+    ("GF(2)[x]/(x^2(x+1))", [(0, 1, 1)]),
+    ("GF(3)[x]/(x^2+1)", [(0, 0)]),
+    ("Z/4 x GF(3)", [(2, 0)]),
+    ("GF(2)[x]/(x^2) x Z/9", [((0, 1), 3)]),
+]
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=st.sampled_from(KERNEL_CASES), seed=st.integers(0, 2**32))
+def test_kernel_membership_matches_reduction(case, seed):
+    text, gens = case
+    rep = make_representation(A2, "defining-A")
+    ring = parse_ring_spec(text)
+    ideal = ideal_from_generators(ring, gens)
+    rng = random.Random(seed)
+    inside = [
+        (rng.choice(A2.roots), rng.choice(ideal.elements_list())) for _ in range(3)
+    ]
+    for g in (
+        ElementaryWord(rep, ring, inside).evaluate(),
+        random_elementary_word(rep, ring, 3, rng).evaluate(),
+    ):
+        expected = congruence_reduce(g, ideal).is_identity()
+        assert in_congruence_kernel(g, ideal) == expected
+    assert in_congruence_kernel(ElementaryWord(rep, ring, inside).evaluate(), ideal)
+
+
+def test_word_matrix_starts_from_the_first_letter():
+    rep = make_representation(A2, "defining-A")
+    ring = ZmodRing(5)
+    root = A2.roots[0]
+    assert word_matrix(rep, ring, []) == rep.identity(ring)
+    assert word_matrix(rep, ring, [(root, 3)]) is rep.elementary_matrix(ring, root, 3)

@@ -85,3 +85,15 @@ def test_value_keyed_memos_share_between_equal_rings():
     assert a is not b and a == b
     assert rep.identity(a) is rep.identity(b)
     assert rep.elementary_matrix(a, (1, -1, 0), 3) is rep.elementary_matrix(b, (1, -1, 0), 3)
+
+
+def test_three_ring_kinds():
+    # the ring kinds whose add/mul/inv a traced benchmark run counts
+    kinds = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ClassDef) and any(
+                isinstance(b, ast.Name) and b.id == "RingSpec" for b in node.bases
+            ):
+                kinds.add(node.name)
+    assert kinds == {"ZmodRing", "PolyQuotientRing", "ProductRing"}

@@ -1,4 +1,8 @@
+import time
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chevlab import rings
 from chevlab.rings import (
@@ -38,7 +42,7 @@ def poly_divide_oracle(p, num, den):
 
 def test_parse_zmod():
     r = parse_ring_spec("Z/12")
-    assert r.card == 12 and r.char == 12
+    assert r.card == 12
     with pytest.raises(RingError):
         parse_ring_spec("Z/1")
 
@@ -63,7 +67,7 @@ def test_parse_product():
 def test_gf9_auto_modulus_is_irreducible():
     r = parse_ring_spec("GF(9)")
     assert isinstance(r, PolyQuotientRing)
-    assert r.is_field and r.card == 9 and r.char == 3
+    assert r.is_field and r.card == 9
 
 
 def test_field_from_poly_rejects_reducible():
@@ -214,6 +218,7 @@ def test_generic_quotient():
     gen = (0, 1, 1)  # x + x^2
     ideal = ideal_from_generators(r, [gen])
     q, proj, lift = ideal.quotient()
+    assert isinstance(q, PolyQuotientRing) and q.modulus == (0, 1, 1)
     assert q.card == r.card // ideal.size
     for a in r.elements():
         for b in r.elements():
@@ -232,18 +237,6 @@ def test_additive_closure():
     r = ZmodRing(12)
     s = additive_closure(r, [8])
     assert s == frozenset({0, 4, 8})
-
-
-def test_element_wrapper_ops():
-    r = ZmodRing(12)
-    a, b = r.element(5), r.element(9)
-    assert (a + b).value == 2
-    assert (a * b).value == 9
-    assert (-a).value == 7
-    assert a.inverse().value == 5
-    assert r.element(4).inverse() is None
-    with pytest.raises(RingError):
-        a + ZmodRing(7).element(1)
 
 
 def test_element_serialization_roundtrip():
@@ -322,3 +315,81 @@ def test_zmod_ideals_are_multiples_of_the_gcd():
     assert ideal_from_generators(ring, [8, 6]).element_set() == {0, 2, 4, 6, 8, 10}
     assert ideal_from_generators(ring, []).element_set() == {0}
     assert ideal_from_generators(ring, [5]).is_unit_ideal()
+
+
+QUOTIENT_RINGS = [
+    "GF(2)[x]/(x^2(x+1))",
+    "GF(3)[x]/(x^3)",
+    "GF(2)[x]/((x+1)^2(x^2+x+1))",
+    "GF(2)[x]/(x^3+x+1)",
+    "GF(3)[x]/(x^2+1)",
+    "Z/4 x GF(2)[x]/(x^2)",
+    "GF(2)[x]/(x^2) x Z/6",
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(text=st.sampled_from(QUOTIENT_RINGS), data=st.data())
+def test_quotient_is_a_ring_of_the_three_kinds(text, data):
+    r = parse_ring_spec(text)
+    els = r.elements()
+    gens = data.draw(st.lists(st.sampled_from(els), max_size=2))
+    ideal = ideal_from_generators(r, gens)
+    q, proj, lift = ideal.quotient()
+    assert isinstance(q, (ZmodRing, PolyQuotientRing, ProductRing))
+    assert q.card == r.card // ideal.size
+    assert {v for v in els if proj(v) == q.zero} == ideal.element_set()
+    assert all(proj(lift(v)) == v for v in q.elements())
+    assert proj(r.one) == q.one
+    for a in els:
+        for b in els:
+            assert proj(r.add(a, b)) == q.add(proj(a), proj(b))
+            assert proj(r.mul(a, b)) == q.mul(proj(a), proj(b))
+
+
+def test_quotient_kinds():
+    r = parse_ring_spec("GF(2)[x]/(x^2(x+1))")
+    assert ideal_from_generators(r, []).quotient()[0] is r
+    assert ideal_from_generators(r, [(1, 0, 0)]).quotient()[0] == ZmodRing(1)
+    q, proj, lift = ideal_from_generators(r, [(0, 0, 1)]).quotient()
+    assert q == PolyQuotientRing(ZmodRing(2), (0, 0, 1))  # (x^2)
+    assert proj((1, 1, 1)) == (1, 1) and lift((1, 1)) == (1, 1, 0)
+    p = parse_ring_spec("Z/4 x GF(3)")
+    q, proj, _ = ideal_from_generators(p, [(2, 0)]).quotient()
+    assert q.factors == (ZmodRing(2), p.factors[1]) and proj((3, 2)) == (1, 2)
+
+
+def test_residue_fields_are_exact_fields():
+    for text, card in [("Z/9", 3), ("GF(3)[x]/(x^2)", 3), ("GF(2)[x]/((x^2+x+1)^2)", 4), ("GF(4)", 4)]:
+        k, _, _ = residue_field(parse_ring_spec(text))
+        assert k.is_field and k.card == card
+        assert isinstance(k, (ZmodRing, PolyQuotientRing))
+
+
+@pytest.mark.parametrize("text", ["GF(2)[x]/(x^2(x+1))", "GF(3)[x]/(x^3)"])
+def test_xgcd_inverse_matches_search(text):
+    r = parse_ring_spec(text)
+    for a in r.elements():
+        found = [b for b in r.elements() if r.mul(a, b) == r.one]
+        assert r.inv(a) == (found[0] if found else None)
+
+
+def test_inverse_on_a_large_quotient_is_immediate():
+    r = parse_ring_spec("GF(2)[x]/(x^12)")
+    a = (1, 1) + (0,) * 10
+    start = time.perf_counter()
+    b = r.inv(a)
+    assert time.perf_counter() - start < 0.1
+    assert r.mul(a, b) == r.one
+    assert r.inv((0, 1) + (0,) * 10) is None
+
+
+def test_non_field_base_is_not_supported():
+    r = PolyQuotientRing(ZmodRing(4), (1, 0, 1))  # (Z/4)[x]/(x^2+1)
+    assert r.mul((0, 1), (0, 1)) == (3, 0)
+    with pytest.raises(RingError):
+        r.inv((1, 1))
+    with pytest.raises(RingError):
+        is_local(r)
+    with pytest.raises(RingError):
+        artinian_decompose(r)
