@@ -70,7 +70,8 @@ def _parse_subgroup(rep, ring, text):
     if text.startswith("kernel:(") and text.endswith(")"):
         body = text[len("kernel:(") : -1]
         # elements are JSON: 3, [0,1] or [[1,0],2] per the ring's shape
-        gens = [ring.element_from_json(v) for v in json.loads(f"[{body}]")]
+        items = json.loads(f"[{body.strip().removesuffix(',')}]")
+        gens = [ring.element_from_json(v) for v in items]
         ideal = ideal_from_generators(ring, gens)
         return cg.kernel_subgroup(rep, ring, ideal)
     _fail_input(f"unrecognized subgroup description {text!r}")
@@ -289,10 +290,7 @@ def group_decompose(type_label, ring_text, rep_tag, algorithm, input_text, fmt):
         g = gp.GroupElement.from_json(rep, ring_spec, rows)
         if not rep.check_invariant(ring_spec, g.mat):
             _fail_input("matrix does not preserve the representation form")
-        try:
-            linalg.mat_inverse(ring_spec, g.mat)
-        except linalg.SingularMatrix:
-            _fail_input("matrix is not invertible")
+        linalg.mat_inverse(ring_spec, g.mat)
     except (*_INPUT_ERRORS, gp.GroupError) as exc:
         _fail_input(str(exc))
     try:

@@ -105,13 +105,8 @@ def commutator(a: GroupElement, b: GroupElement) -> GroupElement:
 
 
 def word_matrix(rep: Representation, ring: RingSpec, letters):
-    """Raw matrix of the product of e_root(t) over the letters (the identity
-    for no letters)."""
-    letters = iter(letters)
-    first = next(letters, None)
-    if first is None:
-        return rep.identity(ring)
-    mat = rep.elementary_matrix(ring, *first)
+    """Raw matrix of the product of e_root(t) over the letters, from the identity."""
+    mat = rep.identity(ring)
     for root, t in letters:
         mat = linalg.mat_mul(ring, mat, rep.elementary_matrix(ring, root, t))
     return mat

@@ -170,7 +170,9 @@ def _gauss_inverse(spec: RingSpec, a):
                 piv = r
                 break
         if piv is None:
-            raise SingularMatrix(f"no unit pivot in column {col}")
+            raise SingularMatrix(
+                f"matrix is not invertible: no unit pivot in column {col}"
+            )
         aug[col], aug[piv] = aug[piv], aug[col]
         inv = spec.inv(aug[col][col])
         aug[col] = [spec.mul(inv, x) for x in aug[col]]

@@ -165,9 +165,6 @@ class RingSpec:
     def format_element(self, v) -> str:
         return json.dumps(self.element_to_json(v))
 
-    def parse_element(self, text: str):
-        return self.element_from_json(json.loads(text))
-
     def __eq__(self, other):
         return self is other or (
             isinstance(other, RingSpec) and self._key == other._key

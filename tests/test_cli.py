@@ -222,6 +222,8 @@ def test_congruence_levels():
         ("GF(2)[x]/(x^3)", "kernel:([0,0,1], [0, 0, 1])", [[0, 0, 0], [0, 0, 1]]),
         ("Z/4 x GF(3)", "kernel:([2,0])", [[0, 0], [2, 0]]),
         ("Z/12", "kernel:(4, 6)", [0, 2, 4, 6, 8, 10]),
+        ("Z/12", "kernel:(3,)", [0, 3, 6, 9]),
+        ("GF(2)[x]/(x^3)", "kernel:([0,0,1], )", [[0, 0, 0], [0, 0, 1]]),
     ],
 )
 def test_congruence_kernel_with_list_valued_generators(ring, subgroup, ideal):

@@ -446,11 +446,3 @@ def test_kernel_membership_matches_reduction(case, seed):
         expected = congruence_reduce(g, ideal).is_identity()
         assert in_congruence_kernel(g, ideal) == expected
     assert in_congruence_kernel(ElementaryWord(rep, ring, inside).evaluate(), ideal)
-
-
-def test_word_matrix_starts_from_the_first_letter():
-    rep = make_representation(A2, "defining-A")
-    ring = ZmodRing(5)
-    root = A2.roots[0]
-    assert word_matrix(rep, ring, []) == rep.identity(ring)
-    assert word_matrix(rep, ring, [(root, 3)]) is rep.elementary_matrix(ring, root, 3)

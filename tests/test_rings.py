@@ -1,3 +1,4 @@
+import json
 import time
 
 import pytest
@@ -244,7 +245,7 @@ def test_element_serialization_roundtrip():
         r = parse_ring_spec(text)
         for v in r.elements():
             s = r.format_element(v)
-            assert r.parse_element(s) == v
+            assert r.element_from_json(json.loads(s)) == v
 
 
 def test_product_inject():
