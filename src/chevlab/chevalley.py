@@ -15,6 +15,7 @@ are used.
 from __future__ import annotations
 
 import functools
+import itertools
 import random
 from fractions import Fraction
 from types import MappingProxyType
@@ -455,12 +456,11 @@ class ChevalleyBasisTable:
         if b == _neg(a):
             raise ChevalleyError("commutator expansion undefined for b = -a")
         _, _, xmats = self.adjoint_data()
-        dim = len(xmats[a])
         pa = divided_powers(xmats[a])
         pb = divided_powers(xmats[b])
         m = _pmat_mul(
-            _pmat_mul(_exp_series(pa, (1, 0), 1, dim), _exp_series(pb, (0, 1), 1, dim)),
-            _pmat_mul(_exp_series(pa, (1, 0), -1, dim), _exp_series(pb, (0, 1), -1, dim)),
+            _pmat_mul(_exp_series(pa, (1, 0), 1), _exp_series(pb, (0, 1), 1)),
+            _pmat_mul(_exp_series(pa, (1, 0), -1), _exp_series(pb, (0, 1), -1)),
         )
         out = {}
         for i, j, g in self.rs.commutator_root_list(a, b):
@@ -476,8 +476,8 @@ class ChevalleyBasisTable:
                 raise ChevalleyError("commutator coefficient mismatch")
             out[(i, j)] = coeff
             if coeff:
-                m = _pmat_mul(_exp_series(pg, (i, j), -coeff, dim), m)
-        if m != {(0, 0): _smat_identity(dim)}:
+                m = _pmat_mul(_exp_series(pg, (i, j), -coeff), m)
+        if m:
             raise ChevalleyError("commutator expansion failed to close")
         return MappingProxyType(out)
 
@@ -494,10 +494,6 @@ def _sparse_from_dense(m) -> dict:
             if v:
                 out.setdefault(r, {})[c] = v
     return out
-
-
-def _smat_identity(dim: int) -> dict:
-    return {r: {r: 1} for r in range(dim)}
 
 
 def _smat_scale(k: int, a: dict) -> dict:
@@ -548,30 +544,32 @@ def divided_powers(x) -> list:
     return out
 
 
-def _exp_series(powers: list, mono: tuple, scale: int, dim: int) -> dict:
-    """e(scale * s^i t^j) = I + sum_k scale^k s^(k*i) t^(k*j) M_k over Z[s, t]."""
+def _exp_series(powers: list, mono: tuple, scale: int) -> dict:
+    """e(scale * s^i t^j) - I = sum_k scale^k s^(k*i) t^(k*j) M_k over Z[s, t]."""
     i, j = mono
-    out = {(0, 0): _smat_identity(dim)}
-    for k, mk in enumerate(powers, 1):
-        out[(k * i, k * j)] = _smat_scale(scale**k, mk)
-    return out
+    return {(k * i, k * j): _smat_scale(scale**k, m) for k, m in enumerate(powers, 1)}
 
 
 def _pmat_mul(p: dict, q: dict) -> dict:
+    """(I + p)(I + q) - I = p + q + pq, for p and q held without the identity."""
+    products = (
+        ((i1 + i2, j1 + j2), _int_smat_mul(a, b))
+        for (i1, j1), a in p.items()
+        for (i2, j2), b in q.items()
+    )
     out: dict = {}
-    for (i1, j1), a in p.items():
-        for (i2, j2), b in q.items():
-            acc = out.setdefault((i1 + i2, j1 + j2), {})
-            for r, row in _int_smat_mul(a, b).items():
-                arow = acc.setdefault(r, {})
-                for c, v in row.items():
-                    w = arow.get(c, 0) + v
-                    if w:
-                        arow[c] = w
-                    else:
-                        del arow[c]
-                if not arow:
-                    del acc[r]
+    for mono, m in itertools.chain(p.items(), q.items(), products):
+        acc = out.setdefault(mono, {})
+        for r, row in m.items():
+            arow = acc.setdefault(r, {})
+            for c, v in row.items():
+                w = arow.get(c, 0) + v
+                if w:
+                    arow[c] = w
+                else:
+                    del arow[c]
+            if not arow:
+                del acc[r]
     return {mono: m for mono, m in out.items() if m}
 
 

@@ -32,9 +32,7 @@ from .rings import (
     IdealHandle,
     ProductRing,
     RingSpec,
-    additive_closure,
     ideal_from_generators,
-    principalize,
     sorted_values,
 )
 from .roots import _add, _neg, _scale, _sub
@@ -159,12 +157,19 @@ def check_normal(n: NormalSubgroupHandle, samples: int = 40, seed: int = 0) -> b
 class LevelSet:
     root: tuple
     values: frozenset
-    additively_closed: bool
     ideal: IdealHandle | None  # set when the level set is itself an ideal
 
     @property
     def is_ideal(self) -> bool:
         return self.ideal is not None
+
+
+def _ideal_of(ring: RingSpec, values: frozenset) -> IdealHandle | None:
+    """The ideal the values generate, when they are exactly that ideal."""
+    ideal = ideal_from_generators(ring, list(values))
+    if ideal.size == len(values) and all(ideal.contains(v) for v in values):
+        return ideal
+    return None
 
 
 def level_set(n: NormalSubgroupHandle, alpha) -> LevelSet:
@@ -175,14 +180,14 @@ def level_set(n: NormalSubgroupHandle, alpha) -> LevelSet:
         t for t in ring.elements()
         if n.contains(elementary(rep, ring, alpha, t))
     )
-    closed = additive_closure(ring, values) == values
-    if not closed:
+    ideal = _ideal_of(ring, values)
+    if ideal is None and not (
+        values and all(ring.sub(a, b) in values for a in values for b in values)
+    ):
         raise CertificateError(
             f"level set of {alpha} is not additively closed; N is not a subgroup"
         )
-    ideal = ideal_from_generators(ring, list(values))
-    handle = ideal if ideal.element_set() == values else None
-    return LevelSet(alpha, values, closed, handle)
+    return LevelSet(alpha, values, ideal)
 
 
 def weyl_level_equality(n: NormalSubgroupHandle, alpha1, alpha2) -> bool:
@@ -341,11 +346,10 @@ def ideal_certificate(n: NormalSubgroupHandle) -> CertificateTrace:
             values, trace = _certificate_b_type(n, table)
         else:
             values, trace = _certificate_c_type(n, table)
-    ideal = ideal_from_generators(ring, list(values))
-    if ideal.element_set() != values:
+    ideal = _ideal_of(ring, values)
+    if ideal is None:
         raise CertificateError("derived parameter set is not an ideal")
-    ideal = principalize(ideal)
-    trace.ideal = ideal
+    trace.ideal = ideal = ideal_from_generators(ring, [ideal.generator])
     # final soundness replay: every membership re-verified, no step trusted
     for r in rs.roots:
         count = 0

@@ -280,12 +280,13 @@ def congruence_reduce(g: GroupElement, ideal: IdealHandle) -> GroupElement:
 
 
 def in_congruence_kernel(g: GroupElement, ideal: IdealHandle) -> bool:
-    """g reduces to the identity mod the ideal: g - 1 has entries in it."""
+    """g reduces to the identity mod the ideal Ann(h): g*h == h entrywise."""
     ring = g.ring
     if ideal.spec != ring:
         raise GroupError("ideal belongs to a different ring")
+    mul, h, zero = ring.mul, ideal.cofactor, ring.zero
     return all(
-        ideal.contains(ring.sub(v, ring.one) if i == j else v)
+        mul(v, h) == (h if i == j else zero)
         for i, row in enumerate(g.mat)
         for j, v in enumerate(row)
     )

@@ -5,8 +5,8 @@ base[x]/(f) with monic f (`PolyQuotientRing`, finite fields GF(q) among them)
 and finite direct products (`ProductRing`).  The quotient of each by an ideal
 is again one of them: Z/d, GF(p)[x]/(g) or a product of quotients.  Elements
 are kept in canonical form, so equality is plain coordinate equality.  All
-values are immutable; ideal element sets are materialized eagerly, so specs
-are safe to share between threads.
+values are immutable.  Every ideal is principal, and is held by one generator
+and its cofactor, not by its elements.
 """
 from __future__ import annotations
 
@@ -751,34 +751,33 @@ def parse_ring_spec(text: str) -> RingSpec:
 
 
 class IdealHandle:
-    """A finitely generated ideal with its element set materialized."""
+    """A principal ideal (g) = Ann(h): g is the gcd of the modulus and the
+    generators (factor by factor in a product) and h is the modulus over g, so
+    v is a member iff v*h = 0."""
 
-    def __init__(self, spec: RingSpec, generators, elements: frozenset):
+    def __init__(self, spec: RingSpec, generators):
         self.spec = spec
         self.generators = tuple(generators)
-        self._elements = elements
-        self._sorted = None
+        self.generator, self.cofactor = _principal(spec, self.generators)
 
     @property
     def size(self) -> int:
-        return len(self._elements)
+        return self.spec.card // self.quotient()[0].card
 
     def contains(self, v) -> bool:
-        return v in self._elements
+        return self.spec.mul(v, self.cofactor) == self.spec.zero
 
     def elements_list(self) -> list:
-        if self._sorted is None:
-            self._sorted = sorted_values(self.spec, self._elements)
-        return list(self._sorted)
+        return [v for v in self.spec.elements() if self.contains(v)]
 
     def element_set(self) -> frozenset:
-        return self._elements
+        return frozenset(self.elements_list())
 
     def is_zero(self) -> bool:
-        return self.size == 1
+        return self.generator == self.spec.zero
 
     def is_unit_ideal(self) -> bool:
-        return self.size == self.spec.card
+        return self.generator == self.spec.one
 
     def short_label(self) -> str:
         gens = ",".join(self.spec.format_element(g) for g in self.generators)
@@ -792,17 +791,17 @@ class IdealHandle:
         the gcd of n and the generators; GF(p)[x]/(g), with g the monic gcd
         of f and the generators; or the product of the factors' quotients.
         """
-        return _quotient(self.spec, self.generators)
+        return _quotient(self.spec, self.generator)
 
     def __eq__(self, other):
         return (
             isinstance(other, IdealHandle)
             and self.spec == other.spec
-            and self._elements == other._elements
+            and self.generator == other.generator
         )
 
     def __hash__(self):
-        return hash((self.spec.key(), self._elements))
+        return hash((self.spec, self.generator))
 
     def __repr__(self):
         return f"<ideal {self.short_label()} of {self.spec.label}, {self.size} elements>"
@@ -812,16 +811,38 @@ def _same(v):
     return v
 
 
-def _quotient(spec: RingSpec, gens):
+def _principal(spec: RingSpec, gens) -> tuple:
+    """The canonical generator g of the ideal and its cofactor h: (g) = Ann(h)."""
     if isinstance(spec, ZmodRing):
         d = math.gcd(spec.n, *gens)
+        return d % spec.n, spec.n // d % spec.n
+    if isinstance(spec, ProductRing):
+        parts = [
+            _principal(f, [g[i] for g in gens]) for i, f in enumerate(spec.factors)
+        ]
+        return tuple(g for g, _ in parts), tuple(h for _, h in parts)
+    base = _field_base(spec)
+    g = list(spec.modulus)
+    for a in gens:
+        g = poly_xgcd(base, g, list(a))[0]
+    if len(g) == len(spec.modulus):
+        return spec.zero, spec.one
+    c = base.inv(g[-1])
+    g = [base.mul(c, x) for x in g]
+    # h = f/g has degree deg f only when g = 1, and then h = f = 0 in the ring
+    h = poly_divmod(base, spec.modulus, g)[0] if len(g) > 1 else []
+    return spec.pad(g), spec.pad(h)
+
+
+def _quotient(spec: RingSpec, g):
+    """Quotient by the ideal with canonical generator g."""
+    if isinstance(spec, ZmodRing):
+        d = math.gcd(spec.n, g)
         if d == spec.n:
             return spec, _same, _same
         return ZmodRing(d), (lambda v: v % d), _same
     if isinstance(spec, ProductRing):
-        parts = [
-            _quotient(f, [g[i] for g in gens]) for i, f in enumerate(spec.factors)
-        ]
+        parts = [_quotient(f, x) for f, x in zip(spec.factors, g)]
         if all(q is f for (q, _, _), f in zip(parts, spec.factors)):
             return spec, _same, _same
         return (
@@ -829,58 +850,19 @@ def _quotient(spec: RingSpec, gens):
             lambda v: tuple(proj(x) for (_, proj, _), x in zip(parts, v)),
             lambda v: tuple(lift(x) for (_, _, lift), x in zip(parts, v)),
         )
-    base = _field_base(spec)
-    g = list(spec.modulus)
-    for a in gens:
-        g = poly_xgcd(base, g, list(a))[0]
-    if len(g) == len(spec.modulus):
+    if g == spec.zero:
         return spec, _same, _same
+    base = spec.base
+    g = poly_trim(base, list(g))
     if len(g) == 1:
         return ZmodRing(1), (lambda v: 0), (lambda v: spec.zero)
-    c = base.inv(g[-1])
-    q = PolyQuotientRing(base, tuple(base.mul(c, x) for x in g))
+    q = PolyQuotientRing(base, tuple(g))
     return q, (lambda v: q.pad(poly_divmod(base, v, q.modulus)[1])), spec.pad
 
 
 def ideal_from_generators(spec: RingSpec, generators) -> IdealHandle:
-    """Smallest ideal containing the generators (exact, finite rings only)."""
-    gens = list(generators)
-    if isinstance(spec, ZmodRing):
-        step = math.gcd(spec.n, *gens)
-        return IdealHandle(spec, gens, frozenset(range(0, spec.n, step)))
-    seeds = [spec.mul(r, g) for g in gens for r in spec.elements()]
-    return IdealHandle(spec, gens, additive_closure(spec, seeds))
-
-
-def principalize(handle: IdealHandle) -> IdealHandle:
-    """The same ideal presented by a single generator when one exists."""
-    spec = handle.spec
-    for g in handle.elements_list():
-        if g == spec.zero and handle.size > 1:
-            continue
-        trial = ideal_from_generators(spec, [g])
-        if trial.element_set() == handle.element_set():
-            return trial
-    return handle
-
-
-def additive_closure(spec: RingSpec, values) -> frozenset:
-    """Closure of a value set under addition and negation."""
-    seeds = {spec.zero}
-    seeds.update(values)
-    seeds.update(spec.neg(v) for v in list(seeds))
-    closed = set(seeds)
-    frontier = list(seeds)
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for b in seeds:
-                s = spec.add(a, b)
-                if s not in closed:
-                    closed.add(s)
-                    nxt.append(s)
-        frontier = nxt
-    return frozenset(closed)
+    """Smallest ideal containing the generators: a gcd, no enumeration."""
+    return IdealHandle(spec, generators)
 
 
 def _field_base(spec: RingSpec) -> RingSpec:
@@ -966,10 +948,7 @@ def _artinian_polyquot(spec: PolyQuotientRing) -> ArtinianDecomposition:
     base = spec.base
     fact = poly_factor(base, list(spec.modulus))
     parts = [_poly_pow(base, list(g), e) for g, e in fact]
-    factors = []
-    for part in parts:
-        coeffs = tuple(part)
-        factors.append(PolyQuotientRing(base, coeffs))
+    factors = [PolyQuotientRing(base, tuple(part)) for part in parts]
     full = list(spec.modulus)
     idem = []
     for part in parts:
@@ -1008,12 +987,6 @@ def _poly_pow(base: RingSpec, f: list, e: int) -> list:
 
 def artinian_decompose(spec: RingSpec) -> ArtinianDecomposition:
     """Split a finite ring into local factors with invertible coordinate maps."""
-    if isinstance(spec, ZmodRing):
-        if len(factorize(spec.n)) <= 1:
-            return ArtinianDecomposition(
-                spec, [spec], lambda v: (v,), lambda comps: comps[0]
-            )
-        return _artinian_zmod(spec)
     if isinstance(spec, ProductRing):
         subs = [artinian_decompose(f) for f in spec.factors]
         factors = [g for s in subs for g in s.factors]
@@ -1038,4 +1011,6 @@ def artinian_decompose(spec: RingSpec) -> ArtinianDecomposition:
         return ArtinianDecomposition(
             spec, [spec], lambda v: (v,), lambda comps: comps[0]
         )
+    if isinstance(spec, ZmodRing):
+        return _artinian_zmod(spec)
     return _artinian_polyquot(spec)

@@ -3,6 +3,7 @@ import pytest
 from chevlab import congruence
 from chevlab.congruence import (
     CertificateError,
+    NormalSubgroupHandle,
     check_normal,
     cross_factor_commute_check,
     full_subgroup,
@@ -38,6 +39,26 @@ def test_level_set_kernel_sl3_z4():
         ls = level_set(n, alpha)
         assert ls.values == frozenset({0, 2})
         assert ls.is_ideal
+
+
+def materialized_level(ring_text, params):
+    """Level set of the first root in the hand-built set {e_a(t) : t in params}."""
+    rep = make_representation(A2, "defining-A")
+    ring = parse_ring_spec(ring_text)
+    alpha = A2.roots[0]
+    members = frozenset(elementary(rep, ring, alpha, t) for t in params)
+    return ring, level_set(NormalSubgroupHandle(rep, ring, "materialized", members), alpha)
+
+
+def test_level_set_not_additively_closed():
+    with pytest.raises(CertificateError, match="not additively closed"):
+        materialized_level("Z/4", [0, 1])
+
+
+def test_level_set_additive_subgroup_that_is_not_an_ideal():
+    ring, ls = materialized_level("GF(4)", [(0, 0), (1, 0)])
+    assert ls.values == {ring.zero, ring.one}
+    assert not ls.is_ideal and ls.ideal is None
 
 
 def test_certificate_computes_each_level_set_once(monkeypatch):

@@ -425,6 +425,9 @@ KERNEL_CASES = [
     ("GF(3)[x]/(x^2+1)", [(0, 0)]),
     ("Z/4 x GF(3)", [(2, 0)]),
     ("GF(2)[x]/(x^2) x Z/9", [((0, 1), 3)]),
+    ("Z/9", [2]),  # unit ideals, alone and in one factor
+    ("Z/4 x GF(3)", [(2, 1)]),
+    ("GF(2)[x]/(x^3) x Z/3", [((1, 1, 0), 0)]),
 ]
 
 

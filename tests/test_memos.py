@@ -13,7 +13,6 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "chevlab"
 FILLED_SLOTS = {
     ("evaluate", "_value"),
     ("__hash__", "_hash"),
-    ("elements_list", "_sorted"),
     ("mul", "_mul_cache"),
 }
 

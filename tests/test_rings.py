@@ -11,7 +11,6 @@ from chevlab.rings import (
     ProductRing,
     RingError,
     ZmodRing,
-    additive_closure,
     artinian_decompose,
     factorize,
     field_from_poly,
@@ -234,12 +233,6 @@ def test_residue_field_of_z9():
     assert proj(lift(2)) == 2
 
 
-def test_additive_closure():
-    r = ZmodRing(12)
-    s = additive_closure(r, [8])
-    assert s == frozenset({0, 4, 8})
-
-
 def test_element_serialization_roundtrip():
     for text in ["Z/12", "GF(4)", "Z/4 x GF(9)"]:
         r = parse_ring_spec(text)
@@ -316,6 +309,75 @@ def test_zmod_ideals_are_multiples_of_the_gcd():
     assert ideal_from_generators(ring, [8, 6]).element_set() == {0, 2, 4, 6, 8, 10}
     assert ideal_from_generators(ring, []).element_set() == {0}
     assert ideal_from_generators(ring, [5]).is_unit_ideal()
+
+
+def ideal_by_closure(r, gens) -> set:
+    """Reference ideal: the additive closure of every r*g, by brute force."""
+    members = {r.zero}
+    for s in [r.mul(a, g) for g in gens for a in r.elements()]:
+        while True:
+            grown = members | {r.add(m, s) for m in members}
+            if grown == members:
+                break
+            members = grown
+    return members
+
+
+IDEAL_RINGS = [
+    "GF(2)[x]/(x^3)",
+    "GF(2)[x]/(x^2(x+1))",
+    "GF(3)[x]/(x^2)",
+    "GF(3)[x]/(x^2+1)",
+    "GF(2)[x]/(x^4+x)",
+    "Z/4 x GF(3)",
+    "Z/6 x GF(2)[x]/(x^2)",
+    "GF(2)[x]/(x^2+x) x Z/3",
+]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    text=st.one_of(
+        st.sampled_from(IDEAL_RINGS),
+        st.integers(2, 36).map(lambda n: f"Z/{n}"),
+    ),
+    data=st.data(),
+)
+def test_principal_ideal_matches_the_additive_closure(text, data):
+    r = parse_ring_spec(text)
+    els = r.elements()
+    gens = data.draw(st.lists(st.sampled_from(els), max_size=3))
+    ideal = ideal_from_generators(r, gens)
+    ref = ideal_by_closure(r, gens)
+    assert [v for v in els if ideal.contains(v)] == [v for v in els if v in ref]
+    assert ideal.size == len(ref)
+    assert ideal.elements_list() == [v for v in els if v in ref]
+    assert ideal.is_zero() == (ref == {r.zero})
+    assert ideal.is_unit_ideal() == (len(ref) == r.card)
+    assert ideal.cofactor in els and r.mul(ideal.generator, ideal.cofactor) == r.zero
+    # the canonical generator is the first element that generates the ideal
+    first = next(v for v in els if ideal_by_closure(r, [v]) == ref)
+    assert ideal.generator == first
+    assert ideal == ideal_from_generators(r, [first])
+
+
+@pytest.mark.parametrize("text", ["Z/2305843009213693952", "GF(2)[x]/(x^64)"])
+def test_is_local_on_a_large_ring_is_immediate(text):
+    r = parse_ring_spec(text)
+    start = time.perf_counter()
+    flag, mx = is_local.__wrapped__(r)  # skip the memo: time a cold call
+    assert time.perf_counter() - start < 0.05
+    assert flag and mx.quotient()[0].card == 2 and not mx.is_zero()
+
+
+def test_ideals_of_large_quotients_are_not_enumerated():
+    x = (0, 1) + (0,) * 9
+    start = time.perf_counter()
+    ideal = ideal_from_generators(parse_ring_spec("GF(2)[x]/(x^11)"), [x])
+    assert time.perf_counter() - start < 0.05
+    assert ideal.size == 2**10 and ideal.contains((0, 0, 1) + (0,) * 8)
+    big = parse_ring_spec("GF(2)[x]/(x^64)")
+    assert ideal_from_generators(big, [big.pad([0, 1])]).size == 2**63
 
 
 QUOTIENT_RINGS = [
