@@ -88,58 +88,37 @@ def classical_generators(rs: RootSystem):
     """Root vectors X_a for the defining representation of a classical type.
 
     Returns (dim, xmats, weights) where weights[i] is the weight of the i-th
-    basis vector in the realization's epsilon-coordinates.
+    basis vector in the realization's epsilon-coordinates.  Types B, C and D
+    share one body: basis vectors of weight e_i, (0 for B,) then -e_i, with
+    bar(i) the index of -e_i; the root e_i + e_j acts with sign +1 in C and
+    -1 in B and D.
     """
     letter, n = rs.letter, rs.rank
     if letter == "A":
         dim = n + 1
-        xmats = {}
-        for r in rs.roots:
-            i = r.index(1)
-            j = r.index(-1)
-            xmats[r] = _unit(dim, i, j)
+        xmats = {r: _unit(dim, r.index(1), r.index(-1)) for r in rs.roots}
         weights = [tuple(1 if k == i else 0 for k in range(dim)) for i in range(dim)]
         return dim, xmats, weights
-    if letter == "C":
-        dim = 2 * n
-        bar = lambda i: 2 * n - 1 - i
-        xmats = {}
-        for r in rs.roots:
-            pos = [i for i, c in enumerate(r) if c]
-            if len(pos) == 1:
-                (i,) = pos
-                if r[i] == 2:
-                    xmats[r] = _unit(dim, i, bar(i))
-                else:
-                    xmats[r] = _unit(dim, bar(i), i)
+    if letter not in "BCD":
+        raise ChevalleyError(f"no defining matrix model for type {letter}")
+    dim = 2 * n + (letter == "B")
+    bar = lambda i: dim - 1 - i
+    sign = 1 if letter == "C" else -1
+    xmats = {}
+    for r in rs.roots:
+        pos = [i for i, c in enumerate(r) if c]
+        if len(pos) == 1:
+            (i,) = pos
+            if letter == "C":
+                m = _unit(dim, i, bar(i)) if r[i] > 0 else _unit(dim, bar(i), i)
+            elif r[i] > 0:
+                m = _unit(dim, i, n, 2)
+                m[n][bar(i)] = -1
             else:
-                i, j = pos
-                ci, cj = r[i], r[j]
-                if ci == 1 and cj == -1:
-                    m = _unit(dim, i, j)
-                    m[bar(j)][bar(i)] = -1
-                elif ci == -1 and cj == 1:
-                    m = _unit(dim, j, i)
-                    m[bar(i)][bar(j)] = -1
-                elif ci == 1 and cj == 1:
-                    m = _unit(dim, i, bar(j))
-                    m[j][bar(i)] = 1
-                else:
-                    m = _unit(dim, bar(j), i)
-                    m[bar(i)][j] = 1
-                xmats[r] = m
-        weights = []
-        for i in range(n):
-            weights.append(tuple(1 if k == i else 0 for k in range(n)))
-        for i in range(n - 1, -1, -1):
-            weights.append(tuple(-1 if k == i else 0 for k in range(n)))
-        return dim, xmats, weights
-    if letter == "D":
-        dim = 2 * n
-        bar = lambda i: 2 * n - 1 - i
-        xmats = {}
-        for r in rs.roots:
-            i, j = [k for k, c in enumerate(r) if c]
+                m = _unit(dim, n, i)
+                m[bar(i)][n] = -2
+        else:
+            i, j = pos
             ci, cj = r[i], r[j]
             if ci == 1 and cj == -1:
                 m = _unit(dim, i, j)
@@ -149,57 +128,14 @@ def classical_generators(rs: RootSystem):
                 m[bar(i)][bar(j)] = -1
             elif ci == 1 and cj == 1:
                 m = _unit(dim, i, bar(j))
-                m[j][bar(i)] = -1
+                m[j][bar(i)] = sign
             else:
                 m = _unit(dim, bar(j), i)
-                m[bar(i)][j] = -1
-            xmats[r] = m
-        weights = []
-        for i in range(n):
-            weights.append(tuple(1 if k == i else 0 for k in range(n)))
-        for i in range(n - 1, -1, -1):
-            weights.append(tuple(-1 if k == i else 0 for k in range(n)))
-        return dim, xmats, weights
-    if letter == "B":
-        dim = 2 * n + 1
-        mid = n
-        bar = lambda i: 2 * n - i
-        xmats = {}
-        for r in rs.roots:
-            pos = [i for i, c in enumerate(r) if c]
-            if len(pos) == 1:
-                (i,) = pos
-                if r[i] == 1:
-                    m = _unit(dim, i, mid, 2)
-                    m[mid][bar(i)] = -1
-                else:
-                    m = _unit(dim, mid, i)
-                    m[bar(i)][mid] = -2
-                xmats[r] = m
-            else:
-                i, j = pos
-                ci, cj = r[i], r[j]
-                if ci == 1 and cj == -1:
-                    m = _unit(dim, i, j)
-                    m[bar(j)][bar(i)] = -1
-                elif ci == -1 and cj == 1:
-                    m = _unit(dim, j, i)
-                    m[bar(i)][bar(j)] = -1
-                elif ci == 1 and cj == 1:
-                    m = _unit(dim, i, bar(j))
-                    m[j][bar(i)] = -1
-                else:
-                    m = _unit(dim, bar(j), i)
-                    m[bar(i)][j] = -1
-                xmats[r] = m
-        weights = []
-        for i in range(n):
-            weights.append(tuple(1 if k == i else 0 for k in range(n)))
-        weights.append(tuple(0 for _ in range(n)))
-        for i in range(n - 1, -1, -1):
-            weights.append(tuple(-1 if k == i else 0 for k in range(n)))
-        return dim, xmats, weights
-    raise ChevalleyError(f"no defining matrix model for type {letter}")
+                m[bar(i)][j] = sign
+        xmats[r] = m
+    units = [tuple(1 if k == i else 0 for k in range(n)) for i in range(n)]
+    weights = units + [(0,) * n] * (letter == "B") + [_neg(u) for u in reversed(units)]
+    return dim, xmats, weights
 
 
 # ---------------------------------------------------------------------------
@@ -441,6 +377,11 @@ class ChevalleyBasisTable:
             xmats[r] = freeze(m)
         return keys, weights, xmats
 
+    @functools.cache
+    def sparse_powers(self, root) -> tuple:
+        """Sparse divided powers of the adjoint X_root, shared by every caller."""
+        return tuple(divided_powers(self.adjoint_data()[2][root]))
+
     # -- group-level commutator coefficients ----------------------------------
 
     @functools.cache
@@ -455,16 +396,15 @@ class ChevalleyBasisTable:
         """
         if b == _neg(a):
             raise ChevalleyError("commutator expansion undefined for b = -a")
-        _, _, xmats = self.adjoint_data()
-        pa = divided_powers(xmats[a])
-        pb = divided_powers(xmats[b])
+        pa = self.sparse_powers(a)
+        pb = self.sparse_powers(b)
         m = _pmat_mul(
             _pmat_mul(_exp_series(pa, (1, 0), 1), _exp_series(pb, (0, 1), 1)),
             _pmat_mul(_exp_series(pa, (1, 0), -1), _exp_series(pb, (0, 1), -1)),
         )
         out = {}
         for i, j, g in self.rs.commutator_root_list(a, b):
-            pg = divided_powers(xmats[g])
+            pg = self.sparse_powers(g)
             xg = pg[0]
             mono = m.get((i, j), {})
             r, row = next(iter(xg.items()))

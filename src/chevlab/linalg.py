@@ -1,13 +1,22 @@
 """Exact matrix arithmetic over finite commutative rings.
 
 Matrices are tuples of tuples of raw ring values (canonical, hashable).
-Multiplication uses numpy fast paths for residue and polynomial-quotient
-rings; inversion works over any finite ring by splitting into local factors
-and doing unit-pivot Gaussian elimination there.
+From dimension 6 on, a product over Z/n or GF(p)[x]/(f) crosses into numpy
+once and comes back once: each matrix enters as one int64 array, read in a
+single pass by `np.fromiter`, and the product leaves by `.tolist()`.  A
+quotient of degree d is read as an (n, n, d) array of coefficient planes; its
+d^2 plane products are summed by degree and reduced mod f in one `tensordot`
+with the rows of x^s mod f.  A product ring multiplies factor by factor.  The
+int64 path runs only while every intermediate sum stays below 2^63; above
+that bound the exact Python-int path takes over.  Inversion has one path: it
+splits the ring into its local factors (a local ring is its own single
+factor) and does unit-pivot Gauss-Jordan in each.
 """
 from __future__ import annotations
 
 import functools
+import itertools
+import math
 
 import numpy as np
 
@@ -19,7 +28,6 @@ from .rings import (
     RingSpec,
     ZmodRing,
     artinian_decompose,
-    is_local,
 )
 
 
@@ -35,16 +43,7 @@ def identity_matrix(spec: RingSpec, n: int):
 
 
 def mat_from_int(spec: RingSpec, m):
-    cache: dict = {}
-
-    def conv(k):
-        v = cache.get(k)
-        if v is None:
-            v = spec.from_int(k)
-            cache[k] = v
-        return v
-
-    return tuple(tuple(conv(x) for x in row) for row in m)
+    return tuple(tuple(map(spec.from_int, row)) for row in m)
 
 
 _NUMPY_MIN_DIM = 6
@@ -81,73 +80,47 @@ def mat_mul(spec: RingSpec, a, b):
 _INT64_BOUND = 1 << 63
 
 
+def _int64_array(m, shape):
+    """A matrix of nested tuples of ints as one int64 array of the given shape."""
+    flat = m
+    for _ in shape[1:]:
+        flat = itertools.chain.from_iterable(flat)
+    return np.fromiter(flat, np.int64, math.prod(shape)).reshape(shape)
+
+
 def _np_mul(spec: RingSpec, a, b):
     """Product through numpy int64, or None when the ring has no fast path or
     an intermediate sum could pass 2^63."""
+    n = len(a)
     if isinstance(spec, ZmodRing):
-        if len(a) * (spec.n - 1) ** 2 >= _INT64_BOUND:
+        if n * (spec.n - 1) ** 2 >= _INT64_BOUND:
             return None
-        arr = (np.array(a, dtype=np.int64) @ np.array(b, dtype=np.int64)) % spec.n
-        return tuple(tuple(int(x) for x in row) for row in arr)
+        prod = _int64_array(a, (n, n)) @ _int64_array(b, (n, n))
+        return tuple(map(tuple, (prod % spec.n).tolist()))
     if isinstance(spec, PolyQuotientRing) and isinstance(spec.base, ZmodRing):
-        return _np_mul_polyquot(spec, a, b)
+        p, d = spec.base.n, spec.degree
+        # a conv plane is at most d*n*(p-1)^2, and 2d-1 of them meet entries <= p-1
+        if (2 * d - 1) * d * n * (p - 1) ** 3 >= _INT64_BOUND:
+            return None
+        sa, sb = _int64_array(a, (n, n, d)), _int64_array(b, (n, n, d))
+        conv = np.zeros((2 * d - 1, n, n), dtype=np.int64)
+        for i in range(d):
+            for j in range(d):
+                conv[i + j] += sa[:, :, i] @ sb[:, :, j]
+        out = np.tensordot(conv, _reduction_rows(spec), axes=(0, 0)) % p
+        return tuple(tuple(map(tuple, row)) for row in out.tolist())
     if isinstance(spec, ProductRing):
+        # factor k of a matrix: row i is zip(*a[i])[k]
+        fa = zip(*(zip(*row) for row in a))
+        fb = zip(*(zip(*row) for row in b))
         parts = []
-        for idx, f in enumerate(spec.factors):
-            fa = tuple(tuple(v[idx] for v in row) for row in a)
-            fb = tuple(tuple(v[idx] for v in row) for row in b)
-            sub = _np_mul(f, fa, fb)
+        for f, x, y in zip(spec.factors, fa, fb):
+            sub = _np_mul(f, x, y)
             if sub is None:
                 return None
             parts.append(sub)
-        n = len(a)
-        return tuple(
-            tuple(
-                tuple(parts[k][i][j] for k in range(len(parts)))
-                for j in range(n)
-            )
-            for i in range(n)
-        )
+        return tuple(tuple(zip(*rows)) for rows in zip(*parts))
     return None
-
-
-def _np_mul_polyquot(spec: PolyQuotientRing, a, b):
-    p = spec.base.n
-    d = spec.degree
-    n = len(a)
-    if (2 * d - 1) * d * n * (p - 1) ** 3 >= _INT64_BOUND:
-        return None
-    red = _reduction_rows(spec)
-    sa = [np.empty((n, n), dtype=np.int64) for _ in range(d)]
-    sb = [np.empty((n, n), dtype=np.int64) for _ in range(d)]
-    for i in range(n):
-        for j in range(n):
-            va, vb = a[i][j], b[i][j]
-            for k in range(d):
-                sa[k][i, j] = va[k]
-                sb[k][i, j] = vb[k]
-    conv = [None] * (2 * d - 1)
-    for i in range(d):
-        for j in range(d):
-            prod = sa[i] @ sb[j]
-            s = i + j
-            conv[s] = prod if conv[s] is None else conv[s] + prod
-    out = [None] * d
-    for s in range(2 * d - 1):
-        if conv[s] is None:
-            continue
-        for k in range(d):
-            c = int(red[s, k])
-            if c:
-                out[k] = conv[s] * c if out[k] is None else out[k] + conv[s] * c
-    out = [(m % p if m is not None else np.zeros((n, n), dtype=np.int64)) for m in out]
-    return tuple(
-        tuple(
-            tuple(int(out[k][i, j]) for k in range(d))
-            for j in range(n)
-        )
-        for i in range(n)
-    )
 
 
 @functools.lru_cache(maxsize=RING_MEMO_SIZE)
@@ -162,7 +135,8 @@ def _reduction_rows(spec: PolyQuotientRing):
 def _gauss_inverse(spec: RingSpec, a):
     """Gauss-Jordan over a local ring: every pivot must be a unit."""
     n = len(a)
-    aug = [list(row) + list(identity_matrix(spec, n)[i]) for i, row in enumerate(a)]
+    ident = identity_matrix(spec, n)
+    aug = [list(row) + list(e) for row, e in zip(a, ident)]
     for col in range(n):
         piv = None
         for r in range(col, n):
@@ -188,26 +162,18 @@ def _gauss_inverse(spec: RingSpec, a):
     return tuple(tuple(row[n:]) for row in aug)
 
 
-_local_factors = functools.lru_cache(maxsize=RING_MEMO_SIZE)(artinian_decompose)
-
-
 def mat_inverse(spec: RingSpec, a):
     """Exact inverse over any finite commutative ring (local-factor Gauss)."""
-    if is_local(spec)[0]:
-        return _gauss_inverse(spec, a)
-    dec = _local_factors(spec)
-    n = len(a)
-    comp = [[dec.to_components(v) for v in row] for row in a]
-    parts = []
-    for idx, f in enumerate(dec.factors):
-        sub = tuple(tuple(comp[i][j][idx] for j in range(n)) for i in range(n))
-        parts.append(_gauss_inverse(f, sub))
+    dec = artinian_decompose(spec)
+    if not dec.factors:  # the zero ring: every matrix is its own inverse
+        return a
+    comps = [[dec.to_components(v) for v in row] for row in a]
+    parts = [
+        _gauss_inverse(f, m)
+        for f, m in zip(dec.factors, zip(*(zip(*row) for row in comps)))
+    ]
     return tuple(
-        tuple(
-            dec.from_components(tuple(parts[k][i][j] for k in range(len(parts))))
-            for j in range(n)
-        )
-        for i in range(n)
+        tuple(dec.from_components(c) for c in zip(*rows)) for rows in zip(*parts)
     )
 
 

@@ -263,7 +263,7 @@ class PolyQuotientRing(RingSpec):
                 base.add(shifted[i], base.mul(carry, top[i])) for i in range(d)
             ]
             rows.append(tuple(row))
-        return rows
+        return rows[: d - 1]  # degree 1 needs no row
 
     def add(self, a, b):
         base = self.base
@@ -908,7 +908,7 @@ class ArtinianDecomposition:
 
     def __init__(self, source: RingSpec, factors, to_components, from_components):
         self.source = source
-        self.factors = list(factors)
+        self.factors = tuple(factors)
         self._to = to_components
         self._from = from_components
 
@@ -923,70 +923,15 @@ class ArtinianDecomposition:
         return f"<{self.source.label} ~ {names}>"
 
 
-def _artinian_zmod(spec: ZmodRing) -> ArtinianDecomposition:
-    fact = factorize(spec.n)
-    moduli = [p**k for p, k in fact]
-    factors = [ZmodRing(m) for m in moduli]
-    n = spec.n
-    # CRT idempotents
-    idem = []
-    for m in moduli:
-        rest = n // m
-        g, inv, _ = xgcd(rest, m)
-        idem.append((rest * (inv % m)) % n)
-
-    def to_components(v):
-        return tuple(v % m for m in moduli)
-
-    def from_components(comps):
-        return sum(c * e for c, e in zip(comps, idem)) % n
-
-    return ArtinianDecomposition(spec, factors, to_components, from_components)
-
-
-def _artinian_polyquot(spec: PolyQuotientRing) -> ArtinianDecomposition:
-    base = spec.base
-    fact = poly_factor(base, list(spec.modulus))
-    parts = [_poly_pow(base, list(g), e) for g, e in fact]
-    factors = [PolyQuotientRing(base, tuple(part)) for part in parts]
-    full = list(spec.modulus)
-    idem = []
-    for part in parts:
-        rest, r = poly_divmod(base, full, part)
-        if r:
-            raise RingError("factorization inconsistency")
-        d, u, _ = poly_xgcd(base, rest, part)
-        if len(d) != 1:
-            raise RingError("factors are not coprime")
-        c = base.inv(d[0])
-        e = poly_mul(base, [base.mul(c, x) for x in u], rest)
-        _, e = poly_divmod(base, e, full)
-        idem.append(e)
-
-    def to_components(v):
-        return tuple(
-            f.pad(poly_divmod(base, v, part)[1]) for f, part in zip(factors, parts)
-        )
-
-    def from_components(comps):
-        total: list = []
-        for comp, e in zip(comps, idem):
-            total = poly_sub(base, total, [base.neg(c) for c in poly_mul(base, list(comp), e)])
-        _, r = poly_divmod(base, total, full)
-        return spec.pad(r)
-
-    return ArtinianDecomposition(spec, factors, to_components, from_components)
-
-
-def _poly_pow(base: RingSpec, f: list, e: int) -> list:
-    out = [base.one]
-    for _ in range(e):
-        out = poly_mul(base, out, f)
-    return out
-
-
+@functools.lru_cache(maxsize=RING_MEMO_SIZE)
 def artinian_decompose(spec: RingSpec) -> ArtinianDecomposition:
-    """Split a finite ring into local factors with invertible coordinate maps."""
+    """Split a finite ring into local factors with invertible coordinate maps.
+
+    A non-local Z/n or GF(p)[x]/(f) splits by the Chinese remainder theorem
+    over its primary generators q (p^k for the prime powers in n, g^e for the
+    irreducible powers in f): the factor is R/(q), and the idempotent of the
+    factor is r * lift(inv(proj(r))) with r the cofactor of q.
+    """
     if isinstance(spec, ProductRing):
         subs = [artinian_decompose(f) for f in spec.factors]
         factors = [g for s in subs for g in s.factors]
@@ -1012,5 +957,25 @@ def artinian_decompose(spec: RingSpec) -> ArtinianDecomposition:
             spec, [spec], lambda v: (v,), lambda comps: comps[0]
         )
     if isinstance(spec, ZmodRing):
-        return _artinian_zmod(spec)
-    return _artinian_polyquot(spec)
+        primaries = [p**k % spec.n for p, k in factorize(spec.n)]
+    else:
+        primaries = [
+            functools.reduce(spec.mul, [spec.pad(g)] * e)
+            for g, e in poly_factor(spec.base, list(spec.modulus))
+        ]
+    parts = []
+    for q in primaries:
+        ring, proj, lift = _quotient(spec, q)
+        rest = _principal(spec, [q])[1]
+        parts.append((ring, proj, lift, spec.mul(rest, lift(ring.inv(proj(rest))))))
+
+    def to_components(v):
+        return tuple(proj(v) for _, proj, _, _ in parts)
+
+    def from_components(comps):
+        terms = (spec.mul(lift(c), e) for c, (_, _, lift, e) in zip(comps, parts))
+        return functools.reduce(spec.add, terms, spec.zero)
+
+    return ArtinianDecomposition(
+        spec, [ring for ring, _, _, _ in parts], to_components, from_components
+    )

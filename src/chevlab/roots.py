@@ -57,6 +57,17 @@ def _neg(u: tuple) -> tuple:
     return tuple(-a for a in u)
 
 
+def _pair_roots(n: int, c: int = 1) -> list:
+    """The vectors +-c*e_i +- c*e_j for i < j, in a fixed order."""
+    return [
+        _add(_eps(n, i, c * si), _eps(n, j, c * sj))
+        for i in range(n)
+        for j in range(i + 1, n)
+        for si in (1, -1)
+        for sj in (1, -1)
+    ]
+
+
 def _realization(letter: str, rank: int):
     """Returns (ambient dim, gram rows or None for identity, roots, simples)."""
     n = rank
@@ -76,11 +87,7 @@ def _realization(letter: str, rank: int):
         if rank < 2:
             raise RootSystemError("type B needs rank >= 2")
         roots = [_eps(n, i, s) for i in range(n) for s in (1, -1)]
-        for i in range(n):
-            for j in range(i + 1, n):
-                for si in (1, -1):
-                    for sj in (1, -1):
-                        roots.append(_add(_eps(n, i, si), _eps(n, j, sj)))
+        roots += _pair_roots(n)
         simples = [_sub(_eps(n, i), _eps(n, i + 1)) for i in range(n - 1)]
         simples.append(_eps(n, n - 1))
         return n, None, roots, simples
@@ -88,23 +95,14 @@ def _realization(letter: str, rank: int):
         if rank < 2:
             raise RootSystemError("type C needs rank >= 2")
         roots = [_eps(n, i, 2 * s) for i in range(n) for s in (1, -1)]
-        for i in range(n):
-            for j in range(i + 1, n):
-                for si in (1, -1):
-                    for sj in (1, -1):
-                        roots.append(_add(_eps(n, i, si), _eps(n, j, sj)))
+        roots += _pair_roots(n)
         simples = [_sub(_eps(n, i), _eps(n, i + 1)) for i in range(n - 1)]
         simples.append(_eps(n, n - 1, 2))
         return n, None, roots, simples
     if letter == "D":
         if rank < 3:
             raise RootSystemError("type D needs rank >= 3")
-        roots = []
-        for i in range(n):
-            for j in range(i + 1, n):
-                for si in (1, -1):
-                    for sj in (1, -1):
-                        roots.append(_add(_eps(n, i, si), _eps(n, j, sj)))
+        roots = _pair_roots(n)
         simples = [_sub(_eps(n, i), _eps(n, i + 1)) for i in range(n - 1)]
         simples.append(_add(_eps(n, n - 2), _eps(n, n - 1)))
         return n, None, roots, simples
@@ -125,15 +123,8 @@ def _realization(letter: str, rank: int):
         if rank != 4:
             raise RootSystemError("type F needs rank 4")
         # scaled by 2: long = +-2e_i +- 2e_j, short = +-2e_i and (+-1)^4
-        roots = []
-        for i in range(4):
-            for s in (1, -1):
-                roots.append(_eps(4, i, 2 * s))
-        for i in range(4):
-            for j in range(i + 1, 4):
-                for si in (1, -1):
-                    for sj in (1, -1):
-                        roots.append(_add(_eps(4, i, 2 * si), _eps(4, j, 2 * sj)))
+        roots = [_eps(4, i, 2 * s) for i in range(4) for s in (1, -1)]
+        roots += _pair_roots(4, 2)
         for signs in itertools.product((1, -1), repeat=4):
             roots.append(signs)
         simples = [
@@ -147,12 +138,7 @@ def _realization(letter: str, rank: int):
         if rank not in (6, 7, 8):
             raise RootSystemError("type E needs rank 6, 7, or 8")
         # E8 scaled by 2
-        roots8 = []
-        for i in range(8):
-            for j in range(i + 1, 8):
-                for si in (1, -1):
-                    for sj in (1, -1):
-                        roots8.append(_add(_eps(8, i, 2 * si), _eps(8, j, 2 * sj)))
+        roots8 = _pair_roots(8, 2)
         for signs in itertools.product((1, -1), repeat=8):
             if signs.count(-1) % 2 == 0:
                 roots8.append(signs)

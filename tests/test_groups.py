@@ -449,3 +449,12 @@ def test_kernel_membership_matches_reduction(case, seed):
         expected = congruence_reduce(g, ideal).is_identity()
         assert in_congruence_kernel(g, ideal) == expected
     assert in_congruence_kernel(ElementaryWord(rep, ring, inside).evaluate(), ideal)
+
+
+def test_reduction_by_the_unit_ideal_lands_in_the_zero_ring():
+    rep = make_representation(build_root_system("A2"))
+    ring = parse_ring_spec("Z/12")
+    g = ElementaryWord(rep, ring, [((1, -1, 0), 5), ((0, 1, -1), 7)]).evaluate()
+    q = congruence_reduce(g, ideal_from_generators(ring, [5]))
+    assert q.ring == ZmodRing(1)
+    assert q.inverse() == q and q.inverse().mat == ((0,) * 3,) * 3

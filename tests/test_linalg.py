@@ -4,7 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chevlab.groups import ElementaryWord
-from chevlab.linalg import mat_mul
+from chevlab.linalg import _np_mul, mat_mul
 from chevlab.reps import make_representation
 from chevlab.rings import PolyQuotientRing, ProductRing, ZmodRing, parse_ring_spec
 from chevlab.roots import build_root_system
@@ -118,3 +118,76 @@ def test_d3_word_over_large_modulus_is_exact():
                     elem[i][j] += v * t**k
         expected = int_matmul_mod(expected, elem, n)
     assert ElementaryWord(rep, ring, letters).evaluate().mat == expected
+
+
+def edge_matrix(dim, value):
+    return tuple(tuple(value for _ in range(dim)) for _ in range(dim))
+
+
+def test_zmod_guard_boundary_at_dim_6():
+    # 6 * (n - 1)^2 < 2^63 holds for n = 1239850263 and fails for n + 1
+    for n, fast in [(1239850263, True), (1239850264, False)]:
+        ring = ZmodRing(n)
+        a = edge_matrix(6, n - 1)
+        b = tuple(tuple((n - 1 - i - j) % n for j in range(6)) for i in range(6))
+        expected = int_matmul_mod(a, b, n)
+        result = _np_mul(ring, a, b)
+        assert (result is not None) == fast
+        if fast:
+            assert result == expected
+        assert mat_mul(ring, a, b) == expected
+
+
+def test_quotient_guard_boundary_at_dim_6():
+    # 3 * 2 * 6 * (m - 1)^3 < 2^63 holds for m = 635130 and fails for m + 1
+    for m, fast in [(635130, True), (635131, False)]:
+        ring = PolyQuotientRing(ZmodRing(m), (m - 1, m - 1, 1))
+        a = edge_matrix(6, (m - 1, m - 1))
+        b = tuple(tuple(((m - 1 - i) % m, (m - 1 - j) % m) for j in range(6)) for i in range(6))
+        expected = poly_matmul(a, b, ring.modulus, m)
+        result = _np_mul(ring, a, b)
+        assert (result is not None) == fast
+        if fast:
+            assert result == expected
+        assert mat_mul(ring, a, b) == expected
+
+
+small_primes = st.sampled_from([2, 3, 5, 7, 11, 13, 31, 257])
+
+
+@st.composite
+def field_base_quotients(draw):
+    p = draw(small_primes)
+    degree = draw(st.integers(1, 4))
+    tail = draw(st.lists(st.integers(0, p - 1), min_size=degree, max_size=degree))
+    return PolyQuotientRing(ZmodRing(p), tuple(tail) + (1,))
+
+
+@settings(max_examples=40, deadline=None)
+@given(ring=field_base_quotients(), dim=dims, seed=seeds)
+def test_mat_mul_quotient_over_a_field(ring, dim, seed):
+    rng = random.Random(seed)
+    p, d = ring.base.n, ring.degree
+    value = lambda: tuple(rng.randrange(p) for _ in range(d))
+    a = random_matrix(rng, dim, value)
+    b = random_matrix(rng, dim, value)
+    assert mat_mul(ring, a, b) == poly_matmul(a, b, ring.modulus, p)
+
+
+@settings(max_examples=20, deadline=None)
+@given(quot=field_base_quotients(), n=st.integers(2, 2**20), m=st.integers(2, 2**20), dim=dims, seed=seeds)
+def test_mat_mul_three_factor_product(quot, n, m, dim, seed):
+    rng = random.Random(seed)
+    ring = ProductRing([ZmodRing(n), quot, ZmodRing(m)])
+    p, d = quot.base.n, quot.degree
+    value = lambda: (rng.randrange(n), tuple(rng.randrange(p) for _ in range(d)), rng.randrange(m))
+    a = random_matrix(rng, dim, value)
+    b = random_matrix(rng, dim, value)
+    part = lambda mat, k: tuple(tuple(v[k] for v in row) for row in mat)
+    parts = (
+        int_matmul_mod(part(a, 0), part(b, 0), n),
+        poly_matmul(part(a, 1), part(b, 1), quot.modulus, p),
+        int_matmul_mod(part(a, 2), part(b, 2), m),
+    )
+    expected = tuple(tuple(zip(*rows)) for rows in zip(*parts))
+    assert mat_mul(ring, a, b) == expected

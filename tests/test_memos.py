@@ -4,7 +4,7 @@ from pathlib import Path
 
 from chevlab.chevalley import build_basis
 from chevlab.reps import ELEMENTARY_MEMO_SIZE, Representation, default_tag, make_representation
-from chevlab.rings import ZmodRing
+from chevlab.rings import RING_MEMO_SIZE, ZmodRing, artinian_decompose
 from chevlab.roots import build_root_system
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "chevlab"
@@ -96,3 +96,13 @@ def test_three_ring_kinds():
             ):
                 kinds.add(node.name)
     assert kinds == {"ZmodRing", "PolyQuotientRing", "ProductRing"}
+
+
+def test_equal_rings_share_one_artinian_decomposition():
+    a, b = ZmodRing(360), ZmodRing(360, label="integers mod 360")
+    assert a is not b and a == b
+    before = artinian_decompose.cache_info()
+    assert artinian_decompose(a) is artinian_decompose(b)
+    after = artinian_decompose.cache_info()
+    assert after.maxsize == RING_MEMO_SIZE
+    assert after.hits >= before.hits + 1

@@ -456,3 +456,37 @@ def test_non_field_base_is_not_supported():
         is_local(r)
     with pytest.raises(RingError):
         artinian_decompose(r)
+
+
+@st.composite
+def crt_rings(draw):
+    """Z/n with n <= 500, or GF(p)[x]/(f) with p in {2, 3, 5} and a monic f of degree <= 4."""
+    if draw(st.booleans()):
+        return ZmodRing(draw(st.integers(2, 500)))
+    p = draw(st.sampled_from([2, 3, 5]))
+    degree = draw(st.integers(1, 4))
+    tail = draw(st.lists(st.integers(0, p - 1), min_size=degree, max_size=degree))
+    return PolyQuotientRing(ZmodRing(p, label=f"GF({p})"), tuple(tail) + (1,))
+
+
+@settings(max_examples=60, deadline=None)
+@given(r=crt_rings(), data=st.data())
+def test_crt_is_a_ring_isomorphism_onto_local_factors(r, data):
+    dec = artinian_decompose(r)
+    assert all(is_local(f)[0] for f in dec.factors)
+    card = 1
+    for f in dec.factors:
+        card *= f.card
+    assert card == r.card
+    els = r.elements()
+    for v in els:
+        assert dec.from_components(dec.to_components(v)) == v
+    for _ in range(40):
+        a, b = data.draw(st.sampled_from(els)), data.draw(st.sampled_from(els))
+        ca, cb = dec.to_components(a), dec.to_components(b)
+        assert dec.to_components(r.add(a, b)) == tuple(
+            f.add(x, y) for f, x, y in zip(dec.factors, ca, cb)
+        )
+        assert dec.to_components(r.mul(a, b)) == tuple(
+            f.mul(x, y) for f, x, y in zip(dec.factors, ca, cb)
+        )
