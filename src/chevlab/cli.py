@@ -342,7 +342,7 @@ def group_decompose(type_label, ring_text, rep_tag, algorithm, input_text, fmt):
 @click.option("--ring", "ring_text", required=True)
 @click.option("--rep", "rep_tag", default=None)
 @click.option("--omit-root", "omit_text", default=None, help="root as JSON list")
-@click.option("--cap", type=int, default=2 * 10**6, show_default=True)
+@click.option("--cap", type=click.IntRange(min=1), default=2 * 10**6, show_default=True)
 @fmt_option
 def group_closure(type_label, ring_text, rep_tag, omit_text, cap, fmt):
     """Brute-force closure of the elementary generators."""
@@ -473,7 +473,7 @@ def ebg():
 @click.option("--type", "type_label", required=True)
 @click.option("--ring", "ring_text", required=True)
 @click.option("--rep", "rep_tag", default=None)
-@click.option("--cap", type=int, default=10**6, show_default=True)
+@click.option("--cap", type=click.IntRange(min=1), default=10**6, show_default=True)
 @fmt_option
 def ebg_check(type_label, ring_text, rep_tag, cap, fmt):
     """Exhaustively express every group element in the fourfold form."""

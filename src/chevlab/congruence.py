@@ -124,27 +124,32 @@ def check_normal(n: NormalSubgroupHandle, samples: int = 40, seed: int = 0) -> b
     rep, ring = n.rep, n.ring
     if n.kind == "full":
         return True
-    elem_pairs = _conjugators(rep, ring)
     if n.kind == "materialized":
+        elem_pairs = _conjugators(rep, ring)
         for g in n.data:
             for e, e_inv in elem_pairs:
                 if e * g * e_inv not in n.data:
                     return False
         return True
-    # kernel: sample members as words in e_r(a), a in the ideal
+    # kernel: sample members as words in e_r(a), a = r*g in the ideal, and
+    # conjugate by a sampled e_r(t), t != 0; neither the ideal nor the
+    # conjugators are listed
     rng = random.Random(seed)
-    ideal: IdealHandle = n.data
-    roots = list(rep.rs.roots)
-    params = ideal.elements_list()
+    generator = n.data.generator
+    roots = rep.rs.roots
+    elements = ring.elements()
     for _ in range(samples):
         letters = [
-            (rng.choice(roots), rng.choice(params)) for _ in range(3)
+            (rng.choice(roots), ring.mul(rng.choice(elements), generator))
+            for _ in range(3)
         ]
         g = ElementaryWord(rep, ring, letters).evaluate()
         if not n.contains(g):
             return False
-        e, e_inv = rng.choice(elem_pairs)
-        if not n.contains(e * g * e_inv):
+        root, t = rng.choice(roots), rng.choice(elements)
+        t = t if t != ring.zero else ring.one
+        e = elementary(rep, ring, root, t)
+        if not n.contains(e * g * elementary(rep, ring, root, ring.neg(t))):
             return False
     return True
 
@@ -235,23 +240,20 @@ def _member(n: NormalSubgroupHandle, g: GroupElement, what: str):
         raise CertificateError(f"replay failed: {what} is not in N")
 
 
-def _expansion(rep, ring, a, b, s, t):
-    """[e_a(s), e_b(t)] and its expected expansion letters, both verified."""
-    terms = expansion_terms(rep, ring, a, b)
+def _expansion(rep, ring, terms, a, b, s, t):
+    """[e_a(s), e_b(t)] and its expansion letters over `terms`, both verified."""
     lhs, letters = commutator_expansion(rep, ring, terms, a, b, s, t)
     if lhs != word_matrix(rep, ring, letters):
         raise CertificateError(f"commutator expansion failed for {a}, {b}")
     return GroupElement(rep, ring, lhs), letters
 
 
-def _spread_by_weyl(n, trace, sample_root):
+def _spread_by_weyl(rs, levels, trace, sample_root):
     """Check the level set of every root in sample_root's length class."""
-    rs = n.rep.rs
     cls = [r for r in rs.roots if rs.norm(r) == rs.norm(sample_root)]
-    sample = level_set(n, sample_root).values
     for r in cls:
         rs.same_length_conjugator(sample_root, r)  # existence check
-        if level_set(n, r).values != sample:
+        if levels[r] != levels[sample_root]:
             raise CertificateError(
                 f"level sets of {sample_root} and {r} differ; N is not normal"
             )
@@ -262,30 +264,30 @@ def _spread_by_weyl(n, trace, sample_root):
     )
 
 
-def _a2_ideal_derivation(n, trace, table, a, b, label):
-    """Prove level(a) is an ideal using [e_a(r), e_b(s)] = e_{a+b}(+-rs)."""
+def _a2_ideal_derivation(n, trace, table, levels, a, b):
+    """Prove level(a) is an ideal using [e_a(r), e_b(s)] = e_{a+b}(+-rs).
+
+    level(a + b) = level(a) is left to the class spread that follows.
+    """
     rep, ring = n.rep, n.ring
     rs = rep.rs
     coeffs = table.commutator_coefficients(a, b)
     if set(coeffs) != {(1, 1)} or abs(coeffs[(1, 1)]) != 1:
         raise CertificateError(f"pair {a}, {b} is not an A2-type pair")
     s = _add(a, b)
-    if not weyl_level_equality(n, a, s):
-        raise CertificateError("level transport failed inside the A2 pattern")
-    values = level_set(n, a).values
+    values = levels[a]
+    terms = expansion_terms(rep, ring, a, b)
     for r in sorted_values(ring, values):
-        ea = elementary(rep, ring, a, r)
-        _member(n, ea, f"e_{rs.root_name(a)}({_fmt(ring, r)})")
+        _member(n, elementary(rep, ring, a, r), f"e_{rs.root_name(a)}({_fmt(ring, r)})")
         for t in ring.elements():
-            comm, letters = _expansion(rep, ring, a, b, r, t)
+            comm, letters = _expansion(rep, ring, terms, a, b, r, t)
             _member(n, comm, "commutator of an N-member with a generator")
-            prod = letters[0][1]
-            if prod not in values:
+            if letters[0][1] not in values:
                 raise CertificateError(
                     "derived product escaped the level set; N is not normal"
                 )
     trace.log(
-        label,
+        "a2-multiplication",
         f"level set of {rs.root_name(a)} closed under multiplication via "
         f"[e_{rs.root_name(a)}(r), e_{rs.root_name(b)}(s)] "
         f"= e_{rs.root_name(s)}({coeffs[(1,1)]:+d}rs), "
@@ -309,12 +311,32 @@ def _find_a2_pair(rs, table, candidates):
 
 
 def _require_2_unit(rs, ring):
-    two = ring.from_int(2)
-    if not ring.is_unit(two):
+    if not ring.is_unit(ring.from_int(2)):
         raise CertificateError(
             f"2 is not a unit in {ring.label}: the {rs.label} certificate "
             "needs the division-by-2 manipulations"
         )
+
+
+def _plan(rs):
+    """(branch label, roots to seek the A2 pair among or None, cover step or
+    None, needs 2 a unit).
+
+    The pair search runs in root order for simply-laced systems and in set
+    order within one length class otherwise; the reports name the pair found.
+    """
+    if len(rs.length_classes()) == 1:
+        return "simply-laced: A2 subsystem", rs.roots, None, False
+    if rs.letter == "G":
+        return ("long A2 + short-factor isolation", set(rs.long_roots()),
+                _cover_g2_short, True)
+    if rs.rank == 2:
+        return "rank-2 quarter-parameter manipulations", None, _cover_rank2, True
+    if rs.letter == "C":
+        return ("short A2 + doubled-sum long coverage", set(rs.short_roots()),
+                _cover_c_doubling, True)
+    return ("long A2 + corrected mixed identity", set(rs.long_roots()),
+            _cover_b_mixed, False)
 
 
 def ideal_certificate(n: NormalSubgroupHandle) -> CertificateTrace:
@@ -324,7 +346,8 @@ def ideal_certificate(n: NormalSubgroupHandle) -> CertificateTrace:
     subsystem; B_n (n >= 3) and F4 reach short roots through the corrected
     mixed commutator identity; rank-2 two-length systems and the long-root
     direction of C_n use the quarter-parameter manipulations (2 must be a
-    unit); G2 isolates the short factor of a doubled commutator.
+    unit); G2 isolates the short factor of a doubled commutator.  Every
+    branch reads one table of level sets, each computed once.
     """
     rep, ring = n.rep, n.ring
     rs = rep.rs
@@ -333,85 +356,61 @@ def ideal_certificate(n: NormalSubgroupHandle) -> CertificateTrace:
     table = build_basis(rs)
     if not check_normal(n):
         raise CertificateError("subgroup failed the conjugation-closure check")
-    classes = rs.length_classes()
-    if len(classes) == 1:
-        values, trace = _certificate_simply_laced(n, table)
-    elif rs.letter == "G":
-        values, trace = _certificate_g2(n, table)
-    elif rs.rank == 2:
-        values, trace = _certificate_rank2_bc(n, table)
-    else:
-        longs = set(rs.long_roots())
-        if _find_a2_pair(rs, table, longs):
-            values, trace = _certificate_b_type(n, table)
-        else:
-            values, trace = _certificate_c_type(n, table)
+    label, a2_roots, cover, needs_2 = _plan(rs)
+    if needs_2:
+        _require_2_unit(rs, ring)
+    levels = {r: level_set(n, r).values for r in rs.roots}
+    trace = CertificateTrace(None, label)
+    values = None
+    if a2_roots is not None:
+        pair = _find_a2_pair(rs, table, a2_roots)
+        if pair is None:
+            raise CertificateError("no A2 subsystem found")
+        values = _a2_ideal_derivation(n, trace, table, levels, *pair)
+        _spread_by_weyl(rs, levels, trace, pair[0])
+    if cover is not None:
+        values = cover(n, trace, table, levels, values)
     ideal = _ideal_of(ring, values)
     if ideal is None:
         raise CertificateError("derived parameter set is not an ideal")
     trace.ideal = ideal = ideal_from_generators(ring, [ideal.generator])
     # final soundness replay: every membership re-verified, no step trusted
+    params = ideal.elements_list()
     for r in rs.roots:
-        count = 0
-        for t in ideal.elements_list():
-            _member(
-                n,
-                elementary(rep, ring, r, t),
-                f"e_{rs.root_name(r)}({_fmt(ring, t)})",
-            )
-            count += 1
-        trace.per_root.append((r, count))
+        for t in params:
+            name = f"e_{rs.root_name(r)}({_fmt(ring, t)})"
+            _member(n, elementary(rep, ring, r, t), name)
+        trace.per_root.append((r, len(params)))
     return trace
 
 
-def _certificate_simply_laced(n, table):
-    rs = n.rep.rs
-    pair = _find_a2_pair(rs, table, list(rs.roots))
-    if pair is None:
-        raise CertificateError("no A2 subsystem found")
-    a, b = pair
-    trace = CertificateTrace(None, "simply-laced: A2 subsystem")
-    values = _a2_ideal_derivation(n, trace, table, a, b, "a2-multiplication")
-    _spread_by_weyl(n, trace, a)
-    return values, trace
-
-
-def _certificate_b_type(n, table):
-    """Long roots form an A2; shorts via [e_l(r), e_{-m}(1)] peeling."""
+def _cover_b_mixed(n, trace, table, levels, values):
+    """Shorts from the long ideal via [e_l(r), e_{-m}(1)] peeling."""
     rep, ring = n.rep, n.ring
     rs = rep.rs
-    longs = list(rs.long_roots())
-    pair = _find_a2_pair(rs, table, set(longs))
-    if pair is None:
-        raise CertificateError("no A2 subsystem among the long roots")
-    a, b = pair
-    trace = CertificateTrace(None, "long A2 + corrected mixed identity")
-    values = _a2_ideal_derivation(n, trace, table, a, b, "a2-multiplication")
-    _spread_by_weyl(n, trace, a)
     lam, mu = _find_mixed_pair(rs)
+    nmu = _neg(mu)
     short1 = _sub(lam, mu)
-    coeffs = table.commutator_coefficients(lam, _neg(mu))
+    coeffs = table.commutator_coefficients(lam, nmu)
     c1 = coeffs[(1, 1)]
     trace.log(
         "corrected-mixed-identity",
-        f"[e_{rs.root_name(lam)}(r), e_{rs.root_name(_neg(mu))}(s)] = "
+        f"[e_{rs.root_name(lam)}(r), e_{rs.root_name(nmu)}(s)] = "
         f"e_{rs.root_name(short1)}({c1:+d}rs) "
         f"e_{rs.root_name(_sub(lam, _scale(2, mu)))}({coeffs[(1,2)]:+d}rs^2); "
         "the trailing factor sits at a long root (the corrected form of the "
         "printed identity), verified by matrix multiplication",
     )
-    one = ring.one
+    terms = expansion_terms(rep, ring, lam, nmu)
     for r in sorted_values(ring, values):
-        el = elementary(rep, ring, lam, r)
-        _member(n, el, "long-root member")
-        comm, letters = _expansion(rep, ring, lam, _neg(mu), r, one)
+        _member(n, elementary(rep, ring, lam, r), "long-root member")
+        comm, letters = _expansion(rep, ring, terms, lam, nmu, r, ring.one)
         _member(n, comm, "mixed commutator")
         # peel the trailing long factor, which is already certified
         (g1, p1), (g2, p2) = letters
         if p2 not in values:
             raise CertificateError("long factor parameter escaped the ideal")
-        tail = elementary(rep, ring, g2, p2)
-        _member(n, tail, "long factor of the mixed identity")
+        _member(n, elementary(rep, ring, g2, p2), "long factor of the mixed identity")
         short_el = comm * elementary(rep, ring, g2, ring.neg(p2))
         if short_el != elementary(rep, ring, g1, p1):
             raise CertificateError("mixed identity peel failed")
@@ -421,34 +420,25 @@ def _certificate_b_type(n, table):
         f"e_{rs.root_name(short1)}({c1:+d}r) in N for every r in the ideal "
         f"({len(values)} instances)",
     )
-    _spread_by_weyl(n, trace, short1)
-    return values, trace
+    _spread_by_weyl(rs, levels, trace, short1)
+    return values
 
 
-def _certificate_c_type(n, table):
-    """Short roots contain an A2; long roots need 2 to be a unit."""
+def _cover_c_doubling(n, trace, table, levels, values):
+    """Longs from the short ideal; the doubled sum needs 2 to be a unit."""
     rep, ring = n.rep, n.ring
     rs = rep.rs
-    _require_2_unit(rs, ring)
-    shorts = set(rs.short_roots())
-    pair = _find_a2_pair(rs, table, shorts)
-    if pair is None:
-        raise CertificateError("no short A2 subsystem found")
-    a, b = pair
-    trace = CertificateTrace(None, "short A2 + doubled-sum long coverage")
-    values = _a2_ideal_derivation(n, trace, table, a, b, "a2-multiplication")
-    _spread_by_weyl(n, trace, a)
     sigma, tau = _find_doubling_pair(rs, table)
-    coeffs = table.commutator_coefficients(sigma, tau)
-    c = coeffs[(1, 1)]
+    c = table.commutator_coefficients(sigma, tau)[(1, 1)]
     lam = _add(sigma, tau)
     c_inv = ring.inv(ring.from_int(c))
+    terms = expansion_terms(rep, ring, sigma, tau)
     for t in sorted_values(ring, values):
         r = ring.mul(t, c_inv)
         if r not in values:
             raise CertificateError("scaled parameter escaped the ideal")
         _member(n, elementary(rep, ring, sigma, r), "short member")
-        comm, letters = _expansion(rep, ring, sigma, tau, r, ring.one)
+        comm, letters = _expansion(rep, ring, terms, sigma, tau, r, ring.one)
         _member(n, comm, "doubling commutator")
         if letters[0][1] != t:
             raise CertificateError("doubling parameter mismatch")
@@ -458,23 +448,19 @@ def _certificate_c_type(n, table):
         f"e_{rs.root_name(lam)}({c:+d}r) with {c:+d} a unit "
         f"({len(values)} instances)",
     )
-    _spread_by_weyl(n, trace, lam)
-    return values, trace
+    _spread_by_weyl(rs, levels, trace, lam)
+    return values
 
 
-def _certificate_rank2_bc(n, table):
+def _cover_rank2(n, trace, table, levels, values):
     """The rank-2 two-length case: quarter-parameter manipulations."""
     rep, ring = n.rep, n.ring
     rs = rep.rs
-    _require_2_unit(rs, ring)
     sigma, tau = _find_doubling_pair(rs, table)
-    lam = _add(sigma, tau)
-    dcoeffs = table.commutator_coefficients(sigma, tau)
-    d = dcoeffs[(1, 1)]  # +-2
-    mcoeffs = table.commutator_coefficients(lam, _neg(tau))
-    c1 = mcoeffs[(1, 1)]
-    start = level_set(n, sigma).values
-    trace = CertificateTrace(None, "rank-2 quarter-parameter manipulations")
+    lam, ntau = _add(sigma, tau), _neg(tau)
+    d = table.commutator_coefficients(sigma, tau)[(1, 1)]  # +-2
+    c1 = table.commutator_coefficients(lam, ntau)[(1, 1)]
+    values = levels[sigma]
     trace.log(
         "quarter-parameter",
         f"[e_{rs.root_name(sigma)}(r), e_{rs.root_name(tau)}(u)] = "
@@ -483,19 +469,21 @@ def _certificate_rank2_bc(n, table):
     )
     one = ring.one
     half = ring.inv(ring.from_int(2 * c1 * d))
+    doubling = expansion_terms(rep, ring, sigma, tau)
+    mixed = expansion_terms(rep, ring, lam, ntau)
     # multiplicative closure of the starting level set
-    for r in sorted_values(ring, start):
+    for r in sorted_values(ring, values):
         _member(n, elementary(rep, ring, sigma, r), "starting level member")
         for s in ring.elements():
             u = ring.mul(s, half)
             v = ring.mul(ring.from_int(d), ring.mul(r, u))
             glong = elementary(rep, ring, lam, v)
-            comm, _ = _expansion(rep, ring, sigma, tau, r, u)
+            comm, _ = _expansion(rep, ring, doubling, sigma, tau, r, u)
             if comm != glong:
                 raise CertificateError("doubling identity failed")
             _member(n, glong, "long element from the doubling identity")
-            ca, la = _expansion(rep, ring, lam, _neg(tau), v, one)
-            cb, lb = _expansion(rep, ring, lam, _neg(tau), v, ring.neg(one))
+            ca, _ = _expansion(rep, ring, mixed, lam, ntau, v, one)
+            cb, lb = _expansion(rep, ring, mixed, lam, ntau, v, ring.neg(one))
             _member(n, ca, "first mixed commutator")
             _member(n, cb, "second mixed commutator")
             prod = ca * ElementaryWord(rep, ring, lb).inverse_word().evaluate()
@@ -508,22 +496,21 @@ def _certificate_rank2_bc(n, table):
             if ring.mul(ring.from_int(2 * c1), v) != rs_val:
                 raise CertificateError("parameter bookkeeping failed")
             _member(n, prod, "short element certifying multiplicative closure")
-            if rs_val not in start:
+            if rs_val not in values:
                 raise CertificateError("level set is not multiplicatively closed")
     trace.log(
         "difference-of-commutators",
         f"e_{rs.root_name(sigma)}(rs) recovered as "
-        f"[e_{rs.root_name(lam)}(v), e_{rs.root_name(_neg(tau))}(1)] "
-        f"[e_{rs.root_name(lam)}(v), e_{rs.root_name(_neg(tau))}(-1)]^(-1) "
+        f"[e_{rs.root_name(lam)}(v), e_{rs.root_name(ntau)}(1)] "
+        f"[e_{rs.root_name(lam)}(v), e_{rs.root_name(ntau)}(-1)]^(-1) "
         f"with v = rs scaled by the inverse of {2 * c1}; all instances replayed",
     )
-    values = start
-    _spread_by_weyl(n, trace, sigma)
+    _spread_by_weyl(rs, levels, trace, sigma)
     # long coverage via the doubling identity at u = 1/d
     d_inv = ring.inv(ring.from_int(d))
     for t in sorted_values(ring, values):
         r = ring.mul(t, d_inv)
-        comm, _ = _expansion(rep, ring, sigma, tau, r, one)
+        comm, _ = _expansion(rep, ring, doubling, sigma, tau, r, one)
         _member(n, comm, "long coverage instance")
         if comm != elementary(rep, ring, lam, t):
             raise CertificateError("long coverage identity failed")
@@ -532,36 +519,29 @@ def _certificate_rank2_bc(n, table):
         f"e_{rs.root_name(lam)}(t) in N for every t in the ideal "
         f"({len(values)} instances)",
     )
-    _spread_by_weyl(n, trace, lam)
-    return values, trace
+    _spread_by_weyl(rs, levels, trace, lam)
+    return values
 
 
-def _certificate_g2(n, table):
-    """Long A2 first, then isolate the doubled-short factor."""
+def _cover_g2_short(n, trace, table, levels, values):
+    """Isolate the doubled-short factor of a commutator of long-ideal members."""
     rep, ring = n.rep, n.ring
     rs = rep.rs
-    _require_2_unit(rs, ring)
-    longs = set(rs.long_roots())
-    pair = _find_a2_pair(rs, table, longs)
-    a, b = pair
-    trace = CertificateTrace(None, "long A2 + short-factor isolation")
-    values = _a2_ideal_derivation(n, trace, table, a, b, "a2-multiplication")
-    _spread_by_weyl(n, trace, a)
     k, c = (1, 0), (0, 1)
-    coeffs = table.commutator_coefficients(k, c)
-    eps2 = coeffs[(1, 2)]
+    eps2 = table.commutator_coefficients(k, c)[(1, 2)]
     target = (1, 2)  # 2c + k
     from .decompose import unipotent_coordinates
 
     scale = ring.inv(ring.from_int(2 * eps2))
     one = ring.one
+    terms = expansion_terms(rep, ring, k, c)
     for t in sorted_values(ring, values):
         u = ring.mul(t, scale)
         if u not in values:
             raise CertificateError("scaled parameter escaped the ideal")
         _member(n, elementary(rep, ring, k, u), "long member")
-        c_pos, _ = _expansion(rep, ring, k, c, u, one)
-        c_neg, _ = _expansion(rep, ring, k, c, u, ring.neg(one))
+        c_pos, _ = _expansion(rep, ring, terms, k, c, u, one)
+        c_neg, _ = _expansion(rep, ring, terms, k, c, u, ring.neg(one))
         _member(n, c_pos, "first short-isolation commutator")
         _member(n, c_neg, "second short-isolation commutator")
         prod = c_pos * c_neg
@@ -576,12 +556,11 @@ def _certificate_g2(n, table):
                     raise CertificateError("doubled short factor not unique")
                 short_param = x
                 continue
-            if rs.norm(r) != rs.norm(a) or x not in values:
+            if rs.norm(r) != rs.norm(k) or x not in values:
                 raise CertificateError(
                     "unexpected factor while isolating the short root"
                 )
-            gfac = elementary(rep, ring, r, x)
-            _member(n, gfac, "long residue factor")
+            _member(n, elementary(rep, ring, r, x), "long residue factor")
         if short_param is None:
             short_param = ring.zero
         if short_param != t:
@@ -607,8 +586,8 @@ def _certificate_g2(n, table):
         f"long factor in N times e_{rs.root_name(target)}(2*eps2*u); "
         f"{len(values)} instances replayed",
     )
-    _spread_by_weyl(n, trace, target)
-    return values, trace
+    _spread_by_weyl(rs, levels, trace, target)
+    return values
 
 
 def _find_mixed_pair(rs):

@@ -438,10 +438,10 @@ def _rewrite_to_simple_letters(word: ElementaryWord) -> list:
 class _Sl2Machine:
     """Rank-1 base case: track the abstract 2x2 matrix and re-solve blocks."""
 
-    def __init__(self, rep, ring, beta, blocks=None):
+    def __init__(self, rs: RootSystem, rep: Representation, ring: RingSpec, blocks=None):
         self.rep = rep
         self.ring = ring
-        self.beta = tuple(beta)
+        self.beta = rs.positive[0]
         one, zero = ring.one, ring.zero
         self.m = ((one, zero), (zero, one))
         if blocks:
@@ -480,6 +480,7 @@ class _Sl2Machine:
         else:
             raise GroupError(f"letter {root} outside the rank-1 system")
 
+    @property
     def blocks(self) -> list:
         ring = self.ring
         beta, nbeta = self.beta, _neg(self.beta)
@@ -564,8 +565,6 @@ class _Machine:
         if t == self.ring.zero:
             return
         rs = self.rs
-        if rs.rank == 1:
-            raise GroupError("rank-1 systems use the SL2 machine")
         root = tuple(root)
         beta_idx = None
         for i, s in enumerate(rs.simple):
@@ -607,15 +606,9 @@ class _Machine:
             p_inv = linalg.mat_mul(ring, p_inv, a_inv)
 
         # (C) absorb the letter into the rank-(l-1) state
-        if sub.rank == 1:
-            beta = sub.positive[0]
-            base = _Sl2Machine(self.rep, ring, beta, blocks=a_coords)
-            base.push_left(root, t)
-            new_a = base.blocks()
-        else:
-            inner = _Machine(sub, self.rep, ring, blocks=[dict(d) for d in a_coords])
-            inner.push_left(root, t)
-            new_a = inner.blocks
+        inner = _machine(sub, self.rep, ring, blocks=[dict(d) for d in a_coords])
+        inner.push_left(root, t)
+        new_a = inner.blocks
 
         # (D) bubble the U1 parts back in behind the refreshed U0 blocks
         new_blocks = [None] * 8
@@ -642,6 +635,11 @@ class _Machine:
         return GroupElement(self.rep, self.ring, mat)
 
 
+def _machine(rs: RootSystem, rep: Representation, ring: RingSpec, blocks=None):
+    """The fourfold state for rs: the 2x2 base case at rank 1, else _Machine."""
+    return (_Sl2Machine if rs.rank == 1 else _Machine)(rs, rep, ring, blocks)
+
+
 def tavgen_decompose(word: ElementaryWord) -> FourfoldReport:
     """Rewrite a word in the elementary subgroup as u1+ u1- ... u4+ u4-.
 
@@ -654,21 +652,11 @@ def tavgen_decompose(word: ElementaryWord) -> FourfoldReport:
     if not is_local(ring)[0]:
         raise GroupError("the fourfold normal form needs a local ring")
     target = word.evaluate()
-    if rs.rank == 1:
-        machine = _Sl2Machine(rep, ring, rs.positive[0])
-        for root, t in reversed(word.letters):
-            if t != ring.zero:
-                machine.push_left(root, t)
-        blocks = machine.blocks()
-        outer = _Machine(rs, rep, ring, blocks=blocks)
-    else:
-        outer = _Machine(rs, rep, ring)
-        letters = _rewrite_to_simple_letters(word)
-        for root, t in reversed(letters):
-            outer.push_left(root, t)
-        blocks = outer.blocks
-    result = outer.evaluate()
-    if result != target:
+    machine = _machine(rs, rep, ring)
+    for root, t in reversed(_rewrite_to_simple_letters(word)):
+        machine.push_left(root, t)
+    blocks = machine.blocks
+    if _Machine(rs, rep, ring, blocks=blocks).evaluate() != target:
         raise GroupError("fourfold normal form failed to re-evaluate")
     letters = []
     for k in range(8):

@@ -222,7 +222,7 @@ class ZmodRing(RingSpec):
         return v
 
     def element_from_json(self, obj):
-        if not isinstance(obj, int):
+        if not isinstance(obj, int) or isinstance(obj, bool):
             raise RingError(f"expected integer residue, got {obj!r}")
         return obj % self.n
 

@@ -241,6 +241,74 @@ def test_congruence_kernel_with_list_valued_generators(ring, subgroup, ideal):
     assert all(row["values"] == ideal for row in json.loads(res.output)["levels"])
 
 
+def test_congruence_kernel_boolean_generator_exit_2():
+    res = run(
+        "congruence", "certify", "--type", "A2", "--ring", "Z/4",
+        "--subgroup", "kernel:(true,)",
+    )
+    assert res.exit_code == 2
+    assert "expected integer residue" in res.output
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("group", "closure", "--type", "A2", "--ring", "GF(2)", "--cap", "0"),
+        ("ebg", "check", "--type", "A2", "--ring", "GF(2)", "--cap", "-5"),
+    ],
+)
+def test_non_positive_cap_exit_2(args):
+    res = run(*args)
+    assert res.exit_code == 2
+    assert "exceeded cap" not in res.output
+
+
+@pytest.mark.parametrize(
+    "label, ring, subgroup, name",
+    [
+        ("A2", "Z/4", "kernel:(2)", "A2_Z4"),
+        ("C2", "Z/9", "kernel:(3)", "C2_Z9"),
+        ("A2", "GF(2)[x]/(x^3)", "kernel:([0,1])", "A2_GF2x_x3"),
+    ],
+)
+def test_congruence_levels_matches_golden_report(label, ring, subgroup, name):
+    res = run(
+        "congruence", "levels", "--type", label, "--ring", ring,
+        "--subgroup", subgroup, "--format", "json",
+    )
+    assert res.exit_code == 0
+    assert res.output == (GOLDEN / f"congruence_levels_{name}.json").read_text()
+
+
+# each input is the evaluated matrix of the fixed word with letters
+# e_{p_i}(i) e_{-p_(m+1-i)}(2i - 1), i = 1..m, over the positive roots p_1..p_m
+@pytest.mark.parametrize(
+    "label, ring, matrix, name",
+    [
+        ("A1", "GF(3)", [[2, 1], [1, 1]], "A1_GF3"),
+        ("A2", "GF(3)", [[1, 2, 0], [1, 2, 1], [1, 1, 1]], "A2_GF3"),
+        (
+            "B2", "GF(3)",
+            [[2, 0, 2, 2, 1], [0, 0, 0, 1, 0], [1, 0, 0, 2, 1], [2, 1, 1, 1, 2],
+             [1, 0, 2, 2, 2]],
+            "B2_GF3",
+        ),
+        (
+            "C2", "Z/9",
+            [[2, 2, 0, 5], [5, 3, 5, 3], [0, 8, 2, 7], [8, 6, 4, 3]],
+            "C2_Z9",
+        ),
+    ],
+)
+def test_group_decompose_tavgen_matches_golden_report(label, ring, matrix, name):
+    res = run(
+        "group", "decompose", "--type", label, "--ring", ring,
+        "--algorithm", "tavgen", "--input", json.dumps(matrix), "--format", "json",
+    )
+    assert res.exit_code == 0
+    assert res.output == (GOLDEN / f"group_decompose_tavgen_{name}.json").read_text()
+
+
 def test_ebg_check_a2_gf2():
     res = run("ebg", "check", "--type", "A2", "--ring", "GF(2)", "--format", "json")
     assert res.exit_code == 0

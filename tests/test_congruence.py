@@ -16,7 +16,7 @@ from chevlab.congruence import (
 )
 from chevlab.groups import commutator, elementary
 from chevlab.reps import make_representation
-from chevlab.rings import ZmodRing, ideal_from_generators, parse_ring_spec
+from chevlab.rings import IdealHandle, ZmodRing, ideal_from_generators, parse_ring_spec
 from chevlab.roots import build_root_system
 
 
@@ -61,7 +61,16 @@ def test_level_set_additive_subgroup_that_is_not_an_ideal():
     assert not ls.is_ideal and ls.ideal is None
 
 
-def test_certificate_computes_each_level_set_once(monkeypatch):
+@pytest.mark.parametrize(
+    "label, tag, modulus, gen",
+    [
+        ("A2", "defining-A", 9, 3),
+        ("B3", "defining-B", 27, 9),
+        ("C2", "defining-C", 9, 3),
+        ("G2", "adjoint", 25, 5),
+    ],
+)
+def test_certificate_computes_each_level_set_once(monkeypatch, label, tag, modulus, gen):
     calls = []
 
     def counted(n, alpha):
@@ -69,10 +78,11 @@ def test_certificate_computes_each_level_set_once(monkeypatch):
         return level_set(n, alpha)
 
     monkeypatch.setattr(congruence, "level_set", counted)
-    rep, ring, n = kernel_mod(A2, "defining-A", 9, [3])
+    rs = build_root_system(label)
+    rep, ring, n = kernel_mod(rs, tag, modulus, [gen])
     ideal_certificate(n)
-    # A2 derivation: a, a + b and a again; Weyl transport: the sample, then every root
-    assert len(calls) == 3 + 1 + len(A2.roots)
+    # one table of level sets, shared by the A2 head, the cover steps and the spreads
+    assert sorted(calls) == sorted(rs.roots)
 
 
 def test_level_set_full_group():
@@ -101,6 +111,16 @@ def test_weyl_level_equality():
 
 def test_check_normal_kernel():
     _, _, n = kernel_mod(A2, "defining-A", 4, [2])
+    assert check_normal(n)
+
+
+def test_check_normal_kernel_does_not_walk_the_ring(monkeypatch):
+    def walk(*args):
+        raise AssertionError("walked the ring")
+
+    monkeypatch.setattr(IdealHandle, "elements_list", walk)
+    monkeypatch.setattr(congruence, "_conjugators", walk)
+    _, _, n = kernel_mod(A2, "defining-A", 2**61, [2])
     assert check_normal(n)
 
 

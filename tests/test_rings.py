@@ -241,6 +241,21 @@ def test_element_serialization_roundtrip():
             assert r.element_from_json(json.loads(s)) == v
 
 
+@pytest.mark.parametrize(
+    "text, obj",
+    [
+        ("Z/4", True),
+        ("Z/4", False),
+        ("GF(2)[x]/(x^3)", [True]),
+        ("Z/4 x GF(3)", [True, 0]),
+        ("Z/4 x GF(3)", [0, False]),
+    ],
+)
+def test_json_booleans_are_not_elements(text, obj):
+    with pytest.raises(RingError):
+        parse_ring_spec(text).element_from_json(obj)
+
+
 def test_product_inject():
     r = parse_ring_spec("Z/2 x Z/3")
     assert r.inject(0, 1) == (1, 0)
