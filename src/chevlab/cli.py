@@ -22,6 +22,7 @@ from .rings import (
     RingError,
     artinian_decompose,
     ideal_from_generators,
+    is_local,
     parse_ring_spec,
     sorted_values,
 )
@@ -75,6 +76,26 @@ def _parse_subgroup(rep, ring, text):
         ideal = ideal_from_generators(ring, gens)
         return cg.kernel_subgroup(rep, ring, ideal)
     _fail_input(f"unrecognized subgroup description {text!r}")
+
+
+def _parse_root(rs, text):
+    """A root given as a JSON list of integers (JSON booleans are not integers)."""
+    value = json.loads(text)
+    if (
+        not isinstance(value, list)
+        or any(type(x) is not int for x in value)
+        or tuple(value) not in rs.root_set
+    ):
+        _fail_input(f"{text} is not a root of {rs.label} given as a JSON list of integers")
+    return tuple(value)
+
+
+# every decomposition algorithm returns a DecompositionReport
+_DECOMPOSERS = {
+    "prop2": dc.local_decompose,
+    "merge": dc.decompose_over_product,
+    "tavgen": lambda g: dc.tavgen_decompose(dc.local_decompose(g).word),
+}
 
 
 fmt_option = click.option(
@@ -286,6 +307,11 @@ def group_decompose(type_label, ring_text, rep_tag, algorithm, input_text, fmt):
     try:
         rs, ring_spec, rep = _setup(type_label, ring_text, rep_tag)
         dc.check_decomposition_supported(rs)
+        if algorithm != "merge" and not is_local(ring_spec)[0]:
+            _fail_input(
+                f"--algorithm {algorithm} needs a local ring and {ring_spec.label} "
+                f"is not local; use --algorithm merge"
+            )
         rows = json.loads(input_text)
         g = gp.GroupElement.from_json(rep, ring_spec, rows)
         if not rep.check_invariant(ring_spec, g.mat):
@@ -294,47 +320,20 @@ def group_decompose(type_label, ring_text, rep_tag, algorithm, input_text, fmt):
     except (*_INPUT_ERRORS, gp.GroupError) as exc:
         _fail_input(str(exc))
     try:
-        if algorithm == "prop2":
-            report = dc.local_decompose(g)
-            word_json = report.word.to_json()
-            length, bound = report.length, report.bound
-            consts = report.constants
-        elif algorithm == "merge":
-            report = dc.decompose_over_product(g)
-            word_json = report.word.to_json()
-            length, bound = report.length, report.bound
-            consts = report.constants
-        else:
-            base = (
-                dc.local_decompose(g).word
-                if not g.is_identity()
-                else gp.ElementaryWord(rep, ring_spec)
-            )
-            four = dc.tavgen_decompose(base)
-            word_json = four.word.to_json()
-            length, bound = len(four.word), four.bound
-            consts = dc.decomposition_constants(rs)
+        report = _DECOMPOSERS[algorithm](g)
     except (gp.GroupError, dc.NotInBigCell) as exc:
         _emit(fmt, False, {"error": str(exc)}, [f"decomposition failed: {exc}"])
         return
     lines = [
-        f"{algorithm} decomposition over {ring_spec.label}: length {length} <= bound {bound}",
-        f"constants: {json.dumps(consts, sort_keys=True)}",
-        f"word: {json.dumps(word_json)}",
+        f"{report.algorithm} decomposition over {ring_spec.label}: "
+        f"length {report.length} <= bound {report.bound}",
+        f"constants: {json.dumps(report.constants, sort_keys=True)}",
+        f"word: {json.dumps(report.word.to_json())}",
         "verified: evaluation reproduces the input exactly",
     ]
-    payload = {
-        "algorithm": algorithm,
-        "type": rs.label,
-        "ring": ring_spec.label,
-        "rep": rep.tag,
-        "length": length,
-        "bound": bound,
-        "constants": consts,
-        "word": word_json,
-        "verified": True,
-    }
-    _emit(fmt, True, payload, lines)
+    payload = {"type": rs.label, "ring": ring_spec.label, "rep": rep.tag}
+    payload.update(report.to_json())
+    _emit(fmt, report.verified, payload, lines)
 
 
 @group.command("closure")
@@ -348,9 +347,7 @@ def group_closure(type_label, ring_text, rep_tag, omit_text, cap, fmt):
     """Brute-force closure of the elementary generators."""
     try:
         rs, ring_spec, rep = _setup(type_label, ring_text, rep_tag)
-        omit = tuple(json.loads(omit_text)) if omit_text else None
-        if omit is not None and omit not in rs.root_set:
-            _fail_input(f"{omit} is not a root of {rs.label}")
+        omit = _parse_root(rs, omit_text) if omit_text else None
     except _INPUT_ERRORS as exc:
         _fail_input(str(exc))
     try:

@@ -5,8 +5,9 @@ big-cell (Gauss) factorization over local rings, Bruhat decomposition over
 finite fields by brute force over the Weyl group, the local-ring
 decomposition assembled from those two, the letterwise merge over product
 rings, and the (U+ U-)^4 normal form obtained by rank induction with
-unipotent interchange.  Every emitted word is re-evaluated against its input
-before being returned; verification is part of the contract.
+unipotent interchange.  Every algorithm returns a `DecompositionReport`, and
+every returned word is re-evaluated against its input first; verification is
+part of the contract.
 """
 from __future__ import annotations
 
@@ -25,7 +26,7 @@ from .groups import (
     word_matrix,
 )
 from .reps import Representation
-from .rings import RING_MEMO_SIZE, RingSpec, is_local, residue_field
+from .rings import RING_MEMO_SIZE, RingSpec, artinian_decompose, is_local, residue_field
 from .roots import RootSystem, _neg
 
 
@@ -69,11 +70,10 @@ def check_decomposition_supported(rs: RootSystem):
 
 
 def unipotent_order(rs: RootSystem, sign: int):
-    """Fixed coordinate order: positives by ascending height (mirrored for -)."""
-    pos = sorted(rs.positive, key=lambda r: (rs.height(r), r))
-    if sign > 0:
-        return pos
-    return [_neg(r) for r in pos]
+    """Fixed coordinate order: positives by ascending height (mirrored for -).
+
+    `RootSystem` keeps its positive roots sorted by (height, root) already."""
+    return rs.positive if sign > 0 else rs.negative
 
 
 def _read_coordinate(rep: Representation, ring: RingSpec, mat, root):
@@ -166,19 +166,8 @@ def _prod_all(ring: RingSpec, values):
 # Big cell
 
 
-@dataclass
-class BigCellFactorization:
-    neg_coords: tuple
-    torus_units: tuple  # one unit per simple root
-    pos_coords: tuple
-    word: ElementaryWord
-
-    def length(self) -> int:
-        return len(self.word)
-
-
-def big_cell_factor(g: GroupElement) -> BigCellFactorization:
-    """Exact lower-torus-upper factorization over a local ring.
+def big_cell_factor(g: GroupElement) -> ElementaryWord:
+    """Exact lower-torus-upper factorization over a local ring, as one word.
 
     Gaussian elimination with unit pivots in the height-sorted basis; raises
     NotInBigCell when a pivot fails to be a unit, when the diagonal is not in
@@ -227,7 +216,7 @@ def big_cell_factor(g: GroupElement) -> BigCellFactorization:
     )
     if word.evaluate() != g:
         raise NotInBigCell("factorization failed to re-evaluate")
-    return BigCellFactorization(tuple(neg), tuple(units), tuple(pos), word)
+    return word
 
 
 # ---------------------------------------------------------------------------
@@ -243,10 +232,9 @@ def bruhat_decompose(g: GroupElement):
     for word, _ in rep.rs.weyl_elements():
         lift = weyl_lift_word(rep, ring, word)
         try:
-            fac = big_cell_factor(g * lift.inverse_word().evaluate())
+            full = big_cell_factor(g * lift.inverse_word().evaluate()) + lift
         except NotInBigCell:
             continue
-        full = fac.word + lift
         if full.evaluate() != g:
             raise GroupError("Bruhat word failed to re-evaluate")
         return word, full
@@ -298,43 +286,30 @@ def local_decompose(g: GroupElement) -> DecompositionReport:
     check_decomposition_supported(rs)
     if not is_local(ring)[0]:
         raise GroupError("local decomposition needs a local ring")
+    # the identity takes the fast path too: its first coordinate reads 0
+    word = _single_letter_fast_path(g)
+    if word is None:
+        field, proj, lift = residue_field(ring)
+        reduced = GroupElement(
+            rep, field, tuple(tuple(proj(v) for v in row) for row in g.mat)
+        )
+        _, res_word = bruhat_decompose(reduced)
+        lifted = ElementaryWord(
+            rep, ring, [(r, lift(t)) for r, t in res_word.letters]
+        ).nonzero()
+        remainder = g * lifted.inverse_word().evaluate()
+        word = big_cell_factor(remainder) + lifted
     consts = decomposition_constants(rs)
     bound = consts["local_bound"]
-
-    def finish(word):
-        if word.evaluate() != g:
-            raise GroupError("decomposition failed to re-evaluate")
-        if len(word) > bound:
-            raise GroupError("decomposition exceeded its advertised bound")
-        return DecompositionReport("prop2", g, word, bound, consts, True)
-
-    if g.is_identity():
-        return finish(ElementaryWord(rep, ring))
-    fast = _single_letter_fast_path(g)
-    if fast is not None:
-        return finish(fast)
-    field, proj, lift = residue_field(ring)
-    reduced = GroupElement(
-        rep, field, tuple(tuple(proj(v) for v in row) for row in g.mat)
-    )
-    _, res_word = bruhat_decompose(reduced)
-    lifted = ElementaryWord(
-        rep, ring, [(r, lift(t)) for r, t in res_word.letters]
-    ).nonzero()
-    remainder = g * lifted.inverse_word().evaluate()
-    fac = big_cell_factor(remainder)
-    return finish(fac.word + lifted)
+    if word.evaluate() != g:
+        raise GroupError("decomposition failed to re-evaluate")
+    if len(word) > bound:
+        raise GroupError("decomposition exceeded its advertised bound")
+    return DecompositionReport("prop2", g, word, bound, consts, True)
 
 
 # ---------------------------------------------------------------------------
 # Product-ring merge
-
-
-def factor_projection(g: GroupElement, factors, to_components, index: int) -> GroupElement:
-    mat = tuple(
-        tuple(to_components(v)[index] for v in row) for row in g.mat
-    )
-    return GroupElement(g.rep, factors[index], mat)
 
 
 def product_merge_decompose(
@@ -383,15 +358,16 @@ def product_merge_decompose(
 
 def decompose_over_product(g: GroupElement) -> DecompositionReport:
     """Split the ring into local factors, decompose per factor, merge back."""
-    from .rings import artinian_decompose
-
-    rep, ring = g.rep, g.ring
+    rep = g.rep
     consts = decomposition_constants(rep.rs)
-    dec = artinian_decompose(ring)
-    factor_words = []
-    for idx, f in enumerate(dec.factors):
-        part = factor_projection(g, dec.factors, dec.to_components, idx)
-        factor_words.append(local_decompose(part).word)
+    dec = artinian_decompose(g.ring)
+    # factor k of the matrix: row i is zip(*components of row i)[k]
+    comps = [[dec.to_components(v) for v in row] for row in g.mat]
+    parts = zip(*(zip(*row) for row in comps))
+    factor_words = [
+        local_decompose(GroupElement(rep, f, mat)).word
+        for f, mat in zip(dec.factors, parts)
+    ]
     word = product_merge_decompose(g, factor_words, dec.from_components)
     bound = consts["merge_bound"]
     if len(word) > bound:
@@ -401,15 +377,6 @@ def decompose_over_product(g: GroupElement) -> DecompositionReport:
 
 # ---------------------------------------------------------------------------
 # (U+ U-)^4 normal form
-
-
-@dataclass
-class FourfoldReport:
-    input_word: ElementaryWord
-    blocks: list  # 8 coordinate dicts, alternating +, -
-    word: ElementaryWord
-    bound: int
-    verified: bool
 
 
 def _rewrite_to_simple_letters(word: ElementaryWord) -> list:
@@ -525,13 +492,10 @@ class _Machine:
         self.blocks = blocks if blocks is not None else [dict() for _ in range(8)]
 
     # coordinate evaluation in this subsystem's fixed orders
-    def _order(self, sign):
-        return unipotent_order(self.rs, sign)
-
     def _letters(self, sign, coords: dict) -> list:
         zero = self.ring.zero
         return [
-            (root, coords[root]) for root in self._order(sign)
+            (root, coords[root]) for root in unipotent_order(self.rs, sign)
             if coords.get(root, zero) != zero
         ]
 
@@ -549,9 +513,8 @@ class _Machine:
         )
 
     def _extract(self, sign, mat, support=None) -> dict:
-        order = self._order(sign)
         g = GroupElement(self.rep, self.ring, mat)
-        coords = unipotent_coordinates(g, sign, order=order)
+        coords = unipotent_coordinates(g, sign, order=unipotent_order(self.rs, sign))
         out = {}
         for root, x in coords:
             if x == self.ring.zero:
@@ -627,12 +590,12 @@ class _Machine:
             q_inv = linalg.mat_mul(ring, q_inv, a_inv)
         self.blocks = new_blocks
 
-    def evaluate(self) -> GroupElement:
-        mat = self.rep.identity(self.ring)
-        for k in range(8):
-            sign = 1 if k % 2 == 0 else -1
-            mat = linalg.mat_mul(self.ring, mat, self._eval(sign, self.blocks[k]))
-        return GroupElement(self.rep, self.ring, mat)
+    def word(self) -> ElementaryWord:
+        """The blocks u1+ u1- ... u4+ u4- as one word, each in its fixed order."""
+        letters = []
+        for k, coords in enumerate(self.blocks):
+            letters += self._letters(1 if k % 2 == 0 else -1, coords)
+        return ElementaryWord(self.rep, self.ring, letters)
 
 
 def _machine(rs: RootSystem, rep: Representation, ring: RingSpec, blocks=None):
@@ -640,11 +603,11 @@ def _machine(rs: RootSystem, rep: Representation, ring: RingSpec, blocks=None):
     return (_Sl2Machine if rs.rank == 1 else _Machine)(rs, rep, ring, blocks)
 
 
-def tavgen_decompose(word: ElementaryWord) -> FourfoldReport:
+def tavgen_decompose(word: ElementaryWord) -> DecompositionReport:
     """Rewrite a word in the elementary subgroup as u1+ u1- ... u4+ u4-.
 
     Input membership is by construction (the element is given as a word); the
-    output blocks re-evaluate to the same element, exactly.
+    output word re-evaluates to the same element, exactly.
     """
     rep, ring = word.rep, word.ring
     rs = rep.rs
@@ -655,20 +618,11 @@ def tavgen_decompose(word: ElementaryWord) -> FourfoldReport:
     machine = _machine(rs, rep, ring)
     for root, t in reversed(_rewrite_to_simple_letters(word)):
         machine.push_left(root, t)
-    blocks = machine.blocks
-    if _Machine(rs, rep, ring, blocks=blocks).evaluate() != target:
-        raise GroupError("fourfold normal form failed to re-evaluate")
-    letters = []
-    for k in range(8):
-        sign = 1 if k % 2 == 0 else -1
-        for root in unipotent_order(rs, sign):
-            x = blocks[k].get(root)
-            if x is not None and x != ring.zero:
-                letters.append((root, x))
-    out_word = ElementaryWord(rep, ring, letters)
-    bound = decomposition_constants(rs)["fourfold_bound"]
+    out_word = _Machine(rs, rep, ring, blocks=machine.blocks).word()
+    consts = decomposition_constants(rs)
+    bound = consts["fourfold_bound"]
     if len(out_word) > bound:
         raise GroupError("fourfold word exceeded 4|Phi| letters")
     if out_word.evaluate() != target:
         raise GroupError("fourfold word failed to re-evaluate")
-    return FourfoldReport(word, blocks, out_word, bound, True)
+    return DecompositionReport("tavgen", target, out_word, bound, consts, True)

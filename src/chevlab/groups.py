@@ -77,8 +77,13 @@ class GroupElement:
 
     @classmethod
     def from_json(cls, rep: Representation, ring: RingSpec, rows):
-        if len(rows) != rep.dim or any(len(r) != rep.dim for r in rows):
-            raise GroupError(f"matrix must be {rep.dim}x{rep.dim}")
+        n = rep.dim
+        if not (
+            isinstance(rows, list)
+            and len(rows) == n
+            and all(isinstance(r, list) and len(r) == n for r in rows)
+        ):
+            raise GroupError(f"matrix must be {n}x{n}")
         mat = tuple(
             tuple(ring.element_from_json(v) for v in row) for row in rows
         )

@@ -8,9 +8,9 @@ quotient of degree d is read as an (n, n, d) array of coefficient planes; its
 d^2 plane products are summed by degree and reduced mod f in one `tensordot`
 with the rows of x^s mod f.  A product ring multiplies factor by factor.  The
 int64 path runs only while every intermediate sum stays below 2^63; above
-that bound the exact Python-int path takes over.  Inversion has one path: it
-splits the ring into its local factors (a local ring is its own single
-factor) and does unit-pivot Gauss-Jordan in each.
+that bound the exact Python-int path takes over.  Inversion and the
+determinant share one path: it splits the ring into its local factors (a local
+ring is its own single factor) and does unit-pivot Gauss-Jordan in each.
 """
 from __future__ import annotations
 
@@ -132,11 +132,14 @@ def _reduction_rows(spec: PolyQuotientRing):
     return np.array(rows, dtype=np.int64)
 
 
-def _gauss_inverse(spec: RingSpec, a):
-    """Gauss-Jordan over a local ring: every pivot must be a unit."""
+def _gauss_jordan(spec: RingSpec, a):
+    """(inverse, determinant) by Gauss-Jordan over a local ring: every pivot
+    must be a unit.  The determinant is the product of the pivots, negated
+    once per row swap."""
     n = len(a)
     ident = identity_matrix(spec, n)
     aug = [list(row) + list(e) for row, e in zip(a, ident)]
+    det = spec.one
     for col in range(n):
         piv = None
         for r in range(col, n):
@@ -147,7 +150,10 @@ def _gauss_inverse(spec: RingSpec, a):
             raise SingularMatrix(
                 f"matrix is not invertible: no unit pivot in column {col}"
             )
-        aug[col], aug[piv] = aug[piv], aug[col]
+        if piv != col:
+            aug[col], aug[piv] = aug[piv], aug[col]
+            det = spec.neg(det)
+        det = spec.mul(det, aug[col][col])
         inv = spec.inv(aug[col][col])
         aug[col] = [spec.mul(inv, x) for x in aug[col]]
         for r in range(n):
@@ -159,41 +165,35 @@ def _gauss_inverse(spec: RingSpec, a):
             aug[r] = [
                 spec.sub(x, spec.mul(f, y)) for x, y in zip(aug[r], aug[col])
             ]
-    return tuple(tuple(row[n:]) for row in aug)
+    return tuple(tuple(row[n:]) for row in aug), det
+
+
+def _eliminate(spec: RingSpec, a):
+    """(inverse, determinant) over any finite commutative ring, eliminated on
+    each local factor and joined back; SingularMatrix when a is not invertible."""
+    dec = artinian_decompose(spec)
+    if not dec.factors:  # the zero ring: every matrix is its own inverse
+        return a, spec.one
+    comps = [[dec.to_components(v) for v in row] for row in a]
+    parts, dets = zip(*(
+        _gauss_jordan(f, m)
+        for f, m in zip(dec.factors, zip(*(zip(*row) for row in comps)))
+    ))
+    inverse = tuple(
+        tuple(dec.from_components(c) for c in zip(*rows)) for rows in zip(*parts)
+    )
+    return inverse, dec.from_components(dets)
 
 
 def mat_inverse(spec: RingSpec, a):
     """Exact inverse over any finite commutative ring (local-factor Gauss)."""
-    dec = artinian_decompose(spec)
-    if not dec.factors:  # the zero ring: every matrix is its own inverse
-        return a
-    comps = [[dec.to_components(v) for v in row] for row in a]
-    parts = [
-        _gauss_inverse(f, m)
-        for f, m in zip(dec.factors, zip(*(zip(*row) for row in comps)))
-    ]
-    return tuple(
-        tuple(dec.from_components(c) for c in zip(*rows)) for rows in zip(*parts)
-    )
+    return _eliminate(spec, a)[0]
 
 
-def mat_det_small(spec: RingSpec, a):
-    """Determinant by expansion, for small matrices (n <= 5)."""
-    n = len(a)
-    if n > 5:
-        raise RingError("determinant expansion limited to n <= 5")
-    if n == 1:
-        return a[0][0]
-    acc = spec.zero
-    for j in range(n):
-        if a[0][j] == spec.zero:
-            continue
-        minor = tuple(
-            tuple(row[k] for k in range(n) if k != j) for row in a[1:]
-        )
-        term = spec.mul(a[0][j], mat_det_small(spec, minor))
-        acc = spec.add(acc, term) if j % 2 == 0 else spec.sub(acc, term)
-    return acc
+def mat_det(spec: RingSpec, a):
+    """Exact determinant of an invertible matrix, at any dimension; raises
+    SingularMatrix when some local factor has no unit pivot."""
+    return _eliminate(spec, a)[1]
 
 
 def transpose(a):

@@ -176,9 +176,10 @@ class Representation:
         representation, preservation of the Lie bracket."""
         kind, s = self.form
         if kind == "determinant":
-            if self.dim <= 5:
-                return linalg.mat_det_small(ring, mat) == ring.one
-            return True
+            try:
+                return linalg.mat_det(ring, mat) == ring.one
+            except linalg.SingularMatrix:  # the determinant is not even a unit
+                return False
         if kind in ("symmetric", "skew"):
             sm = linalg.mat_from_int(ring, s)
             gts = linalg.mat_mul(ring, linalg.transpose(mat), sm)

@@ -177,6 +177,58 @@ def test_group_decompose_singular_adjoint_exit_2():
     assert "not invertible" in res.output and "cell cover" not in res.output
 
 
+@pytest.mark.parametrize("rows", ["[1,2,3]", "3", '"abc"', '{"a": 1}', "[[1,0,0],5,[0,0,1]]"])
+def test_group_decompose_malformed_rows_exit_2(rows):
+    res = run(
+        "group", "decompose", "--type", "A2", "--ring", "Z/8", "--input", rows,
+    )
+    assert res.exit_code == 2
+    assert "matrix must be 3x3" in res.output
+
+
+@pytest.mark.parametrize("algorithm", ["prop2", "tavgen"])
+def test_group_decompose_non_local_ring_exit_2(algorithm):
+    ident = json.dumps([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    res = run(
+        "group", "decompose", "--type", "A2", "--ring", "Z/6",
+        "--algorithm", algorithm, "--input", ident,
+    )
+    assert res.exit_code == 2
+    assert "--algorithm merge" in res.output
+    assert "decomposition failed" not in res.output
+
+
+def test_group_decompose_merge_over_non_local_ring():
+    mat = json.dumps([[1, 0, 0], [2, 1, 0], [3, 5, 1]])
+    res = run(
+        "group", "decompose", "--type", "A2", "--ring", "Z/6",
+        "--algorithm", "merge", "--input", mat, "--format", "json",
+    )
+    assert res.exit_code == 0
+    doc = json.loads(res.output)
+    assert doc["verified"] and doc["length"] <= doc["bound"]
+
+
+@pytest.mark.parametrize(
+    "root", ["5", "[[1],-1,0]", "[true,-1,0]", "[1.0,-1,0]", '"1,-1,0"', "[1,1,1]"]
+)
+def test_group_closure_malformed_omit_root_exit_2(root):
+    res = run(
+        "group", "closure", "--type", "A2", "--ring", "GF(2)", "--omit-root", root,
+    )
+    assert res.exit_code == 2
+    assert "is not a root of A2" in res.output
+
+
+def test_group_closure_omit_root_echoes_integers():
+    res = run(
+        "group", "closure", "--type", "A2", "--ring", "GF(2)",
+        "--omit-root", "[1,-1,0]", "--format", "json",
+    )
+    assert res.exit_code == 0
+    assert json.loads(res.output)["omitted"] == [1, -1, 0]
+
+
 def test_group_closure():
     res = run(
         "group", "closure", "--type", "A2", "--ring", "GF(2)",
@@ -282,31 +334,47 @@ def test_congruence_levels_matches_golden_report(label, ring, subgroup, name):
 
 # each input is the evaluated matrix of the fixed word with letters
 # e_{p_i}(i) e_{-p_(m+1-i)}(2i - 1), i = 1..m, over the positive roots p_1..p_m
+DECOMPOSE_INPUTS = {
+    "A1_GF3": ("A1", "GF(3)", [[2, 1], [1, 1]]),
+    "A2_GF3": ("A2", "GF(3)", [[1, 2, 0], [1, 2, 1], [1, 1, 1]]),
+    "B2_GF3": (
+        "B2", "GF(3)",
+        [[2, 0, 2, 2, 1], [0, 0, 0, 1, 0], [1, 0, 0, 2, 1], [2, 1, 1, 1, 2],
+         [1, 0, 2, 2, 2]],
+    ),
+    "C2_Z9": ("C2", "Z/9", [[2, 2, 0, 5], [5, 3, 5, 3], [0, 8, 2, 7], [8, 6, 4, 3]]),
+    "A2_Z4xGF3": (
+        "A2", "Z/4 x GF(3)",
+        [[[3, 1], [3, 2], [1, 0]], [[2, 1], [2, 2], [3, 1]], [[3, 1], [0, 1], [2, 1]]],
+    ),
+    "B2_Z360": (
+        "B2", "Z/360",
+        [[11, 3, 200, 89, 343], [342, 225, 204, 262, 153], [334, 9, 213, 80, 187],
+         [29, 106, 58, 82, 143], [346, 183, 164, 164, 104]],
+    ),
+}
+
+
 @pytest.mark.parametrize(
-    "label, ring, matrix, name",
+    "algorithm, name, fmt",
     [
-        ("A1", "GF(3)", [[2, 1], [1, 1]], "A1_GF3"),
-        ("A2", "GF(3)", [[1, 2, 0], [1, 2, 1], [1, 1, 1]], "A2_GF3"),
-        (
-            "B2", "GF(3)",
-            [[2, 0, 2, 2, 1], [0, 0, 0, 1, 0], [1, 0, 0, 2, 1], [2, 1, 1, 1, 2],
-             [1, 0, 2, 2, 2]],
-            "B2_GF3",
-        ),
-        (
-            "C2", "Z/9",
-            [[2, 2, 0, 5], [5, 3, 5, 3], [0, 8, 2, 7], [8, 6, 4, 3]],
-            "C2_Z9",
-        ),
+        *[(alg, name, "json") for alg in ("tavgen", "prop2")
+          for name in ("A1_GF3", "A2_GF3", "B2_GF3", "C2_Z9")],
+        ("merge", "A2_Z4xGF3", "json"),
+        ("merge", "B2_Z360", "json"),
+        ("prop2", "A2_GF3", "text"),
     ],
 )
-def test_group_decompose_tavgen_matches_golden_report(label, ring, matrix, name):
+def test_group_decompose_matches_golden_report(algorithm, name, fmt):
+    label, ring, matrix = DECOMPOSE_INPUTS[name]
     res = run(
         "group", "decompose", "--type", label, "--ring", ring,
-        "--algorithm", "tavgen", "--input", json.dumps(matrix), "--format", "json",
+        "--algorithm", algorithm, "--input", json.dumps(matrix), "--format", fmt,
     )
     assert res.exit_code == 0
-    assert res.output == (GOLDEN / f"group_decompose_tavgen_{name}.json").read_text()
+    suffix = "json" if fmt == "json" else "txt"
+    golden = GOLDEN / f"group_decompose_{algorithm}_{name}.{suffix}"
+    assert res.output == golden.read_text()
 
 
 def test_ebg_check_a2_gf2():

@@ -100,10 +100,7 @@ def test_unipotent_coordinates_rejects_mixed():
 def test_big_cell_identity():
     rep = rep_of(A2)
     ring = ZmodRing(8)
-    fac = big_cell_factor(identity_element(rep, ring))
-    assert all(x == 0 for _, x in fac.neg_coords)
-    assert all(u == 1 for u in fac.torus_units)
-    assert all(x == 0 for _, x in fac.pos_coords)
+    assert len(big_cell_factor(identity_element(rep, ring))) == 0
 
 
 def test_big_cell_weyl_element_is_outside():
@@ -124,8 +121,7 @@ def test_big_cell_congruence_kernel_element():
         ]
         rng.shuffle(word)
         g = ElementaryWord(rep, ring, word).evaluate()
-        fac = big_cell_factor(g)
-        assert fac.word.evaluate() == g
+        assert big_cell_factor(g).evaluate() == g
 
 
 def test_bruhat_sl2_gf3_antidiagonal():
@@ -239,7 +235,7 @@ def test_tavgen_identity():
     rep = rep_of(A2)
     ring = ZmodRing(3)
     report = tavgen_decompose(ElementaryWord(rep, ring))
-    assert all(not blk for blk in report.blocks)
+    assert report.length == 0
 
 
 def test_tavgen_sl2_gf3_exhaustive():

@@ -1,10 +1,13 @@
+import functools
+import itertools
 import random
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chevlab.groups import ElementaryWord
-from chevlab.linalg import _np_mul, mat_mul
+from chevlab.linalg import SingularMatrix, _np_mul, mat_det, mat_mul
 from chevlab.reps import make_representation
 from chevlab.rings import PolyQuotientRing, ProductRing, ZmodRing, parse_ring_spec
 from chevlab.roots import build_root_system
@@ -191,3 +194,60 @@ def test_mat_mul_three_factor_product(quot, n, m, dim, seed):
     )
     expected = tuple(tuple(zip(*rows)) for rows in zip(*parts))
     assert mat_mul(ring, a, b) == expected
+
+
+def leibniz_det(ring, a):
+    """Sum over permutations of sign * prod a[i][perm[i]], in ring arithmetic."""
+    n = len(a)
+    acc = ring.zero
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = functools.reduce(ring.mul, (a[i][perm[i]] for i in range(n)), ring.one)
+        acc = ring.sub(acc, term) if inversions % 2 else ring.add(acc, term)
+    return acc
+
+
+def random_value(rng, ring):
+    if isinstance(ring, ZmodRing):
+        return rng.randrange(ring.n)
+    if isinstance(ring, PolyQuotientRing):
+        return tuple(rng.randrange(ring.base.n) for _ in range(ring.degree))
+    return tuple(random_value(rng, f) for f in ring.factors)
+
+
+@st.composite
+def det_rings(draw):
+    """Z/n, GF(p)[x]/(f) (f need not be irreducible) or a product of the two."""
+    zmod = ZmodRing(draw(st.integers(2, 200)))
+    quot = draw(field_base_quotients())
+    return draw(st.sampled_from([zmod, quot, ProductRing([zmod, quot])]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(ring=det_rings(), dim=st.integers(2, 7), seed=seeds)
+def test_determinant_check_matches_leibniz(ring, dim, seed):
+    rng = random.Random(seed)
+    rep = make_representation(build_root_system(f"A{dim - 1}"), "defining-A")
+    a = random_matrix(rng, dim, lambda: random_value(rng, ring))
+    det = leibniz_det(ring, a)
+    assert rep.check_invariant(ring, a) == (det == ring.one)
+    if not ring.is_unit(det):
+        with pytest.raises(SingularMatrix):
+            mat_det(ring, a)
+        return
+    assert mat_det(ring, a) == det
+    # scaling the first row by det^-1 gives determinant 1
+    scaled = (tuple(ring.mul(ring.inv(det), x) for x in a[0]),) + a[1:]
+    assert leibniz_det(ring, scaled) == ring.one
+    assert rep.check_invariant(ring, scaled)
+
+
+def test_determinant_check_rejects_det_minus_one_at_dimension_6():
+    ring = ZmodRing(9)
+    rep = make_representation(build_root_system("A5"), "defining-A")
+    swap = tuple(
+        tuple(int(j == {0: 1, 1: 0}.get(i, i)) for j in range(6)) for i in range(6)
+    )
+    assert mat_det(ring, swap) == leibniz_det(ring, swap) == 8
+    assert not rep.check_invariant(ring, swap)
+    assert rep.check_invariant(ring, rep.identity(ring))
