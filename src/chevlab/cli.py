@@ -321,6 +321,8 @@ def group_decompose(type_label, ring_text, rep_tag, algorithm, input_text, fmt):
         _fail_input(str(exc))
     try:
         report = _DECOMPOSERS[algorithm](g)
+    except dc.UnsupportedDecomposition as exc:
+        _fail_input(str(exc))
     except (gp.GroupError, dc.NotInBigCell) as exc:
         _emit(fmt, False, {"error": str(exc)}, [f"decomposition failed: {exc}"])
         return
@@ -476,6 +478,11 @@ def ebg_check(type_label, ring_text, rep_tag, cap, fmt):
     """Exhaustively express every group element in the fourfold form."""
     try:
         rs, ring_spec, rep = _setup(type_label, ring_text, rep_tag)
+        dc.check_decomposition_supported(rs)
+        if not is_local(ring_spec)[0]:
+            _fail_input(
+                f"the fourfold form needs a local ring; {ring_spec.label} is not local"
+            )
     except _INPUT_ERRORS as exc:
         _fail_input(str(exc))
     try:

@@ -4,10 +4,12 @@ Implements the constructive toolchain: the four-letter torus identity, exact
 big-cell (Gauss) factorization over local rings, Bruhat decomposition over
 finite fields by brute force over the Weyl group, the local-ring
 decomposition assembled from those two, the letterwise merge over product
-rings, and the (U+ U-)^4 normal form obtained by rank induction with
-unipotent interchange.  Every algorithm returns a `DecompositionReport`, and
-every returned word is re-evaluated against its input first; verification is
-part of the contract.
+rings, and the (U+ U-)^4 normal form obtained by rank induction: a letter
+pushed into the eight blocks u_0..u_7 moves through their Levi parts in the
+rank-(l-1) machine, and one backward pass rebuilds u'_k = R_{k-1} u_k R_k^-1
+from the telescoped Levi conjugators R_k.  Every algorithm returns a
+`DecompositionReport`, and every returned word is re-evaluated against its
+input first; verification is part of the contract.
 """
 from __future__ import annotations
 
@@ -134,10 +136,13 @@ def torus_word(rep: Representation, ring: RingSpec, alpha, a) -> ElementaryWord:
 
 @functools.lru_cache(maxsize=RING_MEMO_SIZE)
 def _torus_diag_table(rep: Representation, ring: RingSpec) -> dict:
-    """diag tuple -> simple-root unit tuple, over the whole torus image."""
-    units = ring.units()
-    if len(units) ** rep.rs.rank > 300000:
+    """diag tuple -> simple-root unit tuple, over the whole torus image.
+
+    Sized from the local ring's unit count before any unit is listed."""
+    n_units = ring.card - ring.card // residue_field(ring)[0].card
+    if n_units ** rep.rs.rank > 300000:
         raise UnsupportedDecomposition("torus enumeration too large")
+    units = ring.units()
     h_diags = []
     for alpha in rep.rs.simple:
         per = {}
@@ -499,9 +504,6 @@ class _Machine:
             if coords.get(root, zero) != zero
         ]
 
-    def _eval(self, sign, coords: dict):
-        return word_matrix(self.rep, self.ring, self._letters(sign, coords))
-
     def _eval_pair(self, sign, coords: dict):
         """(block matrix, its inverse), the inverse from the reversed letters."""
         ring = self.ring
@@ -512,83 +514,56 @@ class _Machine:
             word_matrix(self.rep, ring, inverse),
         )
 
-    def _extract(self, sign, mat, support=None) -> dict:
-        g = GroupElement(self.rep, self.ring, mat)
-        coords = unipotent_coordinates(g, sign, order=unipotent_order(self.rs, sign))
-        out = {}
-        for root, x in coords:
-            if x == self.ring.zero:
-                continue
-            if support is not None and root not in support:
-                raise GroupError("interchange left the expected root span")
-            out[root] = x
-        return out
-
     def push_left(self, root, t):
+        """Replace the blocks u_0..u_7 of g by those of e_root(t) g.
+
+        Each block is u_k = a_k c_k with a_k in the Levi part U0 of a split
+        that keeps root; the inner machine turns e_root(t) a_0...a_7 into
+        a'_0...a'_7.  With R_7 = 1 and R_{k-1} = a'_k R_k a_k^-1, the new
+        blocks u'_k = R_{k-1} u_k R_k^-1 = a'_k (R_k c_k R_k^-1) telescope to
+        R_{-1} g, and R_{-1} must be e_root(t)."""
         if t == self.ring.zero:
             return
-        rs = self.rs
+        rs, rep, ring = self.rs, self.rep, self.ring
         root = tuple(root)
-        beta_idx = None
-        for i, s in enumerate(rs.simple):
-            if root == s or root == _neg(s):
-                beta_idx = i
-                break
+        beta_idx = next(
+            (i for i, s in enumerate(rs.simple) if root in (s, _neg(s))), None
+        )
         if beta_idx is None:
             raise GroupError(f"letter {root} is not a +-simple root of {rs.label}")
         alpha_idx = next(
             i for i in rs.extremal_simple_indices() if i != beta_idx
         )
         split = rs.tavgen_split(alpha_idx)
-        sub = split.sub_system
-        phi1 = set(split.phi1)
         phi0 = set(split.phi0)
-        ring = self.ring
-
-        # (A) factor each block as U0 * U1
-        a_coords, a_pairs, c_mats = [], [], []
-        for k in range(8):
-            sign = 1 if k % 2 == 0 else -1
-            coords = self.blocks[k]
-            u0 = {r: v for r, v in coords.items() if r in phi0}
-            u0_mat, u0_inv = self._eval_pair(sign, u0)
-            u1_mat = linalg.mat_mul(ring, u0_inv, self._eval(sign, coords))
-            self._extract(sign, u1_mat, support=phi1)  # validity check
-            a_coords.append(u0)
-            a_pairs.append((u0_mat, u0_inv))
-            c_mats.append(u1_mat)
-
-        # (B) bubble the U1 parts to the right of all U0 blocks
-        d_mats = [None] * 8
-        p = self.rep.identity(ring)
-        p_inv = self.rep.identity(ring)
-        for k in range(7, -1, -1):
-            d_mats[k] = linalg.mat_mul(ring, linalg.mat_mul(ring, p_inv, c_mats[k]), p)
-            a_mat, a_inv = a_pairs[k]
-            p = linalg.mat_mul(ring, a_mat, p)
-            p_inv = linalg.mat_mul(ring, p_inv, a_inv)
-
-        # (C) absorb the letter into the rank-(l-1) state
-        inner = _machine(sub, self.rep, ring, blocks=[dict(d) for d in a_coords])
+        old = [{r: v for r, v in coords.items() if r in phi0} for coords in self.blocks]
+        inner = _machine(split.sub_system, rep, ring, blocks=old)
         inner.push_left(root, t)
-        new_a = inner.blocks
+        new = inner.blocks
 
-        # (D) bubble the U1 parts back in behind the refreshed U0 blocks
-        new_blocks = [None] * 8
-        q = self.rep.identity(ring)
-        q_inv = self.rep.identity(ring)
+        def mul3(x, y, z):
+            return linalg.mat_mul(ring, linalg.mat_mul(ring, x, y), z)
+
+        r_mat = r_inv = rep.identity(ring)
+        blocks = [None] * 8
         for k in range(7, -1, -1):
             sign = 1 if k % 2 == 0 else -1
-            c_prime = linalg.mat_mul(
-                ring, linalg.mat_mul(ring, q, d_mats[k]), q_inv
+            a_mat, a_inv = self._eval_pair(sign, old[k])
+            b_mat, b_inv = self._eval_pair(sign, new[k])
+            u_mat = word_matrix(rep, ring, self._letters(sign, self.blocks[k]))
+            prev, prev_inv = mul3(b_mat, r_mat, a_inv), mul3(a_mat, r_inv, b_inv)
+            coords = unipotent_coordinates(
+                GroupElement(rep, ring, mul3(prev, u_mat, r_inv)),
+                sign,
+                order=unipotent_order(rs, sign),
             )
-            a_mat, a_inv = self._eval_pair(sign, new_a[k])
-            new_blocks[k] = self._extract(
-                sign, linalg.mat_mul(ring, a_mat, c_prime)
-            )
-            q = linalg.mat_mul(ring, a_mat, q)
-            q_inv = linalg.mat_mul(ring, q_inv, a_inv)
-        self.blocks = new_blocks
+            blocks[k] = {r: x for r, x in coords if x != ring.zero}
+            if {r: x for r, x in blocks[k].items() if r in phi0} != new[k]:
+                raise GroupError("interchange left the expected root span")
+            r_mat, r_inv = prev, prev_inv
+        if r_mat != rep.elementary_matrix(ring, root, t):
+            raise GroupError("interchange did not telescope to the pushed letter")
+        self.blocks = blocks
 
     def word(self) -> ElementaryWord:
         """The blocks u1+ u1- ... u4+ u4- as one word, each in its fixed order."""

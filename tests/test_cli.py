@@ -1,4 +1,8 @@
 import json
+import os
+import resource
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -7,6 +11,9 @@ from click.testing import CliRunner
 from chevlab import reps
 from chevlab.chevalley import ChevalleyError
 from chevlab.cli import main
+from chevlab.groups import ElementaryWord
+from chevlab.rings import parse_ring_spec
+from chevlab.roots import _neg, build_root_system
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -177,6 +184,42 @@ def test_group_decompose_singular_adjoint_exit_2():
     assert "not invertible" in res.output and "cell cover" not in res.output
 
 
+def test_group_decompose_torus_too_large_exit_2():
+    # e_12(1) e_21(1) in SL5(Z/29): the torus table would list 28^4 combinations
+    mat = [[int(i == j) for j in range(5)] for i in range(5)]
+    mat[0][:2], mat[1][:2] = [2, 1], [1, 1]
+    res = run(
+        "group", "decompose", "--type", "A4", "--ring", "Z/29",
+        "--input", json.dumps(mat),
+    )
+    assert res.exit_code == 2
+    assert "torus enumeration too large" in res.output
+    assert "decomposition failed" not in res.output
+
+
+def test_group_decompose_huge_local_ring_exit_2_under_memory_limit():
+    """Over Z/2^61 the torus table is refused before any unit is listed."""
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    ))
+    proc = subprocess.run(
+        [
+            sys.executable, "-m", "chevlab.cli", "group", "decompose",
+            "--type", "A2", "--ring", "Z/2305843009213693952",
+            "--input", "[[1,1,0],[1,2,0],[0,0,1]]",
+        ],
+        capture_output=True, text=True, timeout=60, env=env,
+        preexec_fn=limit_memory,
+    )
+    assert proc.returncode == 2
+    assert "torus enumeration too large" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 @pytest.mark.parametrize("rows", ["[1,2,3]", "3", '"abc"', '{"a": 1}', "[[1,0,0],5,[0,0,1]]"])
 def test_group_decompose_malformed_rows_exit_2(rows):
     res = run(
@@ -332,27 +375,60 @@ def test_congruence_levels_matches_golden_report(label, ring, subgroup, name):
     assert res.output == (GOLDEN / f"congruence_levels_{name}.json").read_text()
 
 
-# each input is the evaluated matrix of the fixed word with letters
-# e_{p_i}(i) e_{-p_(m+1-i)}(2i - 1), i = 1..m, over the positive roots p_1..p_m
+def fixed_word_matrix(label, ring_text, rep_tag=None):
+    """The evaluated fixed word with letters e_{p_i}(i) e_{-p_(m+1-i)}(2i - 1),
+    i = 1..m, over the positive roots p_1..p_m, as JSON rows."""
+    rs = build_root_system(label)
+    ring = parse_ring_spec(ring_text)
+    pos = rs.positive
+    letters = []
+    for i in range(1, len(pos) + 1):
+        letters.append((pos[i - 1], ring.from_int(i)))
+        letters.append((_neg(pos[-i]), ring.from_int(2 * i - 1)))
+    rep = reps.make_representation(rs, rep_tag)
+    return ElementaryWord(rep, ring, letters).evaluate().to_json()
+
+
+# name -> (type, ring, representation); each input is the fixed word's matrix
 DECOMPOSE_INPUTS = {
-    "A1_GF3": ("A1", "GF(3)", [[2, 1], [1, 1]]),
-    "A2_GF3": ("A2", "GF(3)", [[1, 2, 0], [1, 2, 1], [1, 1, 1]]),
-    "B2_GF3": (
-        "B2", "GF(3)",
-        [[2, 0, 2, 2, 1], [0, 0, 0, 1, 0], [1, 0, 0, 2, 1], [2, 1, 1, 1, 2],
-         [1, 0, 2, 2, 2]],
-    ),
-    "C2_Z9": ("C2", "Z/9", [[2, 2, 0, 5], [5, 3, 5, 3], [0, 8, 2, 7], [8, 6, 4, 3]]),
-    "A2_Z4xGF3": (
-        "A2", "Z/4 x GF(3)",
-        [[[3, 1], [3, 2], [1, 0]], [[2, 1], [2, 2], [3, 1]], [[3, 1], [0, 1], [2, 1]]],
-    ),
-    "B2_Z360": (
-        "B2", "Z/360",
-        [[11, 3, 200, 89, 343], [342, 225, 204, 262, 153], [334, 9, 213, 80, 187],
-         [29, 106, 58, 82, 143], [346, 183, 164, 164, 104]],
-    ),
+    "A1_GF3": ("A1", "GF(3)", None),
+    "A2_GF3": ("A2", "GF(3)", None),
+    "B2_GF3": ("B2", "GF(3)", None),
+    "C2_Z9": ("C2", "Z/9", None),
+    "A2_Z4xGF3": ("A2", "Z/4 x GF(3)", None),
+    "B2_Z360": ("B2", "Z/360", None),
+    "A3_Z4": ("A3", "Z/4", None),
+    "B3_GF3": ("B3", "GF(3)", None),
+    "D4_GF2": ("D4", "GF(2)", None),
+    "G2_GF3": ("G2", "GF(3)", "adjoint"),
 }
+
+
+@pytest.mark.parametrize(
+    "name, matrix",
+    [
+        ("A1_GF3", [[2, 1], [1, 1]]),
+        ("A2_GF3", [[1, 2, 0], [1, 2, 1], [1, 1, 1]]),
+        (
+            "B2_GF3",
+            [[2, 0, 2, 2, 1], [0, 0, 0, 1, 0], [1, 0, 0, 2, 1], [2, 1, 1, 1, 2],
+             [1, 0, 2, 2, 2]],
+        ),
+        ("C2_Z9", [[2, 2, 0, 5], [5, 3, 5, 3], [0, 8, 2, 7], [8, 6, 4, 3]]),
+        (
+            "A2_Z4xGF3",
+            [[[3, 1], [3, 2], [1, 0]], [[2, 1], [2, 2], [3, 1]],
+             [[3, 1], [0, 1], [2, 1]]],
+        ),
+        (
+            "B2_Z360",
+            [[11, 3, 200, 89, 343], [342, 225, 204, 262, 153], [334, 9, 213, 80, 187],
+             [29, 106, 58, 82, 143], [346, 183, 164, 164, 104]],
+        ),
+    ],
+)
+def test_fixed_word_inputs_are_pinned(name, matrix):
+    assert fixed_word_matrix(*DECOMPOSE_INPUTS[name]) == matrix
 
 
 @pytest.mark.parametrize(
@@ -360,21 +436,34 @@ DECOMPOSE_INPUTS = {
     [
         *[(alg, name, "json") for alg in ("tavgen", "prop2")
           for name in ("A1_GF3", "A2_GF3", "B2_GF3", "C2_Z9")],
+        # rank 3 and 4 run the rank-2 machine inside; G2 splits off an A1
+        *[("tavgen", name, "json") for name in ("A3_Z4", "B3_GF3", "D4_GF2", "G2_GF3")],
         ("merge", "A2_Z4xGF3", "json"),
         ("merge", "B2_Z360", "json"),
         ("prop2", "A2_GF3", "text"),
     ],
 )
 def test_group_decompose_matches_golden_report(algorithm, name, fmt):
-    label, ring, matrix = DECOMPOSE_INPUTS[name]
-    res = run(
+    label, ring, rep = DECOMPOSE_INPUTS[name]
+    matrix = fixed_word_matrix(label, ring, rep)
+    args = [
         "group", "decompose", "--type", label, "--ring", ring,
         "--algorithm", algorithm, "--input", json.dumps(matrix), "--format", fmt,
-    )
+    ]
+    res = run(*args, *(("--rep", rep) if rep else ()))
     assert res.exit_code == 0
     suffix = "json" if fmt == "json" else "txt"
     golden = GOLDEN / f"group_decompose_{algorithm}_{name}.{suffix}"
     assert res.output == golden.read_text()
+
+
+@pytest.mark.parametrize(
+    "label, ring, message", [("A5", "GF(2)", "got A5"), ("A1", "Z/6", "not local")]
+)
+def test_ebg_check_out_of_scope_exit_2(label, ring, message):
+    res = run("ebg", "check", "--type", label, "--ring", ring)
+    assert res.exit_code == 2
+    assert message in res.output
 
 
 def test_ebg_check_a2_gf2():

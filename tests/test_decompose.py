@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from chevlab import decompose, linalg
 from chevlab.decompose import (
     NotInBigCell,
     NotUnipotent,
@@ -18,6 +19,8 @@ from chevlab.decompose import (
 )
 from chevlab.groups import (
     ElementaryWord,
+    GroupElement,
+    GroupError,
     elementary,
     elementary_generator_words,
     identity_element,
@@ -294,6 +297,39 @@ def test_tavgen_crosscheck_with_local():
         g = word.evaluate()
         assert tavgen_decompose(word).word.evaluate() == g
         assert local_decompose(g).word.evaluate() == g
+
+
+def test_tavgen_corrupted_inner_block_fails_telescope_check(monkeypatch):
+    rep = rep_of(A2)
+    ring = ZmodRing(3)
+    blocks = decompose._Sl2Machine.blocks.fget
+
+    def corrupted(self):
+        out = blocks(self)
+        out[6] = {self.beta: self.ring.one}  # the rank-1 solve leaves block 6 empty
+        return out
+
+    monkeypatch.setattr(decompose._Sl2Machine, "blocks", property(corrupted))
+    with pytest.raises(GroupError, match="did not telescope to the pushed letter"):
+        tavgen_decompose(ElementaryWord(rep, ring, [(A2.simple[0], 1)]))
+
+
+def test_tavgen_mat_mul_count_guard(monkeypatch):
+    """The one-pass interchange on the C2/Z/9 golden input: 6,700 products."""
+    rep = rep_of(C2)
+    ring = ZmodRing(9)
+    rows = [[2, 2, 0, 5], [5, 3, 5, 3], [0, 8, 2, 7], [8, 6, 4, 3]]
+    word = local_decompose(GroupElement.from_json(rep, ring, rows)).word
+    calls = []
+    mat_mul = linalg.mat_mul
+
+    def counted(ring, a, b):
+        calls.append(1)
+        return mat_mul(ring, a, b)
+
+    monkeypatch.setattr(linalg, "mat_mul", counted)
+    tavgen_decompose(word)
+    assert len(calls) <= 6700
 
 
 @pytest.mark.parametrize("label", ["E6", "F4"])
