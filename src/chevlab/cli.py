@@ -486,6 +486,10 @@ def ebg_check(type_label, ring_text, rep_tag, cap, fmt):
     except _INPUT_ERRORS as exc:
         _fail_input(str(exc))
     try:
+        # the e_r(t), t != 0, are distinct members of the closure: refuse
+        # before listing them when they alone pass the cap
+        if len(rs.roots) * (ring_spec.card - 1) + 1 > cap:
+            raise gp.CapExceeded(f"closure exceeded cap {cap}")
         words = gp.subgroup_closure(
             gp.elementary_generator_words(rep, ring_spec),
             cap=cap,

@@ -86,33 +86,26 @@ def full_subgroup(rep, ring) -> NormalSubgroupHandle:
 
 
 def _conjugators(rep, ring) -> list:
-    """(e_r(t), e_r(t)^-1 = e_r(-t)) for every root r and t != 0."""
+    """(e_r(g), e_r(g)^-1 = e_r(-g)) for every root r and additive generator g:
+    closure under these is closure under E(R), as e_r(s+t) = e_r(s) e_r(t)."""
     return [
-        (elementary(rep, ring, r, t), elementary(rep, ring, r, ring.neg(t)))
-        for r in rep.rs.roots for t in ring.elements() if t != ring.zero
+        (elementary(rep, ring, r, g), elementary(rep, ring, r, ring.neg(g)))
+        for r in rep.rs.roots for g in ring.additive_generators()
     ]
 
 
 def materialized_subgroup(rep, ring, generators, cap: int = 10**6) -> NormalSubgroupHandle:
-    """Normal closure of the generators, materialized and validated."""
+    """Normal closure of the generators, materialized and validated: one
+    frontier search (`subgroup_closure`) under right multiplication by the
+    generators and conjugation by `_conjugators`, re-checked by `check_normal`."""
     gens = list(generators)
-    elem_pairs = _conjugators(rep, ring)
-    current = set(gens) | {identity_element(rep, ring)}
-    while True:
-        conjugates = set()
-        for g in current:
-            for e, e_inv in elem_pairs:
-                h = e * g * e_inv
-                if h not in current:
-                    conjugates.add(h)
-        if not conjugates:
-            break
-        current |= conjugates
-        closure = subgroup_closure(list(current), cap=cap)
-        current = set(closure)
+    members = subgroup_closure(
+        gens or [identity_element(rep, ring)], cap=cap,
+        conjugators=_conjugators(rep, ring),
+    )
     handle = NormalSubgroupHandle(
-        rep, ring, "materialized", frozenset(current),
-        f"normal closure of {len(gens)} generators ({len(current)} elements)",
+        rep, ring, "materialized", members,
+        f"normal closure of {len(gens)} generators ({len(members)} elements)",
     )
     if not check_normal(handle):
         raise CertificateError("materialized subgroup failed normality check")
@@ -120,7 +113,9 @@ def materialized_subgroup(rep, ring, generators, cap: int = 10**6) -> NormalSubg
 
 
 def check_normal(n: NormalSubgroupHandle, samples: int = 40, seed: int = 0) -> bool:
-    """Conjugation-closure validation against the elementary generators."""
+    """Conjugation-closure validation against the elementary generators: every
+    member of a materialized subgroup by every pair of `_conjugators`, sampled
+    members and conjugators of a kernel subgroup."""
     rep, ring = n.rep, n.ring
     if n.kind == "full":
         return True
@@ -637,8 +632,9 @@ def omit_root_generation_check(
 
     The default route exhibits e_alpha(t) as an explicit conjugate of another
     root group by a Weyl lift whose letters avoid alpha, and verifies the
-    matrix identity for every t.  With exhaustive=True two closures are
-    enumerated and compared instead (may raise CapExceeded).
+    matrix identity for every additive generator t of the ring, hence for
+    every t since both sides are additive in t.  With exhaustive=True two
+    closures are enumerated and compared instead (may raise CapExceeded).
     """
     rs = rep.rs
     if rs.rank < 2:
@@ -663,7 +659,7 @@ def omit_root_generation_check(
     w_inv = lift.inverse_word().evaluate()
     for eps in (1, -1):
         ok = True
-        for t in ring.elements():
+        for t in ring.additive_generators():
             s = t if eps == 1 else ring.neg(t)
             if w * elementary(rep, ring, source, s) * w_inv != elementary(
                 rep, ring, alpha, t

@@ -4,6 +4,8 @@ Group elements are exact matrices over a ring spec in a chosen
 representation.  The module provides the elementary generators e_a(t), torus
 and Weyl lifts, congruence reduction, a brute-force subgroup closure, and
 exhaustive/sampled verification of the additivity and commutator relations.
+Closures of E(R) take e_a(g) for g in the ring's additive generators, never
+every e_a(t), so a closure's cap bounds its work on every ring.
 Inverses come from words, e_a(t)^-1 = e_a(-t) (`ElementaryWord.inverse_word`,
 `commutator_expansion`); Gauss-Jordan elimination (`GroupElement.inverse`,
 `commutator`) is the general reference path for arbitrary invertible matrices.
@@ -229,18 +231,13 @@ def weyl_lift_word(rep: Representation, ring: RingSpec, word) -> ElementaryWord:
     return ElementaryWord(rep, ring, letters)
 
 
-def weyl_conjugation_check(
-    rep: Representation,
-    ring: RingSpec,
-    word,
-    alpha,
-    sample_cap: int = 512,
-    seed: int = 0,
-):
-    """Sign eps with w e_alpha(t) w^-1 = e_{w(alpha)}(eps t) for all checked t.
+def weyl_conjugation_check(rep: Representation, ring: RingSpec, word, alpha):
+    """Sign eps with w e_alpha(t) w^-1 = e_{w(alpha)}(eps t) for every t.
 
-    Returns (eps, True) on success; raises GroupError when the identity fails
-    (which would indicate a structure-table inconsistency).
+    Checked on the ring's additive generators, which covers every t since
+    both sides are additive in t.  Returns (eps, True) on success; raises
+    GroupError when the identity fails (which would indicate a
+    structure-table inconsistency).
     """
     rs = rep.rs
     alpha = tuple(alpha)
@@ -248,12 +245,8 @@ def weyl_conjugation_check(
     lift = weyl_lift_word(rep, ring, word)
     w = lift.evaluate()
     w_inv = lift.inverse_word().evaluate()
-    values = ring.elements()
-    if len(values) > sample_cap:
-        rng = random.Random(seed)
-        values = [rng.choice(values) for _ in range(sample_cap)]
     sign = None
-    for t in values:
+    for t in ring.additive_generators():
         lhs = w * elementary(rep, ring, alpha, t) * w_inv
         matched = None
         for eps in (1, -1):
@@ -301,11 +294,16 @@ def in_congruence_kernel(g: GroupElement, ideal: IdealHandle) -> bool:
 # Brute-force closure
 
 
-def subgroup_closure(generators, cap: int, track_words: bool = False):
+def subgroup_closure(generators, cap: int, track_words: bool = False,
+                     conjugators=()):
     """Multiplicative closure of the generators (a subgroup, the group being finite).
 
-    With track_words=True the generators are (element, ElementaryWord) pairs
-    and a dict element -> ElementaryWord is returned; otherwise returns a
+    One frontier search from the identity: each new element x is multiplied
+    on the right by every generator and mapped to e x e^-1 for each (e, e^-1)
+    in conjugators.  With the conjugators of E(R) this is the normal closure,
+    since x e s e^-1 = e (e^-1 x e s) e^-1.  With track_words=True (and no
+    conjugators) the generators are (element, ElementaryWord) pairs and a
+    dict element -> ElementaryWord is returned; otherwise returns a
     frozenset.  Raises CapExceeded when the closure grows past cap.
     """
     gens = list(generators)
@@ -328,26 +326,35 @@ def subgroup_closure(generators, cap: int, track_words: bool = False):
                     nxt.append(prod)
                     if len(words) > cap:
                         raise CapExceeded(f"closure exceeded cap {cap}")
+            for e, e_inv in conjugators:
+                conj = e * g * e_inv
+                if conj not in words:
+                    words[conj] = None
+                    nxt.append(conj)
+                    if len(words) > cap:
+                        raise CapExceeded(f"closure exceeded cap {cap}")
         frontier = nxt
     return words if track_words else frozenset(words)
 
 
 def all_elementaries(rep: Representation, ring: RingSpec, omit_root=None):
-    """Generators e_a(t) for t != 0, optionally omitting a single root."""
+    """Generators e_a(g) of E(R), g over the ring's additive generators (they
+    give every e_a(t), as e_a(s+t) = e_a(s) e_a(t)), optionally omitting a
+    single root."""
     omit = tuple(omit_root) if omit_root is not None else None
-    out = []
-    for r in rep.rs.roots:
-        if r == omit:
-            continue
-        for t in ring.elements():
-            if t == ring.zero:
-                continue
-            out.append(elementary(rep, ring, r, t))
-    return out
+    return [
+        elementary(rep, ring, r, g)
+        for r in rep.rs.roots if r != omit
+        for g in ring.additive_generators()
+    ]
 
 
 def elementary_generator_words(rep: Representation, ring: RingSpec):
-    """(element, single-letter word) pairs for all elementary generators."""
+    """(element, single-letter word) pairs for every e_a(t), t != 0.
+
+    Unlike `all_elementaries` this lists the ring: breadth-first words over
+    these letters are shorter, and `tavgen_decompose` is slower on longer ones.
+    """
     out = []
     for r in rep.rs.roots:
         for t in ring.elements():

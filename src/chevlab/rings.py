@@ -151,6 +151,11 @@ class RingSpec:
         """All raw values in a fixed deterministic order, as a sequence."""
         raise NotImplementedError
 
+    def additive_generators(self) -> tuple:
+        """Raw values whose sums give every element: the parameters that suffice
+        for generation and conjugation, since e_a(s+t) = e_a(s) e_a(t)."""
+        raise NotImplementedError
+
     @functools.lru_cache(maxsize=RING_MEMO_SIZE)
     def units(self) -> tuple:
         return tuple(v for v in self.elements() if self.is_unit(v))
@@ -217,6 +222,9 @@ class ZmodRing(RingSpec):
 
     def elements(self):
         return range(self.n)
+
+    def additive_generators(self) -> tuple:
+        return (self.one,)
 
     def element_to_json(self, v):
         return v
@@ -340,6 +348,13 @@ class PolyQuotientRing(RingSpec):
             for t in itertools.product(self.base.elements(), repeat=self.degree)
         )
 
+    def additive_generators(self) -> tuple:
+        """x^i b for i < deg f and b an additive generator of the base."""
+        return tuple(
+            self.pad((self.base.zero,) * i + (b,))
+            for i in range(self.degree) for b in self.base.additive_generators()
+        )
+
     def element_to_json(self, v):
         return [self.base.element_to_json(c) for c in v]
 
@@ -397,6 +412,12 @@ class ProductRing(RingSpec):
     @functools.lru_cache(maxsize=RING_MEMO_SIZE)
     def elements(self):
         return tuple(itertools.product(*[f.elements() for f in self.factors]))
+
+    def additive_generators(self) -> tuple:
+        return tuple(
+            self.inject(i, g)
+            for i, f in enumerate(self.factors) for g in f.additive_generators()
+        )
 
     def inject(self, index: int, value):
         """Element (0, ..., value, ..., 0) supported on one factor."""

@@ -197,8 +197,11 @@ def test_group_decompose_torus_too_large_exit_2():
     assert "decomposition failed" not in res.output
 
 
-def test_group_decompose_huge_local_ring_exit_2_under_memory_limit():
-    """Over Z/2^61 the torus table is refused before any unit is listed."""
+HUGE = "Z/2305843009213693952"  # 2^61
+
+
+def run_under_memory_limit(*args):
+    """The CLI in a child process under a 3 GB address-space limit."""
     def limit_memory():
         resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
 
@@ -206,17 +209,40 @@ def test_group_decompose_huge_local_ring_exit_2_under_memory_limit():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p
     ))
-    proc = subprocess.run(
-        [
-            sys.executable, "-m", "chevlab.cli", "group", "decompose",
-            "--type", "A2", "--ring", "Z/2305843009213693952",
-            "--input", "[[1,1,0],[1,2,0],[0,0,1]]",
-        ],
+    return subprocess.run(
+        [sys.executable, "-m", "chevlab.cli", *args],
         capture_output=True, text=True, timeout=60, env=env,
         preexec_fn=limit_memory,
     )
+
+
+def test_group_decompose_huge_local_ring_exit_2_under_memory_limit():
+    """Over Z/2^61 the torus table is refused before any unit is listed."""
+    proc = run_under_memory_limit(
+        "group", "decompose", "--type", "A2", "--ring", HUGE,
+        "--input", "[[1,1,0],[1,2,0],[0,0,1]]",
+    )
     assert proc.returncode == 2
     assert "torus enumeration too large" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("group", "closure", "--type", "A2", "--cap", "1000", "--ring", HUGE),
+        ("group", "closure", "--type", "A2", "--cap", "1000", "--ring", "GF(2)[x]/(x^64)"),
+        ("group", "closure", "--type", "A2", "--cap", "1000", "--ring", f"{HUGE} x GF(3)"),
+        ("ebg", "check", "--type", "A2", "--ring", HUGE),
+    ],
+    ids=["closure-zmod", "closure-polyquot", "closure-product", "ebg-check"],
+)
+def test_closure_on_a_huge_ring_hits_the_cap_under_memory_limit(args):
+    """The cap bounds the work: generators come from the additive generators,
+    and `ebg check` refuses before listing e_r(t) over the ring."""
+    proc = run_under_memory_limit(*args)
+    assert proc.returncode == 1
+    assert "closure exceeded cap" in proc.stdout
     assert "Traceback" not in proc.stderr
 
 

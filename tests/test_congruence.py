@@ -14,7 +14,12 @@ from chevlab.congruence import (
     omit_root_generation_check,
     weyl_level_equality,
 )
-from chevlab.groups import commutator, elementary
+from chevlab.groups import (
+    all_elementaries,
+    commutator,
+    elementary,
+    in_congruence_kernel,
+)
 from chevlab.reps import make_representation
 from chevlab.rings import IdealHandle, ZmodRing, ideal_from_generators, parse_ring_spec
 from chevlab.roots import build_root_system
@@ -97,6 +102,46 @@ def test_level_set_trivial_subgroup():
     ring = ZmodRing(2)
     triv = materialized_subgroup(rep, ring, [], cap=10)
     assert level_set(triv, (1, -1, 0)).values == frozenset({0})
+
+
+@pytest.mark.parametrize(
+    "ring_text, length, param, size",
+    [
+        ("Z/4", "short", 2, 32),
+        ("Z/4", "long", 2, 1024),
+        ("GF(2)[x]/(x^2)", "short", [0, 1], 32),
+        ("GF(2)[x]/(x^2)", "long", [0, 1], 1024),
+    ],
+)
+def test_sp4_normal_closure_sizes(ring_text, length, param, size):
+    rep = make_representation(C2, "defining-C")
+    ring = parse_ring_spec(ring_text)
+    root = min(C2.short_roots() if length == "short" else C2.long_roots())
+    g = elementary(rep, ring, root, ring.element_from_json(param))
+    assert len(materialized_subgroup(rep, ring, [g]).data) == size
+
+
+def test_normal_closure_of_e3_is_the_sl3_z9_kernel_mod_3():
+    rep = make_representation(A2, "defining-A")
+    ring = ZmodRing(9)
+    n = materialized_subgroup(rep, ring, [elementary(rep, ring, (1, -1, 0), 3)])
+    ideal = ideal_from_generators(ring, [3])
+    # |ker(SL3(Z/9) -> SL3(Z/3))| = 3^8
+    assert len(n.data) == 3**8
+    assert all(in_congruence_kernel(g, ideal) for g in n.data)
+
+
+def test_generation_and_normal_closure_do_not_walk_the_ring(monkeypatch):
+    def walk(*args):
+        raise AssertionError("walked the ring")
+
+    monkeypatch.setattr(ZmodRing, "elements", walk)
+    rep = make_representation(A2, "defining-A")
+    ring = ZmodRing(4)
+    assert len(all_elementaries(rep, ring)) == len(A2.roots)
+    assert len(congruence._conjugators(rep, ring)) == len(A2.roots)
+    n = materialized_subgroup(rep, ring, [elementary(rep, ring, (1, -1, 0), 2)])
+    assert len(n.data) == 2**8
 
 
 def test_weyl_level_equality():

@@ -22,6 +22,7 @@ from chevlab.groups import (
     torus_and_weyl,
     verify_steinberg_relations,
     weyl_conjugation_check,
+    weyl_lift_word,
     word_matrix,
 )
 from chevlab.reps import make_representation, available_tags
@@ -155,6 +156,32 @@ def test_weyl_conjugation_b2_z9():
     assert B2.apply_word((0,), (1, 0)) == (0, 1)
 
 
+@pytest.mark.parametrize(
+    "rs, tag, ring_text",
+    [
+        (A2, "defining-A", "Z/9"),
+        (B2, "defining-B", "Z/4 x GF(3)"),
+        (G2, "adjoint", "GF(2)[x]/(x^2+x+1)"),
+        (C2, "defining-C", "GF(3)[x]/(x^2)"),
+    ],
+)
+def test_weyl_conjugation_sign_holds_for_every_parameter(rs, tag, ring_text):
+    """The sign is read off the additive generators; check it on every t."""
+    rep = make_representation(rs, tag)
+    ring = parse_ring_spec(ring_text)
+    for alpha in rs.roots:
+        for word in [(0,), (1,), (0, 1)]:
+            eps, _ = weyl_conjugation_check(rep, ring, word, alpha)
+            lift = weyl_lift_word(rep, ring, word)
+            w, w_inv = lift.evaluate(), lift.inverse_word().evaluate()
+            beta = rs.apply_word(word, alpha)
+            for t in ring.elements():
+                s = t if eps == 1 else ring.neg(t)
+                assert w * elementary(rep, ring, alpha, t) * w_inv == elementary(
+                    rep, ring, beta, s
+                )
+
+
 def test_congruence_reduction():
     rep = make_representation(A2, "defining-A")
     ring = ZmodRing(4)
@@ -206,6 +233,30 @@ def test_closure_cap():
     ring = ZmodRing(3)
     with pytest.raises(CapExceeded):
         subgroup_closure(all_elementaries(rep, ring), cap=10)
+
+
+@pytest.mark.parametrize(
+    "label, tag, ring_text, omit",
+    [
+        ("A1", "defining-A", "Z/12", None),
+        ("A1", "defining-A", "GF(4)", None),
+        ("A1", "defining-A", "GF(2)[x]/(x^2)", None),
+        ("A1", "defining-A", "Z/4 x GF(3)", None),
+        ("B2", "defining-B", "GF(2)", None),
+        ("A2", "defining-A", "GF(3)", (1, -1, 0)),
+    ],
+)
+def test_additive_generators_close_to_every_elementary(label, tag, ring_text, omit):
+    rs = build_root_system(label)
+    rep = make_representation(rs, tag)
+    ring = parse_ring_spec(ring_text)
+    every = [
+        elementary(rep, ring, r, t)
+        for r in rs.roots if r != omit
+        for t in ring.elements() if t != ring.zero
+    ]
+    gens = all_elementaries(rep, ring, omit_root=omit)
+    assert subgroup_closure(gens, cap=10**5) == subgroup_closure(every, cap=10**5)
 
 
 def test_closure_word_tracking():

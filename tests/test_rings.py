@@ -505,3 +505,28 @@ def test_crt_is_a_ring_isomorphism_onto_local_factors(r, data):
         assert dec.to_components(r.mul(a, b)) == tuple(
             f.mul(x, y) for f, x, y in zip(dec.factors, ca, cb)
         )
+
+
+def additive_closure(r, gens) -> set:
+    """Every sum of the gens, by a frontier search from zero."""
+    members, frontier = {r.zero}, [r.zero]
+    while frontier:
+        fresh = {r.add(m, g) for m in frontier for g in gens} - members
+        members |= fresh
+        frontier = list(fresh)
+    return members
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    r=st.one_of(
+        crt_rings(),
+        st.tuples(crt_rings(), crt_rings())
+        .filter(lambda fs: fs[0].card * fs[1].card <= 5000)
+        .map(ProductRing),
+    )
+)
+def test_additive_generators_sum_to_every_element(r):
+    gens = r.additive_generators()
+    assert all(g in r.elements() for g in gens)
+    assert additive_closure(r, gens) == set(r.elements())
