@@ -256,12 +256,10 @@ class ChevalleyBasisTable:
 
     def __init__(self, rs: RootSystem):
         self.rs = rs
-        if rs.letter in "ABCD":
+        if rs.letter in "ABCD":  # signs of the classical matrix realization
             self.nmap = _table_from_matrices(rs)
-            self.sign_convention = "classical matrix realization"
-        else:
+        else:  # extraspecial pairs positive
             self.nmap = _table_extraspecial(rs)
-            self.sign_convention = "extraspecial pairs positive"
         self.hcoords = {r: rs.coroot_coords(r) for r in rs.roots}
         self._verify_magnitudes()
 

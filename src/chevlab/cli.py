@@ -7,6 +7,8 @@ deterministic for a fixed --seed.
 """
 from __future__ import annotations
 
+import contextlib
+import functools
 import json
 import sys
 
@@ -57,11 +59,20 @@ def _fail_input(message: str):
     sys.exit(2)
 
 
-def _setup(type_label, ring_text, rep_tag=None):
-    rs = build_root_system(type_label)
-    ring = parse_ring_spec(ring_text)
-    rep = make_representation(rs, rep_tag)
-    return rs, ring, rep
+@contextlib.contextmanager
+def _input_checks(*more_errors):
+    """Exit 2 on a parse or validation error (or one of `more_errors`) raised
+    inside; anything else propagates."""
+    try:
+        yield
+    except (*_INPUT_ERRORS, *more_errors) as exc:
+        _fail_input(str(exc))
+
+
+def _refuse(fmt: str, exc, prefix: str = "", **extra):
+    """Exit 1 on a refused verification: closure caps, failed decompositions,
+    refused certificates."""
+    _emit(fmt, False, {"error": str(exc), **extra}, [f"{prefix}{exc}"])
 
 
 def _parse_subgroup(rep, ring, text):
@@ -108,6 +119,30 @@ fmt_option = click.option(
 seed_option = click.option("--seed", type=int, default=0, show_default=True)
 
 
+def _typed_command(parent, name: str):
+    """A subcommand of `parent` with --type, --ring, --rep and --format: the
+    function gets the root system, ring and representation they name, parsed
+    under `_input_checks`, and fmt, then its own options."""
+
+    def decorate(fn):
+        @parent.command(name)
+        @click.option("--type", "type_label", required=True)
+        @click.option("--ring", "ring_text", required=True)
+        @click.option("--rep", "rep_tag", default=None)
+        @fmt_option
+        @functools.wraps(fn)
+        def command(type_label, ring_text, rep_tag, fmt, **options):
+            with _input_checks():
+                rs = build_root_system(type_label)
+                ring = parse_ring_spec(ring_text)
+                rep = make_representation(rs, rep_tag)
+            fn(rs, ring, rep, fmt, **options)
+
+        return command
+
+    return decorate
+
+
 @click.group()
 def main():
     """Exact computations in Chevalley groups over finite commutative rings."""
@@ -126,11 +161,9 @@ def ring():
 @fmt_option
 def ring_decompose_artinian(spec_text, fmt):
     """Split a finite ring into local factors and verify the isomorphism."""
-    try:
+    with _input_checks():
         spec = parse_ring_spec(spec_text)
         dec = artinian_decompose(spec)
-    except _INPUT_ERRORS as exc:
-        _fail_input(str(exc))
     failures = []
     for v in spec.elements():
         if dec.from_components(dec.to_components(v)) != v:
@@ -163,10 +196,8 @@ def roots():
 @fmt_option
 def roots_show(type_label, fmt):
     """List the roots, simple system, and length classes."""
-    try:
+    with _input_checks():
         rs = build_root_system(type_label)
-    except _INPUT_ERRORS as exc:
-        _fail_input(str(exc))
     lines = [f"{rs.label}: {len(rs.roots)} roots, rank {rs.rank}"]
     lines.append(
         "simple roots: "
@@ -199,11 +230,9 @@ def roots_show(type_label, fmt):
 @fmt_option
 def chevalley_cmd(action, type_label, fmt):
     """Emit the integral commutator-coefficient table for a type."""
-    try:
+    with _input_checks():
         rs = build_root_system(type_label)
         table = build_basis(rs)
-    except _INPUT_ERRORS as exc:
-        _fail_input(str(exc))
     lines = [f"commutator coefficients for {rs.label} (order: (i+j, i) ascending)"]
     rows = []
     for a in rs.roots:
@@ -246,19 +275,11 @@ def group():
     """Group element computations."""
 
 
-@group.command("verify-relations")
-@click.option("--type", "type_label", required=True)
-@click.option("--ring", "ring_text", required=True)
-@click.option("--rep", "rep_tag", default=None)
+@_typed_command(group, "verify-relations")
 @click.option("--mode", type=click.Choice(["R1", "R2", "both"]), default="both")
 @seed_option
-@fmt_option
-def group_verify_relations(type_label, ring_text, rep_tag, mode, seed, fmt):
+def group_verify_relations(rs, ring_spec, rep, fmt, mode, seed):
     """Exhaustively (or by fixed-seed sampling) check the defining relations."""
-    try:
-        rs, ring_spec, rep = _setup(type_label, ring_text, rep_tag)
-    except _INPUT_ERRORS as exc:
-        _fail_input(str(exc))
     report = gp.verify_steinberg_relations(rep, ring_spec, mode=mode, seed=seed)
     lines = [
         f"{rs.label} over {ring_spec.label} in {rep.tag}: "
@@ -290,10 +311,7 @@ def group_verify_relations(type_label, ring_text, rep_tag, mode, seed, fmt):
     _emit(fmt, report.ok, payload, lines)
 
 
-@group.command("decompose")
-@click.option("--type", "type_label", required=True)
-@click.option("--ring", "ring_text", required=True)
-@click.option("--rep", "rep_tag", default=None)
+@_typed_command(group, "decompose")
 @click.option(
     "--algorithm",
     type=click.Choice(["prop2", "tavgen", "merge"]),
@@ -301,11 +319,9 @@ def group_verify_relations(type_label, ring_text, rep_tag, mode, seed, fmt):
     show_default=True,
 )
 @click.option("--input", "input_text", required=True, help="matrix as JSON rows")
-@fmt_option
-def group_decompose(type_label, ring_text, rep_tag, algorithm, input_text, fmt):
+def group_decompose(rs, ring_spec, rep, fmt, algorithm, input_text):
     """Decompose a matrix into a bounded product of elementary generators."""
-    try:
-        rs, ring_spec, rep = _setup(type_label, ring_text, rep_tag)
+    with _input_checks(gp.GroupError):
         dc.check_decomposition_supported(rs)
         if algorithm != "merge" and not is_local(ring_spec)[0]:
             _fail_input(
@@ -317,15 +333,11 @@ def group_decompose(type_label, ring_text, rep_tag, algorithm, input_text, fmt):
         if not rep.check_invariant(ring_spec, g.mat):
             _fail_input("matrix does not preserve the representation form")
         linalg.mat_inverse(ring_spec, g.mat)
-    except (*_INPUT_ERRORS, gp.GroupError) as exc:
-        _fail_input(str(exc))
     try:
-        report = _DECOMPOSERS[algorithm](g)
-    except dc.UnsupportedDecomposition as exc:
-        _fail_input(str(exc))
+        with _input_checks():  # an UnsupportedDecomposition is bad input
+            report = _DECOMPOSERS[algorithm](g)
     except (gp.GroupError, dc.NotInBigCell) as exc:
-        _emit(fmt, False, {"error": str(exc)}, [f"decomposition failed: {exc}"])
-        return
+        _refuse(fmt, exc, "decomposition failed: ")
     lines = [
         f"{report.algorithm} decomposition over {ring_spec.label}: "
         f"length {report.length} <= bound {report.bound}",
@@ -338,27 +350,19 @@ def group_decompose(type_label, ring_text, rep_tag, algorithm, input_text, fmt):
     _emit(fmt, report.verified, payload, lines)
 
 
-@group.command("closure")
-@click.option("--type", "type_label", required=True)
-@click.option("--ring", "ring_text", required=True)
-@click.option("--rep", "rep_tag", default=None)
+@_typed_command(group, "closure")
 @click.option("--omit-root", "omit_text", default=None, help="root as JSON list")
 @click.option("--cap", type=click.IntRange(min=1), default=2 * 10**6, show_default=True)
-@fmt_option
-def group_closure(type_label, ring_text, rep_tag, omit_text, cap, fmt):
+def group_closure(rs, ring_spec, rep, fmt, omit_text, cap):
     """Brute-force closure of the elementary generators."""
-    try:
-        rs, ring_spec, rep = _setup(type_label, ring_text, rep_tag)
+    with _input_checks():
         omit = _parse_root(rs, omit_text) if omit_text else None
-    except _INPUT_ERRORS as exc:
-        _fail_input(str(exc))
     try:
         closure = gp.subgroup_closure(
             gp.all_elementaries(rep, ring_spec, omit_root=omit), cap=cap
         )
     except gp.CapExceeded as exc:
-        _emit(fmt, False, {"error": str(exc)}, [str(exc)])
-        return
+        _refuse(fmt, exc)
     lines = [
         f"closure of elementaries of {rs.label} over {ring_spec.label}"
         + (f" omitting {list(omit)}" if omit else "")
@@ -382,29 +386,16 @@ def congruence():
     """Normal subgroup level sets and ideal certificates."""
 
 
-@congruence.command("certify")
-@click.option("--type", "type_label", required=True)
-@click.option("--ring", "ring_text", required=True)
-@click.option("--rep", "rep_tag", default=None)
+@_typed_command(congruence, "certify")
 @click.option("--subgroup", "subgroup_text", required=True)
-@fmt_option
-def congruence_certify(type_label, ring_text, rep_tag, subgroup_text, fmt):
+def congruence_certify(rs, ring_spec, rep, fmt, subgroup_text):
     """Extract an ideal trapped by a normal subgroup, with a replayed trace."""
-    try:
-        rs, ring_spec, rep = _setup(type_label, ring_text, rep_tag)
+    with _input_checks():
         n = _parse_subgroup(rep, ring_spec, subgroup_text)
-    except _INPUT_ERRORS as exc:
-        _fail_input(str(exc))
     try:
         trace = cg.ideal_certificate(n)
     except cg.CertificateError as exc:
-        _emit(
-            fmt,
-            False,
-            {"error": str(exc), "refused": True},
-            [f"certificate refused: {exc}"],
-        )
-        return
+        _refuse(fmt, exc, "certificate refused: ", refused=True)
     ideal = trace.ideal
     lines = [
         f"subgroup: {n.description}",
@@ -429,19 +420,12 @@ def congruence_certify(type_label, ring_text, rep_tag, subgroup_text, fmt):
     _emit(fmt, True, payload, lines)
 
 
-@congruence.command("levels")
-@click.option("--type", "type_label", required=True)
-@click.option("--ring", "ring_text", required=True)
-@click.option("--rep", "rep_tag", default=None)
+@_typed_command(congruence, "levels")
 @click.option("--subgroup", "subgroup_text", required=True)
-@fmt_option
-def congruence_levels(type_label, ring_text, rep_tag, subgroup_text, fmt):
+def congruence_levels(rs, ring_spec, rep, fmt, subgroup_text):
     """Dump the parameter level set of every root."""
-    try:
-        rs, ring_spec, rep = _setup(type_label, ring_text, rep_tag)
+    with _input_checks():
         n = _parse_subgroup(rep, ring_spec, subgroup_text)
-    except _INPUT_ERRORS as exc:
-        _fail_input(str(exc))
     lines = [f"level sets for {n.description}"]
     rows = []
     for r in rs.roots:
@@ -468,23 +452,16 @@ def ebg():
     """Fourfold unipotent normal form checks."""
 
 
-@ebg.command("check")
-@click.option("--type", "type_label", required=True)
-@click.option("--ring", "ring_text", required=True)
-@click.option("--rep", "rep_tag", default=None)
+@_typed_command(ebg, "check")
 @click.option("--cap", type=click.IntRange(min=1), default=10**6, show_default=True)
-@fmt_option
-def ebg_check(type_label, ring_text, rep_tag, cap, fmt):
+def ebg_check(rs, ring_spec, rep, fmt, cap):
     """Exhaustively express every group element in the fourfold form."""
-    try:
-        rs, ring_spec, rep = _setup(type_label, ring_text, rep_tag)
+    with _input_checks():
         dc.check_decomposition_supported(rs)
         if not is_local(ring_spec)[0]:
             _fail_input(
                 f"the fourfold form needs a local ring; {ring_spec.label} is not local"
             )
-    except _INPUT_ERRORS as exc:
-        _fail_input(str(exc))
     try:
         # the e_r(t), t != 0, are distinct members of the closure: refuse
         # before listing them when they alone pass the cap
@@ -496,8 +473,7 @@ def ebg_check(type_label, ring_text, rep_tag, cap, fmt):
             track_words=True,
         )
     except gp.CapExceeded as exc:
-        _emit(fmt, False, {"error": str(exc)}, [str(exc)])
-        return
+        _refuse(fmt, exc)
     total = len(words)
     good = 0
     witness = None

@@ -112,7 +112,7 @@ def materialized_subgroup(rep, ring, generators, cap: int = 10**6) -> NormalSubg
     return handle
 
 
-def check_normal(n: NormalSubgroupHandle, samples: int = 40, seed: int = 0) -> bool:
+def check_normal(n: NormalSubgroupHandle) -> bool:
     """Conjugation-closure validation against the elementary generators: every
     member of a materialized subgroup by every pair of `_conjugators`, sampled
     members and conjugators of a kernel subgroup."""
@@ -126,14 +126,14 @@ def check_normal(n: NormalSubgroupHandle, samples: int = 40, seed: int = 0) -> b
                 if e * g * e_inv not in n.data:
                     return False
         return True
-    # kernel: sample members as words in e_r(a), a = r*g in the ideal, and
-    # conjugate by a sampled e_r(t), t != 0; neither the ideal nor the
-    # conjugators are listed
-    rng = random.Random(seed)
+    # kernel: sample 40 members as words in e_r(a), a = r*g in the ideal, and
+    # conjugate each by a sampled e_r(t), t != 0, with a fixed seed; neither
+    # the ideal nor the conjugators are listed
+    rng = random.Random(0)
     generator = n.data.generator
     roots = rep.rs.roots
     elements = ring.elements()
-    for _ in range(samples):
+    for _ in range(40):
         letters = [
             (rng.choice(roots), ring.mul(rng.choice(elements), generator))
             for _ in range(3)

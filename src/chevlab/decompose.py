@@ -322,40 +322,21 @@ def product_merge_decompose(
 ) -> ElementaryWord:
     """Merge per-factor words into one word over the product, letter slot by slot.
 
-    Each aligned tuple of letters (e_{a_i}(r_i))_i becomes a short run of
-    letters e_a(t_a) whose parameters assemble the r_i componentwise; words
-    are padded with zero letters to a common length first.
+    Slot j holds the j-th letter of each factor word (words that are shorter
+    have none).  It becomes one letter e_a(t_a) per root a in the slot, in order
+    of first appearance, whose parameter t_a assembles the factors' parameters
+    componentwise, with zero for a factor that has no letter for a.
     """
-    rep, ring = g.rep, g.ring
-    n_factors = len(factor_words)
-    width = max((len(w) for w in factor_words), default=0)
-    pad_root = rep.rs.roots[0]
-    columns = []
-    for w in factor_words:
-        letters = list(w.letters)
-        letters += [(pad_root, None)] * (width - len(letters))
-        columns.append(letters)
+    zeros = [w.ring.zero for w in factor_words]
     merged = []
-    for j in range(width):
-        slot: dict = {}
-        order = []
-        for i in range(n_factors):
-            root, t = columns[i][j]
-            if t is None:
-                continue
-            if root not in slot:
-                slot[root] = [None] * n_factors
-                order.append(root)
-            slot[root][i] = t
-        for root in order:
-            comps = []
-            for i, t in enumerate(slot[root]):
-                if t is None:
-                    comps.append(factor_words[i].ring.zero)
-                else:
-                    comps.append(t)
-            merged.append((root, from_components(tuple(comps))))
-    word = ElementaryWord(rep, ring, merged).nonzero()
+    for slot in itertools.zip_longest(*(w.letters for w in factor_words)):
+        params: dict = {}
+        for i, letter in enumerate(slot):
+            if letter is not None:
+                root, t = letter
+                params.setdefault(root, list(zeros))[i] = t
+        merged += [(root, from_components(c)) for root, c in params.items()]
+    word = ElementaryWord(g.rep, g.ring, merged).nonzero()
     if word.evaluate() != g:
         raise GroupError("merged word failed to re-evaluate")
     return word
@@ -366,12 +347,9 @@ def decompose_over_product(g: GroupElement) -> DecompositionReport:
     rep = g.rep
     consts = decomposition_constants(rep.rs)
     dec = artinian_decompose(g.ring)
-    # factor k of the matrix: row i is zip(*components of row i)[k]
-    comps = [[dec.to_components(v) for v in row] for row in g.mat]
-    parts = zip(*(zip(*row) for row in comps))
     factor_words = [
         local_decompose(GroupElement(rep, f, mat)).word
-        for f, mat in zip(dec.factors, parts)
+        for f, mat in zip(dec.factors, dec.split(g.mat))
     ]
     word = product_merge_decompose(g, factor_words, dec.from_components)
     bound = consts["merge_bound"]

@@ -174,15 +174,8 @@ def _eliminate(spec: RingSpec, a):
     dec = artinian_decompose(spec)
     if not dec.factors:  # the zero ring: every matrix is its own inverse
         return a, spec.one
-    comps = [[dec.to_components(v) for v in row] for row in a]
-    parts, dets = zip(*(
-        _gauss_jordan(f, m)
-        for f, m in zip(dec.factors, zip(*(zip(*row) for row in comps)))
-    ))
-    inverse = tuple(
-        tuple(dec.from_components(c) for c in zip(*rows)) for rows in zip(*parts)
-    )
-    return inverse, dec.from_components(dets)
+    parts, dets = zip(*map(_gauss_jordan, dec.factors, dec.split(a)))
+    return dec.join(parts), dec.from_components(dets)
 
 
 def mat_inverse(spec: RingSpec, a):

@@ -63,7 +63,6 @@ class Representation:
         for a, b in zip(heights, heights[1:]):
             if a < b:
                 raise ChevalleyError(f"basis of {self.tag} is not height-sorted")
-        self.basis_heights = heights
         for r, m in self._x.items():
             ht = self.rs.height(r)
             for i, row in enumerate(m):
@@ -74,29 +73,18 @@ class Representation:
                         )
 
     def _build_form(self):
-        n = self.rs.rank
-        if self.tag == "defining-B":
-            dim = 2 * n + 1
-            s = [[0] * dim for _ in range(dim)]
-            for i in range(dim):
-                s[i][dim - 1 - i] = 1
-            s[n][n] = 2
-            return ("symmetric", freeze(s))
-        if self.tag == "defining-D":
-            dim = 2 * n
-            s = [[0] * dim for _ in range(dim)]
-            for i in range(dim):
-                s[i][dim - 1 - i] = 1
-            return ("symmetric", freeze(s))
-        if self.tag == "defining-C":
-            dim = 2 * n
-            s = [[0] * dim for _ in range(dim)]
-            for i in range(dim):
-                s[i][dim - 1 - i] = 1 if i < n else -1
-            return ("skew", freeze(s))
-        if self.tag == "defining-A":
-            return ("determinant", None)
-        return ("adjoint", None)
+        """The antidiagonal form of B, C and D, negated on the second half for
+        the symplectic C, with 2 in the middle of B's odd dimension."""
+        kind = {"defining-B": "symmetric", "defining-C": "skew", "defining-D": "symmetric"}
+        if self.tag not in kind:
+            return ("determinant" if self.tag == "defining-A" else "adjoint", None)
+        dim, half = self.dim, self.dim // 2
+        s = [[0] * dim for _ in range(dim)]
+        for i in range(dim):
+            s[i][dim - 1 - i] = -1 if kind[self.tag] == "skew" and i >= half else 1
+        if dim % 2:
+            s[half][half] = 2
+        return (kind[self.tag], freeze(s))
 
     # -- integral generator data ----------------------------------------------
 

@@ -893,23 +893,28 @@ def _field_base(spec: RingSpec) -> RingSpec:
     raise RingError(f"{spec.label}: not Z/n, GF(p)[x]/(f) or a product of these")
 
 
+def _primaries(spec: RingSpec) -> list[tuple]:
+    """(prime, primary) generators of each local factor of Z/n or GF(p)[x]/(f),
+    reduced into the ring: (p, p^k) for each p^k exactly dividing n, (g, g^e)
+    for each g^e exactly dividing f."""
+    if isinstance(spec, ZmodRing):
+        return [(p % spec.n, p**k % spec.n) for p, k in factorize(spec.n)]
+    out = []
+    for g, e in poly_factor(_field_base(spec), list(spec.modulus)):
+        prime = spec.pad(g) if len(g) <= spec.degree else spec.zero  # g = f: a field
+        out.append((prime, functools.reduce(spec.mul, [prime] * e)))
+    return out
+
+
 @functools.lru_cache(maxsize=RING_MEMO_SIZE)
 def is_local(spec: RingSpec) -> tuple[bool, IdealHandle | None]:
     """(True, maximal ideal) when local, else (False, None): Z/n is local iff
     n is a prime power p^k, with maximal ideal (p); GF(p)[x]/(f) iff f = g^e
     with g irreducible, with maximal ideal (g); a product never is."""
-    if isinstance(spec, ZmodRing):
-        fact = factorize(spec.n)
-        if len(fact) != 1:
-            return False, None
-        return True, ideal_from_generators(spec, [fact[0][0] % spec.n])
-    if isinstance(spec, ProductRing):
+    primaries = [] if isinstance(spec, ProductRing) else _primaries(spec)
+    if len(primaries) != 1:
         return False, None
-    fact = poly_factor(_field_base(spec), list(spec.modulus))
-    if len(fact) != 1:
-        return False, None
-    g, e = fact[0]
-    return True, ideal_from_generators(spec, [spec.pad(g)] if e > 1 else [])
+    return True, ideal_from_generators(spec, [primaries[0][0]])
 
 
 def residue_field(spec: RingSpec):
@@ -925,7 +930,9 @@ def residue_field(spec: RingSpec):
 
 
 class ArtinianDecomposition:
-    """R ~ product of local rings, with explicit coordinate maps both ways."""
+    """R ~ product of local rings, with explicit coordinate maps both ways,
+    for elements (`to_components`/`from_components`) and matrices
+    (`split`/`join`)."""
 
     def __init__(self, source: RingSpec, factors, to_components, from_components):
         self.source = source
@@ -939,6 +946,14 @@ class ArtinianDecomposition:
     def from_components(self, comps) -> object:
         return self._from(tuple(comps))
 
+    def split(self, mat) -> list:
+        """The matrix over each local factor, in factor order."""
+        return list(zip(*(zip(*map(self._to, row)) for row in mat)))
+
+    def join(self, mats):
+        """The matrix over the source whose image over factor k is mats[k]."""
+        return tuple(tuple(map(self._from, zip(*rows))) for rows in zip(*mats))
+
     def __repr__(self):
         names = ", ".join(f.label for f in self.factors)
         return f"<{self.source.label} ~ {names}>"
@@ -951,41 +966,27 @@ def artinian_decompose(spec: RingSpec) -> ArtinianDecomposition:
     A non-local Z/n or GF(p)[x]/(f) splits by the Chinese remainder theorem
     over its primary generators q (p^k for the prime powers in n, g^e for the
     irreducible powers in f): the factor is R/(q), and the idempotent of the
-    factor is r * lift(inv(proj(r))) with r the cofactor of q.
+    factor is r * lift(inv(proj(r))) with r the cofactor of q.  A product's
+    factors are its factors' local factors, in order.
     """
     if isinstance(spec, ProductRing):
         subs = [artinian_decompose(f) for f in spec.factors]
-        factors = [g for s in subs for g in s.factors]
-        widths = [len(s.factors) for s in subs]
-
-        def to_components(v):
-            out = []
-            for x, s in zip(v, subs):
-                out.extend(s.to_components(x))
-            return tuple(out)
-
-        def from_components(comps):
-            out = []
-            pos = 0
-            for w, s in zip(widths, subs):
-                out.append(s.from_components(comps[pos : pos + w]))
-                pos += w
-            return tuple(out)
-
-        return ArtinianDecomposition(spec, factors, to_components, from_components)
-    if is_local(spec)[0]:
+        ends = list(itertools.accumulate((len(s.factors) for s in subs), initial=0))
+        return ArtinianDecomposition(
+            spec,
+            [g for s in subs for g in s.factors],
+            lambda v: tuple(c for s, x in zip(subs, v) for c in s.to_components(x)),
+            lambda comps: tuple(
+                s.from_components(comps[i:j]) for s, i, j in zip(subs, ends, ends[1:])
+            ),
+        )
+    primaries = _primaries(spec)
+    if len(primaries) == 1:
         return ArtinianDecomposition(
             spec, [spec], lambda v: (v,), lambda comps: comps[0]
         )
-    if isinstance(spec, ZmodRing):
-        primaries = [p**k % spec.n for p, k in factorize(spec.n)]
-    else:
-        primaries = [
-            functools.reduce(spec.mul, [spec.pad(g)] * e)
-            for g, e in poly_factor(spec.base, list(spec.modulus))
-        ]
     parts = []
-    for q in primaries:
+    for _, q in primaries:
         ring, proj, lift = _quotient(spec, q)
         rest = _principal(spec, [q])[1]
         parts.append((ring, proj, lift, spec.mul(rest, lift(ring.inv(proj(rest))))))

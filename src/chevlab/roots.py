@@ -206,8 +206,7 @@ def _solve_coords(basis, target):
 class TavgenSplit:
     """Partition of a root system by an extremal simple root."""
 
-    def __init__(self, alpha, sub_system, phi0, phi1):
-        self.alpha = alpha
+    def __init__(self, sub_system, phi0, phi1):
         self.sub_system = sub_system
         self.phi0 = tuple(phi0)
         self.phi1 = tuple(phi1)
@@ -418,7 +417,7 @@ class RootSystem:
         ]
         label = classify(self, phi0, sub_simples)
         sub = RootSystem.from_subsystem(self, phi0, sub_simples, label)
-        return TavgenSplit(self.simple[alpha_index], sub, phi0, phi1)
+        return TavgenSplit(sub, phi0, phi1)
 
     def root_name(self, r) -> str:
         """Readable name in the realization's coordinates."""

@@ -38,6 +38,33 @@ def test_ring_decompose_artinian_json():
     assert doc["passed"] is True
 
 
+# golden name -> command, for the subcommands the other golden tests leave out
+GOLDEN_REPORTS = {
+    "ring_decompose_artinian_Z360": ["ring", "decompose-artinian", "Z/360"],
+    "ring_decompose_artinian_GF2x_x2_x1_2": [
+        "ring", "decompose-artinian", "GF(2)[x]/(x^2(x+1)^2)",
+    ],
+    "ring_decompose_artinian_GF5x_x3_x": ["ring", "decompose-artinian", "GF(5)[x]/(x^3-x)"],
+    "ring_decompose_artinian_Z12xGF2x_x2_x": [
+        "ring", "decompose-artinian", "Z/12 x GF(2)[x]/(x^2+x)",
+    ],
+    "roots_show_G2": ["roots", "show", "--type", "G2"],
+    "group_verify_relations_A2_Z4": [
+        "group", "verify-relations", "--type", "A2", "--ring", "Z/4",
+    ],
+    "group_closure_A2_GF2_omit": [
+        "group", "closure", "--type", "A2", "--ring", "GF(2)", "--omit-root", "[1,-1,0]",
+    ],
+}
+
+
+@pytest.mark.parametrize("name", GOLDEN_REPORTS)
+def test_report_matches_golden(name):
+    res = run(*GOLDEN_REPORTS[name], "--format", "json")
+    assert res.exit_code == 0
+    assert res.output == (GOLDEN / f"{name}.json").read_text()
+
+
 def test_ring_malformed_input_exit_2():
     res = run("ring", "decompose-artinian", "Z/1")
     assert res.exit_code == 2

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chevlab import rings
+from chevlab.linalg import mat_mul
 from chevlab.rings import (
     PolyQuotientRing,
     ProductRing,
@@ -474,10 +475,10 @@ def test_non_field_base_is_not_supported():
 
 
 @st.composite
-def crt_rings(draw):
-    """Z/n with n <= 500, or GF(p)[x]/(f) with p in {2, 3, 5} and a monic f of degree <= 4."""
+def crt_rings(draw, max_n=500):
+    """Z/n with n <= max_n, or GF(p)[x]/(f) with p in {2, 3, 5} and a monic f of degree <= 4."""
     if draw(st.booleans()):
-        return ZmodRing(draw(st.integers(2, 500)))
+        return ZmodRing(draw(st.integers(2, max_n)))
     p = draw(st.sampled_from([2, 3, 5]))
     degree = draw(st.integers(1, 4))
     tail = draw(st.lists(st.integers(0, p - 1), min_size=degree, max_size=degree))
@@ -530,3 +531,42 @@ def test_additive_generators_sum_to_every_element(r):
     gens = r.additive_generators()
     assert all(g in r.elements() for g in gens)
     assert additive_closure(r, gens) == set(r.elements())
+
+
+# Z/n with n <= 400, GF(p)[x]/(f), or a product of two or three of these
+split_rings = st.one_of(
+    crt_rings(max_n=400),
+    st.lists(crt_rings(max_n=400), min_size=2, max_size=3).map(ProductRing),
+)
+
+
+def ring_values(r):
+    """Values of r drawn coordinate by coordinate: no ring is enumerated."""
+    if isinstance(r, ProductRing):
+        return st.tuples(*map(ring_values, r.factors))
+    if isinstance(r, PolyQuotientRing):
+        return st.tuples(*[ring_values(r.base)] * r.degree)
+    return st.integers(0, r.n - 1)
+
+
+def matrices(r, dim):
+    row = st.tuples(*[ring_values(r)] * dim)
+    return st.tuples(*[row] * dim)
+
+
+@settings(max_examples=60, deadline=None)
+@given(r=split_rings, dim=st.integers(1, 6), data=st.data())
+def test_split_and_join_are_inverse_ring_maps_on_matrices(r, dim, data):
+    dec = artinian_decompose(r)
+    a, b = data.draw(matrices(r, dim)), data.draw(matrices(r, dim))
+    assert dec.join(dec.split(a)) == a
+    assert [len(m) for m in dec.split(a)] == [dim] * len(dec.factors)
+    assert dec.split(mat_mul(r, a, b)) == [
+        mat_mul(f, x, y) for f, x, y in zip(dec.factors, dec.split(a), dec.split(b))
+    ]
+
+
+@settings(max_examples=60, deadline=None)
+@given(r=split_rings)
+def test_a_ring_is_local_iff_it_has_one_local_factor(r):
+    assert is_local(r)[0] == (len(artinian_decompose(r).factors) == 1)
