@@ -128,20 +128,19 @@ def check_normal(n: NormalSubgroupHandle) -> bool:
         return True
     # kernel: sample 40 members as words in e_r(a), a = r*g in the ideal, and
     # conjugate each by a sampled e_r(t), t != 0, with a fixed seed; neither
-    # the ideal nor the conjugators are listed
+    # the ring, the ideal nor the conjugators are listed
     rng = random.Random(0)
     generator = n.data.generator
     roots = rep.rs.roots
-    elements = ring.elements()
     for _ in range(40):
         letters = [
-            (rng.choice(roots), ring.mul(rng.choice(elements), generator))
+            (rng.choice(roots), ring.mul(ring.random_element(rng), generator))
             for _ in range(3)
         ]
         g = ElementaryWord(rep, ring, letters).evaluate()
         if not n.contains(g):
             return False
-        root, t = rng.choice(roots), rng.choice(elements)
+        root, t = rng.choice(roots), ring.random_element(rng)
         t = t if t != ring.zero else ring.one
         e = elementary(rep, ring, root, t)
         if not n.contains(e * g * elementary(rep, ring, root, ring.neg(t))):

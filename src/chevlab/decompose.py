@@ -7,9 +7,10 @@ decomposition assembled from those two, the letterwise merge over product
 rings, and the (U+ U-)^4 normal form obtained by rank induction: a letter
 pushed into the eight blocks u_0..u_7 moves through their Levi parts in the
 rank-(l-1) machine, and one backward pass rebuilds u'_k = R_{k-1} u_k R_k^-1
-from the telescoped Levi conjugators R_k.  Every algorithm returns a
-`DecompositionReport`, and every returned word is re-evaluated against its
-input first; verification is part of the contract.
+from the telescoped Levi conjugators R_k.  Letters act on matrices as row and
+column operations (`Representation.apply_left`/`apply_right`).  Every
+algorithm returns a `DecompositionReport`, and every returned word is
+re-evaluated against its input first; verification is part of the contract.
 """
 from __future__ import annotations
 
@@ -25,7 +26,6 @@ from .groups import (
     torus_and_weyl,
     weyl_conjugation_check,
     weyl_lift_word,
-    word_matrix,
 )
 from .reps import Representation
 from .rings import RING_MEMO_SIZE, RingSpec, artinian_decompose, is_local, residue_field
@@ -103,8 +103,7 @@ def unipotent_coordinates(
         x = _read_coordinate(rep, ring, cur, root)
         coords.append((root, x))
         if x != ring.zero:
-            strip = rep.elementary_matrix(ring, root, ring.neg(x))
-            cur = linalg.mat_mul(ring, strip, cur)
+            cur = rep.apply_left(ring, [(root, ring.neg(x))], cur)
     if cur != rep.identity(ring):
         raise NotUnipotent("matrix is not a product of the claimed root groups")
     return coords
@@ -237,7 +236,8 @@ def bruhat_decompose(g: GroupElement):
     for word, _ in rep.rs.weyl_elements():
         lift = weyl_lift_word(rep, ring, word)
         try:
-            full = big_cell_factor(g * lift.inverse_word().evaluate()) + lift
+            remainder = rep.apply_right(ring, g.mat, lift.inverse_word().letters)
+            full = big_cell_factor(GroupElement(rep, ring, remainder)) + lift
         except NotInBigCell:
             continue
         if full.evaluate() != g:
@@ -302,8 +302,8 @@ def local_decompose(g: GroupElement) -> DecompositionReport:
         lifted = ElementaryWord(
             rep, ring, [(r, lift(t)) for r, t in res_word.letters]
         ).nonzero()
-        remainder = g * lifted.inverse_word().evaluate()
-        word = big_cell_factor(remainder) + lifted
+        remainder = rep.apply_right(ring, g.mat, lifted.inverse_word().letters)
+        word = big_cell_factor(GroupElement(rep, ring, remainder)) + lifted
     consts = decomposition_constants(rs)
     bound = consts["local_bound"]
     if word.evaluate() != g:
@@ -482,16 +482,6 @@ class _Machine:
             if coords.get(root, zero) != zero
         ]
 
-    def _eval_pair(self, sign, coords: dict):
-        """(block matrix, its inverse), the inverse from the reversed letters."""
-        ring = self.ring
-        letters = self._letters(sign, coords)
-        inverse = [(root, ring.neg(x)) for root, x in reversed(letters)]
-        return (
-            word_matrix(self.rep, ring, letters),
-            word_matrix(self.rep, ring, inverse),
-        )
-
     def push_left(self, root, t):
         """Replace the blocks u_0..u_7 of g by those of e_root(t) g.
 
@@ -499,7 +489,8 @@ class _Machine:
         that keeps root; the inner machine turns e_root(t) a_0...a_7 into
         a'_0...a'_7.  With R_7 = 1 and R_{k-1} = a'_k R_k a_k^-1, the new
         blocks u'_k = R_{k-1} u_k R_k^-1 = a'_k (R_k c_k R_k^-1) telescope to
-        R_{-1} g, and R_{-1} must be e_root(t)."""
+        R_{-1} g, and R_{-1} must be e_root(t).  Letters act on R_k and R_k^-1
+        as row and column operations; the only dense product is by R_k^-1."""
         if t == self.ring.zero:
             return
         rs, rep, ring = self.rs, self.rep, self.ring
@@ -519,21 +510,21 @@ class _Machine:
         inner.push_left(root, t)
         new = inner.blocks
 
-        def mul3(x, y, z):
-            return linalg.mat_mul(ring, linalg.mat_mul(ring, x, y), z)
+        def sandwich(left, mat, right):  # left . mat . right^-1, for letter lists
+            inverse = [(r, ring.neg(x)) for r, x in reversed(right)]
+            return rep.apply_right(ring, rep.apply_left(ring, left, mat), inverse)
 
-        r_mat = r_inv = rep.identity(ring)
+        one = r_mat = r_inv = rep.identity(ring)
         blocks = [None] * 8
         for k in range(7, -1, -1):
             sign = 1 if k % 2 == 0 else -1
-            a_mat, a_inv = self._eval_pair(sign, old[k])
-            b_mat, b_inv = self._eval_pair(sign, new[k])
-            u_mat = word_matrix(rep, ring, self._letters(sign, self.blocks[k]))
-            prev, prev_inv = mul3(b_mat, r_mat, a_inv), mul3(a_mat, r_inv, b_inv)
+            a, b = self._letters(sign, old[k]), self._letters(sign, new[k])
+            prev, prev_inv = sandwich(b, r_mat, a), sandwich(a, r_inv, b)
+            block = rep.apply_right(ring, prev, self._letters(sign, self.blocks[k]))
+            if r_inv != one:  # R_7 = 1, and so is R_k while the Levi parts agree
+                block = linalg.mat_mul(ring, block, r_inv)
             coords = unipotent_coordinates(
-                GroupElement(rep, ring, mul3(prev, u_mat, r_inv)),
-                sign,
-                order=unipotent_order(rs, sign),
+                GroupElement(rep, ring, block), sign, order=unipotent_order(rs, sign)
             )
             blocks[k] = {r: x for r, x in coords if x != ring.zero}
             if {r: x for r, x in blocks[k].items() if r in phi0} != new[k]:

@@ -11,6 +11,7 @@ int64 path runs only while every intermediate sum stays below 2^63; above
 that bound the exact Python-int path takes over.  Inversion and the
 determinant share one path: it splits the ring into its local factors (a local
 ring is its own single factor) and does unit-pivot Gauss-Jordan in each.
+A sparse factor I + E acts by `row_ops` (left) or `col_ops` (right) in O(nnz n).
 """
 from __future__ import annotations
 
@@ -74,6 +75,28 @@ def mat_mul(spec: RingSpec, a, b):
                     acc = add(acc, mul(x, y))
             orow.append(acc)
         out.append(tuple(orow))
+    return tuple(out)
+
+
+def row_ops(spec: RingSpec, entries, a):
+    """(I + E) a for the entries E = [(i, j, c)]: row i gains c times row j."""
+    add, mul = spec.add, spec.mul
+    out = list(a)
+    for i, j, c in entries:
+        out[i] = tuple(add(x, mul(c, y)) for x, y in zip(out[i], a[j]))
+    return tuple(out)
+
+
+def col_ops(spec: RingSpec, a, entries):
+    """a (I + E) for the entries E = [(i, j, c)]: column j gains c times column i."""
+    add, mul, zero = spec.add, spec.mul, spec.zero
+    out = []
+    for row in a:
+        new = list(row)
+        for i, j, c in entries:
+            if row[i] != zero:
+                new[j] = add(new[j], mul(row[i], c))
+        out.append(tuple(new))
     return tuple(out)
 
 

@@ -3,7 +3,9 @@
 Each representation stores, per root, the integer divided-power matrices
 M_k = X^k / k! of its nilpotent generator, so e_a(t) = sum_k t^k M_k reduces
 exactly into any finite ring.  Basis vectors are ordered by descending
-weight height, which makes positive root vectors strictly upper triangular.
+weight height, which makes positive root vectors strictly upper triangular
+and keeps every M_k off the diagonal.  Letters e_a(t) act on a matrix as row
+operations from the left and column operations from the right.
 
 For types B and D these are SO models (the universal groups are Spin and
 have no convenient matrix form); identities among unipotent generators are
@@ -101,6 +103,12 @@ class Representation:
         )
 
     @functools.cache
+    def support(self, root) -> tuple:
+        """Positions (i, j), all off the diagonal, where some M_k is nonzero."""
+        mats, n = self.divided_powers(root), range(self.dim)
+        return tuple((i, j) for i in n for j in n if any(m[i][j] for m in mats))
+
+    @functools.cache
     def extraction_data(self, root):
         """Positions and Bezout multipliers solving the root coordinate.
 
@@ -137,27 +145,32 @@ class Representation:
     @functools.lru_cache(maxsize=ELEMENTARY_MEMO_SIZE)
     def elementary_matrix(self, ring: RingSpec, root, t):
         """e_root(t) = sum_k t^k M_k over the ring; root is a tuple."""
-        mats = self.divided_powers(root)
         out = [list(row) for row in self.identity(ring)]
         tpow = t
-        from_int_cache: dict = {}
-
-        def conv(k):
-            v = from_int_cache.get(k)
-            if v is None:
-                v = ring.from_int(k)
-                from_int_cache[k] = v
-            return v
-
-        for mk in mats:
-            for i, row in enumerate(mk):
-                for j, v in enumerate(row):
-                    if v:
-                        out[i][j] = ring.add(
-                            out[i][j], ring.mul(tpow, conv(v))
-                        )
+        for mk in self.divided_powers(root):
+            for i, j in self.support(root):
+                if mk[i][j]:
+                    c = ring.mul(tpow, ring.from_int(mk[i][j]))
+                    out[i][j] = ring.add(out[i][j], c)
             tpow = ring.mul(tpow, t)
         return tuple(tuple(row) for row in out)
+
+    def _entries(self, ring: RingSpec, root, t) -> list:
+        """The nonzero entries (i, j, c) of e_root(t) - I."""
+        mat, zero = self.elementary_matrix(ring, root, t), ring.zero
+        return [(i, j, mat[i][j]) for i, j in self.support(root) if mat[i][j] != zero]
+
+    def apply_left(self, ring: RingSpec, letters, mat):
+        """The product of the letters times mat, as row operations."""
+        for root, t in reversed(letters):
+            mat = linalg.row_ops(ring, self._entries(ring, root, t), mat)
+        return mat
+
+    def apply_right(self, ring: RingSpec, mat, letters):
+        """mat times the product of the letters, as column operations."""
+        for root, t in letters:
+            mat = linalg.col_ops(ring, mat, self._entries(ring, root, t))
+        return mat
 
     def check_invariant(self, ring: RingSpec, mat) -> bool:
         """Form/determinant preservation for the stored matrix; in the adjoint

@@ -156,6 +156,11 @@ class RingSpec:
         for generation and conjugation, since e_a(s+t) = e_a(s) e_a(t)."""
         raise NotImplementedError
 
+    def random_element(self, rng):
+        """A uniform random combination of the additive generators, drawn
+        coordinate by coordinate, so the ring is never listed."""
+        raise NotImplementedError
+
     @functools.lru_cache(maxsize=RING_MEMO_SIZE)
     def units(self) -> tuple:
         return tuple(v for v in self.elements() if self.is_unit(v))
@@ -225,6 +230,9 @@ class ZmodRing(RingSpec):
 
     def additive_generators(self) -> tuple:
         return (self.one,)
+
+    def random_element(self, rng):
+        return rng.randrange(self.n)
 
     def element_to_json(self, v):
         return v
@@ -355,6 +363,9 @@ class PolyQuotientRing(RingSpec):
             for i in range(self.degree) for b in self.base.additive_generators()
         )
 
+    def random_element(self, rng):
+        return tuple(self.base.random_element(rng) for _ in range(self.degree))
+
     def element_to_json(self, v):
         return [self.base.element_to_json(c) for c in v]
 
@@ -418,6 +429,9 @@ class ProductRing(RingSpec):
             self.inject(i, g)
             for i, f in enumerate(self.factors) for g in f.additive_generators()
         )
+
+    def random_element(self, rng):
+        return tuple(f.random_element(rng) for f in self.factors)
 
     def inject(self, index: int, value):
         """Element (0, ..., value, ..., 0) supported on one factor."""

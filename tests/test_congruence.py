@@ -1,3 +1,9 @@
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from chevlab import congruence
@@ -358,3 +364,32 @@ def test_certificate_f4_long_a2_branch():
     trace = ideal_certificate(n)
     assert trace.ideal.element_set() == frozenset({0, 2})
     assert "corrected-mixed-identity" in trace.step_kinds()
+
+
+def test_check_normal_kernel_over_a_huge_quotient_under_memory_limit():
+    """Over GF(2)[x]/(x^64) the sample draws from the additive generators; it
+    used to list all 2^64 ring elements and end in MemoryError."""
+    code = (
+        "from chevlab.congruence import check_normal, kernel_subgroup\n"
+        "from chevlab.reps import make_representation\n"
+        "from chevlab.rings import ideal_from_generators, parse_ring_spec\n"
+        "from chevlab.roots import build_root_system\n"
+        "ring = parse_ring_spec('GF(2)[x]/(x^64)')\n"
+        "ideal = ideal_from_generators(ring, [ring.pad((0, 1))])\n"
+        "rep = make_representation(build_root_system('A2'))\n"
+        "print(check_normal(kernel_subgroup(rep, ring, ideal)))\n"
+    )
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    ))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        timeout=30, env=env, preexec_fn=limit_memory,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "True\n"

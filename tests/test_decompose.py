@@ -19,7 +19,6 @@ from chevlab.decompose import (
 )
 from chevlab.groups import (
     ElementaryWord,
-    GroupElement,
     GroupError,
     elementary,
     elementary_generator_words,
@@ -30,7 +29,7 @@ from chevlab.groups import (
 )
 from chevlab.reps import make_representation
 from chevlab.rings import ZmodRing, artinian_decompose, parse_ring_spec
-from chevlab.roots import build_root_system
+from chevlab.roots import _neg, build_root_system
 
 
 A1 = build_root_system("A", 1)
@@ -314,12 +313,25 @@ def test_tavgen_corrupted_inner_block_fails_telescope_check(monkeypatch):
         tavgen_decompose(ElementaryWord(rep, ring, [(A2.simple[0], 1)]))
 
 
+# The tavgen golden inputs (the fixed words of tests/test_cli.py) and the
+# dense products tavgen_decompose may spend on each.  Letters act as row and
+# column operations, so only the conjugated blocks R_(k-1) u_k R_k^-1 with
+# R_k != 1 and the re-evaluations multiply dense matrices.
+TAVGEN_GOLDEN_PRODUCTS = [
+    ("A1", "GF(3)", None, 2),
+    ("A2", "GF(3)", None, 53),
+    ("B2", "GF(3)", None, 111),
+    ("C2", "Z/9", None, 250),
+    ("A3", "Z/4", None, 564),
+    ("B3", "GF(3)", None, 453),
+    ("D4", "GF(2)", None, 1212),
+    ("G2", "GF(3)", "adjoint", 344),
+]
+
+
 def test_tavgen_mat_mul_count_guard(monkeypatch):
-    """The one-pass interchange on the C2/Z/9 golden input: 6,700 products."""
-    rep = rep_of(C2)
-    ring = ZmodRing(9)
-    rows = [[2, 2, 0, 5], [5, 3, 5, 3], [0, 8, 2, 7], [8, 6, 4, 3]]
-    word = local_decompose(GroupElement.from_json(rep, ring, rows)).word
+    """Dense products on the tavgen golden inputs (105,042 over all eight
+    before letters acted as row and column operations; 2,989 after)."""
     calls = []
     mat_mul = linalg.mat_mul
 
@@ -327,9 +339,19 @@ def test_tavgen_mat_mul_count_guard(monkeypatch):
         calls.append(1)
         return mat_mul(ring, a, b)
 
-    monkeypatch.setattr(linalg, "mat_mul", counted)
-    tavgen_decompose(word)
-    assert len(calls) <= 6700
+    for label, ring_text, tag, bound in TAVGEN_GOLDEN_PRODUCTS:
+        rs, ring = build_root_system(label), parse_ring_spec(ring_text)
+        rep, pos = rep_of(rs, tag), rs.positive
+        letters = []
+        for i in range(1, len(pos) + 1):
+            letters.append((pos[i - 1], ring.from_int(i)))
+            letters.append((_neg(pos[-i]), ring.from_int(2 * i - 1)))
+        word = local_decompose(ElementaryWord(rep, ring, letters).evaluate()).word
+        calls.clear()
+        with monkeypatch.context() as m:
+            m.setattr(linalg, "mat_mul", counted)
+            tavgen_decompose(word)
+        assert len(calls) <= bound, (label, ring_text)
 
 
 @pytest.mark.parametrize("label", ["E6", "F4"])

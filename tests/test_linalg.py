@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from chevlab.groups import ElementaryWord
+from chevlab.groups import ElementaryWord, word_matrix
 from chevlab.linalg import SingularMatrix, _np_mul, mat_det, mat_mul
 from chevlab.reps import make_representation
 from chevlab.rings import PolyQuotientRing, ProductRing, ZmodRing, parse_ring_spec
@@ -251,3 +251,52 @@ def test_determinant_check_rejects_det_minus_one_at_dimension_6():
     assert mat_det(ring, swap) == leibniz_det(ring, swap) == 8
     assert not rep.check_invariant(ring, swap)
     assert rep.check_invariant(ring, rep.identity(ring))
+
+
+# Letters act as row operations from the left and column operations from the
+# right; both must agree with the dense product by the word's matrix.
+ACTION_REPS = [("A2", None), ("B2", None), ("C3", None), ("G2", "adjoint")]
+
+
+def action_ring(draw):
+    kind = draw(st.sampled_from(["small", "huge", "quotient"]))
+    if kind == "small":
+        return ZmodRing(draw(st.integers(2, 400)))
+    if kind == "huge":
+        return ZmodRing(2**61)
+    return draw(field_base_quotients())
+
+
+@st.composite
+def action_rings(draw):
+    """Z/n with n <= 400, Z/2^61, GF(p)[x]/(f), or a product of two of them."""
+    first = action_ring(draw)
+    return ProductRing([first, action_ring(draw)]) if draw(st.booleans()) else first
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    ring=action_rings(),
+    case=st.sampled_from(ACTION_REPS),
+    length=st.integers(0, 6),
+    seed=seeds,
+)
+def test_letters_act_as_row_and_column_operations(ring, case, length, seed):
+    rng = random.Random(seed)
+    rep = make_representation(build_root_system(case[0]), case[1])
+    roots = list(rep.rs.roots)
+    letters = [(rng.choice(roots), random_value(rng, ring)) for _ in range(length)]
+    m = random_matrix(rng, rep.dim, lambda: random_value(rng, ring))
+    word = word_matrix(rep, ring, letters)
+    assert rep.apply_left(ring, letters, m) == mat_mul(ring, word, m)
+    assert rep.apply_right(ring, m, letters) == mat_mul(ring, m, word)
+
+
+@pytest.mark.parametrize("label", ["A2", "B2", "C3", "D4", "G2", "F4"])
+def test_letter_support_is_off_the_diagonal(label):
+    rs = build_root_system(label)
+    for tag in ("adjoint", None):
+        rep = make_representation(rs, tag)
+        for root in rs.roots:
+            support = rep.support(root)
+            assert support and all(i != j for i, j in support)

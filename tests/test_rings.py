@@ -1,4 +1,5 @@
 import json
+import random
 import time
 
 import pytest
@@ -531,6 +532,13 @@ def test_additive_generators_sum_to_every_element(r):
     gens = r.additive_generators()
     assert all(g in r.elements() for g in gens)
     assert additive_closure(r, gens) == set(r.elements())
+
+
+@pytest.mark.parametrize("text", ["Z/12", "GF(2)[x]/(x^3)", "Z/4 x GF(3)"])
+def test_random_element_reaches_every_element(text):
+    r = rings.parse_ring_spec(text)
+    rng = random.Random(0)
+    assert {r.random_element(rng) for _ in range(40 * r.card)} == set(r.elements())
 
 
 # Z/n with n <= 400, GF(p)[x]/(f), or a product of two or three of these
