@@ -19,13 +19,15 @@ from .groups import (
     GroupError,
     all_elementaries,
     commutator_expansion,
+    conjugate,
     elementary,
     expansion_terms,
     identity_element,
     in_congruence_kernel,
+    letters_matrix,
+    sandwich,
     subgroup_closure,
     weyl_letters,
-    word_matrix,
 )
 from .reps import Representation
 from .rings import (
@@ -86,12 +88,10 @@ def full_subgroup(rep, ring) -> NormalSubgroupHandle:
 
 
 def _conjugators(rep, ring) -> list:
-    """(e_r(g), e_r(g)^-1 = e_r(-g)) for every root r and additive generator g:
-    closure under these is closure under E(R), as e_r(s+t) = e_r(s) e_r(t)."""
-    return [
-        (elementary(rep, ring, r, g), elementary(rep, ring, r, ring.neg(g)))
-        for r in rep.rs.roots for g in ring.additive_generators()
-    ]
+    """Letters (r, g) for every root r and additive generator g: closure under
+    conjugation by these e_r(g) is closure under E(R), as
+    e_r(s+t) = e_r(s) e_r(t)."""
+    return [(r, g) for r in rep.rs.roots for g in ring.additive_generators()]
 
 
 def materialized_subgroup(rep, ring, generators, cap: int = 10**6) -> NormalSubgroupHandle:
@@ -114,18 +114,17 @@ def materialized_subgroup(rep, ring, generators, cap: int = 10**6) -> NormalSubg
 
 def check_normal(n: NormalSubgroupHandle) -> bool:
     """Conjugation-closure validation against the elementary generators: every
-    member of a materialized subgroup by every pair of `_conjugators`, sampled
-    members and conjugators of a kernel subgroup."""
+    member of a materialized subgroup by every letter of `_conjugators`, sampled
+    members and conjugators of a kernel subgroup.  Conjugates are formed by
+    row and column operations."""
     rep, ring = n.rep, n.ring
     if n.kind == "full":
         return True
     if n.kind == "materialized":
-        elem_pairs = _conjugators(rep, ring)
-        for g in n.data:
-            for e, e_inv in elem_pairs:
-                if e * g * e_inv not in n.data:
-                    return False
-        return True
+        letters = _conjugators(rep, ring)
+        return all(
+            conjugate(g, letter) in n.data for g in n.data for letter in letters
+        )
     # kernel: sample 40 members as words in e_r(a), a = r*g in the ideal, and
     # conjugate each by a sampled e_r(t), t != 0, with a fixed seed; neither
     # the ring, the ideal nor the conjugators are listed
@@ -137,13 +136,12 @@ def check_normal(n: NormalSubgroupHandle) -> bool:
             (rng.choice(roots), ring.mul(ring.random_element(rng), generator))
             for _ in range(3)
         ]
-        g = ElementaryWord(rep, ring, letters).evaluate()
+        g = GroupElement(rep, ring, letters_matrix(rep, ring, letters))
         if not n.contains(g):
             return False
         root, t = rng.choice(roots), ring.random_element(rng)
         t = t if t != ring.zero else ring.one
-        e = elementary(rep, ring, root, t)
-        if not n.contains(e * g * elementary(rep, ring, root, ring.neg(t))):
+        if not n.contains(conjugate(g, (root, t))):
             return False
     return True
 
@@ -237,7 +235,7 @@ def _member(n: NormalSubgroupHandle, g: GroupElement, what: str):
 def _expansion(rep, ring, terms, a, b, s, t):
     """[e_a(s), e_b(t)] and its expansion letters over `terms`, both verified."""
     lhs, letters = commutator_expansion(rep, ring, terms, a, b, s, t)
-    if lhs != word_matrix(rep, ring, letters):
+    if lhs != letters_matrix(rep, ring, letters):
         raise CertificateError(f"commutator expansion failed for {a}, {b}")
     return GroupElement(rep, ring, lhs), letters
 
@@ -405,7 +403,7 @@ def _cover_b_mixed(n, trace, table, levels, values):
         if p2 not in values:
             raise CertificateError("long factor parameter escaped the ideal")
         _member(n, elementary(rep, ring, g2, p2), "long factor of the mixed identity")
-        short_el = comm * elementary(rep, ring, g2, ring.neg(p2))
+        short_el = GroupElement(rep, ring, sandwich(rep, ring, [], comm.mat, [(g2, p2)]))
         if short_el != elementary(rep, ring, g1, p1):
             raise CertificateError("mixed identity peel failed")
         _member(n, short_el, "short factor of the mixed identity")
@@ -480,7 +478,7 @@ def _cover_rank2(n, trace, table, levels, values):
             cb, lb = _expansion(rep, ring, mixed, lam, ntau, v, ring.neg(one))
             _member(n, ca, "first mixed commutator")
             _member(n, cb, "second mixed commutator")
-            prod = ca * ElementaryWord(rep, ring, lb).inverse_word().evaluate()
+            prod = GroupElement(rep, ring, sandwich(rep, ring, [], ca.mat, lb))
             rs_val = ring.mul(r, s)
             expected = elementary(
                 rep, ring, sigma, ring.mul(ring.from_int(2 * c1), v)
@@ -559,17 +557,15 @@ def _cover_g2_short(n, trace, table, levels, values):
             short_param = ring.zero
         if short_param != t:
             raise CertificateError("short parameter bookkeeping failed")
-        if ElementaryWord(rep, ring, coords).evaluate() != prod:
+        if letters_matrix(rep, ring, coords) != prod.mat:
             raise CertificateError("isolation product failed to re-evaluate")
         # peel: every non-target factor is in N, so the target factor is too
         cut = next(
             (i for i, (r, _) in enumerate(coords) if r == target), len(coords)
         )
-        prefix = ElementaryWord(rep, ring, coords[:cut])
-        suffix = ElementaryWord(rep, ring, coords[cut + 1:])
-        short_el = (
-            prefix.inverse_word().evaluate() * prod
-            * suffix.inverse_word().evaluate()
+        prefix_inv = ElementaryWord(rep, ring, coords[:cut]).inverse_word().letters
+        short_el = GroupElement(
+            rep, ring, sandwich(rep, ring, prefix_inv, prod.mat, coords[cut + 1:])
         )
         if short_el != elementary(rep, ring, target, t):
             raise CertificateError("short factor extraction failed")
@@ -653,16 +649,13 @@ def omit_root_generation_check(
     if source in (alpha, _neg(alpha)):
         raise GroupError("reflection basis degenerated")
     # the lift of s_beta is a 3-letter word avoiding +-alpha
-    lift = ElementaryWord(rep, ring, weyl_letters(rep, ring, beta, ring.one))
-    w = lift.evaluate()
-    w_inv = lift.inverse_word().evaluate()
+    lift = weyl_letters(rep, ring, beta, ring.one)
     for eps in (1, -1):
         ok = True
         for t in ring.additive_generators():
             s = t if eps == 1 else ring.neg(t)
-            if w * elementary(rep, ring, source, s) * w_inv != elementary(
-                rep, ring, alpha, t
-            ):
+            conj = sandwich(rep, ring, lift, elementary(rep, ring, source, s).mat, lift)
+            if conj != elementary(rep, ring, alpha, t).mat:
                 ok = False
                 break
         if ok:
@@ -707,9 +700,11 @@ def cross_factor_commute_check(rep: Representation, ring: RingSpec) -> CrossFact
                     report.pairs_checked += 1
                     for r in ring.factors[fi].elements():
                         for s in ring.factors[fj].elements():
-                            x = elementary(rep, ring, a, ring.inject(fi, r))
-                            y = elementary(rep, ring, b, ring.inject(fj, s))
+                            x = (a, ring.inject(fi, r))
+                            y = (b, ring.inject(fj, s))
                             report.parameters_checked += 1
-                            if x * y != y * x:
+                            if letters_matrix(rep, ring, [x, y]) != letters_matrix(
+                                rep, ring, [y, x]
+                            ):
                                 report.failures.append((fi, fj, a, b, r, s))
     return report

@@ -23,6 +23,7 @@ from .groups import (
     ElementaryWord,
     GroupElement,
     GroupError,
+    sandwich,
     torus_and_weyl,
     weyl_conjugation_check,
     weyl_lift_word,
@@ -510,16 +511,13 @@ class _Machine:
         inner.push_left(root, t)
         new = inner.blocks
 
-        def sandwich(left, mat, right):  # left . mat . right^-1, for letter lists
-            inverse = [(r, ring.neg(x)) for r, x in reversed(right)]
-            return rep.apply_right(ring, rep.apply_left(ring, left, mat), inverse)
-
         one = r_mat = r_inv = rep.identity(ring)
         blocks = [None] * 8
         for k in range(7, -1, -1):
             sign = 1 if k % 2 == 0 else -1
             a, b = self._letters(sign, old[k]), self._letters(sign, new[k])
-            prev, prev_inv = sandwich(b, r_mat, a), sandwich(a, r_inv, b)
+            prev = sandwich(rep, ring, b, r_mat, a)
+            prev_inv = sandwich(rep, ring, a, r_inv, b)
             block = rep.apply_right(ring, prev, self._letters(sign, self.blocks[k]))
             if r_inv != one:  # R_7 = 1, and so is R_k while the Levi parts agree
                 block = linalg.mat_mul(ring, block, r_inv)

@@ -9,6 +9,9 @@ every e_a(t), so a closure's cap bounds its work on every ring.
 Inverses come from words, e_a(t)^-1 = e_a(-t) (`ElementaryWord.inverse_word`,
 `commutator_expansion`); Gauss-Jordan elimination (`GroupElement.inverse`,
 `commutator`) is the general reference path for arbitrary invertible matrices.
+The relation checks, the commutator expansions and conjugation by letters act
+on matrices by row and column operations (`letters_matrix`, `sandwich`), not
+by dense products; `word_matrix` and `ElementaryWord.evaluate` multiply densely.
 """
 from __future__ import annotations
 
@@ -128,16 +131,33 @@ def expansion_terms(rep: Representation, ring: RingSpec, a, b) -> list:
     ]
 
 
+def letters_matrix(rep: Representation, ring: RingSpec, letters):
+    """Raw matrix of the product of the letters: the later letters act as
+    column operations on the memoized first one."""
+    if not letters:
+        return rep.identity(ring)
+    (root, t), *rest = letters
+    return rep.apply_right(ring, rep.elementary_matrix(ring, root, t), rest)
+
+
+def sandwich(rep: Representation, ring: RingSpec, left, mat, right):
+    """left . mat . right^-1 for letter lists: the left letters act as row
+    operations, those of right^-1 (reversed, negated) as column operations."""
+    inverse = [(r, ring.neg(t)) for r, t in reversed(right)]
+    return rep.apply_right(ring, rep.apply_left(ring, left, mat), inverse)
+
+
+def conjugate(g: GroupElement, letter) -> GroupElement:
+    """e_r(t) g e_r(-t) for the letter (r, t), as one row and one column letter."""
+    return GroupElement(g.rep, g.ring, sandwich(g.rep, g.ring, [letter], g.mat, [letter]))
+
+
 def commutator_expansion(rep: Representation, ring: RingSpec, terms, a, b, s, t):
-    """[e_a(s), e_b(t)] = (e_a(s) e_b(t)) (e_a(-s) e_b(-t)) as a raw matrix, and
-    the letters (g, C_ij s^i t^j) of its expansion over `terms`, for the
-    caller to compare."""
-    e = rep.elementary_matrix
-    mat = linalg.mat_mul(
-        ring,
-        linalg.mat_mul(ring, e(ring, a, s), e(ring, b, t)),
-        linalg.mat_mul(ring, e(ring, a, ring.neg(s)), e(ring, b, ring.neg(t))),
-    )
+    """[e_a(s), e_b(t)] = e_a(s) e_b(t) e_a(-s) e_b(-t) as a raw matrix, from the
+    memoized e_a(s) by column operations, and the letters (g, C_ij s^i t^j) of
+    its expansion over `terms`, for the caller to evaluate and compare."""
+    word = [(a, s), (b, t), (a, ring.neg(s)), (b, ring.neg(t))]
+    mat = letters_matrix(rep, ring, word)
     letters = [(g, reduce(ring.mul, [s] * i + [t] * j, c)) for i, j, g, c in terms]
     return mat, letters
 
@@ -242,16 +262,14 @@ def weyl_conjugation_check(rep: Representation, ring: RingSpec, word, alpha):
     rs = rep.rs
     alpha = tuple(alpha)
     beta = rs.apply_word(word, alpha)
-    lift = weyl_lift_word(rep, ring, word)
-    w = lift.evaluate()
-    w_inv = lift.inverse_word().evaluate()
+    lift = weyl_lift_word(rep, ring, word).letters
     sign = None
     for t in ring.additive_generators():
-        lhs = w * elementary(rep, ring, alpha, t) * w_inv
+        lhs = sandwich(rep, ring, lift, elementary(rep, ring, alpha, t).mat, lift)
         matched = None
         for eps in (1, -1):
             s = t if eps == 1 else ring.neg(t)
-            if lhs == elementary(rep, ring, beta, s):
+            if lhs == elementary(rep, ring, beta, s).mat:
                 matched = eps
                 break
         if matched is None:
@@ -299,12 +317,12 @@ def subgroup_closure(generators, cap: int, track_words: bool = False,
     """Multiplicative closure of the generators (a subgroup, the group being finite).
 
     One frontier search from the identity: each new element x is multiplied
-    on the right by every generator and mapped to e x e^-1 for each (e, e^-1)
-    in conjugators.  With the conjugators of E(R) this is the normal closure,
-    since x e s e^-1 = e (e^-1 x e s) e^-1.  With track_words=True (and no
-    conjugators) the generators are (element, ElementaryWord) pairs and a
-    dict element -> ElementaryWord is returned; otherwise returns a
-    frozenset.  Raises CapExceeded when the closure grows past cap.
+    on the right by every generator and mapped to e x e^-1 for each letter
+    e = e_r(t) in conjugators (`conjugate`).  With the conjugators of E(R)
+    this is the normal closure, since x e s e^-1 = e (e^-1 x e s) e^-1.  With
+    track_words=True (and no conjugators) the generators are (element,
+    ElementaryWord) pairs and a dict element -> ElementaryWord is returned;
+    otherwise returns a frozenset.  Raises CapExceeded when the closure grows past cap.
     """
     gens = list(generators)
     if not gens:
@@ -326,8 +344,8 @@ def subgroup_closure(generators, cap: int, track_words: bool = False,
                     nxt.append(prod)
                     if len(words) > cap:
                         raise CapExceeded(f"closure exceeded cap {cap}")
-            for e, e_inv in conjugators:
-                conj = e * g * e_inv
+            for letter in conjugators:
+                conj = conjugate(g, letter)
                 if conj not in words:
                     words[conj] = None
                     nxt.append(conj)
@@ -431,11 +449,7 @@ def verify_steinberg_relations(
     if mode in ("R1", "both"):
         for a in rs.roots:
             for s, t in pairs:
-                lhs = linalg.mat_mul(
-                    ring,
-                    rep.elementary_matrix(ring, a, s),
-                    rep.elementary_matrix(ring, a, t),
-                )
+                lhs = letters_matrix(rep, ring, [(a, s), (a, t)])
                 rhs = rep.elementary_matrix(ring, a, ring.add(s, t))
                 report.additivity_checked += 1
                 if lhs != rhs:
@@ -452,6 +466,6 @@ def verify_steinberg_relations(
             for s, t in pairs:
                 lhs, letters = commutator_expansion(rep, ring, terms, a, b, s, t)
                 report.commutator_checked += 1
-                if lhs != word_matrix(rep, ring, letters):
+                if lhs != letters_matrix(rep, ring, letters):
                     report.failures.append(("R2", a, b, s, t))
     return report

@@ -80,23 +80,42 @@ def mat_mul(spec: RingSpec, a, b):
 
 def row_ops(spec: RingSpec, entries, a):
     """(I + E) a for the entries E = [(i, j, c)]: row i gains c times row j."""
-    add, mul = spec.add, spec.mul
     out = list(a)
+    if isinstance(spec, ZmodRing):
+        m = spec.n
+        for i, j, c in entries:
+            out[i] = tuple((x + c * y) % m for x, y in zip(out[i], a[j]))
+        return tuple(out)
+    add, mul, zero = spec.add, spec.mul, spec.zero
     for i, j, c in entries:
-        out[i] = tuple(add(x, mul(c, y)) for x, y in zip(out[i], a[j]))
+        out[i] = tuple(
+            x if y == zero else add(x, mul(c, y)) for x, y in zip(out[i], a[j])
+        )
     return tuple(out)
 
 
 def col_ops(spec: RingSpec, a, entries):
-    """a (I + E) for the entries E = [(i, j, c)]: column j gains c times column i."""
-    add, mul, zero = spec.add, spec.mul, spec.zero
+    """a (I + E) for the entries E = [(i, j, c)]: column j gains c times column i.
+    A row that is zero in every column i is kept as it is."""
     out = []
+    if isinstance(spec, ZmodRing):
+        m = spec.n
+        for row in a:
+            new = None
+            for i, j, c in entries:
+                if row[i]:
+                    new = new or list(row)
+                    new[j] = (new[j] + row[i] * c) % m
+            out.append(row if new is None else tuple(new))
+        return tuple(out)
+    add, mul, zero = spec.add, spec.mul, spec.zero
     for row in a:
-        new = list(row)
+        new = None
         for i, j, c in entries:
             if row[i] != zero:
+                new = new or list(row)
                 new[j] = add(new[j], mul(row[i], c))
-        out.append(tuple(new))
+        out.append(row if new is None else tuple(new))
     return tuple(out)
 
 

@@ -376,7 +376,8 @@ class RootSystem:
 
     # -- structural queries --------------------------------------------------
 
-    def commutator_root_list(self, alpha, beta) -> list[tuple[int, int, Root]]:
+    @functools.cache
+    def commutator_root_list(self, alpha, beta) -> tuple[tuple[int, int, Root], ...]:
         """Roots i*alpha + j*beta (i, j >= 1), ordered by (i+j, i)."""
         if beta == _neg(alpha):
             raise RootSystemError("commutator list undefined for beta = -alpha")
@@ -387,7 +388,7 @@ class RootSystem:
                 if r in self.root_set:
                     out.append((i, j, r))
         out.sort(key=lambda t: (t[0] + t[1], t[0]))
-        return out
+        return tuple(out)
 
     def dynkin_neighbors(self, i: int) -> list[int]:
         return [

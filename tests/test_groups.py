@@ -509,3 +509,79 @@ def test_reduction_by_the_unit_ideal_lands_in_the_zero_ring():
     q = congruence_reduce(g, ideal_from_generators(ring, [5]))
     assert q.ring == ZmodRing(1)
     assert q.inverse() == q and q.inverse().mat == ((0,) * 3,) * 3
+
+
+# ---------------------------------------------------------------------------
+# Negative controls and the dense-product guard of the relation checker
+
+
+def test_bumped_commutator_coefficient_fails_r2_for_that_pair_only(monkeypatch):
+    from chevlab import groups
+
+    rep = make_representation(B2, "defining-B")
+    ring = ZmodRing(3)
+    a, b = next(
+        (a, b) for a in B2.roots for b in B2.roots
+        if b != _neg(a) and len(B2.commutator_root_list(a, b)) == 2
+    )
+    terms = groups.expansion_terms
+
+    def bumped(rep_, ring_, x, y):
+        out = terms(rep_, ring_, x, y)
+        if (x, y) != (a, b):
+            return out
+        i, j, g, c = out[-1]
+        return out[:-1] + [(i, j, g, ring_.add(c, ring_.one))]
+
+    monkeypatch.setattr(groups, "expansion_terms", bumped)
+    report = verify_steinberg_relations(rep, ring)
+    # the bumped letter's parameter C s^i t^j moves exactly when s, t != 0
+    expected = [("R2", a, b, s, t) for s in (1, 2) for t in (1, 2)]
+    assert sorted(report.failures) == expected
+
+
+def test_corrupted_elementary_matrix_fails_r1_for_that_root(monkeypatch):
+    from chevlab.reps import Representation
+
+    rep = make_representation(A2, "defining-A")
+    ring = ZmodRing(3)
+    root = A2.roots[0]
+    i, j = rep.support(root)[0]
+    original = Representation.elementary_matrix
+
+    def corrupted(self, ring_, r, t):
+        mat = original(self, ring_, r, t)
+        if self is not rep or r != root or t != ring_.one:
+            return mat
+        rows = [list(row) for row in mat]
+        rows[i][j] = ring_.add(rows[i][j], ring_.one)
+        return tuple(map(tuple, rows))
+
+    assert verify_steinberg_relations(rep, ring, mode="R1").ok
+    monkeypatch.setattr(Representation, "elementary_matrix", corrupted)
+    report = verify_steinberg_relations(rep, ring, mode="R1")
+    assert report.failures
+    assert {root for _, root, _, _ in report.failures} == {root}
+
+
+def test_relation_checks_and_normality_make_no_dense_products(monkeypatch):
+    from chevlab.congruence import check_normal, kernel_subgroup, materialized_subgroup
+
+    calls = []
+    mat_mul = linalg.mat_mul
+
+    def counted(ring, a, b):
+        calls.append(1)
+        return mat_mul(ring, a, b)
+
+    a2 = make_representation(A2, "defining-A")
+    z9, gf2 = ZmodRing(9), ZmodRing(2)
+    kernel = kernel_subgroup(a2, z9, ideal_from_generators(z9, [3]))
+    materialized = materialized_subgroup(a2, gf2, [elementary(a2, gf2, A2.roots[0], 1)])
+    monkeypatch.setattr(linalg, "mat_mul", counted)
+    for label, tag, ring_text in [("B3", "defining-B", "Z/9"), ("G2", "adjoint", "GF(4)")]:
+        rep = make_representation(build_root_system(label), tag)
+        report = verify_steinberg_relations(rep, parse_ring_spec(ring_text))
+        assert report.ok and report.exhaustive
+    assert check_normal(kernel) and check_normal(materialized)
+    assert calls == []

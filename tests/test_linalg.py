@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from chevlab.groups import ElementaryWord, word_matrix
+from chevlab.groups import ElementaryWord, letters_matrix, sandwich, word_matrix
 from chevlab.linalg import SingularMatrix, _np_mul, mat_det, mat_mul
 from chevlab.reps import make_representation
 from chevlab.rings import PolyQuotientRing, ProductRing, ZmodRing, parse_ring_spec
@@ -290,6 +290,27 @@ def test_letters_act_as_row_and_column_operations(ring, case, length, seed):
     word = word_matrix(rep, ring, letters)
     assert rep.apply_left(ring, letters, m) == mat_mul(ring, word, m)
     assert rep.apply_right(ring, m, letters) == mat_mul(ring, m, word)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    ring=action_rings(),
+    case=st.sampled_from(ACTION_REPS),
+    lengths=st.tuples(st.integers(0, 4), st.integers(0, 4)),
+    seed=seeds,
+)
+def test_sandwich_and_letters_matrix_match_dense_products(ring, case, lengths, seed):
+    rng = random.Random(seed)
+    rep = make_representation(build_root_system(case[0]), case[1])
+    roots = list(rep.rs.roots)
+    left, right = (
+        [(rng.choice(roots), random_value(rng, ring)) for _ in range(n)] for n in lengths
+    )
+    m = random_matrix(rng, rep.dim, lambda: random_value(rng, ring))
+    right_inv = ElementaryWord(rep, ring, right).inverse_word().evaluate().mat
+    dense = mat_mul(ring, mat_mul(ring, word_matrix(rep, ring, left), m), right_inv)
+    assert sandwich(rep, ring, left, m, right) == dense
+    assert letters_matrix(rep, ring, left) == word_matrix(rep, ring, left)
 
 
 @pytest.mark.parametrize("label", ["A2", "B2", "C3", "D4", "G2", "F4"])

@@ -106,3 +106,12 @@ def test_equal_rings_share_one_artinian_decomposition():
     after = artinian_decompose.cache_info()
     assert after.maxsize == RING_MEMO_SIZE
     assert after.hits >= before.hits + 1
+
+
+def test_commutator_root_list_hit_returns_the_same_tuple():
+    rs = build_root_system("G2")
+    first = rs.commutator_root_list((1, 0), (0, 1))
+    before = type(rs).commutator_root_list.cache_info().hits
+    assert isinstance(first, tuple)
+    assert build_root_system("G2").commutator_root_list((1, 0), (0, 1)) is first
+    assert type(rs).commutator_root_list.cache_info().hits == before + 1

@@ -80,9 +80,9 @@ def test_commutator_root_list_a2():
     rs = build_root_system("A2")
     a = (1, -1, 0)
     b = (0, 1, -1)
-    assert rs.commutator_root_list(a, b) == [(1, 1, (1, 0, -1))]
+    assert rs.commutator_root_list(a, b) == ((1, 1, (1, 0, -1)),)
     # pair whose sum is not a root: empty
-    assert rs.commutator_root_list(a, (1, 0, -1)) == []
+    assert rs.commutator_root_list(a, (1, 0, -1)) == ()
 
 
 def test_commutator_root_list_b2_exhaustive_oracle():
@@ -98,19 +98,19 @@ def test_commutator_root_list_b2_exhaustive_oracle():
                 expected.append((i, j, r))
     expected.sort(key=lambda t: (t[0] + t[1], t[0]))
     got = rs.commutator_root_list(a, b)
-    assert got == expected == [(1, 1, (1, 0)), (1, 2, (1, -1))]
+    assert got == tuple(expected) == ((1, 1, (1, 0)), (1, 2, (1, -1)))
 
 
 def test_commutator_root_list_g2():
     rs = build_root_system("G2")
     k, c = (1, 0), (0, 1)
     got = rs.commutator_root_list(k, c)
-    assert got == [
+    assert got == (
         (1, 1, (1, 1)),
         (1, 2, (1, 2)),
         (1, 3, (1, 3)),
         (2, 3, (2, 3)),
-    ]
+    )
 
 
 def test_commutator_root_list_rejects_opposite():
