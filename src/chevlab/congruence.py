@@ -20,6 +20,8 @@ from .groups import (
     all_elementaries,
     commutator_expansion,
     conjugate,
+    conjugated,
+    conjugation_entries,
     elementary,
     expansion_terms,
     identity_element,
@@ -121,10 +123,9 @@ def check_normal(n: NormalSubgroupHandle) -> bool:
     if n.kind == "full":
         return True
     if n.kind == "materialized":
-        letters = _conjugators(rep, ring)
-        return all(
-            conjugate(g, letter) in n.data for g in n.data for letter in letters
-        )
+        pairs = conjugation_entries(rep, ring, _conjugators(rep, ring))
+        mats = {g.mat for g in n.data}
+        return all(conjugated(ring, x, pair) in mats for x in mats for pair in pairs)
     # kernel: sample 40 members as words in e_r(a), a = r*g in the ideal, and
     # conjugate each by a sampled e_r(t), t != 0, with a fixed seed; neither
     # the ring, the ideal nor the conjugators are listed

@@ -10,8 +10,12 @@ Inverses come from words, e_a(t)^-1 = e_a(-t) (`ElementaryWord.inverse_word`,
 `commutator_expansion`); Gauss-Jordan elimination (`GroupElement.inverse`,
 `commutator`) is the general reference path for arbitrary invertible matrices.
 The relation checks, the commutator expansions and conjugation by letters act
-on matrices by row and column operations (`letters_matrix`, `sandwich`), not
-by dense products; `word_matrix` and `ElementaryWord.evaluate` multiply densely.
+on matrices by row and column operations (`letters_matrix`, `sandwich`,
+`conjugated`), not by dense products; `word_matrix` and
+`ElementaryWord.evaluate` multiply densely.  The closure searches raw
+matrices: a generator h with h - I as sparse as an elementary acts by column
+operations, any other by a dense product, and each member is wrapped as a
+`GroupElement` once, at the end.
 """
 from __future__ import annotations
 
@@ -22,7 +26,7 @@ from functools import reduce
 from . import linalg
 from .chevalley import build_basis
 from .reps import Representation
-from .rings import IdealHandle, RingSpec
+from .rings import IdealHandle, RingSpec, ZmodRing
 from .roots import _neg
 
 
@@ -300,7 +304,15 @@ def in_congruence_kernel(g: GroupElement, ideal: IdealHandle) -> bool:
     ring = g.ring
     if ideal.spec != ring:
         raise GroupError("ideal belongs to a different ring")
-    mul, h, zero = ring.mul, ideal.cofactor, ring.zero
+    h = ideal.cofactor
+    if isinstance(ring, ZmodRing):
+        m = ring.n
+        return all(
+            v * h % m == (h if i == j else 0)
+            for i, row in enumerate(g.mat)
+            for j, v in enumerate(row)
+        )
+    mul, zero = ring.mul, ring.zero
     return all(
         mul(v, h) == (h if i == j else zero)
         for i, row in enumerate(g.mat)
@@ -316,13 +328,17 @@ def subgroup_closure(generators, cap: int, track_words: bool = False,
                      conjugators=()):
     """Multiplicative closure of the generators (a subgroup, the group being finite).
 
-    One frontier search from the identity: each new element x is multiplied
-    on the right by every generator and mapped to e x e^-1 for each letter
-    e = e_r(t) in conjugators (`conjugate`).  With the conjugators of E(R)
-    this is the normal closure, since x e s e^-1 = e (e^-1 x e s) e^-1.  With
-    track_words=True (and no conjugators) the generators are (element,
-    ElementaryWord) pairs and a dict element -> ElementaryWord is returned;
-    otherwise returns a frozenset.  Raises CapExceeded when the closure grows past cap.
+    One frontier search from the identity on raw matrices: each new matrix x
+    is multiplied on the right by every generator h, as column operations
+    x(I + E) when E = h - I has at most dim nonzero entries (an elementary
+    e_a(t), say) and as a dense product otherwise, and is mapped to e x e^-1
+    for each letter e = e_r(t) in conjugators, as one row and one column
+    letter (`conjugated`).  With the conjugators of E(R) this is the
+    normal closure, since x e s e^-1 = e (e^-1 x e s) e^-1.  Members are
+    wrapped as `GroupElement`s once, at the end.  With track_words=True (and
+    no conjugators) the generators are (element, ElementaryWord) pairs and a
+    dict element -> ElementaryWord is returned; otherwise returns a
+    frozenset.  Raises CapExceeded when the closure grows past cap.
     """
     gens = list(generators)
     if not gens:
@@ -330,29 +346,62 @@ def subgroup_closure(generators, cap: int, track_words: bool = False,
     if not track_words:
         gens = [(g, None) for g in gens]
     first = gens[0][0]
-    ident = identity_element(first.rep, first.ring)
-    words = {ident: ElementaryWord(first.rep, first.ring) if track_words else None}
+    rep, ring = first.rep, first.ring
+    actions = []
+    for h, hw in gens:
+        first._check(h)
+        entries = _delta_entries(ring, h.mat)
+        if len(entries) <= rep.dim:
+            actions.append((linalg.col_ops, entries, hw))
+        else:
+            actions.append((linalg.mat_mul, h.mat, hw))
+    for pair in conjugation_entries(rep, ring, conjugators):
+        actions.append((conjugated, pair, None))
+    ident = rep.identity(ring)
+    words = {ident: ElementaryWord(rep, ring) if track_words else None}
     frontier = [ident]
     while frontier:
         nxt = []
-        for g in frontier:
-            gw = words[g]
-            for h, hw in gens:
-                prod = g * h
-                if prod not in words:
-                    words[prod] = gw + hw if track_words else None
-                    nxt.append(prod)
-                    if len(words) > cap:
-                        raise CapExceeded(f"closure exceeded cap {cap}")
-            for letter in conjugators:
-                conj = conjugate(g, letter)
-                if conj not in words:
-                    words[conj] = None
-                    nxt.append(conj)
+        for x in frontier:
+            xw = words[x]
+            for act, arg, hw in actions:
+                y = act(ring, x, arg)
+                if y not in words:
+                    words[y] = xw + hw if track_words else None
+                    nxt.append(y)
                     if len(words) > cap:
                         raise CapExceeded(f"closure exceeded cap {cap}")
         frontier = nxt
-    return words if track_words else frozenset(words)
+    if track_words:
+        return {GroupElement(rep, ring, x): w for x, w in words.items()}
+    return frozenset(GroupElement(rep, ring, x) for x in words)
+
+
+def _delta_entries(ring: RingSpec, mat) -> tuple:
+    """The nonzero entries (i, j, c) of mat - I, the diagonal included."""
+    zero, one = ring.zero, ring.one
+    return tuple(
+        (i, j, v if i != j else ring.sub(v, one))
+        for i, row in enumerate(mat)
+        for j, v in enumerate(row)
+        if v != (one if i == j else zero)
+    )
+
+
+def conjugation_entries(rep: Representation, ring: RingSpec, letters) -> list:
+    """(entries of e_r(t) - I, entries of e_r(-t) - I) per letter (r, t), for
+    `conjugated`."""
+    return [
+        (rep._entries(ring, r, t), rep._entries(ring, r, ring.neg(t)))
+        for r, t in letters
+    ]
+
+
+def conjugated(ring: RingSpec, mat, pair):
+    """e_r(t) mat e_r(-t) for a pair of `conjugation_entries`: one row and one
+    column letter."""
+    left, right = pair
+    return linalg.col_ops(ring, linalg.row_ops(ring, left, mat), right)
 
 
 def all_elementaries(rep: Representation, ring: RingSpec, omit_root=None):

@@ -37,9 +37,10 @@ SO_MODEL_CAVEAT = (
     "identities hold up to the central kernel of the spin cover"
 )
 
-# Elementary matrices kept by value of (representation, ring, root, t): more
-# than the 1,598 distinct ones of the largest benchmark round, and about
-# 2,048 x 54 KB = 110 MB at dimension 78 (E6 adjoint over Z/n).
+# Elementary matrices, and the entries of e_root(t) - I, kept by value of
+# (representation, ring, root, t): more than the 1,598 distinct ones of the
+# largest benchmark round, and about 2,048 x 54 KB = 110 MB of matrices at
+# dimension 78 (E6 adjoint over Z/n).
 ELEMENTARY_MEMO_SIZE = 2048
 
 
@@ -155,10 +156,13 @@ class Representation:
             tpow = ring.mul(tpow, t)
         return tuple(tuple(row) for row in out)
 
-    def _entries(self, ring: RingSpec, root, t) -> list:
+    @functools.lru_cache(maxsize=ELEMENTARY_MEMO_SIZE)
+    def _entries(self, ring: RingSpec, root, t) -> tuple:
         """The nonzero entries (i, j, c) of e_root(t) - I."""
         mat, zero = self.elementary_matrix(ring, root, t), ring.zero
-        return [(i, j, mat[i][j]) for i, j in self.support(root) if mat[i][j] != zero]
+        return tuple(
+            (i, j, mat[i][j]) for i, j in self.support(root) if mat[i][j] != zero
+        )
 
     def apply_left(self, ring: RingSpec, letters, mat):
         """The product of the letters times mat, as row operations."""

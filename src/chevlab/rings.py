@@ -100,12 +100,15 @@ def factorize(n: int) -> list[tuple[int, int]]:
 class RingSpec:
     """A finite commutative unital ring, compared and hashed by its key.
 
-    Subclasses provide raw-value arithmetic.  Raw values are always hashable
-    and canonical (no normalization needed before comparing).
+    Subclasses provide raw-value arithmetic and set `zero` and `one` once, as
+    plain attributes.  Raw values are always hashable and canonical (no
+    normalization needed before comparing).
     """
 
     label: str
     card: int
+    zero: object
+    one: object
     is_field: bool = False
 
     def __init__(self, key: tuple):
@@ -134,14 +137,6 @@ class RingSpec:
 
     def is_unit(self, a) -> bool:
         return self.inv(a) is not None
-
-    @property
-    def zero(self):
-        raise NotImplementedError
-
-    @property
-    def one(self):
-        raise NotImplementedError
 
     def from_int(self, k: int):
         """Image of the integer k under the unique map Z -> R."""
@@ -196,6 +191,7 @@ class ZmodRing(RingSpec):
         super().__init__(("zmod", n))
         self.n = n
         self.card = n
+        self.zero, self.one = 0, 1 % n
         self.label = label or f"Z/{n}"
         self.is_field = is_prime(n)
 
@@ -213,14 +209,6 @@ class ZmodRing(RingSpec):
         if g != 1:
             return None if self.n > 1 else 0
         return x % self.n
-
-    @property
-    def zero(self):
-        return 0
-
-    @property
-    def one(self):
-        return 1 % self.n
 
     def from_int(self, k: int):
         return k % self.n
@@ -256,6 +244,8 @@ class PolyQuotientRing(RingSpec):
         self.modulus = tuple(modulus)
         self.degree = len(modulus) - 1
         self.card = base.card ** self.degree
+        self.zero = (base.zero,) * self.degree
+        self.one = self.pad((base.one,))
         self.label = label or f"{base.label}[x]/({poly_str(base, modulus)})"
         self.is_field = bool(base.is_field) and poly_is_irreducible(
             base, list(modulus)
@@ -333,17 +323,6 @@ class PolyQuotientRing(RingSpec):
         coeffs = tuple(coeffs)
         return coeffs + (self.base.zero,) * (self.degree - len(coeffs))
 
-    @property
-    def zero(self):
-        z = self.base.zero
-        return tuple([z] * self.degree)
-
-    @property
-    def one(self):
-        out = [self.base.zero] * self.degree
-        out[0] = self.base.one
-        return tuple(out)
-
     def from_int(self, k: int):
         out = [self.base.zero] * self.degree
         out[0] = self.base.from_int(k)
@@ -386,6 +365,8 @@ class ProductRing(RingSpec):
             raise RingError("product needs at least two factors")
         super().__init__(("product", tuple(f.key() for f in factors)))
         self.factors = tuple(factors)
+        self.zero = tuple(f.zero for f in factors)
+        self.one = tuple(f.one for f in factors)
         self.card = 1
         for f in factors:
             self.card *= f.card
@@ -408,14 +389,6 @@ class ProductRing(RingSpec):
                 return None
             out.append(i)
         return tuple(out)
-
-    @property
-    def zero(self):
-        return tuple(f.zero for f in self.factors)
-
-    @property
-    def one(self):
-        return tuple(f.one for f in self.factors)
 
     def from_int(self, k: int):
         return tuple(f.from_int(k) for f in self.factors)

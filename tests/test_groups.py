@@ -8,6 +8,8 @@ from chevlab import linalg
 from chevlab.groups import (
     CapExceeded,
     ElementaryWord,
+    GroupElement,
+    GroupError,
     all_elementaries,
     commutator,
     commutator_expansion,
@@ -22,6 +24,7 @@ from chevlab.groups import (
     torus_and_weyl,
     verify_steinberg_relations,
     weyl_conjugation_check,
+    weyl_letters,
     weyl_lift_word,
     word_matrix,
 )
@@ -271,6 +274,128 @@ def test_closure_word_tracking():
         assert word.evaluate() == element
 
 
+def _dense_closure(gens, cap, conjugators=()):
+    """Reference frontier search: right products and conjugates e x e^-1 as
+    dense products, members in insertion order."""
+    rep, ring = gens[0].rep, gens[0].ring
+    conj = [
+        (elementary(rep, ring, r, t).mat, elementary(rep, ring, r, ring.neg(t)).mat)
+        for r, t in conjugators
+    ]
+    seen = {rep.identity(ring): None}
+    frontier = list(seen)
+    while frontier:
+        nxt = []
+        for x in frontier:
+            images = [linalg.mat_mul(ring, x, h.mat) for h in gens]
+            images += [
+                linalg.mat_mul(ring, linalg.mat_mul(ring, a, x), b) for a, b in conj
+            ]
+            for y in images:
+                if y not in seen:
+                    seen[y] = None
+                    nxt.append(y)
+                    if len(seen) > cap:
+                        raise CapExceeded
+        frontier = nxt
+    return list(seen)
+
+
+CLOSURE_GROUPS = [
+    (rs, tag, ring)
+    for rs, tag in [
+        (build_root_system("A1"), "defining-A"), (A2, "defining-A"), (B2, "defining-B")
+    ]
+    for ring in ["Z/2", "Z/4", "Z/6", "GF(4)", "GF(2)[x]/(x^2)", "Z/2 x Z/3"]
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=st.sampled_from(CLOSURE_GROUPS), data=st.data())
+def test_closure_matches_dense_reference_search(case, data):
+    rs, tag, ring_text = case
+    rep = make_representation(rs, tag)
+    ring = parse_ring_spec(ring_text)
+    nonzero = [t for t in ring.elements() if t != ring.zero]
+    letter = st.tuples(st.sampled_from(rs.roots), st.sampled_from(nonzero))
+    words = [
+        ElementaryWord(rep, ring, [x]) for x in data.draw(st.lists(letter, max_size=3))
+    ]
+    if data.draw(st.booleans()):  # a Weyl lift, as a rule on the dense path
+        alpha = data.draw(st.sampled_from(rs.roots))
+        u = data.draw(st.sampled_from(ring.units()))
+        words.append(ElementaryWord(rep, ring, weyl_letters(rep, ring, alpha, u)))
+    if not words:
+        words.append(ElementaryWord(rep, ring))
+    conjugators = data.draw(st.lists(letter, max_size=2))
+    track = not conjugators and data.draw(st.booleans())
+    gens = [w.evaluate() for w in words]
+    cap = 400
+    try:
+        expected = _dense_closure(gens, cap, conjugators)
+    except CapExceeded:
+        with pytest.raises(CapExceeded):
+            subgroup_closure(gens, cap, conjugators=conjugators)
+        return
+    if track:
+        found = subgroup_closure(list(zip(gens, words)), cap, track_words=True)
+        assert [g.mat for g in found] == expected
+        assert all(w.evaluate() == g for g, w in found.items())
+    else:
+        found = subgroup_closure(gens, cap, conjugators=conjugators)
+        assert found == {GroupElement(rep, ring, m) for m in expected}
+
+
+def test_closure_of_a_weyl_lift_takes_the_dense_path(monkeypatch):
+    rep = make_representation(A2, "defining-A")
+    ring = ZmodRing(4)
+    w = ElementaryWord(rep, ring, weyl_letters(rep, ring, A2.roots[0], 1)).evaluate()
+    e = elementary(rep, ring, A2.roots[1], 1)
+    calls = []
+    mat_mul = linalg.mat_mul
+
+    def counted(ring_, a, b):
+        calls.append(b)
+        return mat_mul(ring_, a, b)
+
+    monkeypatch.setattr(linalg, "mat_mul", counted)
+    found = subgroup_closure([w, e], cap=10**4)
+    assert calls and set(calls) == {w.mat}
+    monkeypatch.undo()
+    assert {g.mat for g in found} == set(_dense_closure([w, e], 10**4))
+
+
+def test_closure_makes_no_dense_products(monkeypatch):
+    from chevlab.congruence import materialized_subgroup
+
+    calls = []
+    mat_mul = linalg.mat_mul
+
+    def counted(ring, a, b):
+        calls.append(1)
+        return mat_mul(ring, a, b)
+
+    monkeypatch.setattr(linalg, "mat_mul", counted)
+    rep = make_representation(A2, "defining-A")
+    z3, z9 = ZmodRing(3), ZmodRing(9)
+    assert len(subgroup_closure(all_elementaries(rep, z3), cap=10**4)) == 5616
+    normal = materialized_subgroup(rep, z9, [elementary(rep, z9, A2.roots[0], 3)])
+    assert len(normal.data) == 3**8  # the congruence kernel of (3) in SL3(Z/9)
+    assert calls == []
+
+
+def test_closure_rejects_generators_from_two_groups():
+    rep = make_representation(A2, "defining-A")
+    a1 = make_representation(build_root_system("A1"), "defining-A")
+    z2, z3 = ZmodRing(2), ZmodRing(3)
+    e = elementary(rep, z2, A2.roots[0], 1)
+    for other in (elementary(rep, z3, A2.roots[0], 1), elementary(a1, z2, (1, -1), 1)):
+        with pytest.raises(GroupError):
+            subgroup_closure([e, other], cap=100)
+        with pytest.raises(GroupError):
+            subgroup_closure([other, e], cap=100)
+
+
 def test_word_inverse_and_serialization():
     rep = make_representation(B2, "defining-B")
     ring = parse_ring_spec("Z/4 x GF(3)")
@@ -338,7 +463,6 @@ def test_group_element_json_roundtrip():
     ring = ZmodRing(4)
     g = elementary(rep, ring, (1, -1, 0), 3)
     data = g.to_json()
-    from chevlab.groups import GroupElement
 
     assert GroupElement.from_json(rep, ring, data) == g
 
@@ -500,6 +624,33 @@ def test_kernel_membership_matches_reduction(case, seed):
         expected = congruence_reduce(g, ideal).is_identity()
         assert in_congruence_kernel(g, ideal) == expected
     assert in_congruence_kernel(ElementaryWord(rep, ring, inside).evaluate(), ideal)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 72),
+    generator=st.integers(0, 71),
+    label=st.sampled_from(["A2", "B2", "G2"]),
+    seed=st.integers(0, 2**32),
+)
+def test_zmod_kernel_membership_matches_reduction(n, generator, label, seed):
+    rs = build_root_system(label)
+    rep = make_representation(rs)
+    ring = ZmodRing(n)
+    ideal = ideal_from_generators(ring, [generator % n])
+    rng = random.Random(seed)
+    inside = [(rng.choice(rs.roots), rng.randrange(n) * generator % n) for _ in range(3)]
+    near = [list(row) for row in rep.identity(ring)]
+    i, j = rng.randrange(rep.dim), rng.randrange(rep.dim)
+    near[i][j] = ring.add(near[i][j], rng.randrange(n))
+    members = [
+        ElementaryWord(rep, ring, inside).evaluate(),
+        random_elementary_word(rep, ring, 3, rng).evaluate(),
+        GroupElement(rep, ring, tuple(map(tuple, near))),  # any matrix, one entry moved
+    ]
+    for g in members:
+        assert in_congruence_kernel(g, ideal) == congruence_reduce(g, ideal).is_identity()
+    assert in_congruence_kernel(members[0], ideal)
 
 
 def test_reduction_by_the_unit_ideal_lands_in_the_zero_ring():

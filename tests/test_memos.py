@@ -69,6 +69,19 @@ def test_elementary_memo_is_bounded():
     assert rep.elementary_matrix(ring, root, last) is rep.elementary_matrix(ring, root, last)
 
 
+def test_elementary_entries_memo_is_bounded():
+    rep = make_representation(build_root_system("A", 1), "defining-A")
+    ring = ZmodRing(2**61)
+    root = rep.rs.positive[0]
+    memo = Representation._entries
+    assert memo.cache_info().maxsize == ELEMENTARY_MEMO_SIZE
+    for t in range(1, ELEMENTARY_MEMO_SIZE + 100):
+        assert rep._entries(ring, root, t) == ((0, 1, t),)
+    assert memo.cache_info().currsize <= ELEMENTARY_MEMO_SIZE
+    last = ELEMENTARY_MEMO_SIZE + 99
+    assert rep._entries(ring, root, last) is rep._entries(ring, root, last)
+
+
 def test_one_object_per_type():
     assert build_root_system("B3") is build_root_system("b3")
     assert build_root_system("B3") is build_root_system("B", 3)
