@@ -19,7 +19,6 @@ from .groups import (
     GroupError,
     all_elementaries,
     commutator_expansion,
-    conjugate,
     conjugated,
     conjugation_entries,
     elementary,
@@ -142,7 +141,8 @@ def check_normal(n: NormalSubgroupHandle) -> bool:
             return False
         root, t = rng.choice(roots), ring.random_element(rng)
         t = t if t != ring.zero else ring.one
-        if not n.contains(conjugate(g, (root, t))):
+        pair = conjugation_entries(rep, ring, [(root, t)])[0]
+        if not n.contains(GroupElement(rep, ring, conjugated(ring, g.mat, pair))):
             return False
     return True
 

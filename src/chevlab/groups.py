@@ -13,9 +13,9 @@ The relation checks, the commutator expansions and conjugation by letters act
 on matrices by row and column operations (`letters_matrix`, `sandwich`,
 `conjugated`), not by dense products; `word_matrix` and
 `ElementaryWord.evaluate` multiply densely.  The closure searches raw
-matrices: a generator h with h - I as sparse as an elementary acts by column
-operations, any other by a dense product, and each member is wrapped as a
-`GroupElement` once, at the end.
+matrices: every generator h acts by column operations with the nonzero
+entries of h - I, and each member is wrapped as a `GroupElement` once, at
+the end.
 """
 from __future__ import annotations
 
@@ -149,11 +149,6 @@ def sandwich(rep: Representation, ring: RingSpec, left, mat, right):
     operations, those of right^-1 (reversed, negated) as column operations."""
     inverse = [(r, ring.neg(t)) for r, t in reversed(right)]
     return rep.apply_right(ring, rep.apply_left(ring, left, mat), inverse)
-
-
-def conjugate(g: GroupElement, letter) -> GroupElement:
-    """e_r(t) g e_r(-t) for the letter (r, t), as one row and one column letter."""
-    return GroupElement(g.rep, g.ring, sandwich(g.rep, g.ring, [letter], g.mat, [letter]))
 
 
 def commutator_expansion(rep: Representation, ring: RingSpec, terms, a, b, s, t):
@@ -330,8 +325,7 @@ def subgroup_closure(generators, cap: int, track_words: bool = False,
 
     One frontier search from the identity on raw matrices: each new matrix x
     is multiplied on the right by every generator h, as column operations
-    x(I + E) when E = h - I has at most dim nonzero entries (an elementary
-    e_a(t), say) and as a dense product otherwise, and is mapped to e x e^-1
+    x(I + E) with the nonzero entries of E = h - I, and is mapped to e x e^-1
     for each letter e = e_r(t) in conjugators, as one row and one column
     letter (`conjugated`).  With the conjugators of E(R) this is the
     normal closure, since x e s e^-1 = e (e^-1 x e s) e^-1.  Members are
@@ -350,11 +344,7 @@ def subgroup_closure(generators, cap: int, track_words: bool = False,
     actions = []
     for h, hw in gens:
         first._check(h)
-        entries = _delta_entries(ring, h.mat)
-        if len(entries) <= rep.dim:
-            actions.append((linalg.col_ops, entries, hw))
-        else:
-            actions.append((linalg.mat_mul, h.mat, hw))
+        actions.append((linalg.col_ops, _delta_entries(ring, h.mat), hw))
     for pair in conjugation_entries(rep, ring, conjugators):
         actions.append((conjugated, pair, None))
     ident = rep.identity(ring)
