@@ -491,7 +491,8 @@ class _Machine:
         a'_0...a'_7.  With R_7 = 1 and R_{k-1} = a'_k R_k a_k^-1, the new
         blocks u'_k = R_{k-1} u_k R_k^-1 = a'_k (R_k c_k R_k^-1) telescope to
         R_{-1} g, and R_{-1} must be e_root(t).  Letters act on R_k and R_k^-1
-        as row and column operations; the only dense product is by R_k^-1."""
+        as row and column operations; only R_k^-1 multiplies as a whole
+        matrix (`linalg.mat_mul`, column operations by R_k^-1 - I)."""
         if t == self.ring.zero:
             return
         rs, rep, ring = self.rs, self.rep, self.ring

@@ -12,7 +12,8 @@ Inverses come from words, e_a(t)^-1 = e_a(-t) (`ElementaryWord.inverse_word`,
 The relation checks, the commutator expansions and conjugation by letters act
 on matrices by row and column operations (`letters_matrix`, `sandwich`,
 `conjugated`), not by dense products; `word_matrix` and
-`ElementaryWord.evaluate` multiply densely.  The closure searches raw
+`ElementaryWord.evaluate` multiply letter by letter through `linalg.mat_mul`,
+which reads each e_a(t) - I off its full matrix.  The closure searches raw
 matrices: every generator h acts by column operations with the nonzero
 entries of h - I, and each member is wrapped as a `GroupElement` once, at
 the end.
@@ -344,7 +345,7 @@ def subgroup_closure(generators, cap: int, track_words: bool = False,
     actions = []
     for h, hw in gens:
         first._check(h)
-        actions.append((linalg.col_ops, _delta_entries(ring, h.mat), hw))
+        actions.append((linalg.col_ops, linalg.delta_entries(ring, h.mat), hw))
     for pair in conjugation_entries(rep, ring, conjugators):
         actions.append((conjugated, pair, None))
     ident = rep.identity(ring)
@@ -365,17 +366,6 @@ def subgroup_closure(generators, cap: int, track_words: bool = False,
     if track_words:
         return {GroupElement(rep, ring, x): w for x, w in words.items()}
     return frozenset(GroupElement(rep, ring, x) for x in words)
-
-
-def _delta_entries(ring: RingSpec, mat) -> tuple:
-    """The nonzero entries (i, j, c) of mat - I, the diagonal included."""
-    zero, one = ring.zero, ring.one
-    return tuple(
-        (i, j, v if i != j else ring.sub(v, one))
-        for i, row in enumerate(mat)
-        for j, v in enumerate(row)
-        if v != (one if i == j else zero)
-    )
 
 
 def conjugation_entries(rep: Representation, ring: RingSpec, letters) -> list:

@@ -1,35 +1,15 @@
 """Exact matrix arithmetic over finite commutative rings.
 
 Matrices are tuples of tuples of raw ring values (canonical, hashable).
-From dimension 6 on, a product over Z/n or GF(p)[x]/(f) crosses into numpy
-once and comes back once: each matrix enters as one int64 array, read in a
-single pass by `np.fromiter`, and the product leaves by `.tolist()`.  A
-quotient of degree d is read as an (n, n, d) array of coefficient planes; its
-d^2 plane products are summed by degree and reduced mod f in one `tensordot`
-with the rows of x^s mod f.  A product ring multiplies factor by factor.  The
-int64 path runs only while every intermediate sum stays below 2^63; above
-that bound the exact Python-int path takes over.  Inversion and the
-determinant share one path: it splits the ring into its local factors (a local
-ring is its own single factor) and does unit-pivot Gauss-Jordan in each.
+A product a b is a (I + E) by column operations with E = b - I: it costs
+O(nnz(E) n) and is exact on every ring.  Inversion and the determinant share
+one path: it splits the ring into its local factors (a local ring is its own
+single factor) and does unit-pivot Gauss-Jordan in each.
 A sparse factor I + E acts by `row_ops` (left) or `col_ops` (right) in O(nnz n).
 """
 from __future__ import annotations
 
-import functools
-import itertools
-import math
-
-import numpy as np
-
-from .rings import (
-    RING_MEMO_SIZE,
-    PolyQuotientRing,
-    ProductRing,
-    RingError,
-    RingSpec,
-    ZmodRing,
-    artinian_decompose,
-)
+from .rings import RingError, RingSpec, ZmodRing, artinian_decompose
 
 
 class SingularMatrix(RingError):
@@ -47,35 +27,20 @@ def mat_from_int(spec: RingSpec, m):
     return tuple(tuple(map(spec.from_int, row)) for row in m)
 
 
-_NUMPY_MIN_DIM = 6
-
-
 def mat_mul(spec: RingSpec, a, b):
-    n = len(a)
-    if n >= _NUMPY_MIN_DIM:
-        fast = _np_mul(spec, a, b)
-        if fast is not None:
-            return fast
-    if isinstance(spec, ZmodRing):
-        m = spec.n
-        bt = list(zip(*b))
-        return tuple(
-            tuple(sum(x * y for x, y in zip(row, col)) % m for col in bt)
-            for row in a
-        )
-    add, mul, zero = spec.add, spec.mul, spec.zero
-    bt = list(zip(*b))
-    out = []
-    for row in a:
-        orow = []
-        for col in bt:
-            acc = zero
-            for x, y in zip(row, col):
-                if x != zero and y != zero:
-                    acc = add(acc, mul(x, y))
-            orow.append(acc)
-        out.append(tuple(orow))
-    return tuple(out)
+    """a b for square b, as a (I + E) with E = b - I."""
+    return col_ops(spec, a, delta_entries(spec, b))
+
+
+def delta_entries(spec: RingSpec, mat) -> tuple:
+    """The nonzero entries (i, j, c) of mat - I, the diagonal included."""
+    zero, one = spec.zero, spec.one
+    return tuple(
+        (i, j, v if i != j else spec.sub(v, one))
+        for i, row in enumerate(mat)
+        for j, v in enumerate(row)
+        if v != (one if i == j else zero)
+    )
 
 
 def row_ops(spec: RingSpec, entries, a):
@@ -117,61 +82,6 @@ def col_ops(spec: RingSpec, a, entries):
                 new[j] = add(new[j], mul(row[i], c))
         out.append(row if new is None else tuple(new))
     return tuple(out)
-
-
-_INT64_BOUND = 1 << 63
-
-
-def _int64_array(m, shape):
-    """A matrix of nested tuples of ints as one int64 array of the given shape."""
-    flat = m
-    for _ in shape[1:]:
-        flat = itertools.chain.from_iterable(flat)
-    return np.fromiter(flat, np.int64, math.prod(shape)).reshape(shape)
-
-
-def _np_mul(spec: RingSpec, a, b):
-    """Product through numpy int64, or None when the ring has no fast path or
-    an intermediate sum could pass 2^63."""
-    n = len(a)
-    if isinstance(spec, ZmodRing):
-        if n * (spec.n - 1) ** 2 >= _INT64_BOUND:
-            return None
-        prod = _int64_array(a, (n, n)) @ _int64_array(b, (n, n))
-        return tuple(map(tuple, (prod % spec.n).tolist()))
-    if isinstance(spec, PolyQuotientRing) and isinstance(spec.base, ZmodRing):
-        p, d = spec.base.n, spec.degree
-        # a conv plane is at most d*n*(p-1)^2, and 2d-1 of them meet entries <= p-1
-        if (2 * d - 1) * d * n * (p - 1) ** 3 >= _INT64_BOUND:
-            return None
-        sa, sb = _int64_array(a, (n, n, d)), _int64_array(b, (n, n, d))
-        conv = np.zeros((2 * d - 1, n, n), dtype=np.int64)
-        for i in range(d):
-            for j in range(d):
-                conv[i + j] += sa[:, :, i] @ sb[:, :, j]
-        out = np.tensordot(conv, _reduction_rows(spec), axes=(0, 0)) % p
-        return tuple(tuple(map(tuple, row)) for row in out.tolist())
-    if isinstance(spec, ProductRing):
-        # factor k of a matrix: row i is zip(*a[i])[k]
-        fa = zip(*(zip(*row) for row in a))
-        fb = zip(*(zip(*row) for row in b))
-        parts = []
-        for f, x, y in zip(spec.factors, fa, fb):
-            sub = _np_mul(f, x, y)
-            if sub is None:
-                return None
-            parts.append(sub)
-        return tuple(tuple(zip(*rows)) for rows in zip(*parts))
-    return None
-
-
-@functools.lru_cache(maxsize=RING_MEMO_SIZE)
-def _reduction_rows(spec: PolyQuotientRing):
-    """x^s = sum_k red[s][k] x^k for s = 0..2d-2, as an int64 array."""
-    d = spec.degree
-    rows = [[1 if k == s else 0 for k in range(d)] for s in range(d)]
-    rows += [list(row) for row in spec._high_powers]
-    return np.array(rows, dtype=np.int64)
 
 
 def _gauss_jordan(spec: RingSpec, a):

@@ -227,20 +227,33 @@ def test_group_decompose_torus_too_large_exit_2():
 HUGE = "Z/2305843009213693952"  # 2^61
 
 
+def child_env():
+    """The environment with `src` first on PYTHONPATH."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    ))
+
+
 def run_under_memory_limit(*args):
     """The CLI in a child process under a 3 GB address-space limit."""
     def limit_memory():
         resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
 
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p
-    ))
     return subprocess.run(
         [sys.executable, "-m", "chevlab.cli", *args],
-        capture_output=True, text=True, timeout=60, env=env,
+        capture_output=True, text=True, timeout=60, env=child_env(),
         preexec_fn=limit_memory,
     )
+
+
+def test_cli_import_does_not_load_numpy():
+    proc = subprocess.run(
+        [sys.executable, "-c", "import chevlab.cli, sys; print('numpy' in sys.modules)"],
+        capture_output=True, text=True, timeout=60, env=child_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
 
 
 def test_group_decompose_huge_local_ring_exit_2_under_memory_limit():

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chevlab.groups import ElementaryWord, letters_matrix, sandwich, word_matrix
-from chevlab.linalg import SingularMatrix, _np_mul, mat_det, mat_mul
+from chevlab.linalg import SingularMatrix, identity_matrix, mat_det, mat_mul
 from chevlab.reps import make_representation
 from chevlab.rings import PolyQuotientRing, ProductRing, ZmodRing, parse_ring_spec
 from chevlab.roots import build_root_system
@@ -57,7 +57,7 @@ def composite_quotient(m, degree, rng):
     return PolyQuotientRing(ZmodRing(m), modulus)
 
 
-dims = st.integers(6, 9)
+dims = st.integers(1, 9)
 seeds = st.integers(0, 2**32)
 
 
@@ -128,31 +128,40 @@ def edge_matrix(dim, value):
 
 
 def test_zmod_guard_boundary_at_dim_6():
-    # 6 * (n - 1)^2 < 2^63 holds for n = 1239850263 and fails for n + 1
-    for n, fast in [(1239850263, True), (1239850264, False)]:
+    # 6 * (n - 1)^2 crosses 2^63 between these moduli: sums past int64 stay exact
+    for n in [1239850263, 1239850264]:
         ring = ZmodRing(n)
         a = edge_matrix(6, n - 1)
         b = tuple(tuple((n - 1 - i - j) % n for j in range(6)) for i in range(6))
-        expected = int_matmul_mod(a, b, n)
-        result = _np_mul(ring, a, b)
-        assert (result is not None) == fast
-        if fast:
-            assert result == expected
-        assert mat_mul(ring, a, b) == expected
+        assert mat_mul(ring, a, b) == int_matmul_mod(a, b, n)
 
 
 def test_quotient_guard_boundary_at_dim_6():
-    # 3 * 2 * 6 * (m - 1)^3 < 2^63 holds for m = 635130 and fails for m + 1
-    for m, fast in [(635130, True), (635131, False)]:
+    # 3 * 2 * 6 * (m - 1)^3 crosses 2^63 between these moduli
+    for m in [635130, 635131]:
         ring = PolyQuotientRing(ZmodRing(m), (m - 1, m - 1, 1))
         a = edge_matrix(6, (m - 1, m - 1))
         b = tuple(tuple(((m - 1 - i) % m, (m - 1 - j) % m) for j in range(6)) for i in range(6))
-        expected = poly_matmul(a, b, ring.modulus, m)
-        result = _np_mul(ring, a, b)
-        assert (result is not None) == fast
-        if fast:
-            assert result == expected
-        assert mat_mul(ring, a, b) == expected
+        assert mat_mul(ring, a, b) == poly_matmul(a, b, ring.modulus, m)
+
+
+@pytest.mark.parametrize("spec", ["Z/9", "GF(4)", "Z/4 x GF(3)"])
+@pytest.mark.parametrize("dim", [1, 3, 7])
+def test_mat_mul_by_identity_and_zero(spec, dim):
+    ring = parse_ring_spec(spec)
+    rng = random.Random(dim)
+    a = random_matrix(rng, dim, lambda: random_value(rng, ring))
+    zero = edge_matrix(dim, ring.zero)
+    assert mat_mul(ring, a, identity_matrix(ring, dim)) == a
+    # every diagonal entry of zero - I is -1
+    assert mat_mul(ring, a, zero) == zero
+
+
+def test_mat_mul_over_the_zero_ring():
+    ring = ZmodRing(1)
+    zero = edge_matrix(3, 0)
+    assert identity_matrix(ring, 3) == zero
+    assert mat_mul(ring, zero, zero) == zero
 
 
 small_primes = st.sampled_from([2, 3, 5, 7, 11, 13, 31, 257])
