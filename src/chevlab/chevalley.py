@@ -1,7 +1,9 @@
 """Chevalley bases: integral structure constants and commutator coefficients.
 
-For classical types the bracket table is read off explicit integer matrix
-realizations (sl, so, sp), which keeps the table and the defining
+Every integer matrix here is sparse, {row: {col: value}} with no zero
+entries: the generators X_a, their divided powers X_a^k / k! and the
+brackets.  For classical types the bracket table is read off explicit integer
+matrix realizations (sl, so, sp), which keeps the table and the defining
 representations consistent by construction.  For exceptional types the table
 is built by the extraspecial-pair recursion and certified by Jacobi and
 root-string magnitude checks.
@@ -28,66 +30,14 @@ class ChevalleyError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Integer matrices (dense tuples of tuples)
-
-
-def int_zero(n: int):
-    return [[0] * n for _ in range(n)]
-
-
-def int_mul(a, b):
-    bt = list(zip(*b))
-    return [
-        [sum(x * y for x, y in zip(row, col)) for col in bt] for row in a
-    ]
-
-
-def int_bracket(a, b):
-    ab = int_mul(a, b)
-    ba = int_mul(b, a)
-    return [[x - y for x, y in zip(r1, r2)] for r1, r2 in zip(ab, ba)]
-
-
-def int_is_zero(a):
-    return all(all(x == 0 for x in row) for row in a)
-
-
-def freeze(a):
-    return tuple(tuple(row) for row in a)
-
-
-def _solve_scalar_multiple(target, base):
-    """c with target == c * base, for integer matrices; None if no such c."""
-    c = None
-    for r1, r2 in zip(target, base):
-        for x, y in zip(r1, r2):
-            if y != 0:
-                if x % y:
-                    return None
-                cand = x // y
-                if c is None:
-                    c = cand
-                elif c != cand:
-                    return None
-            elif x != 0:
-                return None
-    return 0 if c is None else c
-
-
-# ---------------------------------------------------------------------------
 # Classical matrix realizations
-
-
-def _unit(n, i, j, c=1):
-    m = int_zero(n)
-    m[i][j] = c
-    return m
 
 
 def classical_generators(rs: RootSystem):
     """Root vectors X_a for the defining representation of a classical type.
 
-    Returns (dim, xmats, weights) where weights[i] is the weight of the i-th
+    Returns (dim, xmats, weights) with each X_a a sparse integer matrix
+    {row: {col: value}}, and weights[i] is the weight of the i-th
     basis vector in the realization's epsilon-coordinates.  Types B, C and D
     share one body: basis vectors of weight e_i, (0 for B,) then -e_i, with
     bar(i) the index of -e_i; the root e_i + e_j acts with sign +1 in C and
@@ -96,7 +46,7 @@ def classical_generators(rs: RootSystem):
     letter, n = rs.letter, rs.rank
     if letter == "A":
         dim = n + 1
-        xmats = {r: _unit(dim, r.index(1), r.index(-1)) for r in rs.roots}
+        xmats = {r: _smat((r.index(1), r.index(-1), 1)) for r in rs.roots}
         weights = [tuple(1 if k == i else 0 for k in range(dim)) for i in range(dim)]
         return dim, xmats, weights
     if letter not in "BCD":
@@ -110,28 +60,22 @@ def classical_generators(rs: RootSystem):
         if len(pos) == 1:
             (i,) = pos
             if letter == "C":
-                m = _unit(dim, i, bar(i)) if r[i] > 0 else _unit(dim, bar(i), i)
+                m = _smat((i, bar(i), 1) if r[i] > 0 else (bar(i), i, 1))
             elif r[i] > 0:
-                m = _unit(dim, i, n, 2)
-                m[n][bar(i)] = -1
+                m = _smat((i, n, 2), (n, bar(i), -1))
             else:
-                m = _unit(dim, n, i)
-                m[bar(i)][n] = -2
+                m = _smat((n, i, 1), (bar(i), n, -2))
         else:
             i, j = pos
             ci, cj = r[i], r[j]
             if ci == 1 and cj == -1:
-                m = _unit(dim, i, j)
-                m[bar(j)][bar(i)] = -1
+                m = _smat((i, j, 1), (bar(j), bar(i), -1))
             elif ci == -1 and cj == 1:
-                m = _unit(dim, j, i)
-                m[bar(i)][bar(j)] = -1
+                m = _smat((j, i, 1), (bar(i), bar(j), -1))
             elif ci == 1 and cj == 1:
-                m = _unit(dim, i, bar(j))
-                m[j][bar(i)] = sign
+                m = _smat((i, bar(j), 1), (j, bar(i), sign))
             else:
-                m = _unit(dim, bar(j), i)
-                m[bar(i)][j] = sign
+                m = _smat((bar(j), i, 1), (bar(i), j, sign))
         xmats[r] = m
     units = [tuple(1 if k == i else 0 for k in range(n)) for i in range(n)]
     weights = units + [(0,) * n] * (letter == "B") + [_neg(u) for u in reversed(units)]
@@ -154,14 +98,15 @@ def _p_value(rs: RootSystem, a, b) -> int:
 
 
 def _table_from_matrices(rs: RootSystem):
-    dim, xmats, _ = classical_generators(rs)
+    _, xmats, _ = classical_generators(rs)
     nmap = {}
     for a in rs.roots:
         for b in rs.roots:
             s = _add(a, b)
             if s == tuple([0] * rs.ambient):
                 continue
-            br = int_bracket(xmats[a], xmats[b])
+            x, y = xmats[a], xmats[b]
+            br = _smat_sum((_int_smat_mul(x, y), _smat_scale(-1, _int_smat_mul(y, x))))
             if rs.is_root(s):
                 c = _solve_scalar_multiple(br, xmats[s])
                 if c is None:
@@ -169,7 +114,7 @@ def _table_from_matrices(rs: RootSystem):
                         f"bracket of {a}, {b} is not a multiple of X_{s}"
                     )
                 nmap[(a, b)] = c
-            elif not int_is_zero(br):
+            elif br:
                 raise ChevalleyError(f"bracket of {a}, {b} should vanish")
     return nmap
 
@@ -360,25 +305,27 @@ class ChevalleyBasisTable:
 
     @functools.cache
     def adjoint_data(self):
-        """(keys, weights, xmats) for the adjoint representation, integer dense."""
+        """(keys, weights, xmats) for the adjoint representation, each X_r a
+        sparse integer matrix {row: {col: value}}."""
         keys = self.basis_keys()
         index = {k: i for i, k in enumerate(keys)}
-        dim = len(keys)
         zero_w = tuple([0] * self.rs.ambient)
         weights = [k[1] if k[0] == "e" else zero_w for k in keys]
-        xmats = {}
-        for r in self.rs.roots:
-            m = int_zero(dim)
-            for j, k in enumerate(keys):
-                for kk, c in self.bracket_keys(("e", r), k).items():
-                    m[index[kk]][j] = c
-            xmats[r] = freeze(m)
+        xmats = {
+            r: _smat(*(
+                (index[kk], j, c)
+                for j, k in enumerate(keys)
+                for kk, c in self.bracket_keys(("e", r), k).items()
+            ))
+            for r in self.rs.roots
+        }
         return keys, weights, xmats
 
     @functools.cache
     def sparse_powers(self, root) -> tuple:
         """Sparse divided powers of the adjoint X_root, shared by every caller."""
-        return tuple(divided_powers(self.adjoint_data()[2][root]))
+        keys, _, xmats = self.adjoint_data()
+        return tuple(divided_powers(xmats[root], len(keys)))
 
     # -- group-level commutator coefficients ----------------------------------
 
@@ -403,14 +350,8 @@ class ChevalleyBasisTable:
         out = {}
         for i, j, g in self.rs.commutator_root_list(a, b):
             pg = self.sparse_powers(g)
-            xg = pg[0]
-            mono = m.get((i, j), {})
-            r, row = next(iter(xg.items()))
-            c, base = next(iter(row.items()))
-            coeff, rem = divmod(mono.get(r, {}).get(c, 0), base)
-            if rem:
-                raise ChevalleyError("non-integral commutator coefficient")
-            if mono != _smat_scale(coeff, xg):
+            coeff = _solve_scalar_multiple(m.get((i, j), {}), pg[0])
+            if coeff is None:
                 raise ChevalleyError("commutator coefficient mismatch")
             out[(i, j)] = coeff
             if coeff:
@@ -425,12 +366,11 @@ class ChevalleyBasisTable:
 # and matrices over Z[s, t] (dict[(i, j)] -> sparse matrix of s^i t^j)
 
 
-def _sparse_from_dense(m) -> dict:
+def _smat(*entries) -> dict:
+    """The sparse integer matrix with the given (row, col, value) entries."""
     out: dict = {}
-    for r, row in enumerate(m):
-        for c, v in enumerate(row):
-            if v:
-                out.setdefault(r, {})[c] = v
+    for i, j, v in entries:
+        out.setdefault(i, {})[j] = v
     return out
 
 
@@ -438,6 +378,25 @@ def _smat_scale(k: int, a: dict) -> dict:
     if not k:
         return {}
     return {r: {c: k * v for c, v in row.items()} for r, row in a.items()}
+
+
+def _smat_sum(mats) -> dict:
+    """The sum of the sparse matrices, zero entries dropped."""
+    out: dict = {}
+    for m in mats:
+        for r, row in m.items():
+            acc = out.setdefault(r, {})
+            for c, v in row.items():
+                acc[c] = acc.get(c, 0) + v
+    return {r: nz for r, row in out.items() if (nz := {c: v for c, v in row.items() if v})}
+
+
+def _solve_scalar_multiple(target: dict, base: dict):
+    """c with target == c * base, for a nonzero base; None if no such c."""
+    r, row = next(iter(base.items()))
+    col, v = next(iter(row.items()))
+    c, rem = divmod(target.get(r, {}).get(col, 0), v)
+    return None if rem or target != _smat_scale(c, base) else c
 
 
 def _int_smat_mul(a: dict, b: dict) -> dict:
@@ -456,16 +415,17 @@ def _int_smat_mul(a: dict, b: dict) -> dict:
     return out
 
 
-def divided_powers(x) -> list:
-    """Sparse M_k = X^k / k! for k = 1, 2, ... until X^k = 0.
+def divided_powers(x: dict, dim: int) -> list:
+    """Sparse M_k = X^k / k! for k = 1, 2, ... until X^k = 0, for a sparse
+    dim x dim integer matrix X.
 
     Raises ChevalleyError when some M_k is not integral or X is not nilpotent.
     """
-    mk = _sparse_from_dense(x)
+    mk = x
     out = []
     k = 1
     while mk:
-        if k > len(x):
+        if k > dim:
             raise ChevalleyError("matrix is not nilpotent")
         out.append(mk)
         k += 1
@@ -497,18 +457,8 @@ def _pmat_mul(p: dict, q: dict) -> dict:
     )
     out: dict = {}
     for mono, m in itertools.chain(p.items(), q.items(), products):
-        acc = out.setdefault(mono, {})
-        for r, row in m.items():
-            arow = acc.setdefault(r, {})
-            for c, v in row.items():
-                w = arow.get(c, 0) + v
-                if w:
-                    arow[c] = w
-                else:
-                    del arow[c]
-            if not arow:
-                del acc[r]
-    return {mono: m for mono, m in out.items() if m}
+        out.setdefault(mono, []).append(m)
+    return {mono: total for mono, ms in out.items() if (total := _smat_sum(ms))}
 
 
 # ---------------------------------------------------------------------------

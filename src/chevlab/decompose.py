@@ -80,7 +80,7 @@ def unipotent_order(rs: RootSystem, sign: int):
 
 
 def _read_coordinate(rep: Representation, ring: RingSpec, mat, root):
-    _, combo = rep.extraction_data(root)
+    combo = rep.extraction_data(root)
     acc = ring.zero
     for (r, c), m in combo:
         acc = ring.add(acc, ring.mul(ring.from_int(m), mat[r][c]))

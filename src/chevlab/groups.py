@@ -445,15 +445,15 @@ class RelationReport:
 
 
 def _parameter_pairs(ring: RingSpec, loop_cap: int, sample: int, seed: int):
-    values = ring.elements()
-    total = len(values) ** 2
-    if total <= loop_cap:
+    """Every pair (s, t) when there are at most loop_cap of them, else a
+    fixed-seed sample drawn by index, without listing the ring: the draws of
+    rng.choice(ring.elements()), since choice(seq) is seq[randrange(len(seq))]."""
+    if ring.card**2 <= loop_cap:
+        values = ring.elements()
         return [(s, t) for s in values for t in values], True
     rng = random.Random(seed)
-    return (
-        [(rng.choice(values), rng.choice(values)) for _ in range(sample)],
-        False,
-    )
+    draw = lambda: ring.element_at(rng.randrange(ring.card))
+    return [(draw(), draw()) for _ in range(sample)], False
 
 
 def verify_steinberg_relations(

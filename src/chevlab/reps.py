@@ -1,11 +1,15 @@
 """Matrix representations of Chevalley groups with integral generator data.
 
-Each representation stores, per root, the integer divided-power matrices
-M_k = X^k / k! of its nilpotent generator, so e_a(t) = sum_k t^k M_k reduces
-exactly into any finite ring.  Basis vectors are ordered by descending
-weight height, which makes positive root vectors strictly upper triangular
-and keeps every M_k off the diagonal.  Letters e_a(t) act on a matrix as row
-operations from the left and column operations from the right.
+Each representation holds, per root, its nilpotent generator X_a as a
+sparse integer matrix, and derives from it once the terms of the divided
+powers M_k = X^k / k!: each position (i, j) where some M_k is nonzero, with
+its coefficients (M_1[i][j], M_2[i][j], ...).  The entries of
+e_a(t) - I = sum_k t^k M_k are these coefficient lists evaluated at t, so
+they reduce exactly into any finite ring, and no dense integer matrix is
+stored.  Basis vectors are ordered by descending weight height, which makes
+positive root vectors strictly upper triangular and keeps every M_k off the
+diagonal.  Letters e_a(t) act on a matrix as row operations from the left
+and column operations from the right.
 
 For types B and D these are SO models (the universal groups are Spin and
 have no convenient matrix form); identities among unipotent generators are
@@ -17,13 +21,7 @@ import functools
 from fractions import Fraction
 
 from . import linalg
-from .chevalley import (
-    ChevalleyError,
-    build_basis,
-    classical_generators,
-    divided_powers,
-    freeze,
-)
+from .chevalley import ChevalleyError, build_basis, classical_generators, divided_powers
 from .rings import RING_MEMO_SIZE, RingSpec, xgcd
 from .roots import RootSystem, _solve_coords
 
@@ -39,8 +37,9 @@ SO_MODEL_CAVEAT = (
 
 # Elementary matrices, and the entries of e_root(t) - I, kept by value of
 # (representation, ring, root, t): more than the 1,598 distinct ones of the
-# largest benchmark round, and about 2,048 x 54 KB = 110 MB of matrices at
-# dimension 78 (E6 adjoint over Z/n).
+# largest benchmark round.  A matrix shares its untouched rows with the
+# identity, so at dimension 78 (E6 adjoint over Z/n) the memo holds about
+# 2,048 x 18 KB = 36 MB.
 ELEMENTARY_MEMO_SIZE = 2048
 
 
@@ -53,7 +52,7 @@ class Representation:
         self.dim = dim
         self.weights = list(weights)
         self.key = (rs.letter, rs.rank, tag)
-        self._x = {r: freeze(m) for r, m in xmats.items()}
+        self._x = xmats  # sparse {row: {col: value}} per root, never mutated
         self.form = self._build_form()
         self.caveat = SO_MODEL_CAVEAT if tag in ("defining-B", "defining-D") else None
         self._check_triangular()
@@ -68,9 +67,9 @@ class Representation:
                 raise ChevalleyError(f"basis of {self.tag} is not height-sorted")
         for r, m in self._x.items():
             ht = self.rs.height(r)
-            for i, row in enumerate(m):
-                for j, v in enumerate(row):
-                    if v and heights[i] != heights[j] + ht:
+            for i, row in m.items():
+                for j in row:
+                    if heights[i] != heights[j] + ht:
                         raise ChevalleyError(
                             f"generator {r} is not weight-graded in {self.tag}"
                         )
@@ -87,46 +86,42 @@ class Representation:
             s[i][dim - 1 - i] = -1 if kind[self.tag] == "skew" and i >= half else 1
         if dim % 2:
             s[half][half] = 2
-        return (kind[self.tag], freeze(s))
+        return (kind[self.tag], tuple(map(tuple, s)))
 
     # -- integral generator data ----------------------------------------------
 
     def root_matrix(self, root):
-        return self._x[tuple(root)]
+        """X_root as dense integer rows, built on each call."""
+        return _dense(self._x[tuple(root)], self.dim)
 
-    @functools.cache
     def divided_powers(self, root) -> tuple:
-        """(M_1, M_2, ...) with M_k = X^k / k!, all integral, as dense tuples."""
-        n = self.dim
-        return tuple(
-            tuple(tuple(m.get(i, {}).get(j, 0) for j in range(n)) for i in range(n))
-            for m in divided_powers(self._x[root])
-        )
+        """(M_1, M_2, ...) with M_k = X^k / k!, all integral, as dense rows
+        built on each call."""
+        return tuple(_dense(m, self.dim) for m in divided_powers(self._x[root], self.dim))
 
     @functools.cache
-    def support(self, root) -> tuple:
-        """Positions (i, j), all off the diagonal, where some M_k is nonzero."""
-        mats, n = self.divided_powers(root), range(self.dim)
-        return tuple((i, j) for i in n for j in n if any(m[i][j] for m in mats))
+    def terms(self, root) -> tuple:
+        """(i, j, (M_1[i][j], M_2[i][j], ...)) at each position where some
+        M_k = X^k / k! is nonzero, in row-major order, trailing zeros dropped.
+        Every position is off the diagonal."""
+        powers = divided_powers(self._x[root], self.dim)
+        cells = sorted({(i, j) for m in powers for i, row in m.items() for j in row})
+        out = []
+        for i, j in cells:
+            coeffs = [m.get(i, {}).get(j, 0) for m in powers]
+            while not coeffs[-1]:
+                coeffs.pop()
+            out.append((i, j, tuple(coeffs)))
+        return tuple(out)
 
     @functools.cache
-    def extraction_data(self, root):
-        """Positions and Bezout multipliers solving the root coordinate.
-
-        Returns (entries, combo) where entries = [(r, c, coeff)] are the
-        nonzero integer entries of X_root and combo = [((r, c), m)] satisfies
-        sum m * X[r][c] = 1.
-        """
+    def extraction_data(self, root) -> tuple:
+        """Bezout multipliers ((r, c), m) with sum m * X[r][c] = 1, built over
+        the nonzero entries of X_root in row-major order."""
         x = self._x[root]
-        entries = [
-            (i, j, v)
-            for i, row in enumerate(x)
-            for j, v in enumerate(row)
-            if v
-        ]
         combo = []
         g = 0
-        for i, j, v in entries:
+        for i, j, v in sorted((i, j, v) for i, row in x.items() for j, v in row.items()):
             g2, a, b = xgcd(g, v)
             combo = [((r, c), m * a) for (r, c), m in combo]
             combo.append(((i, j), b))
@@ -135,7 +130,7 @@ class Representation:
                 break
         if g != 1:
             raise ChevalleyError(f"entries of X_{root} have gcd {g}")
-        return tuple(entries), tuple((pos, m) for pos, m in combo if m)
+        return tuple((pos, m) for pos, m in combo if m)
 
     # -- evaluation over a ring -------------------------------------------------
 
@@ -145,24 +140,23 @@ class Representation:
 
     @functools.lru_cache(maxsize=ELEMENTARY_MEMO_SIZE)
     def elementary_matrix(self, ring: RingSpec, root, t):
-        """e_root(t) = sum_k t^k M_k over the ring; root is a tuple."""
-        out = [list(row) for row in self.identity(ring)]
-        tpow = t
-        for mk in self.divided_powers(root):
-            for i, j in self.support(root):
-                if mk[i][j]:
-                    c = ring.mul(tpow, ring.from_int(mk[i][j]))
-                    out[i][j] = ring.add(out[i][j], c)
-            tpow = ring.mul(tpow, t)
-        return tuple(tuple(row) for row in out)
+        """e_root(t) = I + sum_k t^k M_k over the ring; root is a tuple.  Rows
+        that the letter leaves alone are the identity's own rows."""
+        return linalg.col_ops(ring, self.identity(ring), self._entries(ring, root, t))
 
     @functools.lru_cache(maxsize=ELEMENTARY_MEMO_SIZE)
     def _entries(self, ring: RingSpec, root, t) -> tuple:
-        """The nonzero entries (i, j, c) of e_root(t) - I."""
-        mat, zero = self.elementary_matrix(ring, root, t), ring.zero
-        return tuple(
-            (i, j, mat[i][j]) for i, j in self.support(root) if mat[i][j] != zero
-        )
+        """The nonzero entries (i, j, c) of e_root(t) - I, in row-major order,
+        each c = sum_k t^k M_k[i][j] by Horner."""
+        add, mul, from_int, zero = ring.add, ring.mul, ring.from_int, ring.zero
+        out = []
+        for i, j, coeffs in self.terms(root):
+            c = zero
+            for m in reversed(coeffs):
+                c = mul(add(c, from_int(m)), t)
+            if c != zero:
+                out.append((i, j, c))
+        return tuple(out)
 
     def apply_left(self, ring: RingSpec, letters, mat):
         """The product of the letters times mat, as row operations."""
@@ -228,6 +222,11 @@ class Representation:
 
     def __repr__(self):
         return f"<rep {self.tag} of {self.rs.label}, degree {self.dim}>"
+
+
+def _dense(m: dict, n: int) -> tuple:
+    """A sparse integer matrix {row: {col: value}} as n dense rows."""
+    return tuple(tuple(m.get(i, {}).get(j, 0) for j in range(n)) for i in range(n))
 
 
 def _height_functional(rs: RootSystem):

@@ -146,6 +146,10 @@ class RingSpec:
         """All raw values in a fixed deterministic order, as a sequence."""
         raise NotImplementedError
 
+    def element_at(self, index: int):
+        """elements()[index], found without listing the ring."""
+        raise NotImplementedError
+
     def additive_generators(self) -> tuple:
         """Raw values whose sums give every element: the parameters that suffice
         for generation and conjugation, since e_a(s+t) = e_a(s) e_a(t)."""
@@ -215,6 +219,9 @@ class ZmodRing(RingSpec):
 
     def elements(self):
         return range(self.n)
+
+    def element_at(self, index: int):
+        return index
 
     def additive_generators(self) -> tuple:
         return (self.one,)
@@ -335,6 +342,14 @@ class PolyQuotientRing(RingSpec):
             for t in itertools.product(self.base.elements(), repeat=self.degree)
         )
 
+    def element_at(self, index: int):
+        """The coefficient of x^i is digit i of the index in base |base|."""
+        out = []
+        for _ in range(self.degree):
+            index, digit = divmod(index, self.base.card)
+            out.append(self.base.element_at(digit))
+        return tuple(out)
+
     def additive_generators(self) -> tuple:
         """x^i b for i < deg f and b an additive generator of the base."""
         return tuple(
@@ -396,6 +411,14 @@ class ProductRing(RingSpec):
     @functools.lru_cache(maxsize=RING_MEMO_SIZE)
     def elements(self):
         return tuple(itertools.product(*[f.elements() for f in self.factors]))
+
+    def element_at(self, index: int):
+        """The index in mixed radix, the last factor's digit lowest."""
+        out = []
+        for f in reversed(self.factors):
+            index, digit = divmod(index, f.card)
+            out.append(f.element_at(digit))
+        return tuple(reversed(out))
 
     def additive_generators(self) -> tuple:
         return tuple(

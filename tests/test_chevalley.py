@@ -6,10 +6,33 @@ from chevlab.chevalley import (
     classical_generators,
     divided_powers,
     g2_epsilon_signs,
-    int_bracket,
-    int_is_zero,
 )
 from chevlab.roots import build_root_system
+
+
+def entries(m):
+    """A sparse matrix {row: {col: value}} as {(row, col): value}."""
+    return {(i, j): v for i, row in m.items() for j, v in row.items()}
+
+
+def combination(*terms):
+    """sum c * m over the (c, m) terms, for matrices as {(row, col): value}."""
+    out = {}
+    for c, m in terms:
+        for key, v in m.items():
+            out[key] = out.get(key, 0) + c * v
+    return {key: v for key, v in out.items() if v}
+
+
+def bracket(x, y):
+    """xy - yx for matrices as {(row, col): value}, zero entries dropped."""
+    out = {}
+    for a, b, sign in ((x, y, 1), (y, x, -1)):
+        for (i, k), v in a.items():
+            for (l, j), w in b.items():
+                if k == l:
+                    out[i, j] = out.get((i, j), 0) + sign * v * w
+    return {key: v for key, v in out.items() if v}
 
 
 def test_a2_display_constant_is_plus_one():
@@ -23,18 +46,19 @@ def test_a_type_matches_matrix_units():
     for label in ["A2", "A3"]:
         rs = build_root_system(label)
         table = build_basis(rs)
-        dim, xmats, _ = classical_generators(rs)
+        _, xmats, _ = classical_generators(rs)
+        x = {r: entries(m) for r, m in xmats.items()}
         for a in rs.roots:
             for b in rs.roots:
                 if b == tuple(-c for c in a):
                     continue
-                br = int_bracket(xmats[a], xmats[b])
-                s = tuple(x + y for x, y in zip(a, b))
+                br = bracket(x[a], x[b])
+                s = tuple(p + q for p, q in zip(a, b))
                 if rs.is_root(s):
                     n = table.n_constant(a, b)
-                    assert br == [[n * v for v in row] for row in xmats[s]]
+                    assert br == combination((n, x[s]))
                 else:
-                    assert int_is_zero(br)
+                    assert br == {}
 
 
 def test_bracket_zero_for_non_roots():
@@ -92,10 +116,10 @@ def test_adjoint_matrices_shape():
     rs = build_root_system("G2")
     table = build_basis(rs)
     keys, weights, xmats = table.adjoint_data()
-    assert len(keys) == 14
+    assert len(keys) == 14 and len(weights) == 14
     for r in rs.roots:
-        m = xmats[r]
-        assert len(m) == 14 and len(m[0]) == 14
+        m = entries(xmats[r])
+        assert m and all(0 <= i < 14 and 0 <= j < 14 and v for (i, j), v in m.items())
 
 
 def test_commutator_coefficients_a2():
@@ -148,25 +172,16 @@ def test_classical_tables_verify_chevalley_conditions():
     # [H_i, X_a] = <a, a_i^v> X_a and [X_a, X_-a] = integral coroot combo
     for label in ["A2", "B2", "B3", "C2", "C3", "D4"]:
         rs = build_root_system(label)
-        dim, xmats, _ = classical_generators(rs)
-        hmats = [
-            int_bracket(xmats[s], xmats[tuple(-c for c in s)])
-            for s in rs.simple
-        ]
+        _, xmats, _ = classical_generators(rs)
+        x = {r: entries(m) for r, m in xmats.items()}
+        hmats = [bracket(x[s], x[tuple(-c for c in s)]) for s in rs.simple]
         for i, hi in enumerate(hmats):
             for r in rs.roots:
                 target = rs.cartan_int(r, rs.simple[i])
-                br = int_bracket(hi, xmats[r])
-                assert br == [[target * v for v in row] for row in xmats[r]]
+                assert bracket(hi, x[r]) == combination((target, x[r]))
         for r in rs.roots:
-            coords = rs.coroot_coords(r)
-            combo = [[0] * dim for _ in range(dim)]
-            for c, hi in zip(coords, hmats):
-                combo = [
-                    [x + c * y for x, y in zip(r1, r2)]
-                    for r1, r2 in zip(combo, hi)
-                ]
-            assert int_bracket(xmats[r], xmats[tuple(-c for c in r)]) == combo
+            combo = combination(*zip(rs.coroot_coords(r), hmats))
+            assert bracket(x[r], x[tuple(-c for c in r)]) == combo
 
 
 def test_commutator_coefficients_e6_simple_pair():
@@ -179,12 +194,14 @@ def test_commutator_coefficients_e6_simple_pair():
 
 def test_divided_powers_sparse_and_integral():
     # X = 2(E12 + E23): X^2 / 2! = 2 E13 and X^3 = 0
-    x = ((0, 2, 0), (0, 0, 2), (0, 0, 0))
-    assert divided_powers(x) == [{0: {1: 2}, 1: {2: 2}}, {0: {2: 2}}]
+    x = {0: {1: 2}, 1: {2: 2}}
+    assert divided_powers(x, 3) == [{0: {1: 2}, 1: {2: 2}}, {0: {2: 2}}]
 
 
 def test_divided_powers_reject_non_integral_and_non_nilpotent():
+    with pytest.raises(ChevalleyError, match="not integral"):
+        divided_powers({0: {1: 1}, 1: {2: 1}}, 3)  # X^2 / 2 = E13 / 2
     with pytest.raises(ChevalleyError):
-        divided_powers(((0, 1, 0), (0, 0, 1), (0, 0, 0)))  # X^2 / 2 = E13 / 2
-    with pytest.raises(ChevalleyError):
-        divided_powers(((1, 0), (0, 0)))
+        divided_powers({0: {0: 1}}, 2)
+    with pytest.raises(ChevalleyError, match="not nilpotent"):
+        divided_powers({0: {0: 2}}, 1)  # X^2 / 2 = 2 stays integral

@@ -286,6 +286,46 @@ def test_closure_on_a_huge_ring_hits_the_cap_under_memory_limit(args):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("ring", ["GF(2)[x]/(x^64)", f"{HUGE} x GF(3)"])
+def test_verify_relations_samples_a_huge_ring_under_memory_limit(ring):
+    """Parameters are drawn by index with `element_at`; the ring is never listed."""
+    proc = run_under_memory_limit(
+        "group", "verify-relations", "--type", "A2", "--ring", ring, "--mode", "R1",
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "sampled" in proc.stdout and "PASS" in proc.stdout
+    assert "Traceback" not in proc.stderr
+
+
+# Runs argv[1:] and prints its exit code, its ru_maxrss in KB and its output.
+# A fresh launcher, not the test process, starts the command: at exec a
+# process inherits the high-water RSS of the process it was forked from.
+PEAK_RSS_LAUNCHER = """
+import json, os, subprocess, sys
+proc = subprocess.Popen(sys.argv[1:], stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True)
+out = proc.stdout.read()
+_, status, usage = os.wait4(proc.pid, 0)
+print(json.dumps([os.waitstatus_to_exitcode(status), usage.ru_maxrss, out]))
+"""
+
+
+def test_e7_adjoint_additivity_stays_small():
+    """The generator data stays sparse: the E7 adjoint R1 check over GF(2)
+    peaks below 64 MB in its own process.  It needs about 26 MB; dense
+    133 x 133 divided powers per root take it past 100 MB."""
+    proc = subprocess.run(
+        [sys.executable, "-c", PEAK_RSS_LAUNCHER, sys.executable, "-m", "chevlab.cli",
+         "group", "verify-relations", "--type", "E7", "--rep", "adjoint",
+         "--ring", "GF(2)", "--mode", "R1"],
+        capture_output=True, text=True, timeout=120, env=child_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    code, peak_kb, out = json.loads(proc.stdout)
+    assert code == 0, out
+    assert "504 checks" in out and "PASS" in out
+    assert peak_kb < 64 * 1024  # ru_maxrss is in kilobytes on Linux
+
+
 @pytest.mark.parametrize("rows", ["[1,2,3]", "3", '"abc"', '{"a": 1}', "[[1,0,0],5,[0,0,1]]"])
 def test_group_decompose_malformed_rows_exit_2(rows):
     res = run(

@@ -681,7 +681,7 @@ def test_corrupted_elementary_matrix_fails_r1_for_that_root(monkeypatch):
     rep = make_representation(A2, "defining-A")
     ring = ZmodRing(3)
     root = A2.roots[0]
-    i, j = rep.support(root)[0]
+    i, j, _ = rep.terms(root)[0]
     original = Representation.elementary_matrix
 
     def corrupted(self, ring_, r, t):

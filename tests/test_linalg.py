@@ -1,5 +1,6 @@
 import functools
 import itertools
+import math
 import random
 
 import pytest
@@ -322,11 +323,61 @@ def test_sandwich_and_letters_matrix_match_dense_products(ring, case, lengths, s
     assert letters_matrix(rep, ring, left) == word_matrix(rep, ring, left)
 
 
+@functools.cache
+def dense_divided_powers(rep, root):
+    """X^k / k! for k = 1, 2, ... from dense Python-int powers of X_root,
+    asserting that each is integral."""
+    x = rep.root_matrix(root)
+    out, power, k = [], x, 1
+    while any(any(row) for row in power):
+        f = math.factorial(k)
+        assert all(v % f == 0 for row in power for v in row)
+        out.append(tuple(tuple(v // f for v in row) for row in power))
+        nxt = []
+        for row in power:
+            acc = [0] * len(x)
+            for l, v in enumerate(row):
+                if v:
+                    acc = [a + v * w for a, w in zip(acc, x[l])]
+            nxt.append(tuple(acc))
+        power, k = tuple(nxt), k + 1
+    return out
+
+
+def dense_elementary(ring, powers, t):
+    """I + sum_k t^k X^k / k! over the ring, entry by entry."""
+    n = len(powers[0])
+    out = [[ring.one if i == j else ring.zero for j in range(n)] for i in range(n)]
+    tk = ring.one
+    for mk in powers:
+        tk = ring.mul(tk, t)
+        for i, row in enumerate(mk):
+            for j, v in enumerate(row):
+                if v:
+                    out[i][j] = ring.add(out[i][j], ring.mul(ring.from_int(v), tk))
+    return tuple(map(tuple, out))
+
+
 @pytest.mark.parametrize("label", ["A2", "B2", "C3", "D4", "G2", "F4"])
 def test_letter_support_is_off_the_diagonal(label):
+    """Each letter's terms sit off the diagonal, and e_r(t) and its entries
+    agree with the exponential of the dense integer X_r over several rings."""
     rs = build_root_system(label)
-    for tag in ("adjoint", None):
-        rep = make_representation(rs, tag)
+    rings = [parse_ring_spec(text) for text in ("Z/9", "GF(4)", "Z/4 x GF(3)", f"Z/{2**61}")]
+    rng = random.Random(label)
+    for rep in dict.fromkeys(make_representation(rs, tag) for tag in ("adjoint", None)):
         for root in rs.roots:
-            support = rep.support(root)
+            support = [(i, j) for i, j, _ in rep.terms(root)]
             assert support and all(i != j for i, j in support)
+            for ring in rings:
+                t = ring.zero
+                while t == ring.zero:
+                    t = ring.random_element(rng)
+                expected = dense_elementary(ring, dense_divided_powers(rep, root), t)
+                assert rep.elementary_matrix(ring, root, t) == expected
+                assert rep._entries(ring, root, t) == tuple(
+                    (i, j, v)
+                    for i, row in enumerate(expected)
+                    for j, v in enumerate(row)
+                    if v != (ring.one if i == j else ring.zero)
+                )

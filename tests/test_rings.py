@@ -541,6 +541,23 @@ def test_random_element_reaches_every_element(text):
     assert {r.random_element(rng) for _ in range(40 * r.card)} == set(r.elements())
 
 
+@pytest.mark.parametrize("ring", [
+    parse_ring_spec("Z/12"),
+    parse_ring_spec("GF(8)"),
+    parse_ring_spec("Z/4 x GF(3)"),
+    PolyQuotientRing(ZmodRing(4), (1, 0, 1)),
+    ProductRing([parse_ring_spec("GF(4)"), PolyQuotientRing(ZmodRing(6), (0, 1)), ZmodRing(5)]),
+], ids=["Z/12", "GF(8)", "Z/4 x GF(3)", "(Z/4)[x]/(x^2+1)", "three factors"])
+def test_element_at_indexes_the_element_list(ring):
+    """element_at(i) is elements()[i], so a draw by index repeats the draws of
+    rng.choice(elements()) without listing the ring."""
+    values = ring.elements()
+    assert [ring.element_at(i) for i in range(ring.card)] == list(values)
+    a, b = random.Random(3), random.Random(3)
+    picks = [ring.element_at(b.randrange(ring.card)) for _ in range(50)]
+    assert picks == [a.choice(values) for _ in range(50)]
+
+
 # Z/n with n <= 400, GF(p)[x]/(f), or a product of two or three of these
 split_rings = st.one_of(
     crt_rings(max_n=400),
