@@ -10,14 +10,14 @@ root-string magnitude checks.
 
 The group-level coefficients of the two-parameter commutator expansion
     [e_a(s), e_b(t)] = prod e_{i*a+j*b}(C[i,j] * s^i * t^j)
-are computed in the adjoint representation by expanding the commutator over
-Z[s, t] from the integral divided powers X^k / k!; no per-type case tables
-are used.
+are read in the adjoint representation from one integer matrix, the
+commutator at s = t = 1 built from the integral divided powers X^k / k!: an
+entry's weight shift i*a + j*b names the only monomial s^i t^j it can carry.
+No per-type case tables are used.
 """
 from __future__ import annotations
 
 import functools
-import itertools
 import random
 from fractions import Fraction
 from types import MappingProxyType
@@ -333,29 +333,35 @@ class ChevalleyBasisTable:
     def commutator_coefficients(self, a, b) -> MappingProxyType:
         """Integer coefficients C[i,j] of the commutator expansion for (a, b).
 
-        The expansion is taken over the roots i*a+j*b ordered by (i+j, i); the
-        commutator is expanded over Z[s, t] in the adjoint representation from
-        the integral divided powers, and each C[i,j] is read off by exact
-        division and checked against the whole (i, j) monomial.  The result is
-        a read-only view, shared by every caller.
+        The roots i*a+j*b are taken in (i+j, i) order.  Over Z[s, t] an entry
+        (r, c) of the adjoint commutator carries only the s^i t^j with
+        i*a + j*b = weight(r) - weight(c), as a and b are independent; so the
+        commutator at s = t = 1, one integer matrix, loses nothing.  Each
+        C[i,j] is read by exact division at one entry of X_{i*a+j*b}, and
+        e_{i*a+j*b}(C[i,j]) is peeled off from the left.  A term left in a
+        graded piece survives every later peel, which adds terms of other
+        grades only, so the zero remainder proves the identity in s and t.
+        The result is a read-only view, shared by every caller.
         """
         if b == _neg(a):
             raise ChevalleyError("commutator expansion undefined for b = -a")
         pa = self.sparse_powers(a)
         pb = self.sparse_powers(b)
-        m = _pmat_mul(
-            _pmat_mul(_exp_series(pa, (1, 0), 1), _exp_series(pb, (0, 1), 1)),
-            _pmat_mul(_exp_series(pa, (1, 0), -1), _exp_series(pb, (0, 1), -1)),
+        m = _unipotent_mul(
+            _unipotent_mul(_exp_minus_one(pa, 1), _exp_minus_one(pb, 1)),
+            _unipotent_mul(_exp_minus_one(pa, -1), _exp_minus_one(pb, -1)),
         )
         out = {}
         for i, j, g in self.rs.commutator_root_list(a, b):
             pg = self.sparse_powers(g)
-            coeff = _solve_scalar_multiple(m.get((i, j), {}), pg[0])
-            if coeff is None:
+            r, row = next(iter(pg[0].items()))
+            col, v = next(iter(row.items()))
+            coeff, rem = divmod(m.get(r, {}).get(col, 0), v)
+            if rem:
                 raise ChevalleyError("commutator coefficient mismatch")
             out[(i, j)] = coeff
             if coeff:
-                m = _pmat_mul(_exp_series(pg, (i, j), -coeff), m)
+                m = _unipotent_mul(_exp_minus_one(pg, -coeff), m)
         if m:
             raise ChevalleyError("commutator expansion failed to close")
         return MappingProxyType(out)
@@ -363,7 +369,6 @@ class ChevalleyBasisTable:
 
 # ---------------------------------------------------------------------------
 # Sparse integer matrices (dict[row] -> dict[col] -> int, no zero entries)
-# and matrices over Z[s, t] (dict[(i, j)] -> sparse matrix of s^i t^j)
 
 
 def _smat(*entries) -> dict:
@@ -442,23 +447,14 @@ def divided_powers(x: dict, dim: int) -> list:
     return out
 
 
-def _exp_series(powers: list, mono: tuple, scale: int) -> dict:
-    """e(scale * s^i t^j) - I = sum_k scale^k s^(k*i) t^(k*j) M_k over Z[s, t]."""
-    i, j = mono
-    return {(k * i, k * j): _smat_scale(scale**k, m) for k, m in enumerate(powers, 1)}
+def _exp_minus_one(powers: list, t: int) -> dict:
+    """e(t) - I = sum_k t^k M_k, from the divided powers M_k."""
+    return _smat_sum(_smat_scale(t**k, m) for k, m in enumerate(powers, 1))
 
 
-def _pmat_mul(p: dict, q: dict) -> dict:
+def _unipotent_mul(p: dict, q: dict) -> dict:
     """(I + p)(I + q) - I = p + q + pq, for p and q held without the identity."""
-    products = (
-        ((i1 + i2, j1 + j2), _int_smat_mul(a, b))
-        for (i1, j1), a in p.items()
-        for (i2, j2), b in q.items()
-    )
-    out: dict = {}
-    for mono, m in itertools.chain(p.items(), q.items(), products):
-        out.setdefault(mono, []).append(m)
-    return {mono: total for mono, ms in out.items() if (total := _smat_sum(ms))}
+    return _smat_sum((p, q, _int_smat_mul(p, q)))
 
 
 # ---------------------------------------------------------------------------

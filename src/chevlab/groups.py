@@ -329,9 +329,10 @@ def subgroup_closure(generators, cap: int, track_words: bool = False,
     x(I + E) with the nonzero entries of E = h - I, and is mapped to e x e^-1
     for each letter e = e_r(t) in conjugators, as one row and one column
     letter (`conjugated`).  With the conjugators of E(R) this is the
-    normal closure, since x e s e^-1 = e (e^-1 x e s) e^-1.  Members are
-    wrapped as `GroupElement`s once, at the end.  With track_words=True (and
-    no conjugators) the generators are (element, ElementaryWord) pairs and a
+    normal closure, since x e s e^-1 = e (e^-1 x e s) e^-1.  Members share
+    their equal rows, as most rows recur across members, and are wrapped as
+    `GroupElement`s once, at the end.  With track_words=True (and no
+    conjugators) the generators are (element, ElementaryWord) pairs and a
     dict element -> ElementaryWord is returned; otherwise returns a
     frozenset.  Raises CapExceeded when the closure grows past cap.
     """
@@ -350,6 +351,7 @@ def subgroup_closure(generators, cap: int, track_words: bool = False,
         actions.append((conjugated, pair, None))
     ident = rep.identity(ring)
     words = {ident: ElementaryWord(rep, ring) if track_words else None}
+    rows = {r: r for r in ident}
     frontier = [ident]
     while frontier:
         nxt = []
@@ -358,6 +360,7 @@ def subgroup_closure(generators, cap: int, track_words: bool = False,
             for act, arg, hw in actions:
                 y = act(ring, x, arg)
                 if y not in words:
+                    y = tuple([rows.setdefault(r, r) for r in y])
                     words[y] = xw + hw if track_words else None
                     nxt.append(y)
                     if len(words) > cap:

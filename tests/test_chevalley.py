@@ -1,13 +1,16 @@
+import hashlib
+
 import pytest
 
 from chevlab.chevalley import (
+    ChevalleyBasisTable,
     ChevalleyError,
     build_basis,
     classical_generators,
     divided_powers,
     g2_epsilon_signs,
 )
-from chevlab.roots import build_root_system
+from chevlab.roots import RootSystem, _neg, build_root_system
 
 
 def entries(m):
@@ -190,6 +193,49 @@ def test_commutator_coefficients_e6_simple_pair():
     a, b = rs.simple[0], rs.simple[2]
     row = table.commutator_coefficients(a, b)
     assert set(row) == {(1, 1)} and abs(row[(1, 1)]) == 1
+
+
+def test_f4_commutator_table_matches_its_digest():
+    """F4, the two-length type no golden covers (coefficients +-1 and +-2): the
+    coefficients of every ordered pair, in sorted root order, hash to the
+    digest of the table first computed over Z[s, t]."""
+    rs = build_root_system("F4")
+    table = build_basis(rs)
+    lines = [
+        f"{a} {b} {sorted(table.commutator_coefficients(a, b).items())}"
+        for a in sorted(rs.roots) for b in sorted(rs.roots) if b != _neg(a)
+    ]
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "0ea092fd806b7092eec9dd5d197060b29e6930a268c840a732ae5883e2bf0c91"
+
+
+def test_commutator_solve_without_its_last_root_fails_to_close(monkeypatch):
+    """The G2 term e_(2,3) left out of the expansion stays in the remainder."""
+    roots = RootSystem.commutator_root_list
+
+    def short(self, a, b):
+        out = roots(self, a, b)
+        return out[:-1] if (a, b) == ((1, 0), (0, 1)) else out
+
+    monkeypatch.setattr(RootSystem, "commutator_root_list", short)
+    table = ChevalleyBasisTable(build_root_system("G2"))
+    with pytest.raises(ChevalleyError, match="failed to close"):
+        table.commutator_coefficients((1, 0), (0, 1))
+
+
+@pytest.mark.parametrize("at_read_entry, message", [
+    (True, "coefficient mismatch"), (False, "failed to close"),
+])
+def test_commutator_solve_rejects_a_doubled_entry(at_read_entry, message):
+    """C[1,1] for the G2 pair (1,0), (0,1) is read at the first entry of the
+    adjoint X_(1,1): doubled there, the exact division fails; doubled at the
+    last entry, the peel leaves a remainder in that graded piece."""
+    table = ChevalleyBasisTable(build_root_system("G2"))
+    x = table.adjoint_data()[2][(1, 1)]
+    row, col = list(entries(x))[0 if at_read_entry else -1]
+    x[row][col] *= 2
+    with pytest.raises(ChevalleyError, match=message):
+        table.commutator_coefficients((1, 0), (0, 1))
 
 
 def test_divided_powers_sparse_and_integral():

@@ -310,20 +310,28 @@ print(json.dumps([os.waitstatus_to_exitcode(status), usage.ru_maxrss, out]))
 
 
 def test_e7_adjoint_additivity_stays_small():
-    """The generator data stays sparse: the E7 adjoint R1 check over GF(2)
-    peaks below 64 MB in its own process.  It needs about 26 MB; dense
-    133 x 133 divided powers per root take it past 100 MB."""
-    proc = subprocess.run(
-        [sys.executable, "-c", PEAK_RSS_LAUNCHER, sys.executable, "-m", "chevlab.cli",
-         "group", "verify-relations", "--type", "E7", "--rep", "adjoint",
-         "--ring", "GF(2)", "--mode", "R1"],
-        capture_output=True, text=True, timeout=120, env=child_env(),
-    )
-    assert proc.returncode == 0, proc.stderr
-    code, peak_kb, out = json.loads(proc.stdout)
-    assert code == 0, out
-    assert "504 checks" in out and "PASS" in out
-    assert peak_kb < 64 * 1024  # ru_maxrss is in kilobytes on Linux
+    """Each command peaks below its bound in its own process.  The generator
+    data stays sparse: the E7 adjoint R1 check over GF(2) needs about 26 MB,
+    and dense 133 x 133 divided powers per root take it past 100 MB.  Closure
+    members share their equal rows: the G2 adjoint closure over GF(2) needs
+    about 23 MB, and a row object per member takes it to 47 MB."""
+    cases = [
+        (["verify-relations", "--type", "E7", "--rep", "adjoint", "--ring", "GF(2)",
+          "--mode", "R1"], "504 checks", 64),
+        (["closure", "--type", "G2", "--rep", "adjoint", "--ring", "GF(2)"],
+         "12096 elements", 35),
+    ]
+    for args, expected, limit_mb in cases:
+        proc = subprocess.run(
+            [sys.executable, "-c", PEAK_RSS_LAUNCHER, sys.executable, "-m", "chevlab.cli",
+             "group", *args],
+            capture_output=True, text=True, timeout=120, env=child_env(),
+        )
+        assert proc.returncode == 0, proc.stderr
+        code, peak_kb, out = json.loads(proc.stdout)
+        assert code == 0, out
+        assert expected in out and "PASS" in out
+        assert peak_kb < limit_mb * 1024, args  # ru_maxrss is in kilobytes on Linux
 
 
 @pytest.mark.parametrize("rows", ["[1,2,3]", "3", '"abc"', '{"a": 1}', "[[1,0,0],5,[0,0,1]]"])

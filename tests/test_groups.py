@@ -347,6 +347,14 @@ def test_closure_matches_dense_reference_search(case, data):
         assert found == {GroupElement(rep, ring, m) for m in expected}
 
 
+def test_closure_members_share_their_rows():
+    """Equal rows across the SL3(Z/3) closure are one object, not one per member."""
+    rep = make_representation(A2, "defining-A")
+    closure = subgroup_closure(all_elementaries(rep, ZmodRing(3)), cap=10**4)
+    rows = [row for g in closure for row in g.mat]
+    assert len({id(row) for row in rows}) == len(set(rows))
+
+
 def test_closure_makes_no_dense_products(monkeypatch):
     from chevlab.congruence import materialized_subgroup
 
