@@ -10,6 +10,7 @@ from __future__ import annotations
 import contextlib
 import functools
 import json
+import random
 import sys
 
 import click
@@ -156,30 +157,49 @@ def ring():
     """Finite ring operations."""
 
 
+# The artinian round trip runs on every element of a ring up to this many,
+# and above it on ROUND_TRIP_SAMPLE elements drawn by index with a fixed seed.
+ROUND_TRIP_LIMIT = 2**16
+ROUND_TRIP_SAMPLE = 1000
+
+
 @ring.command("decompose-artinian")
 @click.argument("spec_text")
 @fmt_option
 def ring_decompose_artinian(spec_text, fmt):
-    """Split a finite ring into local factors and verify the isomorphism."""
+    """Split a finite ring into local factors and verify the isomorphism,
+    on every element, or on a fixed sample above ROUND_TRIP_LIMIT elements
+    (the JSON report then carries "sampled": true)."""
     with _input_checks():
         spec = parse_ring_spec(spec_text)
         dec = artinian_decompose(spec)
-    failures = []
-    for v in spec.elements():
-        if dec.from_components(dec.to_components(v)) != v:
-            failures.append(spec.format_element(v))
+    sampled = spec.card > ROUND_TRIP_LIMIT
+    if sampled:
+        rng = random.Random(0)
+        values = [
+            spec.element_at(rng.randrange(spec.card)) for _ in range(ROUND_TRIP_SAMPLE)
+        ]
+    else:
+        values = spec.elements()
+    failures = [
+        spec.format_element(v)
+        for v in values
+        if dec.from_components(dec.to_components(v)) != v
+    ]
     lines = [f"{spec.label} ~ " + " x ".join(f.label for f in dec.factors)]
     lines.append(
-        f"round-trip verified on {spec.card} elements"
+        f"round-trip verified on {len(values)} {'sampled ' if sampled else ''}elements"
         if not failures
         else f"round-trip FAILED on {failures[:3]}"
     )
     payload = {
         "ring": spec.label,
         "factors": [f.label for f in dec.factors],
-        "verified_elements": spec.card - len(failures),
+        "verified_elements": len(values) - len(failures),
         "failures": failures[:10],
     }
+    if sampled:
+        payload["sampled"] = True
     _emit(fmt, not failures, payload, lines)
 
 

@@ -259,7 +259,9 @@ class PolyQuotientRing(RingSpec):
         )
         # x^(degree+k) reduced mod f, for k = 0..degree-2 (covers products)
         self._high_powers = self._reduction_table()
-        # up to card^2 entries of about 245 bytes each: small rings only
+        # sums and products, up to card^2 entries each of about 245 bytes:
+        # small rings only
+        self._add_cache: dict | None = {} if self.card <= 256 else None
         self._mul_cache: dict | None = {} if self.card <= 256 else None
 
     def _reduction_table(self):
@@ -279,8 +281,15 @@ class PolyQuotientRing(RingSpec):
         return rows[: d - 1]  # degree 1 needs no row
 
     def add(self, a, b):
+        if self._add_cache is not None:
+            hit = self._add_cache.get((a, b))
+            if hit is not None:
+                return hit
         base = self.base
-        return tuple(base.add(x, y) for x, y in zip(a, b))
+        res = tuple(base.add(x, y) for x, y in zip(a, b))
+        if self._add_cache is not None:
+            self._add_cache[(a, b)] = res
+        return res
 
     def neg(self, a):
         base = self.base

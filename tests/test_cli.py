@@ -52,6 +52,16 @@ GOLDEN_REPORTS = {
     "group_verify_relations_A2_Z4": [
         "group", "verify-relations", "--type", "A2", "--ring", "Z/4",
     ],
+    "group_verify_relations_B2_Z4xGF3": [
+        "group", "verify-relations", "--type", "B2", "--ring", "Z/4 x GF(3)",
+    ],
+    "group_verify_relations_G2_adjoint_GF4": [
+        "group", "verify-relations", "--type", "G2", "--rep", "adjoint", "--ring", "GF(4)",
+    ],
+    "group_verify_relations_A2_Z2_61xGF3_seed3": [
+        "group", "verify-relations", "--type", "A2", "--ring",
+        "Z/2305843009213693952 x GF(3)", "--seed", "3",
+    ],
     "group_closure_A2_GF2_omit": [
         "group", "closure", "--type", "A2", "--ring", "GF(2)", "--omit-root", "[1,-1,0]",
     ],
@@ -295,6 +305,31 @@ def test_verify_relations_samples_a_huge_ring_under_memory_limit(ring):
     assert proc.returncode == 0, proc.stderr
     assert "sampled" in proc.stdout and "PASS" in proc.stdout
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("ring", [HUGE, f"{HUGE} x GF(3)"])
+def test_verify_relations_both_samples_a_huge_ring_under_memory_limit(ring):
+    """R1 and R2 on sampled pairs; the product ring is checked factor by factor."""
+    proc = run_under_memory_limit(
+        "group", "verify-relations", "--type", "A2", "--ring", ring, "--mode", "both",
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "sampled" in proc.stdout and "PASS" in proc.stdout
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("ring", [HUGE, "GF(2)[x]/(x^64)", f"{HUGE} x GF(3)"])
+def test_decompose_artinian_samples_a_huge_ring_under_memory_limit(ring):
+    """Above `ROUND_TRIP_LIMIT` the round trip runs on a fixed sample drawn by
+    index with `element_at`."""
+    proc = run_under_memory_limit("ring", "decompose-artinian", ring)
+    assert proc.returncode == 0, proc.stderr
+    assert "round-trip verified on 1000 sampled elements" in proc.stdout
+    assert "PASS" in proc.stdout and "Traceback" not in proc.stderr
+    res = run("ring", "decompose-artinian", ring, "--format", "json")
+    doc = json.loads(res.output)
+    assert res.exit_code == 0 and doc["sampled"] is True
+    assert doc["verified_elements"] == 1000
 
 
 # Runs argv[1:] and prints its exit code, its ru_maxrss in KB and its output.

@@ -1,4 +1,5 @@
 import random
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings
@@ -37,6 +38,7 @@ from chevlab.roots import _neg, build_root_system
 A2 = build_root_system("A2")
 B2 = build_root_system("B2")
 C2 = build_root_system("C2")
+B3 = build_root_system("B3")
 G2 = build_root_system("G2")
 
 
@@ -728,3 +730,134 @@ def test_relation_checks_and_normality_make_no_dense_products(monkeypatch):
         assert report.ok and report.exhaustive
     assert check_normal(kernel) and check_normal(materialized)
     assert calls == []
+
+
+# ---------------------------------------------------------------------------
+# R2 in conjugation form, product rings factor by factor
+
+
+def _bump_terms(patch, pair, delta):
+    """`groups.expansion_terms` with the last coefficient of `pair` raised by
+    `delta` (as an integer, so by its image in each factor)."""
+    from chevlab import groups
+
+    terms = groups.expansion_terms
+
+    def bumped(rep_, ring_, x, y):
+        out = terms(rep_, ring_, x, y)
+        if (x, y) != pair:
+            return out
+        i, j, g, c = out[-1]
+        return out[:-1] + [(i, j, g, ring_.add(c, ring_.from_int(delta)))]
+
+    return patch(groups, "expansion_terms", bumped)
+
+
+FACTORWISE_GROUPS = [
+    (rs, tag, ring)
+    for rs, tag in [(A2, "defining-A"), (B2, "defining-B"), (G2, "adjoint")]
+    for ring in ["Z/4 x GF(3)", "GF(4) x Z/9", "Z/2 x Z/3 x Z/5"]
+]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    case=st.sampled_from(FACTORWISE_GROUPS), bump=st.sampled_from([0, 1]), data=st.data()
+)
+def test_factorwise_conjugation_form_agrees_with_the_unsplit_commutator(case, bump, data):
+    """The report's verdict on each root pair equals [e_a(s), e_b(t)] against
+    the expansion's letters over the whole ring, on correct data and with one
+    coefficient bumped by 1."""
+    from unittest import mock
+
+    from chevlab import groups
+
+    rs, tag, ring_text = case
+    rep = make_representation(rs, tag)
+    ring = parse_ring_spec(ring_text)
+    a, b = data.draw(st.sampled_from([
+        (a, b) for a in rs.roots for b in rs.roots
+        if b != _neg(a) and rs.commutator_root_list(a, b)
+    ]))
+    s = data.draw(st.sampled_from(ring.elements()))
+    t = data.draw(st.sampled_from(ring.elements()))
+    with _bump_terms(mock.patch.object, (a, b), bump), mock.patch.object(
+        groups, "_parameter_pairs", return_value=([(s, t)], False)
+    ):
+        report = verify_steinberg_relations(rep, ring, mode="R2")
+        expected = []
+        for x in rs.roots:
+            for y in rs.roots:
+                if y == _neg(x):
+                    continue
+                terms = groups.expansion_terms(rep, ring, x, y)
+                mat, letters = commutator_expansion(rep, ring, terms, x, y, s, t)
+                if mat != letters_matrix(rep, ring, letters):
+                    expected.append(("R2", x, y, s, t))
+    assert report.failures == expected
+    # the bump shows exactly where its letter's parameter moves
+    i, j, _ = rs.commutator_root_list(a, b)[-1]
+    moved = ring.mul(ring.from_int(bump), reduce(ring.mul, [s] * i + [t] * j, ring.one))
+    assert expected == ([("R2", a, b, s, t)] if moved != ring.zero else [])
+
+
+def test_coefficient_wrong_on_one_factor_fails_where_that_component_moves(monkeypatch):
+    """A coefficient bumped by 3 over Z/4 x GF(3) is wrong on the Z/4 factor
+    only: R2 fails exactly where the Z/4 component of s^i t^j is nonzero, and
+    each failure carries the product-ring (s, t)."""
+    rep = make_representation(B2, "defining-B")
+    ring = parse_ring_spec("Z/4 x GF(3)")
+    a, b = next(
+        (a, b) for a in B2.roots for b in B2.roots
+        if b != _neg(a) and len(B2.commutator_root_list(a, b)) == 2
+    )
+    i, j, _ = B2.commutator_root_list(a, b)[-1]
+    assert i + j == 3
+    _bump_terms(monkeypatch.setattr, (a, b), 3)
+    report = verify_steinberg_relations(rep, ring, mode="R2")
+    assert report.exhaustive and report.commutator_checked == 56 * 144
+    values = ring.elements()
+    expected = [
+        ("R2", a, b, s, t) for s in values for t in values
+        if s[0] ** i * t[0] ** j % 4
+    ]
+    assert expected and len(expected) < 144
+    assert report.failures == expected
+
+
+def test_r2_check_of_a_commuting_pair_makes_two_sparse_operations(monkeypatch):
+    """With the memos warm, R2 on a pair with no expansion letters is two
+    column operations; every other pair adds one row operation per letter."""
+    from chevlab import groups
+
+    calls = []
+    col_ops, row_ops = linalg.col_ops, linalg.row_ops
+
+    def counted(op):
+        def run(*args):
+            calls.append(op.__name__)
+            return op(*args)
+        return run
+
+    rep = make_representation(B3, "defining-B")
+    ring = ZmodRing(9)
+    s, t = ring.from_int(2), ring.from_int(5)
+    monkeypatch.setattr(groups, "_parameter_pairs", lambda *args: ([(s, t)], False))
+    assert verify_steinberg_relations(rep, ring, mode="R2").ok  # warms the memos
+    a, b = next(
+        (a, b) for a in B3.roots for b in B3.roots
+        if b not in (a, _neg(a)) and not B3.commutator_root_list(a, b)
+    )
+    terms = expansion_terms(rep, ring, a, b)
+    monkeypatch.setattr(linalg, "col_ops", counted(col_ops))
+    monkeypatch.setattr(linalg, "row_ops", counted(row_ops))
+    assert groups._conjugation_form(rep, ring, a, b, terms, s, t)
+    assert calls == ["col_ops", "col_ops"]
+    calls.clear()
+    report = verify_steinberg_relations(rep, ring, mode="R2")
+    letters = sum(
+        len(B3.commutator_root_list(x, y))
+        for x in B3.roots for y in B3.roots if y != _neg(x)
+    )
+    assert report.ok and report.commutator_checked == 306
+    assert calls.count("col_ops") == 2 * 306 and calls.count("row_ops") == letters

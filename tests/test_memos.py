@@ -13,6 +13,7 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "chevlab"
 FILLED_SLOTS = {
     ("evaluate", "_value"),
     ("__hash__", "_hash"),
+    ("add", "_add_cache"),
     ("mul", "_mul_cache"),
 }
 

@@ -278,10 +278,15 @@ def test_mul_cache_only_on_small_quotient_rings():
     x = (0, 1) + (0,) * 10
     x11 = (0,) * 11 + (1,)
     assert big.mul(x, x11) == (1, 0, 0, 1) + (0,) * 8  # x^12 = 1 + x^3
-    assert big._mul_cache is None
+    assert big.add(x, x11) == (0, 1) + (0,) * 9 + (1,)
+    assert big._mul_cache is None and big._add_cache is None
     y = (0, 1) + (0,) * 6
     assert small.mul(y, y) == small.mul(y, y) == (0, 0, 1) + (0,) * 5
     assert len(small._mul_cache) == 1
+    one = small.one
+    assert small.add(y, one) == small.add(y, one) == (1, 1) + (0,) * 6
+    assert small.add(y, y) == small.zero
+    assert len(small._add_cache) == 2
 
 
 def test_zmod_elements_do_not_materialize():
