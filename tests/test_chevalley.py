@@ -1,4 +1,6 @@
 import hashlib
+import random
+import tracemalloc
 
 import pytest
 
@@ -96,13 +98,49 @@ def test_g2_has_coefficient_two():
 def test_jacobi_exhaustive_small():
     for label in ["A2", "B2", "C3", "G2"]:
         table = build_basis(build_root_system(label))
-        checked = table.verify_jacobi()
-        assert checked > 0
+        dim = len(table.basis_keys())
+        assert table.verify_jacobi() == dim**3
 
 
-def test_jacobi_sampled_e6():
+def test_jacobi_by_generators_e6():
+    """Above rank 4 the check is complete: 2 * rank * dim derivation checks
+    and dim^2 antisymmetry checks."""
     table = build_basis(build_root_system("E6"))
-    assert table.verify_jacobi(sample=500, seed=1) == 500
+    assert table.verify_jacobi() == 2 * 6 * 78 + 78**2
+
+
+def test_jacobi_streams_its_triples():
+    """The rank <= 4 check holds no list of its dim^3 triples: for D4 that
+    list alone takes about 1.6 MB."""
+    table = ChevalleyBasisTable(build_root_system("D4"))
+    tracemalloc.start()
+    try:
+        assert table.verify_jacobi() == 28**3
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 256 * 1024
+
+
+def flip_sign_quadruple(table, a, b):
+    """Negate N(a, b), N(b, a), N(-a, -b) and N(-b, -a) in place."""
+    for key in ((a, b), (b, a), (_neg(a), _neg(b)), (_neg(b), _neg(a))):
+        table.nmap[key] = -table.nmap[key]
+
+
+@pytest.mark.parametrize("label", ["B3", "F4", "E6", "E7"])
+def test_jacobi_catches_sign_flips(label):
+    """One flipped sign quadruple keeps every |N| = p + 1 and the
+    antisymmetry of the table, and fails Jacobi: on the streamed triples for
+    B3 and F4, and by generators for E6 and E7."""
+    table = ChevalleyBasisTable(build_root_system(label))
+    rng = random.Random(2010)
+    for a, b in rng.sample(sorted(table.nmap), 4):
+        flip_sign_quadruple(table, a, b)
+        table._verify_magnitudes()
+        with pytest.raises(ChevalleyError):
+            table.verify_jacobi()
+        flip_sign_quadruple(table, a, b)
 
 
 def test_coroot_brackets():

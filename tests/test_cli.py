@@ -347,12 +347,16 @@ print(json.dumps([os.waitstatus_to_exitcode(status), usage.ru_maxrss, out]))
 def test_e7_adjoint_additivity_stays_small():
     """Each command peaks below its bound in its own process.  The generator
     data stays sparse: the E7 adjoint R1 check over GF(2) needs about 26 MB,
-    and dense 133 x 133 divided powers per root take it past 100 MB.  Closure
-    members share their equal rows: the G2 adjoint closure over GF(2) needs
-    about 23 MB, and a row object per member takes it to 47 MB."""
+    and dense 133 x 133 divided powers per root take it past 100 MB.  The
+    Jacobi certificate streams its basis triples: the F4 adjoint R1 check over
+    GF(2) needs about 20 MB, and a list of all 52^3 triples takes it to 29 MB.
+    Closure members share their equal rows: the G2 adjoint closure over GF(2)
+    needs about 23 MB, and a row object per member takes it to 47 MB."""
     cases = [
         (["verify-relations", "--type", "E7", "--rep", "adjoint", "--ring", "GF(2)",
           "--mode", "R1"], "504 checks", 64),
+        (["verify-relations", "--type", "F4", "--rep", "adjoint", "--ring", "GF(2)",
+          "--mode", "R1"], "192 checks", 25),
         (["closure", "--type", "G2", "--rep", "adjoint", "--ring", "GF(2)"],
          "12096 elements", 35),
     ]
