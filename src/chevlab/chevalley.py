@@ -8,21 +8,19 @@ representations consistent by construction.  For exceptional types the table
 is built by the extraspecial-pair recursion and certified by Jacobi and
 root-string magnitude checks.
 
-The group-level coefficients of the two-parameter commutator expansion
-    [e_a(s), e_b(t)] = prod e_{i*a+j*b}(C[i,j] * s^i * t^j)
-are read in the adjoint representation from one integer matrix, the
-commutator at s = t = 1 built from the integral divided powers X^k / k!: an
-entry's weight shift i*a + j*b names the only monomial s^i t^j it can carry.
-No per-type case tables are used.
+The coefficients C[i,j] of [e_a(s), e_b(t)] = prod e_{i*a+j*b}(C[i,j] s^i t^j)
+are Chevalley's closed expressions in the structure constants, with one code
+path for every type.
 """
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 from fractions import Fraction
 from types import MappingProxyType
 
-from .roots import RootSystem, _add, _neg, _sub
+from .roots import RootSystem, _add, _neg, _scale, _sub
 
 
 class ChevalleyError(ValueError):
@@ -364,50 +362,48 @@ class ChevalleyBasisTable:
         }
         return keys, weights, xmats
 
-    @functools.cache
-    def sparse_powers(self, root) -> tuple:
-        """Sparse divided powers of the adjoint X_root, shared by every caller."""
-        keys, _, xmats = self.adjoint_data()
-        return tuple(divided_powers(xmats[root], len(keys)))
-
     # -- group-level commutator coefficients ----------------------------------
 
     @functools.cache
     def commutator_coefficients(self, a, b) -> MappingProxyType:
-        """Integer coefficients C[i,j] of the commutator expansion for (a, b).
+        """Integer coefficients C[i,j] of the commutator expansion for (a, b),
+        the roots i*a+j*b taken in (i+j, i) order; terms of one level commute.
 
-        The roots i*a+j*b are taken in (i+j, i) order.  Over Z[s, t] an entry
-        (r, c) of the adjoint commutator carries only the s^i t^j with
-        i*a + j*b = weight(r) - weight(c), as a and b are independent; so the
-        commutator at s = t = 1, one integer matrix, loses nothing.  Each
-        C[i,j] is read by exact division at one entry of X_{i*a+j*b}, and
-        e_{i*a+j*b}(C[i,j]) is peeled off from the left.  A term left in a
-        graded piece survives every later peel, which adds terms of other
-        grades only, so the zero remainder proves the identity in s and t.
-        The result is a read-only view, shared by every caller.
+        Chevalley's formula (Carter, Simple Groups of Lie Type, Thm 5.2.2) uses
+        M(a, b, i) = N(a, b) N(a, a+b) ... N(a, (i-1)a+b) / i!, the coefficient
+        of e_{i*a+b} in ad(e_a)^i e_b / i!.  With Carter's x^-1 y^-1 x y,
+            [x_s(u), x_r(t)] = prod x_{i*r+j*s}(K[i,j] (-t)^i u^j),
+            K[i,1] = M(r, s, i), K[1,j] = (-1)^j M(s, r, j),
+            K[3,2] = M(r+s, r, 2) / 3, K[2,3] = -2 M(s+r, s, 2) / 3.
+        The left side x_s(-u) x_r(-t) x_s(u) x_r(t) is chevlab's [e_s(-u), e_r(-t)].
+        With a = s, b = r, s' = -u and t' = -t, the term of i*a + j*b is
+        x(K[j,i] t'^j (-s')^i), so C[i,j] = (-1)^i K[j,i]:
+            C[i,1] = M(a, b, i),          C[1,j] = -M(b, a, j),
+            C[3,2] = 2 M(a+b, a, 2) / 3,  C[2,3] = M(a+b, b, 2) / 3.
+        A non-integral value raises ChevalleyError.  The result is a read-only
+        view, shared by every caller.
         """
         if b == _neg(a):
             raise ChevalleyError("commutator expansion undefined for b = -a")
-        pa = self.sparse_powers(a)
-        pb = self.sparse_powers(b)
-        m = _unipotent_mul(
-            _unipotent_mul(_exp_minus_one(pa, 1), _exp_minus_one(pb, 1)),
-            _unipotent_mul(_exp_minus_one(pa, -1), _exp_minus_one(pb, -1)),
-        )
         out = {}
-        for i, j, g in self.rs.commutator_root_list(a, b):
-            pg = self.sparse_powers(g)
-            r, row = next(iter(pg[0].items()))
-            col, v = next(iter(row.items()))
-            coeff, rem = divmod(m.get(r, {}).get(col, 0), v)
-            if rem:
-                raise ChevalleyError("commutator coefficient mismatch")
-            out[(i, j)] = coeff
-            if coeff:
-                m = _unipotent_mul(_exp_minus_one(pg, -coeff), m)
-        if m:
-            raise ChevalleyError("commutator expansion failed to close")
+        for i, j, _ in self.rs.commutator_root_list(a, b):
+            if j == 1:
+                c = self._string_coefficient(a, b, i)
+            elif i == 1:
+                c = -self._string_coefficient(b, a, j)
+            elif (i, j) == (3, 2):
+                c = 2 * self._string_coefficient(_add(a, b), a, 2) / 3
+            else:  # (2, 3), the last term of G2
+                c = self._string_coefficient(_add(a, b), b, 2) / 3
+            if c.denominator != 1:
+                raise ChevalleyError(f"C[{i},{j}] of {a}, {b} is not integral")
+            out[(i, j)] = int(c)
         return MappingProxyType(out)
+
+    def _string_coefficient(self, a, b, i: int) -> Fraction:
+        """M(a, b, i) = N(a, b) N(a, a+b) ... N(a, (i-1)a+b) / i!."""
+        ns = (self.n_constant(a, _add(_scale(k, a), b)) for k in range(i))
+        return Fraction(math.prod(ns), math.factorial(i))
 
 
 # ---------------------------------------------------------------------------
@@ -488,16 +484,6 @@ def divided_powers(x: dict, dim: int) -> list:
             nxt[r] = nrow
         mk = nxt
     return out
-
-
-def _exp_minus_one(powers: list, t: int) -> dict:
-    """e(t) - I = sum_k t^k M_k, from the divided powers M_k."""
-    return _smat_sum(_smat_scale(t**k, m) for k, m in enumerate(powers, 1))
-
-
-def _unipotent_mul(p: dict, q: dict) -> dict:
-    """(I + p)(I + q) - I = p + q + pq, for p and q held without the identity."""
-    return _smat_sum((p, q, _int_smat_mul(p, q)))
 
 
 # ---------------------------------------------------------------------------

@@ -249,12 +249,14 @@ def roots_show(type_label, fmt):
 @click.argument("type_label")
 @fmt_option
 def chevalley_cmd(action, type_label, fmt):
-    """Emit the integral commutator-coefficient table for a type."""
+    """Emit the integral commutator-coefficient table for a type, each row replayed over Z."""
     with _input_checks():
         rs = build_root_system(type_label)
         table = build_basis(rs)
+        rep = make_representation(rs)
     lines = [f"commutator coefficients for {rs.label} (order: (i+j, i) ascending)"]
     rows = []
+    failures = []
     for a in rs.roots:
         for b in rs.roots:
             if b == tuple(-x for x in a):
@@ -279,12 +281,17 @@ def chevalley_cmd(action, type_label, fmt):
             lines.append(
                 f"[e_{rs.root_name(a)}(s), e_{rs.root_name(b)}(t)] = {terms}"
             )
+            if not gp.expansion_replays(rep, a, b):
+                failures.append(f"expansion of ({list(a)}, {list(b)}) fails in {rep.tag}")
+                lines.append(f"replay failure: {failures[-1]}")
     payload = {"type": rs.label, "rows": rows}
+    if failures:
+        payload["failures"] = failures
     if rs.letter == "G":
         eps = g2_epsilon_signs(table)
         payload["unit_signs"] = eps
         lines.append("computed unit signs: " + json.dumps(eps, sort_keys=True))
-    _emit(fmt, True, payload, lines)
+    _emit(fmt, not failures, payload, lines)
 
 
 # -- group ---------------------------------------------------------------------

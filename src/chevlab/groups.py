@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from functools import partial, reduce
 
 from . import linalg
-from .chevalley import build_basis
+from .chevalley import _int_smat_mul, build_basis
 from .reps import Representation
 from .rings import IdealHandle, ProductRing, RingSpec, ZmodRing
 from .roots import _neg
@@ -137,6 +137,25 @@ def expansion_terms(rep: Representation, ring: RingSpec, a, b) -> list:
         (i, j, g, ring.from_int(coeffs[(i, j)]))
         for i, j, g in rep.rs.commutator_root_list(a, b)
     ]
+
+
+def expansion_replays(rep: Representation, a, b) -> bool:
+    """Whether [e_a(1), e_b(1)] equals the product of the e_g(C_ij) of its
+    expansion, both multiplied out exactly over Z in rep.  As a polynomial in s
+    and t, an entry of either side carries only the monomial s^i t^j named by
+    its weight shift i*a + j*b, so the check at s = t = 1 checks the identity."""
+    coeffs = build_basis(rep.rs).commutator_coefficients(a, b)
+    identity = {i: {i: 1} for i in range(rep.dim)}
+
+    def letter(root, t):
+        m = {i: {i: 1} for i in range(rep.dim)}
+        for i, j, ms in rep.terms(root):
+            m[i][j] = sum(c * t**k for k, c in enumerate(ms, 1))
+        return m
+
+    lhs = [letter(a, 1), letter(b, 1), letter(a, -1), letter(b, -1)]
+    rhs = [letter(g, coeffs[(i, j)]) for i, j, g in rep.rs.commutator_root_list(a, b)]
+    return reduce(_int_smat_mul, lhs, identity) == reduce(_int_smat_mul, rhs, identity)
 
 
 def letters_matrix(rep: Representation, ring: RingSpec, letters):

@@ -9,7 +9,7 @@ import pytest
 from click.testing import CliRunner
 
 from chevlab import reps
-from chevlab.chevalley import ChevalleyError
+from chevlab.chevalley import ChevalleyBasisTable, ChevalleyError
 from chevlab.cli import main
 from chevlab.groups import ElementaryWord
 from chevlab.rings import parse_ring_spec
@@ -99,6 +99,28 @@ def test_chevalley_constants_match_golden_report(label):
     res = run("chevalley", "constants", label, "--format", "json")
     assert res.exit_code == 0
     assert res.output == (GOLDEN / f"chevalley_constants_{label}.json").read_text()
+
+
+@pytest.mark.parametrize("label, a, b, term", [
+    ("B3", (1, -1, 0), (0, 1, -1), (1, 1)),
+    ("G2", (1, 0), (0, 1), (2, 3)),
+])
+def test_chevalley_constants_replay_catches_a_flipped_sign(monkeypatch, label, a, b, term):
+    """Each printed row is replayed over Z: one coefficient with its sign
+    flipped fails the run, which names the pair."""
+    coefficients = ChevalleyBasisTable.commutator_coefficients
+
+    def flipped(self, x, y):
+        row = coefficients(self, x, y)
+        return {**row, term: -row[term]} if (x, y) == (a, b) else row
+
+    monkeypatch.setattr(ChevalleyBasisTable, "commutator_coefficients", flipped)
+    res = run("chevalley", "constants", label, "--format", "json")
+    assert res.exit_code == 1
+    doc = json.loads(res.output)
+    assert doc["passed"] is False
+    tag = reps.default_tag(build_root_system(label))
+    assert doc["failures"] == [f"expansion of ({list(a)}, {list(b)}) fails in {tag}"]
 
 
 def test_chevalley_bad_type_exit_2():

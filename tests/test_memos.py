@@ -1,8 +1,9 @@
 """One memo idiom: functools caches keyed by value, bounded where keyed by rings."""
 import ast
 from pathlib import Path
+from types import MappingProxyType
 
-from chevlab.chevalley import build_basis
+from chevlab.chevalley import ChevalleyBasisTable, build_basis
 from chevlab.reps import ELEMENTARY_MEMO_SIZE, Representation, default_tag, make_representation
 from chevlab.rings import RING_MEMO_SIZE, ZmodRing, artinian_decompose
 from chevlab.roots import build_root_system
@@ -129,3 +130,15 @@ def test_commutator_root_list_hit_returns_the_same_tuple():
     assert isinstance(first, tuple)
     assert build_root_system("G2").commutator_root_list((1, 0), (0, 1)) is first
     assert type(rs).commutator_root_list.cache_info().hits == before + 1
+
+
+def test_commutator_coefficients_hit_returns_the_same_view():
+    """The relations checks read the coefficients once per root pair per call,
+    and a traced run wraps the method by name: a second call is one memo hit
+    that returns the same read-only view."""
+    table = build_basis(build_root_system("G2"))
+    first = table.commutator_coefficients((1, 0), (0, 1))
+    before = ChevalleyBasisTable.commutator_coefficients.cache_info().hits
+    assert isinstance(first, MappingProxyType)
+    assert build_basis(build_root_system("G2")).commutator_coefficients((1, 0), (0, 1)) is first
+    assert ChevalleyBasisTable.commutator_coefficients.cache_info().hits == before + 1
