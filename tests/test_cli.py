@@ -11,7 +11,7 @@ from click.testing import CliRunner
 from chevlab import reps
 from chevlab.chevalley import ChevalleyBasisTable, ChevalleyError
 from chevlab.cli import main
-from chevlab.groups import ElementaryWord
+from chevlab.groups import ElementaryWord, weyl_lift_word
 from chevlab.rings import parse_ring_spec
 from chevlab.roots import _neg, build_root_system
 
@@ -564,6 +564,26 @@ def fixed_word_matrix(label, ring_text, rep_tag=None):
     return ElementaryWord(rep, ring, letters).evaluate().to_json()
 
 
+def longest_cell_matrix(label, ring_text, rep_tag=None):
+    """lower . lift(w0) . upper for the longest Weyl element w0, as JSON rows:
+    lower has letters e_{-p_i}(i), upper e_{p_i}(2i - 1).  Over a field the
+    input lies in w0's translated cell alone, so the Bruhat search tries every
+    Weyl element before it (w0 comes last in `weyl_elements()` order)."""
+    rs = build_root_system(label)
+    ring = parse_ring_spec(ring_text)
+    rep = reps.make_representation(rs, rep_tag)
+    w0 = max(rs.weyl_elements(), key=lambda e: len(e[0]))[0]
+    pos = rs.positive
+    lower = [(_neg(p), ring.from_int(i)) for i, p in enumerate(pos, 1)]
+    upper = [(p, ring.from_int(2 * i - 1)) for i, p in enumerate(pos, 1)]
+    word = (
+        ElementaryWord(rep, ring, lower)
+        + weyl_lift_word(rep, ring, w0)
+        + ElementaryWord(rep, ring, upper)
+    )
+    return word.evaluate().to_json()
+
+
 # name -> (type, ring, representation); each input is the fixed word's matrix
 DECOMPOSE_INPUTS = {
     "A1_GF3": ("A1", "GF(3)", None),
@@ -629,6 +649,27 @@ def test_group_decompose_matches_golden_report(algorithm, name, fmt):
     assert res.exit_code == 0
     suffix = "json" if fmt == "json" else "txt"
     golden = GOLDEN / f"group_decompose_{algorithm}_{name}.{suffix}"
+    assert res.output == golden.read_text()
+
+
+@pytest.mark.parametrize(
+    "label, ring, rep, name",
+    [
+        ("B3", "GF(3)", None, "B3_GF3"),
+        ("D4", "GF(2)", None, "D4_GF2"),
+        ("G2", "GF(3)", "adjoint", "G2_GF3"),
+    ],
+)
+def test_longest_cell_decompose_matches_golden_report(label, ring, rep, name):
+    """The Bruhat search through the whole Weyl group, pinned byte for byte."""
+    matrix = longest_cell_matrix(label, ring, rep)
+    res = run(
+        "group", "decompose", "--type", label, "--ring", ring, "--algorithm", "prop2",
+        "--input", json.dumps(matrix), "--format", "json",
+        *(("--rep", rep) if rep else ()),
+    )
+    assert res.exit_code == 0
+    golden = GOLDEN / f"group_decompose_prop2_{name}_longest.json"
     assert res.output == golden.read_text()
 
 
