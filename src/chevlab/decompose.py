@@ -1,8 +1,10 @@
 """Bounded-generation decompositions into elementary generators.
 
 Implements the constructive toolchain: the four-letter torus identity, exact
-big-cell (Gauss) factorization over local rings, Bruhat decomposition over
-finite fields by brute force over the Weyl group, the local-ring
+big-cell (Gauss) factorization over local rings, eliminated one column at a
+time by row operations, Bruhat decomposition over finite fields by brute
+force over the Weyl group, where each try applies a lift inverse tabulated
+once per (representation, field) as one column pass, the local-ring
 decomposition assembled from those two, the letterwise merge over product
 rings, and the (U+ U-)^4 normal form obtained by rank induction: a letter
 pushed into the eight blocks u_0..u_7 moves through their Levi parts in the
@@ -23,6 +25,7 @@ from .groups import (
     ElementaryWord,
     GroupElement,
     GroupError,
+    letters_matrix,
     sandwich,
     torus_and_weyl,
     weyl_conjugation_check,
@@ -182,19 +185,19 @@ def big_cell_factor(g: GroupElement) -> ElementaryWord:
     if not is_local(ring)[0]:
         raise GroupError("big-cell factorization needs a local ring")
     n = rep.dim
-    m = [list(row) for row in g.mat]
+    m = g.mat
     lower = [list(row) for row in rep.identity(ring)]
     for col in range(n):
-        piv = m[col][col]
-        if not ring.is_unit(piv):
+        piv_inv = ring.inv(m[col][col])
+        if piv_inv is None:
             raise NotInBigCell(f"pivot {col} is not a unit")
-        piv_inv = ring.inv(piv)
+        entries = []
         for r in range(col + 1, n):
             f = ring.mul(m[r][col], piv_inv)
-            if f == ring.zero:
-                continue
-            lower[r][col] = f
-            m[r] = [ring.sub(x, ring.mul(f, y)) for x, y in zip(m[r], m[col])]
+            if f != ring.zero:
+                lower[r][col] = f
+                entries.append((r, col, ring.neg(f)))
+        m = linalg.row_ops(ring, entries, m)
     diag = tuple(m[i][i] for i in range(n))
     table = _torus_diag_table(rep, ring)
     units = table.get(diag)
@@ -228,19 +231,33 @@ def big_cell_factor(g: GroupElement) -> ElementaryWord:
 # Bruhat decomposition over a finite field
 
 
+@functools.lru_cache(maxsize=RING_MEMO_SIZE)
+def _weyl_lift_inverses(rep: Representation, ring: RingSpec) -> tuple:
+    """(word, entries of lift(word)^-1 - I) per Weyl element, in
+    `weyl_elements()` order; each lift inverse is built once from its letters."""
+    out = []
+    for word, _ in rep.rs.weyl_elements():
+        inverse = weyl_lift_word(rep, ring, word).inverse_word().letters
+        out.append((word, linalg.delta_entries(ring, letters_matrix(rep, ring, inverse))))
+    return tuple(out)
+
+
 def bruhat_decompose(g: GroupElement):
-    """(weyl word, elementary word) with the word evaluating to g, over a field."""
+    """(weyl word, elementary word) with the word evaluating to g, over a field.
+
+    Tries the Weyl elements in order: g lift(w)^-1 is one column pass by the
+    tabulated lift inverse, and the first remainder in the big cell factors."""
     rep, ring = g.rep, g.ring
     if not ring.is_field:
         raise GroupError("Bruhat decomposition needs a field")
     check_decomposition_supported(rep.rs)
-    for word, _ in rep.rs.weyl_elements():
-        lift = weyl_lift_word(rep, ring, word)
+    for word, entries in _weyl_lift_inverses(rep, ring):
+        remainder = linalg.col_ops(ring, g.mat, entries)
         try:
-            remainder = rep.apply_right(ring, g.mat, lift.inverse_word().letters)
-            full = big_cell_factor(GroupElement(rep, ring, remainder)) + lift
+            cell = big_cell_factor(GroupElement(rep, ring, remainder))
         except NotInBigCell:
             continue
+        full = cell + weyl_lift_word(rep, ring, word)
         if full.evaluate() != g:
             raise GroupError("Bruhat word failed to re-evaluate")
         return word, full

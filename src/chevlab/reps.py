@@ -60,16 +60,18 @@ class Representation:
     # -- construction checks --------------------------------------------------
 
     def _check_triangular(self):
+        """The basis is sorted by descending height, and each X_r maps the
+        basis vector of weight w to one of weight w + r."""
         phi = _height_functional(self.rs)
         heights = [sum(Fraction(a) * b for a, b in zip(phi, w)) for w in self.weights]
         for a, b in zip(heights, heights[1:]):
             if a < b:
                 raise ChevalleyError(f"basis of {self.tag} is not height-sorted")
+        w = self.weights
         for r, m in self._x.items():
-            ht = self.rs.height(r)
             for i, row in m.items():
                 for j in row:
-                    if heights[i] != heights[j] + ht:
+                    if tuple(a - b for a, b in zip(w[i], w[j])) != r:
                         raise ChevalleyError(
                             f"generator {r} is not weight-graded in {self.tag}"
                         )

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from chevlab import reps
+from chevlab import decompose, reps
 from chevlab.chevalley import ChevalleyBasisTable, ChevalleyError
 from chevlab.cli import main
 from chevlab.groups import ElementaryWord, weyl_lift_word
@@ -671,6 +671,24 @@ def test_longest_cell_decompose_matches_golden_report(label, ring, rep, name):
     assert res.exit_code == 0
     golden = GOLDEN / f"group_decompose_prop2_{name}_longest.json"
     assert res.output == golden.read_text()
+
+
+def test_decompose_with_a_wrong_lift_inverse_exits_1(monkeypatch):
+    """A Bruhat word that fails its re-evaluation is a refused decomposition
+    (exit 1), not a result (0) and not bad input (2)."""
+    rs, ring = build_root_system("A2"), parse_ring_spec("GF(3)")
+    rep = reps.make_representation(rs)
+    table = list(decompose._weyl_lift_inverses(rep, ring))
+    table[0] = ((), rep._entries(ring, rs.positive[0], ring.one))
+    monkeypatch.setattr(decompose, "_weyl_lift_inverses", lambda rep, ring: tuple(table))
+    lower_upper = [(_neg(p), ring.one) for p in rs.positive] + [(p, ring.one) for p in rs.positive]
+    matrix = ElementaryWord(rep, ring, lower_upper).evaluate().to_json()
+    res = run(
+        "group", "decompose", "--type", "A2", "--ring", "GF(3)",
+        "--input", json.dumps(matrix), "--format", "json",
+    )
+    assert res.exit_code == 1
+    assert json.loads(res.output)["error"] == "Bruhat word failed to re-evaluate"
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chevlab import decompose, linalg
 from chevlab.decompose import (
@@ -19,6 +21,7 @@ from chevlab.decompose import (
 )
 from chevlab.groups import (
     ElementaryWord,
+    GroupElement,
     GroupError,
     elementary,
     elementary_generator_words,
@@ -26,8 +29,9 @@ from chevlab.groups import (
     random_elementary_word,
     subgroup_closure,
     torus_and_weyl,
+    weyl_lift_word,
 )
-from chevlab.reps import make_representation
+from chevlab.reps import Representation, make_representation
 from chevlab.rings import ZmodRing, artinian_decompose, parse_ring_spec
 from chevlab.roots import _neg, build_root_system
 
@@ -36,6 +40,8 @@ A1 = build_root_system("A", 1)
 A2 = build_root_system("A2")
 B2 = build_root_system("B2")
 C2 = build_root_system("C2")
+B3 = build_root_system("B3")
+G2 = build_root_system("G2")
 
 
 def rep_of(rs, tag=None):
@@ -437,3 +443,166 @@ def test_decompose_over_artinian_split_z30():
         g = random_elementary_word(rep, ring, 6, rng).evaluate()
         report = decompose_over_product(g)
         assert report.verified and report.word.evaluate() == g
+
+
+# ---------------------------------------------------------------------------
+# The Bruhat search against its reference path: a lift word built and
+# inverted per Weyl element, applied letter by letter, and the big-cell
+# elimination on lists of rows.
+
+
+def reference_big_cell_factor(g):
+    rep, ring = g.rep, g.ring
+    n = rep.dim
+    m = [list(row) for row in g.mat]
+    lower = [list(row) for row in rep.identity(ring)]
+    for col in range(n):
+        piv = m[col][col]
+        if not ring.is_unit(piv):
+            raise NotInBigCell(f"pivot {col} is not a unit")
+        piv_inv = ring.inv(piv)
+        for r in range(col + 1, n):
+            f = ring.mul(m[r][col], piv_inv)
+            if f == ring.zero:
+                continue
+            lower[r][col] = f
+            m[r] = [ring.sub(x, ring.mul(f, y)) for x, y in zip(m[r], m[col])]
+    diag = tuple(m[i][i] for i in range(n))
+    units = decompose._torus_diag_table(rep, ring).get(diag)
+    if units is None:
+        raise NotInBigCell("diagonal part is not in the torus image")
+    upper = [tuple(ring.mul(ring.inv(diag[i]), x) for x in m[i]) for i in range(n)]
+    try:
+        neg = unipotent_coordinates(GroupElement(rep, ring, tuple(map(tuple, lower))), -1)
+        pos = unipotent_coordinates(GroupElement(rep, ring, tuple(upper)), +1)
+    except NotUnipotent as exc:
+        raise NotInBigCell(str(exc))
+    word = ElementaryWord(rep, ring, [(r, x) for r, x in neg if x != ring.zero])
+    for alpha, u in zip(rep.rs.simple, units):
+        if u != ring.one:
+            word = word + torus_word(rep, ring, alpha, u)
+    word = word + ElementaryWord(rep, ring, [(r, x) for r, x in pos if x != ring.zero])
+    if word.evaluate() != g:
+        raise NotInBigCell("factorization failed to re-evaluate")
+    return word
+
+
+def reference_bruhat_decompose(g):
+    rep, ring = g.rep, g.ring
+    for word, _ in rep.rs.weyl_elements():
+        lift = weyl_lift_word(rep, ring, word)
+        try:
+            remainder = rep.apply_right(ring, g.mat, lift.inverse_word().letters)
+            full = reference_big_cell_factor(GroupElement(rep, ring, remainder)) + lift
+        except NotInBigCell:
+            continue
+        assert full.evaluate() == g
+        return word, full
+    raise AssertionError("no Weyl chamber matched")
+
+
+def cell_element(rep, ring, w, rng):
+    """lower . lift(w) . upper with random parameters on every root.  Over a
+    field it lies in B- w B, and so in the translated big cell B- B v only
+    for v >= w in the Bruhat order: the length-ordered search stops at w."""
+    draw = lambda: rng.choice(ring.elements())
+    lower = [(_neg(p), draw()) for p in rep.rs.positive]
+    upper = [(p, draw()) for p in rep.rs.positive]
+    word = (
+        ElementaryWord(rep, ring, lower)
+        + weyl_lift_word(rep, ring, w)
+        + ElementaryWord(rep, ring, upper)
+    )
+    return word.evaluate()
+
+
+BRUHAT_GROUPS = [(A2, None), (B2, None), (C2, None), (G2, "adjoint")]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    group=st.sampled_from(BRUHAT_GROUPS),
+    field=st.sampled_from(["GF(2)", "GF(3)", "GF(4)", "GF(5)"]),
+    seed=st.integers(0, 2**32),
+)
+def test_bruhat_matches_the_reference_path(group, field, seed):
+    rs, tag = group
+    rep, ring, rng = rep_of(rs, tag), parse_ring_spec(field), random.Random(seed)
+    w = rng.choice(rs.weyl_elements())[0]
+    g = cell_element(rep, ring, w, rng)
+    weyl, word = bruhat_decompose(g)
+    assert (weyl, word.letters) == (w, reference_bruhat_decompose(g)[1].letters)
+
+
+def _big_cell_outcome(factor, g):
+    try:
+        return factor(g).letters
+    except NotInBigCell as exc:
+        return ("NotInBigCell", str(exc))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    group=st.sampled_from(BRUHAT_GROUPS),
+    ring_text=st.sampled_from(["GF(2)", "GF(4)", "GF(5)", "Z/9", "GF(2)[x]/(x^2)"]),
+    kind=st.sampled_from(["big cell", "any cell", "any matrix"]),
+    seed=st.integers(0, 2**32),
+)
+def test_big_cell_factor_matches_the_reference_path(group, ring_text, kind, seed):
+    """Same word, or NotInBigCell with the same message, on group elements in
+    and out of the big cell and on matrices outside the group."""
+    rs, tag = group
+    rep, ring, rng = rep_of(rs, tag), parse_ring_spec(ring_text), random.Random(seed)
+    if kind == "any matrix":
+        elements = ring.elements()
+        mat = tuple(
+            tuple(rng.choice(elements) for _ in range(rep.dim)) for _ in range(rep.dim)
+        )
+        g = GroupElement(rep, ring, mat)
+    else:
+        w = () if kind == "big cell" else rng.choice(rs.weyl_elements())[0]
+        g = cell_element(rep, ring, w, rng)
+    assert _big_cell_outcome(big_cell_factor, g) == _big_cell_outcome(
+        reference_big_cell_factor, g
+    )
+
+
+def test_bruhat_refuses_a_wrong_lift_inverse(monkeypatch):
+    """The re-evaluation of the Bruhat word is live: with the identity's
+    table entry replaced by e_a(1) - I, the remainder g e_a(1) still factors,
+    and its word does not evaluate to g."""
+    rep, ring = rep_of(A2), parse_ring_spec("GF(3)")
+    table = list(decompose._weyl_lift_inverses(rep, ring))
+    assert table[0] == ((), ())
+    table[0] = ((), rep._entries(ring, A2.positive[0], ring.one))
+    monkeypatch.setattr(decompose, "_weyl_lift_inverses", lambda rep, ring: tuple(table))
+    g = cell_element(rep, ring, (), random.Random(5))
+    with pytest.raises(GroupError, match="Bruhat word failed to re-evaluate"):
+        bruhat_decompose(g)
+
+
+def test_bruhat_work_guard(monkeypatch):
+    """With the lift table warm, a search through all 48 Weyl elements of B3
+    builds one lift word, for the element that factors, and applies no
+    letter by column operations: each try is one pass by a lift inverse."""
+    rep, ring = rep_of(B3), parse_ring_spec("GF(3)")
+    w0 = B3.weyl_elements()[-1][0]
+    g = cell_element(rep, ring, w0, random.Random(7))
+    decompose._weyl_lift_inverses(rep, ring)
+    lifts, applied = [], []
+    lift_word, apply_right = decompose.weyl_lift_word, Representation.apply_right
+
+    def counted_lift(*args):
+        lifts.append(args[2])
+        return lift_word(*args)
+
+    def counted_apply(*args):
+        applied.append(1)
+        return apply_right(*args)
+
+    monkeypatch.setattr(decompose, "weyl_lift_word", counted_lift)
+    monkeypatch.setattr(Representation, "apply_right", counted_apply)
+    weyl, _ = bruhat_decompose(g)
+    assert weyl == w0 and len(w0) == 9
+    assert lifts == [w0]
+    assert applied == []

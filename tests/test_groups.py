@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chevlab import linalg
+from chevlab.chevalley import ChevalleyError
 from chevlab.groups import (
     CapExceeded,
     ElementaryWord,
@@ -30,7 +31,7 @@ from chevlab.groups import (
     weyl_lift_word,
     word_matrix,
 )
-from chevlab.reps import make_representation, available_tags
+from chevlab.reps import Representation, make_representation, available_tags
 from chevlab.rings import ZmodRing, ideal_from_generators, parse_ring_spec
 from chevlab.roots import _neg, build_root_system
 
@@ -66,6 +67,32 @@ def test_elementary_additivity_exhaustive():
                 for t in ring.elements():
                     lhs = elementary(rep, ring, r, s) * elementary(rep, ring, r, t)
                     assert lhs == elementary(rep, ring, r, (s + t) % 4)
+
+
+@pytest.mark.parametrize("rs, tag", [(A2, "defining-A"), (B3, "defining-B"), (G2, "adjoint")])
+def test_generators_must_be_weight_graded(rs, tag):
+    """X_r maps weight w to w + r.  One entry of some X_r moved to two weights
+    that differ by another root of the same height keeps every height shift,
+    and the representation is refused."""
+    rep = make_representation(rs, tag)
+    w = rep.weights
+    shift = {
+        (i, j): tuple(a - b for a, b in zip(w[i], w[j]))
+        for i in range(rep.dim) for j in range(rep.dim)
+    }
+    r, i, j, i2, j2 = next(
+        (r, i, j, i2, j2)
+        for r, m in rep._x.items()
+        for i, row in m.items() for j in row
+        for (i2, j2), s in shift.items()
+        if s in rs.root_set and s != r and rs.height(s) == rs.height(r)
+        and j2 not in m.get(i2, {})
+    )
+    moved = {k: {a: dict(row) for a, row in m.items()} for k, m in rep._x.items()}
+    moved[r].setdefault(i2, {})[j2] = moved[r][i].pop(j)
+    Representation(rs, tag, rep.dim, w, rep._x)  # the unmoved data passes
+    with pytest.raises(ChevalleyError, match="not weight-graded"):
+        Representation(rs, tag, rep.dim, w, moved)
 
 
 def test_adjoint_g2_unipotent():

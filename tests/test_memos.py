@@ -3,9 +3,10 @@ import ast
 from pathlib import Path
 from types import MappingProxyType
 
+from chevlab import decompose
 from chevlab.chevalley import ChevalleyBasisTable, build_basis
 from chevlab.reps import ELEMENTARY_MEMO_SIZE, Representation, default_tag, make_representation
-from chevlab.rings import RING_MEMO_SIZE, ZmodRing, artinian_decompose
+from chevlab.rings import RING_MEMO_SIZE, ZmodRing, artinian_decompose, parse_ring_spec
 from chevlab.roots import build_root_system
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "chevlab"
@@ -99,6 +100,15 @@ def test_value_keyed_memos_share_between_equal_rings():
     assert a is not b and a == b
     assert rep.identity(a) is rep.identity(b)
     assert rep.elementary_matrix(a, (1, -1, 0), 3) is rep.elementary_matrix(b, (1, -1, 0), 3)
+
+
+def test_equal_rings_share_one_weyl_lift_table():
+    rep = make_representation(build_root_system("B2"))
+    memo = decompose._weyl_lift_inverses
+    a, b = ZmodRing(3), parse_ring_spec("GF(3)")
+    assert a is not b and a == b
+    assert memo.cache_info().maxsize == RING_MEMO_SIZE
+    assert memo(rep, a) is memo(rep, b)
 
 
 def test_three_ring_kinds():
