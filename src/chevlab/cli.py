@@ -368,7 +368,7 @@ def group_decompose(rs, ring_spec, rep, fmt, algorithm, input_text):
     lines = [
         f"{report.algorithm} decomposition over {ring_spec.label}: "
         f"length {report.length} <= bound {report.bound}",
-        f"constants: {json.dumps(report.constants, sort_keys=True)}",
+        f"constants: {json.dumps(dict(report.constants), sort_keys=True)}",
         f"word: {json.dumps(report.word.to_json())}",
         "verified: evaluation reproduces the input exactly",
     ]

@@ -133,13 +133,13 @@ def check_normal(n: NormalSubgroupHandle) -> bool:
     roots = rep.rs.roots
     for _ in range(40):
         letters = [
-            (rng.choice(roots), ring.mul(ring.random_element(rng), generator))
+            (rng.choice(roots), ring.mul(ring.element_at(rng.randrange(ring.card)), generator))
             for _ in range(3)
         ]
         g = GroupElement(rep, ring, letters_matrix(rep, ring, letters))
         if not n.contains(g):
             return False
-        root, t = rng.choice(roots), ring.random_element(rng)
+        root, t = rng.choice(roots), ring.element_at(rng.randrange(ring.card))
         t = t if t != ring.zero else ring.one
         pair = conjugation_entries(rep, ring, [(root, t)])[0]
         if not n.contains(GroupElement(rep, ring, conjugated(ring, g.mat, pair))):
@@ -224,10 +224,6 @@ class CertificateTrace:
         return {s.kind for s in self.steps}
 
 
-def _fmt(ring: RingSpec, v) -> str:
-    return ring.format_element(v)
-
-
 def _member(n: NormalSubgroupHandle, g: GroupElement, what: str):
     if not n.contains(g):
         raise CertificateError(f"replay failed: {what} is not in N")
@@ -271,7 +267,7 @@ def _a2_ideal_derivation(n, trace, table, levels, a, b):
     values = levels[a]
     terms = expansion_terms(rep, ring, a, b)
     for r in sorted_values(ring, values):
-        _member(n, elementary(rep, ring, a, r), f"e_{rs.root_name(a)}({_fmt(ring, r)})")
+        _member(n, elementary(rep, ring, a, r), f"e_{rs.root_name(a)}({ring.format_element(r)})")
         for t in ring.elements():
             comm, letters = _expansion(rep, ring, terms, a, b, r, t)
             _member(n, comm, "commutator of an N-member with a generator")
@@ -371,7 +367,7 @@ def ideal_certificate(n: NormalSubgroupHandle) -> CertificateTrace:
     params = ideal.elements_list()
     for r in rs.roots:
         for t in params:
-            name = f"e_{rs.root_name(r)}({_fmt(ring, t)})"
+            name = f"e_{rs.root_name(r)}({ring.format_element(t)})"
             _member(n, elementary(rep, ring, r, t), name)
         trace.per_root.append((r, len(params)))
     return trace

@@ -19,6 +19,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
+from types import MappingProxyType
 
 from . import linalg
 from .groups import (
@@ -48,18 +49,21 @@ class UnsupportedDecomposition(GroupError):
     pass
 
 
-def decomposition_constants(rs: RootSystem) -> dict:
-    """Word-length bounds: big cell N1, Bruhat N2, merge factor, fourfold form."""
+@functools.cache
+def decomposition_constants(rs: RootSystem) -> MappingProxyType:
+    """Word-length bounds: big cell N1, Bruhat N2, merge factor, fourfold form.
+
+    One read-only view per root system, shared by every report."""
     npos = len(rs.positive)
     n1 = 2 * npos + 4 * rs.rank
     n2 = n1 + 3 * npos
-    return {
+    return MappingProxyType({
         "N1": n1,
         "N2": n2,
         "local_bound": n1 + n2,
         "merge_bound": (n1 + n2) * len(rs.roots),
         "fourfold_bound": 4 * len(rs.roots),
-    }
+    })
 
 
 def check_decomposition_supported(rs: RootSystem):
@@ -123,12 +127,13 @@ def torus_word(rep: Representation, ring: RingSpec, alpha, a) -> ElementaryWord:
     if a_inv is None:
         raise GroupError("torus word needs a unit")
     alpha = tuple(alpha)
+    minus = rep.rs.opposite[alpha]
     one = ring.one
     letters = [
         (alpha, ring.neg(one)),
-        (_neg(alpha), ring.sub(one, a)),
+        (minus, ring.sub(one, a)),
         (alpha, a_inv),
-        (_neg(alpha), ring.mul(a, ring.sub(a, one))),
+        (minus, ring.mul(a, ring.sub(a, one))),
     ]
     word = ElementaryWord(rep, ring, letters)
     _, h = torus_and_weyl(rep, ring, alpha, a)
@@ -156,18 +161,11 @@ def _torus_diag_table(rep: Representation, ring: RingSpec) -> dict:
     table = {}
     for combo in itertools.product(units, repeat=rep.rs.rank):
         diag = tuple(
-            _prod_all(ring, [h_diags[i][u][k] for i, u in enumerate(combo)])
+            functools.reduce(ring.mul, [h_diags[i][u][k] for i, u in enumerate(combo)], ring.one)
             for k in range(rep.dim)
         )
         table.setdefault(diag, combo)
     return table
-
-
-def _prod_all(ring: RingSpec, values):
-    acc = ring.one
-    for v in values:
-        acc = ring.mul(acc, v)
-    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +272,7 @@ class DecompositionReport:
     input: GroupElement
     word: ElementaryWord
     bound: int
-    constants: dict
+    constants: MappingProxyType
     verified: bool
 
     @property

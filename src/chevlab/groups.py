@@ -31,7 +31,6 @@ from . import linalg
 from .chevalley import _int_smat_mul, build_basis
 from .reps import Representation
 from .rings import IdealHandle, ProductRing, RingSpec, ZmodRing
-from .roots import _neg
 
 
 class GroupError(ValueError):
@@ -251,7 +250,7 @@ def weyl_letters(rep: Representation, ring: RingSpec, alpha, u):
     if ui is None:
         raise GroupError("Weyl lift needs a unit parameter")
     alpha = tuple(alpha)
-    return [(alpha, u), (_neg(alpha), ring.neg(ui)), (alpha, u)]
+    return [(alpha, u), (rep.rs.opposite[alpha], ring.neg(ui)), (alpha, u)]
 
 
 def torus_and_weyl(rep: Representation, ring: RingSpec, alpha, u):
@@ -517,7 +516,7 @@ def verify_steinberg_relations(
     if mode in ("R2", "both"):
         checks = {}
         for a in rs.roots:
-            opposite = _neg(a)
+            opposite = rs.opposite[a]
             for b in rs.roots:
                 if b == opposite:
                     report.excluded_pairs += 1

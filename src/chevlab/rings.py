@@ -155,11 +155,6 @@ class RingSpec:
         for generation and conjugation, since e_a(s+t) = e_a(s) e_a(t)."""
         raise NotImplementedError
 
-    def random_element(self, rng):
-        """A uniform random combination of the additive generators, drawn
-        coordinate by coordinate, so the ring is never listed."""
-        raise NotImplementedError
-
     @functools.lru_cache(maxsize=RING_MEMO_SIZE)
     def units(self) -> tuple:
         return tuple(v for v in self.elements() if self.is_unit(v))
@@ -226,9 +221,6 @@ class ZmodRing(RingSpec):
     def additive_generators(self) -> tuple:
         return (self.one,)
 
-    def random_element(self, rng):
-        return rng.randrange(self.n)
-
     def element_to_json(self, v):
         return v
 
@@ -243,9 +235,9 @@ class PolyQuotientRing(RingSpec):
 
     def __init__(self, base: RingSpec, modulus: tuple, label: str | None = None):
         if len(modulus) < 2:
-            raise RingError("modulus must have degree >= 1")
+            raise RingError("quotient polynomial must have degree >= 1")
         if modulus[-1] != base.one:
-            raise RingError("modulus must be monic")
+            raise RingError("quotient polynomial must be monic")
         super().__init__(("polyquot", base.key(), tuple(modulus)))
         self.base = base
         self.modulus = tuple(modulus)
@@ -366,9 +358,6 @@ class PolyQuotientRing(RingSpec):
             for i in range(self.degree) for b in self.base.additive_generators()
         )
 
-    def random_element(self, rng):
-        return tuple(self.base.random_element(rng) for _ in range(self.degree))
-
     def element_to_json(self, v):
         return [self.base.element_to_json(c) for c in v]
 
@@ -384,7 +373,7 @@ class PolyQuotientRing(RingSpec):
 class ProductRing(RingSpec):
     """Finite direct product; values are per-factor tuples."""
 
-    def __init__(self, factors: list[RingSpec], label: str | None = None):
+    def __init__(self, factors: list[RingSpec]):
         if len(factors) < 2:
             raise RingError("product needs at least two factors")
         super().__init__(("product", tuple(f.key() for f in factors)))
@@ -394,7 +383,7 @@ class ProductRing(RingSpec):
         self.card = 1
         for f in factors:
             self.card *= f.card
-        self.label = label or " x ".join(f.label for f in factors)
+        self.label = " x ".join(f.label for f in factors)
 
     def add(self, a, b):
         return tuple(f.add(x, y) for f, x, y in zip(self.factors, a, b))
@@ -434,9 +423,6 @@ class ProductRing(RingSpec):
             self.inject(i, g)
             for i, f in enumerate(self.factors) for g in f.additive_generators()
         )
-
-    def random_element(self, rng):
-        return tuple(f.random_element(rng) for f in self.factors)
 
     def inject(self, index: int, value):
         """Element (0, ..., value, ..., 0) supported on one factor."""
@@ -550,52 +536,34 @@ def monic_polys(base: RingSpec, degree: int):
         yield list(tail) + [base.one]
 
 
+def _least_factor(base: RingSpec, f: list):
+    """The first monic divisor of trimmed f of degree 1 to deg(f)/2, by
+    increasing degree in `monic_polys` order, or None.  Being of least degree,
+    it is irreducible."""
+    for k in range(1, (len(f) - 1) // 2 + 1):
+        for g in monic_polys(base, k):
+            if not poly_divmod(base, f, g)[1]:
+                return g
+    return None
+
+
 def poly_is_irreducible(base: RingSpec, f: list) -> bool:
     """Trial division by all monic polynomials of degree <= deg(f)/2."""
     if not base.is_field:
         return False
     f = poly_trim(base, list(f))
-    d = len(f) - 1
-    if d <= 0:
-        return False
-    if d == 1:
-        return True
-    for k in range(1, d // 2 + 1):
-        for g in monic_polys(base, k):
-            _, r = poly_divmod(base, f, g)
-            if not r:
-                return False
-    return True
+    return len(f) > 1 and _least_factor(base, f) is None
 
 
 def poly_factor(base: RingSpec, f: list) -> list[tuple[tuple, int]]:
-    """Factor monic f over a finite field base into (irreducible, multiplicity)."""
-    f = poly_trim(base, list(f))
+    """Factor monic f over a finite field base into (irreducible, multiplicity),
+    dividing out least factors; the last factor is what remains."""
+    work = poly_trim(base, list(f))
     factors: dict[tuple, int] = {}
-    work = list(f)
-    d = 1
-    while len(work) - 1 >= 1:
-        if len(work) - 1 == 1 or poly_is_irreducible(base, work):
-            key = tuple(work)
-            factors[key] = factors.get(key, 0) + 1
-            break
-        found = False
-        while d <= (len(work) - 1) // 2:
-            for g in monic_polys(base, d):
-                q, r = poly_divmod(base, work, g)
-                if not r:
-                    key = tuple(g)
-                    factors[key] = factors.get(key, 0) + 1
-                    work = q
-                    found = True
-                    break
-            if found:
-                break
-            d += 1
-        if not found:
-            key = tuple(work)
-            factors[key] = factors.get(key, 0) + 1
-            break
+    while len(work) > 1:
+        g = _least_factor(base, work) or work
+        factors[tuple(g)] = factors.get(tuple(g), 0) + 1
+        work = poly_divmod(base, work, g)[0]
     return sorted(factors.items())
 
 
@@ -620,62 +588,43 @@ def field_spec(q: int) -> RingSpec:
     raise RingError(f"GF({q}): no irreducible polynomial found")
 
 
-def field_from_poly(p: int, coeffs) -> RingSpec:
-    """Field GF(p)[x]/(f); rejects a reducible defining polynomial."""
-    base = ZmodRing(p, label=f"GF({p})")
-    f = [base.from_int(c) if isinstance(c, int) else c for c in coeffs]
-    if not poly_is_irreducible(base, list(f)):
-        raise RingError(
-            f"reducible polynomial passed to GF: {poly_str(base, f)} over GF({p})"
-        )
-    return PolyQuotientRing(base, tuple(poly_trim(base, list(f))))
-
-
 class _PolyParser:
-    """Parses polynomial expressions like x^3+x+1, 2x^2, x^2(x+1)."""
+    """Parses polynomial expressions like x^3+x+1, 2x^2, x^2(x+1) into trimmed
+    coefficient lists over the base ring."""
 
-    def __init__(self, text: str, p: int):
+    def __init__(self, text: str, base: RingSpec):
         self.text = text.replace(" ", "")
         self.pos = 0
-        self.p = p
+        self.base = base
 
     def peek(self):
         return self.text[self.pos] if self.pos < len(self.text) else ""
 
-    def parse(self) -> list[int]:
+    def parse(self) -> list:
         f = self.expr()
         if self.pos != len(self.text):
             raise RingError(f"trailing input in polynomial: {self.text[self.pos:]!r}")
-        return [c % self.p for c in f]
+        return f
 
-    def expr(self) -> list[int]:
-        sign = 1
-        if self.peek() and self.peek() in "+-":
-            sign = -1 if self.peek() == "-" else 1
-            self.pos += 1
-        total = [sign * c for c in self.term()]
-        while self.peek() and self.peek() in "+-":
-            sign = -1 if self.peek() == "-" else 1
-            self.pos += 1
+    def expr(self) -> list:
+        base, total, sign = self.base, [], "+"
+        while True:
+            if self.peek() and self.peek() in "+-":
+                sign = self.peek()
+                self.pos += 1
             t = self.term()
-            n = max(len(total), len(t))
-            total += [0] * (n - len(total))
-            for i, c in enumerate(t):
-                total[i] += sign * c
-        return total
+            # total + t is total - (0 - t)
+            total = poly_sub(base, total, t if sign == "-" else poly_sub(base, [], t))
+            if not (self.peek() and self.peek() in "+-"):
+                return total
 
-    def term(self) -> list[int]:
+    def term(self) -> list:
         out = self.factor()
         while self.peek() and (self.peek().isdigit() or self.peek() in "x("):
-            g = self.factor()
-            conv = [0] * (len(out) + len(g) - 1)
-            for i, a in enumerate(out):
-                for j, b in enumerate(g):
-                    conv[i + j] += a * b
-            out = conv
+            out = poly_mul(self.base, out, self.factor())
         return out
 
-    def factor(self) -> list[int]:
+    def factor(self) -> list:
         c = self.peek()
         if c == "(":
             self.pos += 1
@@ -686,15 +635,15 @@ class _PolyParser:
             return self._maybe_pow(f)
         if c == "x":
             self.pos += 1
-            return self._maybe_pow([0, 1])
+            return self._maybe_pow([self.base.zero, self.base.one])
         if c.isdigit():
             start = self.pos
             while self.peek().isdigit():
                 self.pos += 1
-            return [int(self.text[start : self.pos])]
+            return [self.base.from_int(int(self.text[start : self.pos]))]
         raise RingError(f"unexpected character {c!r} in polynomial")
 
-    def _maybe_pow(self, f: list[int]) -> list[int]:
+    def _maybe_pow(self, f: list) -> list:
         if self.peek() != "^":
             return f
         self.pos += 1
@@ -703,14 +652,9 @@ class _PolyParser:
             self.pos += 1
         if start == self.pos:
             raise RingError("missing exponent")
-        e = int(self.text[start : self.pos])
-        out = [1]
-        for _ in range(e):
-            conv = [0] * (len(out) + len(f) - 1)
-            for i, a in enumerate(out):
-                for j, b in enumerate(f):
-                    conv[i + j] += a * b
-            out = conv
+        out = [self.base.one]
+        for _ in range(int(self.text[start : self.pos])):
+            out = poly_mul(self.base, out, f)
         return out
 
 
@@ -772,16 +716,8 @@ def parse_ring_spec(text: str) -> RingSpec:
             raise RingError(f"GF({p})[x]/(...): base order must be prime")
         if not (rest.startswith("[x]/(") and rest.endswith(")")):
             raise RingError(f"bad polynomial quotient syntax in {atom!r}")
-        poly_text = rest[len("[x]/(") : -1]
-        coeffs = _PolyParser(poly_text, p).parse()
         base = ZmodRing(p, label=f"GF({p})")
-        f = [c % p for c in coeffs]
-        while f and f[-1] == 0:
-            f.pop()
-        if len(f) < 2:
-            raise RingError("quotient polynomial must have degree >= 1")
-        if f[-1] != 1:
-            raise RingError("quotient polynomial must be monic")
+        f = _PolyParser(rest[len("[x]/(") : -1], base).parse()
         return PolyQuotientRing(base, tuple(f))
     raise RingError(f"unrecognized ring spec {atom!r}")
 

@@ -236,10 +236,15 @@ class RootSystem:
                 raise RootSystemError(f"mixed-sign coordinates for {r}")
             coords[tuple(r)] = tuple(ints)
         self.simple_coords = coords
+        # one tuple per root, the given one: the simple roots and each root's
+        # negative are looked up, not built, so words share them
+        own = {r: r for r in coords}
+        self.simple = tuple(own[s] for s in self.simple)
+        self.opposite = {r: own[_neg(r)] for r in own}
         positives = [r for r in coords if sum(coords[r]) > 0]
         positives.sort(key=lambda r: (sum(coords[r]), r))
         self.positive = tuple(positives)
-        self.negative = tuple(_neg(r) for r in positives)
+        self.negative = tuple(self.opposite[r] for r in positives)
         self.roots = self.positive + self.negative
         self.root_set = frozenset(self.roots)
         self.positive_set = frozenset(self.positive)

@@ -80,6 +80,23 @@ def test_ring_malformed_input_exit_2():
     assert res.exit_code == 2
 
 
+@pytest.mark.parametrize("spec, message", [
+    ("GF(3)[x]/(x^)", "missing exponent"),
+    ("GF(3)[x]/((x+1)", "unbalanced parenthesis in polynomial"),
+    ("GF(3)[x]/(x+1))", "trailing input in polynomial: ')'"),
+    ("GF(3)[x]/(x*2)", "trailing input in polynomial: '*2'"),
+    ("GF(3)[x]/(())", "unexpected character ')' in polynomial"),
+    ("GF(3)[x]/(2)", "quotient polynomial must have degree >= 1"),
+    ("GF(3)[x]/(2x^2+1)", "quotient polynomial must be monic"),
+    ("GF(4)[x]/(x)", "GF(4)[x]/(...): base order must be prime"),
+])
+def test_malformed_polynomial_quotient_exit_2(spec, message):
+    res = run("ring", "decompose-artinian", spec)
+    assert res.exit_code == 2
+    assert f"error: {message}\n" in res.output
+    assert "Traceback" not in res.output
+
+
 def test_roots_show():
     res = run("roots", "show", "--type", "G2")
     assert res.exit_code == 0

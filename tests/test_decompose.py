@@ -423,6 +423,22 @@ def test_fourfold_higher_ranks():
         assert len(report.word) <= 4 * len(rs.roots)
 
 
+@pytest.mark.parametrize("label, tag, ring", [
+    ("A2", None, ZmodRing(4)),
+    ("B3", "defining-B", ZmodRing(9)),
+    ("G2", "adjoint", ZmodRing(4)),
+])
+def test_words_hold_the_root_systems_own_root_tuples(label, tag, ring):
+    """prop2 and tavgen words name each root by the tuple in rs.roots, Weyl
+    lift and torus letters included, so a kept report builds no root tuples."""
+    rs = build_root_system(label)
+    rep = make_representation(rs, tag)
+    word = random_elementary_word(rep, ring, 6, random.Random(label))
+    for report in (local_decompose(word.evaluate()), tavgen_decompose(word)):
+        assert any(t != ring.zero for _, t in report.word.letters)
+        assert all(any(root is r for r in rs.roots) for root, _ in report.word.letters)
+
+
 def test_local_decompose_g2_adjoint_z4():
     rs = build_root_system("G2")
     rep = make_representation(rs, "adjoint")

@@ -372,7 +372,7 @@ def test_letter_support_is_off_the_diagonal(label):
             for ring in rings:
                 t = ring.zero
                 while t == ring.zero:
-                    t = ring.random_element(rng)
+                    t = ring.element_at(rng.randrange(ring.card))
                 expected = dense_elementary(ring, dense_divided_powers(rep, root), t)
                 assert rep.elementary_matrix(ring, root, t) == expected
                 assert rep._entries(ring, root, t) == tuple(

@@ -152,3 +152,14 @@ def test_commutator_coefficients_hit_returns_the_same_view():
     assert isinstance(first, MappingProxyType)
     assert build_basis(build_root_system("G2")).commutator_coefficients((1, 0), (0, 1)) is first
     assert ChevalleyBasisTable.commutator_coefficients.cache_info().hits == before + 1
+
+
+def test_decomposition_constants_hit_returns_the_same_view():
+    """Every decomposition report holds its root system's one read-only view
+    of the bounds; a second call is one memo hit."""
+    rs = build_root_system("B3")
+    first = decompose.decomposition_constants(rs)
+    before = decompose.decomposition_constants.cache_info().hits
+    assert isinstance(first, MappingProxyType)
+    assert decompose.decomposition_constants(build_root_system("B3")) is first
+    assert decompose.decomposition_constants.cache_info().hits == before + 1

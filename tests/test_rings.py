@@ -1,6 +1,8 @@
+import ast
 import json
 import random
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -15,13 +17,17 @@ from chevlab.rings import (
     ZmodRing,
     artinian_decompose,
     factorize,
-    field_from_poly,
     ideal_from_generators,
     is_local,
     is_prime,
+    monic_polys,
     parse_ring_spec,
+    poly_divmod,
+    poly_factor,
+    poly_is_irreducible,
     residue_field,
 )
+import poly_oracle
 
 
 def poly_divide_oracle(p, num, den):
@@ -70,11 +76,6 @@ def test_gf9_auto_modulus_is_irreducible():
     r = parse_ring_spec("GF(9)")
     assert isinstance(r, PolyQuotientRing)
     assert r.is_field and r.card == 9
-
-
-def test_field_from_poly_rejects_reducible():
-    with pytest.raises(RingError, match="reducible polynomial passed to GF"):
-        field_from_poly(2, [0, 0, 1, 1])  # x^3 + x^2 = x^2(x+1)
 
 
 def test_zmod_inverse():
@@ -539,13 +540,6 @@ def test_additive_generators_sum_to_every_element(r):
     assert additive_closure(r, gens) == set(r.elements())
 
 
-@pytest.mark.parametrize("text", ["Z/12", "GF(2)[x]/(x^3)", "Z/4 x GF(3)"])
-def test_random_element_reaches_every_element(text):
-    r = rings.parse_ring_spec(text)
-    rng = random.Random(0)
-    assert {r.random_element(rng) for _ in range(40 * r.card)} == set(r.elements())
-
-
 @pytest.mark.parametrize("ring", [
     parse_ring_spec("Z/12"),
     parse_ring_spec("GF(8)"),
@@ -600,3 +594,119 @@ def test_split_and_join_are_inverse_ring_maps_on_matrices(r, dim, data):
 @given(r=split_rings)
 def test_a_ring_is_local_iff_it_has_one_local_factor(r):
     assert is_local(r)[0] == (len(artinian_decompose(r).factors) == 1)
+
+
+# ---------------------------------------------------------------------------
+# One polynomial toolkit: the parser and trial division against the copies
+# in poly_oracle, which compute over the integers and search twice.
+
+
+@st.composite
+def poly_texts(draw):
+    """Polynomial text of degree at most 6: signed terms, each an optional
+    number and up to two factors x^e or (sum of ax + b)^e with e <= 3.  Now
+    and then one character turns into '*', '(', ')' or 'y', a parenthesis
+    drops out, '^' is appended, or the text is empty, so every parser error
+    shows up; none of these raises the degree."""
+    def power():
+        return draw(st.sampled_from(["", "^0", "^1", "^2", "^3"]))
+
+    def number():
+        return str(draw(st.integers(0, 20)))
+
+    def monomial():
+        return draw(st.sampled_from(["x", number() + "x", number()]))
+
+    def factor():
+        if draw(st.booleans()):
+            return "x" + power()
+        inner = [monomial() for _ in range(draw(st.integers(1, 3)))]
+        signs = [draw(st.sampled_from(["", "-"]))] + [
+            draw(st.sampled_from(["+", "-"])) for _ in inner[1:]
+        ]
+        return "(" + "".join(s + m for s, m in zip(signs, inner)) + ")" + power()
+
+    def term():
+        head = number() if draw(st.booleans()) else ""
+        factors = "".join(factor() for _ in range(draw(st.integers(0 if head else 1, 2))))
+        return head + factors
+
+    terms = [term() for _ in range(draw(st.integers(1, 3)))]
+    signs = [draw(st.sampled_from(["", "+", "-"]))] + [
+        draw(st.sampled_from(["+", "-"])) for _ in terms[1:]
+    ]
+    text = "".join(s + t for s, t in zip(signs, terms))
+    fault = draw(st.sampled_from(["none"] * 4 + ["swap", "drop", "caret", "empty"]))
+    if fault == "swap":
+        i = draw(st.integers(0, len(text) - 1))
+        text = text[:i] + draw(st.sampled_from("*()y")) + text[i + 1 :]
+    elif fault == "drop" and any(c in "()" for c in text):
+        i = draw(st.sampled_from([i for i, c in enumerate(text) if c in "()"]))
+        text = text[:i] + text[i + 1 :]
+    elif fault == "caret":
+        text += "^"
+    elif fault == "empty":
+        text = ""
+    return text
+
+
+@settings(max_examples=300, deadline=None)
+@given(p=st.sampled_from([2, 3, 5, 7]), text=poly_texts())
+def test_parser_over_gf_p_matches_the_integer_parser(p, text):
+    """GF(p)[x]/(f) gives the same key, label and is_field, or the same
+    error, as parsing over the integers and reducing mod p at the end."""
+    try:
+        r = parse_ring_spec(f"GF({p})[x]/({text})")
+        got = r.key(), r.label, r.is_field
+    except RingError as exc:
+        got = str(exc)
+    assert got == poly_oracle.quotient_summary(p, text, ZmodRing(p, label=f"GF({p})"))
+
+
+@pytest.mark.parametrize("p, top", [(2, 6), (3, 4), (5, 3)])
+def test_factoring_and_irreducibility_match_the_two_search_version(p, top):
+    base = ZmodRing(p, label=f"GF({p})")
+    for degree in range(top + 1):
+        for f in monic_polys(base, degree):
+            assert poly_factor(base, f) == poly_oracle.poly_factor(base, f)
+            assert poly_is_irreducible(base, f) == poly_oracle.poly_is_irreducible(base, f)
+
+
+def test_irreducibility_stops_at_the_first_divisor(monkeypatch):
+    """x^32+x^4+x = x(x^31+x^3+1) with the cofactor irreducible: the check
+    when the quotient is built divides once, by x.  Factoring the modulus
+    instead would run the whole search up to degree 15 on the cofactor."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return poly_divmod(*args)
+
+    monkeypatch.setattr(rings, "poly_divmod", counted)
+    r = parse_ring_spec("GF(2)[x]/(x^32+x^4+x)")
+    assert not r.is_field and r.card == 2**32
+    assert len(calls) == 1
+
+
+def test_trial_division_is_written_once():
+    """A poly_divmod call in a loop over monic_polys is trial division; one
+    function in the package does it, and the others ask that one."""
+    src = Path(rings.__file__).parent
+    found = []
+    for path in sorted(src.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            for loop in ast.walk(fn):
+                if (
+                    isinstance(loop, ast.For)
+                    and isinstance(loop.iter, ast.Call)
+                    and getattr(loop.iter.func, "id", None) == "monic_polys"
+                    and any(
+                        isinstance(node, ast.Call)
+                        and getattr(node.func, "id", None) == "poly_divmod"
+                        for node in ast.walk(loop)
+                    )
+                ):
+                    found.append(f"{path.name}:{fn.name}")
+    assert found == ["rings.py:_least_factor"]
