@@ -9,8 +9,10 @@ decomposition assembled from those two, the letterwise merge over product
 rings, and the (U+ U-)^4 normal form obtained by rank induction: a letter
 pushed into the eight blocks u_0..u_7 moves through their Levi parts in the
 rank-(l-1) machine, and one backward pass rebuilds u'_k = R_{k-1} u_k R_k^-1
-from the telescoped Levi conjugators R_k.  Letters act on matrices as row and
-column operations (`Representation.apply_left`/`apply_right`).  Every
+from the telescoped Levi conjugators R_k.  The pass keeps a block as it is
+while R_k = 1 and its Levi part is unchanged, since then R_{k-1} = 1 and
+u'_k = u_k.  Letters act on matrices as row and column operations
+(`Representation.apply_left`/`apply_right`).  Every
 algorithm returns a `DecompositionReport`, and every returned word is
 re-evaluated against its input first; verification is part of the contract.
 """
@@ -34,7 +36,7 @@ from .groups import (
 )
 from .reps import Representation
 from .rings import RING_MEMO_SIZE, RingSpec, artinian_decompose, is_local, residue_field
-from .roots import RootSystem, _neg
+from .roots import RootSystem
 
 
 class NotInBigCell(Exception):
@@ -382,7 +384,7 @@ def _rewrite_to_simple_letters(word: ElementaryWord) -> list:
     """Rewrite arbitrary-root letters as words in +-simple-root letters."""
     rep, ring = word.rep, word.ring
     rs = rep.rs
-    simple_set = set(rs.simple) | {_neg(s) for s in rs.simple}
+    simple_set = set(rs.simple) | {rs.opposite[s] for s in rs.simple}
     out = []
     for root, t in word.letters:
         if t == ring.zero:
@@ -401,6 +403,20 @@ def _rewrite_to_simple_letters(word: ElementaryWord) -> list:
     return out
 
 
+@functools.cache
+def _push_split(rs: RootSystem, root) -> tuple:
+    """(split, set of its phi0) for pushing the +-simple letter root into rs:
+    the tavgen split off an extremal simple root other than root's."""
+    beta_idx = next(
+        (i for i, s in enumerate(rs.simple) if root in (s, rs.opposite[s])), None
+    )
+    if beta_idx is None:
+        raise GroupError(f"letter {root} is not a +-simple root of {rs.label}")
+    alpha_idx = next(i for i in rs.extremal_simple_indices() if i != beta_idx)
+    split = rs.tavgen_split(alpha_idx)
+    return split, frozenset(split.phi0)
+
+
 class _Sl2Machine:
     """Rank-1 base case: track the abstract 2x2 matrix and re-solve blocks."""
 
@@ -408,11 +424,12 @@ class _Sl2Machine:
         self.rep = rep
         self.ring = ring
         self.beta = rs.positive[0]
+        self.nbeta = rs.opposite[self.beta]
         one, zero = ring.one, ring.zero
         self.m = ((one, zero), (zero, one))
         if blocks:
             for k, coords in enumerate(blocks):
-                x = coords.get(self.beta if k % 2 == 0 else _neg(self.beta))
+                x = coords.get(self.beta if k % 2 == 0 else self.nbeta)
                 if x is not None and x != zero:
                     self._mul_right(k % 2 == 0, x)
 
@@ -438,7 +455,7 @@ class _Sl2Machine:
                 (ring.add(a, ring.mul(t, c)), ring.add(b, ring.mul(t, d))),
                 (c, d),
             )
-        elif tuple(root) == _neg(self.beta):
+        elif tuple(root) == self.nbeta:
             self.m = (
                 (a, b),
                 (ring.add(c, ring.mul(t, a)), ring.add(d, ring.mul(t, b))),
@@ -449,7 +466,7 @@ class _Sl2Machine:
     @property
     def blocks(self) -> list:
         ring = self.ring
-        beta, nbeta = self.beta, _neg(self.beta)
+        beta, nbeta = self.beta, self.nbeta
         (a, b), (c, d) = self.m
         one = ring.one
         out = [dict() for _ in range(8)]
@@ -505,23 +522,16 @@ class _Machine:
         that keeps root; the inner machine turns e_root(t) a_0...a_7 into
         a'_0...a'_7.  With R_7 = 1 and R_{k-1} = a'_k R_k a_k^-1, the new
         blocks u'_k = R_{k-1} u_k R_k^-1 = a'_k (R_k c_k R_k^-1) telescope to
-        R_{-1} g, and R_{-1} must be e_root(t).  Letters act on R_k and R_k^-1
-        as row and column operations; only R_k^-1 multiplies as a whole
-        matrix (`linalg.mat_mul`, column operations by R_k^-1 - I)."""
+        R_{-1} g, and R_{-1} must be e_root(t).  A block with R_k = 1 and
+        a'_k = a_k is kept as it is: then R_{k-1} = 1 and u'_k = u_k, and its
+        Levi-span check is that equality itself.  Letters act on R_k and
+        R_k^-1 as row and column operations; only R_k^-1 multiplies as a
+        whole matrix (`linalg.mat_mul`, column operations by R_k^-1 - I)."""
         if t == self.ring.zero:
             return
         rs, rep, ring = self.rs, self.rep, self.ring
         root = tuple(root)
-        beta_idx = next(
-            (i for i, s in enumerate(rs.simple) if root in (s, _neg(s))), None
-        )
-        if beta_idx is None:
-            raise GroupError(f"letter {root} is not a +-simple root of {rs.label}")
-        alpha_idx = next(
-            i for i in rs.extremal_simple_indices() if i != beta_idx
-        )
-        split = rs.tavgen_split(alpha_idx)
-        phi0 = set(split.phi0)
+        split, phi0 = _push_split(rs, root)
         old = [{r: v for r, v in coords.items() if r in phi0} for coords in self.blocks]
         inner = _machine(split.sub_system, rep, ring, blocks=old)
         inner.push_left(root, t)
@@ -530,12 +540,16 @@ class _Machine:
         one = r_mat = r_inv = rep.identity(ring)
         blocks = [None] * 8
         for k in range(7, -1, -1):
+            r_is_one = r_inv == one
+            if r_is_one and old[k] == new[k]:  # then R_(k-1) = 1 and u'_k = u_k
+                blocks[k] = self.blocks[k]
+                continue
             sign = 1 if k % 2 == 0 else -1
             a, b = self._letters(sign, old[k]), self._letters(sign, new[k])
             prev = sandwich(rep, ring, b, r_mat, a)
             prev_inv = sandwich(rep, ring, a, r_inv, b)
             block = rep.apply_right(ring, prev, self._letters(sign, self.blocks[k]))
-            if r_inv != one:  # R_7 = 1, and so is R_k while the Levi parts agree
+            if not r_is_one:
                 block = linalg.mat_mul(ring, block, r_inv)
             coords = unipotent_coordinates(
                 GroupElement(rep, ring, block), sign, order=unipotent_order(rs, sign)

@@ -708,6 +708,21 @@ def test_decompose_with_a_wrong_lift_inverse_exits_1(monkeypatch):
     assert json.loads(res.output)["error"] == "Bruhat word failed to re-evaluate"
 
 
+def test_tavgen_with_a_frozen_inner_machine_exits_1(monkeypatch):
+    """With the rank-1 push a no-op, the fourfold machine keeps every block
+    and its telescoping check refuses the letter: exit 1, not 0 and not 2."""
+    rs, ring = build_root_system("A2"), parse_ring_spec("GF(3)")
+    rep = reps.make_representation(rs)
+    monkeypatch.setattr(decompose._Sl2Machine, "push_left", lambda self, root, t: None)
+    matrix = ElementaryWord(rep, ring, [(rs.simple[0], ring.one)]).evaluate().to_json()
+    res = run(
+        "group", "decompose", "--type", "A2", "--ring", "GF(3)", "--algorithm", "tavgen",
+        "--input", json.dumps(matrix), "--format", "json",
+    )
+    assert res.exit_code == 1
+    assert json.loads(res.output)["error"] == "interchange did not telescope to the pushed letter"
+
+
 @pytest.mark.parametrize(
     "label, ring, message", [("A5", "GF(2)", "got A5"), ("A1", "Z/6", "not local")]
 )

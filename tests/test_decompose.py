@@ -41,6 +41,7 @@ A2 = build_root_system("A2")
 B2 = build_root_system("B2")
 C2 = build_root_system("C2")
 B3 = build_root_system("B3")
+A3 = build_root_system("A3")
 G2 = build_root_system("G2")
 
 
@@ -319,33 +320,50 @@ def test_tavgen_corrupted_inner_block_fails_telescope_check(monkeypatch):
         tavgen_decompose(ElementaryWord(rep, ring, [(A2.simple[0], 1)]))
 
 
-# The tavgen golden inputs (the fixed words of tests/test_cli.py) and the
-# dense products tavgen_decompose may spend on each.  Letters act as row and
-# column operations, so only the conjugated blocks R_(k-1) u_k R_k^-1 with
-# R_k != 1 and the re-evaluations multiply dense matrices.
+def test_tavgen_refuses_when_the_inner_machine_moves_nothing(monkeypatch):
+    """Negative control for the kept blocks: with the rank-1 push a no-op,
+    every Levi part is unchanged and R_k stays 1, so the backward pass keeps
+    all eight blocks, and the telescoping check still refuses the letter."""
+    rep, ring = rep_of(A2), ZmodRing(3)
+    monkeypatch.setattr(decompose._Sl2Machine, "push_left", lambda self, root, t: None)
+    with pytest.raises(GroupError, match="interchange did not telescope to the pushed letter"):
+        tavgen_decompose(ElementaryWord(rep, ring, [(A2.simple[0], 1)]))
+
+
+# The tavgen golden inputs (the fixed words of tests/test_cli.py), the dense
+# products tavgen_decompose may spend on each, and the blocks it may
+# re-factor (`unipotent_coordinates` calls).  Letters act as row and column
+# operations, so only the conjugated blocks R_(k-1) u_k R_k^-1 with R_k != 1
+# and the re-evaluations multiply dense matrices; a block with R_k = 1 and
+# an unchanged Levi part is kept without being re-factored.
 TAVGEN_GOLDEN_PRODUCTS = [
-    ("A1", "GF(3)", None, 2),
-    ("A2", "GF(3)", None, 53),
-    ("B2", "GF(3)", None, 111),
-    ("C2", "Z/9", None, 250),
-    ("A3", "Z/4", None, 564),
-    ("B3", "GF(3)", None, 453),
-    ("D4", "GF(2)", None, 1212),
-    ("G2", "GF(3)", "adjoint", 344),
+    ("A1", "GF(3)", None, 2, 0),
+    ("A2", "GF(3)", None, 45, 48),
+    ("B2", "GF(3)", None, 75, 109),
+    ("C2", "Z/9", None, 184, 250),
+    ("A3", "Z/4", None, 468, 668),
+    ("B3", "GF(3)", None, 357, 564),
+    ("D4", "GF(2)", None, 1054, 1539),
+    ("G2", "GF(3)", "adjoint", 240, 327),
 ]
 
 
 def test_tavgen_mat_mul_count_guard(monkeypatch):
-    """Dense products on the tavgen golden inputs (105,042 over all eight
-    before letters acted as row and column operations; 2,989 after)."""
-    calls = []
-    mat_mul = linalg.mat_mul
+    """Dense products and re-factored blocks on the tavgen golden inputs
+    (105,042 products over all eight before letters acted as row and column
+    operations, 2,425 after; 9,096 blocks re-factored before kept blocks,
+    3,505 after)."""
+    calls = {"mat_mul": 0, "unipotent_coordinates": 0}
 
-    def counted(ring, a, b):
-        calls.append(1)
-        return mat_mul(ring, a, b)
+    def counted(module, name):
+        inner = getattr(module, name)
 
-    for label, ring_text, tag, bound in TAVGEN_GOLDEN_PRODUCTS:
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+        return wrapper
+
+    for label, ring_text, tag, products, blocks in TAVGEN_GOLDEN_PRODUCTS:
         rs, ring = build_root_system(label), parse_ring_spec(ring_text)
         rep, pos = rep_of(rs, tag), rs.positive
         letters = []
@@ -353,11 +371,16 @@ def test_tavgen_mat_mul_count_guard(monkeypatch):
             letters.append((pos[i - 1], ring.from_int(i)))
             letters.append((_neg(pos[-i]), ring.from_int(2 * i - 1)))
         word = local_decompose(ElementaryWord(rep, ring, letters).evaluate()).word
-        calls.clear()
+        calls.update(mat_mul=0, unipotent_coordinates=0)
         with monkeypatch.context() as m:
-            m.setattr(linalg, "mat_mul", counted)
+            m.setattr(linalg, "mat_mul", counted(linalg, "mat_mul"))
+            m.setattr(
+                decompose, "unipotent_coordinates",
+                counted(decompose, "unipotent_coordinates"),
+            )
             tavgen_decompose(word)
-        assert len(calls) <= bound, (label, ring_text)
+        assert calls["mat_mul"] <= products, (label, ring_text)
+        assert calls["unipotent_coordinates"] <= blocks, (label, ring_text)
 
 
 @pytest.mark.parametrize("label", ["E6", "F4"])
@@ -622,3 +645,70 @@ def test_bruhat_work_guard(monkeypatch):
     assert weyl == w0 and len(w0) == 9
     assert lifts == [w0]
     assert applied == []
+
+
+# ---------------------------------------------------------------------------
+# The fourfold machine against its reference path: every push rebuilds and
+# re-factors all eight blocks, with no block kept.
+
+
+def _fixed_letters(rs, sign, coords):
+    return [(r, coords[r]) for r in decompose.unipotent_order(rs, sign) if r in coords]
+
+
+def reference_push_left(rs, rep, ring, blocks, root, t):
+    """The blocks of e_root(t) g from those of g, by the full eight-block sweep."""
+    if t == ring.zero:
+        return blocks
+    if rs.rank == 1:
+        machine = decompose._Sl2Machine(rs, rep, ring, blocks)
+        machine.push_left(root, t)
+        return machine.blocks
+    beta_idx = next(i for i, s in enumerate(rs.simple) if root in (s, _neg(s)))
+    alpha_idx = next(i for i in rs.extremal_simple_indices() if i != beta_idx)
+    split = rs.tavgen_split(alpha_idx)
+    phi0 = set(split.phi0)
+    old = [{r: v for r, v in coords.items() if r in phi0} for coords in blocks]
+    new = reference_push_left(split.sub_system, rep, ring, old, root, t)
+    r_mat = r_inv = rep.identity(ring)
+    out = [None] * 8
+    for k in range(7, -1, -1):
+        sign = 1 if k % 2 == 0 else -1
+        a, b = _fixed_letters(rs, sign, old[k]), _fixed_letters(rs, sign, new[k])
+        prev = rep.apply_left(ring, b, rep.apply_right(ring, r_mat, ElementaryWord(
+            rep, ring, a).inverse_word().letters))
+        prev_inv = rep.apply_left(ring, a, rep.apply_right(ring, r_inv, ElementaryWord(
+            rep, ring, b).inverse_word().letters))
+        block = linalg.mat_mul(
+            ring, rep.apply_right(ring, prev, _fixed_letters(rs, sign, blocks[k])), r_inv
+        )
+        coords = unipotent_coordinates(GroupElement(rep, ring, block), sign)
+        out[k] = {r: x for r, x in coords if x != ring.zero}
+        assert {r: x for r, x in out[k].items() if r in phi0} == new[k]
+        r_mat, r_inv = prev, prev_inv
+    assert r_mat == rep.elementary_matrix(ring, root, t)
+    return out
+
+
+MACHINE_GROUPS = [(A2, None), (B2, None), (C2, None), (G2, "adjoint"), (A3, None)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    group=st.sampled_from(MACHINE_GROUPS),
+    ring_text=st.sampled_from(["GF(2)", "GF(3)", "GF(4)", "Z/4", "Z/9"]),
+    seed=st.integers(0, 2**32),
+)
+def test_push_left_matches_the_reference_sweep(group, ring_text, seed):
+    """After every push of a random +-simple-letter word, the kept-block
+    machine holds the same blocks as the full sweep."""
+    rs, tag = group
+    rep, ring, rng = rep_of(rs, tag), parse_ring_spec(ring_text), random.Random(seed)
+    letters = rs.simple + tuple(rs.opposite[s] for s in rs.simple)
+    machine = decompose._machine(rs, rep, ring)
+    expected = [dict() for _ in range(8)]
+    for _ in range(rng.randrange(1, 13)):
+        root, t = rng.choice(letters), rng.choice(ring.elements())
+        machine.push_left(root, t)
+        expected = reference_push_left(rs, rep, ring, expected, root, t)
+        assert machine.blocks == expected

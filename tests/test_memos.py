@@ -163,3 +163,16 @@ def test_decomposition_constants_hit_returns_the_same_view():
     assert isinstance(first, MappingProxyType)
     assert decompose.decomposition_constants(build_root_system("B3")) is first
     assert decompose.decomposition_constants.cache_info().hits == before + 1
+
+
+def test_push_split_hit_returns_the_same_split():
+    """Each push into the fourfold machine reads its split and Levi root set
+    from one memo keyed by (root system, letter): a second lookup is one hit
+    that returns the same pair."""
+    rs = build_root_system("B3")
+    root = rs.opposite[rs.simple[1]]
+    first = decompose._push_split(rs, root)
+    before = decompose._push_split.cache_info().hits
+    assert isinstance(first[1], frozenset)
+    assert decompose._push_split(build_root_system("B3"), root) is first
+    assert decompose._push_split.cache_info().hits == before + 1
