@@ -8,6 +8,10 @@ representations consistent by construction.  For exceptional types the table
 is built by the extraspecial-pair recursion and certified by Jacobi and
 root-string magnitude checks.
 
+The adjoint action ad x of every basis vector is built in one place,
+ChevalleyBasisTable.ad_matrices, for the generator Jacobi check, the adjoint
+model's generators X_a = ad e_a and its bracket-preservation test.
+
 The coefficients C[i,j] of [e_a(s), e_b(t)] = prod e_{i*a+j*b}(C[i,j] s^i t^j)
 are Chevalley's closed expressions in the structure constants, with one code
 path for every type.
@@ -103,8 +107,7 @@ def _table_from_matrices(rs: RootSystem):
             s = _add(a, b)
             if s == tuple([0] * rs.ambient):
                 continue
-            x, y = xmats[a], xmats[b]
-            br = _smat_sum((_int_smat_mul(x, y), _smat_scale(-1, _int_smat_mul(y, x))))
+            br = _smat_bracket(xmats[a], xmats[b])
             if rs.is_root(s):
                 c = _solve_scalar_multiple(br, xmats[s])
                 if c is None:
@@ -259,18 +262,6 @@ class ChevalleyBasisTable:
             return {("e", s): n} if n else {}
         return {}
 
-    def bracket(self, x: dict, y: dict) -> dict:
-        out: dict = {}
-        for k1, c1 in x.items():
-            for k2, c2 in y.items():
-                for k, c in self.bracket_keys(k1, k2).items():
-                    v = out.get(k, 0) + c1 * c2 * c
-                    if v:
-                        out[k] = v
-                    elif k in out:
-                        del out[k]
-        return out
-
     def verify_jacobi(self) -> int:
         """The Jacobi identity on every basis triple; returns the number of
         identities checked.  Raises ChevalleyError on the first failure.
@@ -300,67 +291,57 @@ class ChevalleyBasisTable:
         for x, y, z in itertools.product(keys, repeat=3):
             total: dict = {}
             for a, b, c in ((x, y, z), (y, z, x), (z, x, y)):
-                inner = self.bracket_keys(b, c)
-                term = self.bracket({a: 1}, inner)
-                for k, v in term.items():
-                    w = total.get(k, 0) + v
-                    if w:
-                        total[k] = w
-                    elif k in total:
-                        del total[k]
-            if total:
+                for k1, c1 in self.bracket_keys(b, c).items():
+                    for k, v in self.bracket_keys(a, k1).items():
+                        total[k] = total.get(k, 0) + c1 * v
+            if any(total.values()):
                 raise ChevalleyError(f"Jacobi failure on {x}, {y}, {z}")
         return len(keys) ** 3
 
     def _verify_jacobi_by_generators(self) -> int:
-        """The generator check of verify_jacobi, on sparse integer ad matrices
-        built here from the bracket: the cached adjoint_data would outlive an
-        edit of the table."""
+        """The generator check of verify_jacobi, on ad_matrices, which
+        compute each bracket once."""
         keys = self.basis_keys()
-        index = {k: i for i, k in enumerate(keys)}
-        brackets = {(x, y): self.bracket_keys(x, y) for x in keys for y in keys}
-        for (x, y), br in brackets.items():
-            if br != {k: -c for k, c in brackets[(y, x)].items()}:
-                raise ChevalleyError(f"antisymmetry failure on {x}, {y}")
-        ad = {
-            x: _smat(*(
-                (index[k], j, c)
-                for j, y in enumerate(keys)
-                for k, c in brackets[(x, y)].items()
-            ))
-            for x in keys
-        }
+        ad = self.ad_matrices()
+        for i, x in enumerate(keys):
+            for k, row in ad[x].items():
+                for j, c in row.items():
+                    if ad[keys[j]].get(k, {}).get(i) != -c:
+                        raise ChevalleyError(f"antisymmetry failure on {x}, {keys[j]}")
         gens = [("e", s) for a in self.rs.simple for s in (a, _neg(a))]
         for x in gens:
-            for y in keys:
-                lhs = _smat_sum(_smat_scale(c, ad[k]) for k, c in brackets[(x, y)].items())
-                rhs = _smat_sum((
-                    _int_smat_mul(ad[x], ad[y]),
-                    _smat_scale(-1, _int_smat_mul(ad[y], ad[x])),
-                ))
-                if lhs != rhs:
+            for j, y in enumerate(keys):
+                # [x, y] is column j of ad x
+                terms = (_smat_scale(r[j], ad[keys[k]]) for k, r in ad[x].items() if j in r)
+                if _smat_sum(terms) != _smat_bracket(ad[x], ad[y]):
                     raise ChevalleyError(f"ad[x, y] != [ad x, ad y] for x = {x}, y = {y}")
         return len(gens) * len(keys) + len(keys) ** 2
 
     # -- adjoint matrices -----------------------------------------------------
 
-    @functools.cache
-    def adjoint_data(self):
-        """(keys, weights, xmats) for the adjoint representation, each X_r a
-        sparse integer matrix {row: {col: value}}."""
+    def ad_matrices(self) -> dict:
+        """ad x for every basis key x, in basis_keys order, as sparse integer
+        matrices whose column j is [x, y_j].  Built on each call, so an edited
+        table shows in verify_jacobi."""
         keys = self.basis_keys()
         index = {k: i for i, k in enumerate(keys)}
-        zero_w = tuple([0] * self.rs.ambient)
-        weights = [k[1] if k[0] == "e" else zero_w for k in keys]
-        xmats = {
-            r: _smat(*(
-                (index[kk], j, c)
-                for j, k in enumerate(keys)
-                for kk, c in self.bracket_keys(("e", r), k).items()
+        return {
+            x: _smat(*(
+                (index[k], j, c)
+                for j, y in enumerate(keys)
+                for k, c in self.bracket_keys(x, y).items()
             ))
-            for r in self.rs.roots
+            for x in keys
         }
-        return keys, weights, xmats
+
+    @functools.cache
+    def adjoint_data(self):
+        """(keys, weights, xmats) for the adjoint representation, each X_r =
+        ad e_r a sparse integer matrix {row: {col: value}}."""
+        ad = self.ad_matrices()
+        zero_w = tuple([0] * self.rs.ambient)
+        weights = [k[1] if k[0] == "e" else zero_w for k in ad]
+        return list(ad), weights, {r: ad[("e", r)] for r in self.rs.roots}
 
     # -- group-level commutator coefficients ----------------------------------
 
@@ -433,6 +414,11 @@ def _smat_sum(mats) -> dict:
             for c, v in row.items():
                 acc[c] = acc.get(c, 0) + v
     return {r: nz for r, row in out.items() if (nz := {c: v for c, v in row.items() if v})}
+
+
+def _smat_bracket(a: dict, b: dict) -> dict:
+    """ab - ba for sparse integer matrices, zero entries dropped."""
+    return _smat_sum((_int_smat_mul(a, b), _smat_scale(-1, _int_smat_mul(b, a))))
 
 
 def _solve_scalar_multiple(target: dict, base: dict):

@@ -22,7 +22,9 @@ from . import linalg
 from .chevalley import build_basis, g2_epsilon_signs
 from .reps import UnsupportedRepresentation, make_representation
 from .rings import (
+    LISTING_LIMIT,
     RingError,
+    RingTooLarge,
     artinian_decompose,
     ideal_from_generators,
     is_local,
@@ -159,7 +161,7 @@ def ring():
 
 # The artinian round trip runs on every element of a ring up to this many,
 # and above it on ROUND_TRIP_SAMPLE elements drawn by index with a fixed seed.
-ROUND_TRIP_LIMIT = 2**16
+ROUND_TRIP_LIMIT = LISTING_LIMIT
 ROUND_TRIP_SAMPLE = 1000
 
 
@@ -423,6 +425,8 @@ def congruence_certify(rs, ring_spec, rep, fmt, subgroup_text):
         trace = cg.ideal_certificate(n)
     except cg.CertificateError as exc:
         _refuse(fmt, exc, "certificate refused: ", refused=True)
+    except RingTooLarge as exc:
+        _fail_input(str(exc))
     ideal = trace.ideal
     lines = [
         f"subgroup: {n.description}",
@@ -453,10 +457,13 @@ def congruence_levels(rs, ring_spec, rep, fmt, subgroup_text):
     """Dump the parameter level set of every root."""
     with _input_checks():
         n = _parse_subgroup(rep, ring_spec, subgroup_text)
+    try:
+        levels = [cg.level_set(n, r) for r in rs.roots]
+    except RingTooLarge as exc:
+        _fail_input(str(exc))
     lines = [f"level sets for {n.description}"]
     rows = []
-    for r in rs.roots:
-        ls = cg.level_set(n, r)
+    for r, ls in zip(rs.roots, levels):
         values = [
             ring_spec.element_to_json(v) for v in sorted_values(ring_spec, ls.values)
         ]

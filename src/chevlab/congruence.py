@@ -32,9 +32,11 @@ from .groups import (
 )
 from .reps import Representation
 from .rings import (
+    LISTING_LIMIT,
     IdealHandle,
     ProductRing,
     RingSpec,
+    RingTooLarge,
     ideal_from_generators,
     sorted_values,
 )
@@ -171,8 +173,14 @@ def _ideal_of(ring: RingSpec, values: frozenset) -> IdealHandle | None:
 
 
 def level_set(n: NormalSubgroupHandle, alpha) -> LevelSet:
-    """Exact parameter set {t : e_alpha(t) in N}, with closure diagnostics."""
+    """Exact parameter set {t : e_alpha(t) in N}, with closure diagnostics.
+    Raises RingTooLarge before listing a ring above LISTING_LIMIT elements."""
     rep, ring = n.rep, n.ring
+    if ring.card > LISTING_LIMIT:
+        raise RingTooLarge(
+            f"ring too large to enumerate for level sets: {ring.label} has "
+            f"{ring.card} elements, above {LISTING_LIMIT}"
+        )
     alpha = tuple(alpha)
     values = frozenset(
         t for t in ring.elements()

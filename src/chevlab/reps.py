@@ -190,13 +190,16 @@ class Representation:
     def _preserves_brackets(self, ring: RingSpec, mat) -> bool:
         """g ad(x) == ad(g x) g for every basis vector x, i.e. g[x, y] = [gx, gy]."""
         n, zero = self.dim, ring.zero
-        brackets = self._brackets()
+        ads = [
+            [(r, col, k) for r, row in m.items() for col, k in row.items()]
+            for m in build_basis(self.rs).ad_matrices().values()
+        ]
 
         def ad(v):
             m = [[zero] * n for _ in range(n)]
-            for j, c in enumerate(v):
+            for c, entries in zip(v, ads):
                 if c != zero:
-                    for r, col, k in brackets[j]:
+                    for r, col, k in entries:
                         m[r][col] = ring.add(m[r][col], ring.mul(c, ring.from_int(k)))
             return tuple(map(tuple, m))
 
@@ -206,21 +209,6 @@ class Representation:
             if lhs != linalg.mat_mul(ring, ad([row[i] for row in mat]), mat):
                 return False
         return True
-
-    @functools.cache
-    def _brackets(self) -> tuple:
-        """Per adjoint basis vector x_j, the entries (r, c, k) of ad(x_j) over Z."""
-        table = build_basis(self.rs)
-        keys = table.basis_keys()
-        index = {key: i for i, key in enumerate(keys)}
-        return tuple(
-            tuple(
-                (index[key], c, k)
-                for c, kc in enumerate(keys)
-                for key, k in table.bracket_keys(kj, kc).items()
-            )
-            for kj in keys
-        )
 
     def __repr__(self):
         return f"<rep {self.tag} of {self.rs.label}, degree {self.dim}>"

@@ -17,10 +17,17 @@ import math
 
 # Memos keyed by ring value (rings compare by `key()`) keep this many rings.
 RING_MEMO_SIZE = 64
+# Whole-ring walks (level sets, the artinian round trip) list at most this many
+# elements; above it they refuse or sample.
+LISTING_LIMIT = 2**16
 
 
 class RingError(ValueError):
     """Malformed ring description or invalid ring operation."""
+
+
+class RingTooLarge(RingError):
+    """A whole-ring walk refused on a ring above LISTING_LIMIT elements."""
 
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:

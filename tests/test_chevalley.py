@@ -164,6 +164,41 @@ def test_adjoint_matrices_shape():
         assert m and all(0 <= i < 14 and 0 <= j < 14 and v for (i, j), v in m.items())
 
 
+@pytest.mark.parametrize("label", ["A2", "B2", "G2", "F4"])
+def test_ad_matrices_of_the_torus_and_the_root_vectors(label):
+    """ad h_i is diagonal, <b, a_i^v> on the row of each e_b and 0 on the h
+    rows; each adjoint generator X_r is ad e_r."""
+    rs = build_root_system(label)
+    table = build_basis(rs)
+    ad = table.ad_matrices()
+    keys, _, xmats = table.adjoint_data()
+    assert list(ad) == keys
+    for i, a in enumerate(rs.simple):
+        expected = {}
+        for j, (kind, b) in enumerate(keys):
+            if kind == "e" and rs.cartan_int(b, a):
+                expected[j, j] = rs.cartan_int(b, a)
+        assert entries(ad[("h", i)]) == expected
+    for r in rs.roots:
+        assert xmats[r] == ad[("e", r)]
+
+
+def test_jacobi_by_generators_computes_each_bracket_once(monkeypatch):
+    """The E6 generator check reads every [x, y] off ad_matrices: 78^2
+    bracket_keys calls, none repeated."""
+    calls = []
+    bracket_keys = ChevalleyBasisTable.bracket_keys
+
+    def counted(self, x, y):
+        calls.append((x, y))
+        return bracket_keys(self, x, y)
+
+    table = ChevalleyBasisTable(build_root_system("E6"))
+    monkeypatch.setattr(ChevalleyBasisTable, "bracket_keys", counted)
+    table.verify_jacobi()
+    assert len(calls) == len(set(calls)) == 78**2
+
+
 def test_commutator_coefficients_a2():
     rs = build_root_system("A2")
     table = build_basis(rs)

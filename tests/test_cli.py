@@ -3,16 +3,18 @@ import os
 import resource
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+from chevlab import congruence as cg
 from chevlab import decompose, reps
 from chevlab.chevalley import ChevalleyBasisTable, ChevalleyError
 from chevlab.cli import main
 from chevlab.groups import ElementaryWord, weyl_lift_word
-from chevlab.rings import parse_ring_spec
+from chevlab.rings import RingError, parse_ring_spec
 from chevlab.roots import _neg, build_root_system
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -369,6 +371,39 @@ def test_decompose_artinian_samples_a_huge_ring_under_memory_limit(ring):
     doc = json.loads(res.output)
     assert res.exit_code == 0 and doc["sampled"] is True
     assert doc["verified_elements"] == 1000
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("certify", "--ring", HUGE, "--subgroup", "kernel:(2)"),
+        ("levels", "--ring", HUGE, "--subgroup", "kernel:(2)"),
+        ("certify", "--ring", "GF(2)[x]/(x^64)", "--subgroup", "kernel:([0,1])"),
+        ("certify", "--ring", f"{HUGE} x GF(3)", "--subgroup", "full"),
+    ],
+    ids=["certify-zmod", "levels-zmod", "certify-polyquot", "certify-product"],
+)
+def test_level_sets_refuse_a_huge_ring_under_memory_limit(args):
+    """Level sets list the ring: above `LISTING_LIMIT` elements they are
+    refused as input (exit 2) before any element is listed."""
+    start = time.monotonic()
+    proc = run_under_memory_limit("congruence", args[0], "--type", "A2", *args[1:])
+    assert time.monotonic() - start < 30
+    assert proc.returncode == 2
+    assert "ring too large to enumerate" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_other_ring_errors_in_a_certificate_are_not_bad_input(monkeypatch):
+    """Only RingTooLarge is refused as input: any other RingError raised while
+    certifying is an internal error, not exit 2."""
+    def broken(n):
+        raise RingError("internal")
+
+    monkeypatch.setattr(cg, "ideal_certificate", broken)
+    res = run("congruence", "certify", "--type", "A2", "--ring", "Z/4", "--subgroup", "full")
+    assert res.exit_code != 2
+    assert isinstance(res.exception, RingError)
 
 
 # Runs argv[1:] and prints its exit code, its ru_maxrss in KB and its output.

@@ -574,6 +574,19 @@ def test_adjoint_check_rejects_non_automorphisms():
         assert rep.check_invariant(ring, rep.identity(ring))
 
 
+def test_adjoint_check_reads_the_torus_rows():
+    """One entry changed in a row of the h_i in a G2 adjoint word over GF(3)
+    makes the matrix refused: the check reads the ad h_i it is built from."""
+    rep = make_representation(G2, "adjoint")
+    ring = parse_ring_spec("GF(3)")
+    mat = random_elementary_word(rep, ring, 12, random.Random(7)).evaluate().mat
+    assert rep.check_invariant(ring, mat)
+    h = len(G2.positive)  # the h_i follow the positive roots
+    rows = [list(row) for row in mat]
+    rows[h][0] = ring.add(rows[h][0], ring.one)
+    assert not rep.check_invariant(ring, tuple(map(tuple, rows)))
+
+
 def test_random_word_over_a_huge_modulus():
     rep = make_representation(A2, "defining-A")
     ring = ZmodRing(2**61)

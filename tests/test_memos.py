@@ -58,6 +58,21 @@ def test_no_hand_rolled_memos():
     assert problems == []
 
 
+def test_one_bracket_reader():
+    """Only chevalley.py turns the bracket table into ad matrices: no other
+    module in src calls bracket_keys."""
+    callers = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "bracket_keys"
+            ):
+                callers.add(path.name)
+    assert callers == {"chevalley.py"}
+
+
 def test_elementary_memo_is_bounded():
     rep = make_representation(build_root_system("A", 1), "defining-A")
     ring = ZmodRing(2**61)
