@@ -21,6 +21,7 @@ from .groups import (
     commutator_expansion,
     conjugated,
     conjugation_entries,
+    conjugation_sign,
     elementary,
     expansion_terms,
     identity_element,
@@ -538,10 +539,10 @@ def _cover_g2_short(n, trace, table, levels, values):
             raise CertificateError("scaled parameter escaped the ideal")
         _member(n, elementary(rep, ring, k, u), "long member")
         c_pos, _ = _expansion(rep, ring, terms, k, c, u, one)
-        c_neg, _ = _expansion(rep, ring, terms, k, c, u, ring.neg(one))
+        c_neg, neg_letters = _expansion(rep, ring, terms, k, c, u, ring.neg(one))
         _member(n, c_pos, "first short-isolation commutator")
         _member(n, c_neg, "second short-isolation commutator")
-        prod = c_pos * c_neg
+        prod = GroupElement(rep, ring, rep.apply_right(ring, c_pos.mat, neg_letters))
         coords = [
             (r, x) for r, x in unipotent_coordinates(prod, +1)
             if x != ring.zero
@@ -655,16 +656,8 @@ def omit_root_generation_check(
         raise GroupError("reflection basis degenerated")
     # the lift of s_beta is a 3-letter word avoiding +-alpha
     lift = weyl_letters(rep, ring, beta, ring.one)
-    for eps in (1, -1):
-        ok = True
-        for t in ring.additive_generators():
-            s = t if eps == 1 else ring.neg(t)
-            conj = sandwich(rep, ring, lift, elementary(rep, ring, source, s).mat, lift)
-            if conj != elementary(rep, ring, alpha, t).mat:
-                ok = False
-                break
-        if ok:
-            return True
+    if conjugation_sign(rep, ring, lift, source, alpha) is not None:
+        return True
     # the conjugation certificate proves only membership; settle a negative
     # answer by the enumeration route
     return omit_root_generation_check(rep, ring, alpha, exhaustive=True, cap=cap)

@@ -12,9 +12,10 @@ rank-(l-1) machine, and one backward pass rebuilds u'_k = R_{k-1} u_k R_k^-1
 from the telescoped Levi conjugators R_k.  The pass keeps a block as it is
 while R_k = 1 and its Levi part is unchanged, since then R_{k-1} = 1 and
 u'_k = u_k.  Letters act on matrices as row and column operations
-(`Representation.apply_left`/`apply_right`).  Every
-algorithm returns a `DecompositionReport`, and every returned word is
-re-evaluated against its input first; verification is part of the contract.
+(`Representation.apply_left`/`apply_right`).  Every algorithm ends in one
+epilogue, `_verified_report`: the word's length is checked against its bound
+and the word re-evaluated against its input before the `DecompositionReport`
+is built; verification is part of the contract.
 """
 from __future__ import annotations
 
@@ -137,11 +138,10 @@ def torus_word(rep: Representation, ring: RingSpec, alpha, a) -> ElementaryWord:
         (alpha, a_inv),
         (minus, ring.mul(a, ring.sub(a, one))),
     ]
-    word = ElementaryWord(rep, ring, letters)
     _, h = torus_and_weyl(rep, ring, alpha, a)
-    if word.evaluate() != h:
+    if letters_matrix(rep, ring, letters) != h.mat:
         raise GroupError("torus identity failed to verify")
-    return word
+    return ElementaryWord(rep, ring, letters)
 
 
 @functools.lru_cache(maxsize=RING_MEMO_SIZE)
@@ -292,6 +292,19 @@ class DecompositionReport:
         }
 
 
+def _verified_report(algorithm: str, g: GroupElement, word: ElementaryWord,
+                     bound_key: str) -> DecompositionReport:
+    """The report of every decomposition algorithm, once its word has passed
+    the bound `decomposition_constants()[bound_key]` and re-evaluated to g."""
+    consts = decomposition_constants(g.rep.rs)
+    bound = consts[bound_key]
+    if len(word) > bound:
+        raise GroupError(f"{algorithm} word exceeded its bound {bound_key} = {bound}")
+    if word.evaluate() != g:
+        raise GroupError(f"{algorithm} word failed to re-evaluate")
+    return DecompositionReport(algorithm, g, word, bound, consts, True)
+
+
 def _single_letter_fast_path(g: GroupElement):
     rep, ring = g.rep, g.ring
     for root in rep.rs.roots:
@@ -322,13 +335,7 @@ def local_decompose(g: GroupElement) -> DecompositionReport:
         ).nonzero()
         remainder = rep.apply_right(ring, g.mat, lifted.inverse_word().letters)
         word = big_cell_factor(GroupElement(rep, ring, remainder)) + lifted
-    consts = decomposition_constants(rs)
-    bound = consts["local_bound"]
-    if word.evaluate() != g:
-        raise GroupError("decomposition failed to re-evaluate")
-    if len(word) > bound:
-        raise GroupError("decomposition exceeded its advertised bound")
-    return DecompositionReport("prop2", g, word, bound, consts, True)
+    return _verified_report("prop2", g, word, "local_bound")
 
 
 # ---------------------------------------------------------------------------
@@ -362,18 +369,13 @@ def product_merge_decompose(
 
 def decompose_over_product(g: GroupElement) -> DecompositionReport:
     """Split the ring into local factors, decompose per factor, merge back."""
-    rep = g.rep
-    consts = decomposition_constants(rep.rs)
     dec = artinian_decompose(g.ring)
     factor_words = [
-        local_decompose(GroupElement(rep, f, mat)).word
+        local_decompose(GroupElement(g.rep, f, mat)).word
         for f, mat in zip(dec.factors, dec.split(g.mat))
     ]
     word = product_merge_decompose(g, factor_words, dec.from_components)
-    bound = consts["merge_bound"]
-    if len(word) > bound:
-        raise GroupError("merged word exceeded its advertised bound")
-    return DecompositionReport("merge", g, word, bound, consts, True)
+    return _verified_report("merge", g, word, "merge_bound")
 
 
 # ---------------------------------------------------------------------------
@@ -394,7 +396,7 @@ def _rewrite_to_simple_letters(word: ElementaryWord) -> list:
             continue
         base = next(s for s in rs.simple if rs.norm(s) == rs.norm(root))
         w = rs.same_length_conjugator(base, root)
-        eps, _ = weyl_conjugation_check(rep, ring, w, base)
+        eps = weyl_conjugation_check(rep, ring, w, base)
         lift = weyl_lift_word(rep, ring, w)
         s = t if eps == 1 else ring.neg(t)
         out.extend(lift.letters)
@@ -586,15 +588,8 @@ def tavgen_decompose(word: ElementaryWord) -> DecompositionReport:
     check_decomposition_supported(rs)
     if not is_local(ring)[0]:
         raise GroupError("the fourfold normal form needs a local ring")
-    target = word.evaluate()
     machine = _machine(rs, rep, ring)
     for root, t in reversed(_rewrite_to_simple_letters(word)):
         machine.push_left(root, t)
     out_word = _Machine(rs, rep, ring, blocks=machine.blocks).word()
-    consts = decomposition_constants(rs)
-    bound = consts["fourfold_bound"]
-    if len(out_word) > bound:
-        raise GroupError("fourfold word exceeded 4|Phi| letters")
-    if out_word.evaluate() != target:
-        raise GroupError("fourfold word failed to re-evaluate")
-    return DecompositionReport("tavgen", target, out_word, bound, consts, True)
+    return _verified_report("tavgen", word.evaluate(), out_word, "fourfold_bound")

@@ -8,13 +8,15 @@ Closures of E(R) take e_a(g) for g in the ring's additive generators, never
 every e_a(t), so a closure's cap bounds its work on every ring.
 Inverses come from words, e_a(t)^-1 = e_a(-t) (`ElementaryWord.inverse_word`,
 `commutator_expansion`); Gauss-Jordan elimination (`GroupElement.inverse`,
-`commutator`) is the general reference path for arbitrary invertible matrices.
-The relation checks, the commutator expansions and conjugation by letters act
-on matrices by row and column operations (`letters_matrix`, `sandwich`,
-`conjugated`), not by dense products.  The relation checker tests R2 in the
-conjugation form e_a(s) e_b(t) e_a(-s) = P e_b(t), P the product of the
-expansion's letters, and over a `ProductRing` runs every check on each
-factor with the components of (s, t); `word_matrix` and
+`commutator`, the one product of two `GroupElement`s) is the reference path.
+The relation checks, the expansions (letters from `expansion_letters`), the
+torus and Weyl lifts and conjugation by letters act by row and column
+operations (`letters_matrix`, `sandwich`, `conjugated`), not by dense
+products; one check, `conjugation_sign`, reads the sign of w e_a(t) w^-1 =
+e_b(+-t).  The relation checker tests R2 in the conjugation form
+e_a(s) e_b(t) e_a(-s) = P e_b(t), P the product of the expansion's letters,
+and over a `ProductRing` runs every check on each factor with the components
+of (s, t); `word_matrix` and
 `ElementaryWord.evaluate` multiply letter by letter through `linalg.mat_mul`,
 which reads each e_a(t) - I off its full matrix.  The closure searches raw
 matrices: every generator h acts by column operations with the nonzero
@@ -173,14 +175,17 @@ def sandwich(rep: Representation, ring: RingSpec, left, mat, right):
     return rep.apply_right(ring, rep.apply_left(ring, left, mat), inverse)
 
 
+def expansion_letters(ring: RingSpec, terms, s, t) -> list:
+    """The letters (g, C_ij s^i t^j) of [e_a(s), e_b(t)] over its `expansion_terms`."""
+    return [(g, reduce(ring.mul, [s] * i + [t] * j, c)) for i, j, g, c in terms]
+
+
 def commutator_expansion(rep: Representation, ring: RingSpec, terms, a, b, s, t):
     """[e_a(s), e_b(t)] = e_a(s) e_b(t) e_a(-s) e_b(-t) as a raw matrix, from the
     memoized e_a(s) by column operations, and the letters (g, C_ij s^i t^j) of
     its expansion over `terms`, for the caller to evaluate and compare."""
     word = [(a, s), (b, t), (a, ring.neg(s)), (b, ring.neg(t))]
-    mat = letters_matrix(rep, ring, word)
-    letters = [(g, reduce(ring.mul, [s] * i + [t] * j, c)) for i, j, g, c in terms]
-    return mat, letters
+    return letters_matrix(rep, ring, word), expansion_letters(ring, terms, s, t)
 
 
 class ElementaryWord:
@@ -254,14 +259,10 @@ def weyl_letters(rep: Representation, ring: RingSpec, alpha, u):
 
 
 def torus_and_weyl(rep: Representation, ring: RingSpec, alpha, u):
-    """(w_alpha(u), h_alpha(u)) with h_alpha(u) = w_alpha(u) w_alpha(1)^-1."""
-    w = ElementaryWord(rep, ring, weyl_letters(rep, ring, alpha, u)).evaluate()
-    w1_inv = (
-        ElementaryWord(rep, ring, weyl_letters(rep, ring, alpha, ring.one))
-        .inverse_word()
-        .evaluate()
-    )
-    return w, w * w1_inv
+    """(w_alpha(u), h_alpha(u) = w_alpha(u) w_alpha(1)^-1), from 3 and 6 letters."""
+    w = weyl_letters(rep, ring, alpha, u)
+    w1_inv = [(r, ring.neg(t)) for r, t in reversed(weyl_letters(rep, ring, alpha, ring.one))]
+    return tuple(GroupElement(rep, ring, letters_matrix(rep, ring, x)) for x in (w, w + w1_inv))
 
 
 def weyl_lift_word(rep: Representation, ring: RingSpec, word) -> ElementaryWord:
@@ -272,35 +273,30 @@ def weyl_lift_word(rep: Representation, ring: RingSpec, word) -> ElementaryWord:
     return ElementaryWord(rep, ring, letters)
 
 
-def weyl_conjugation_check(rep: Representation, ring: RingSpec, word, alpha):
-    """Sign eps with w e_alpha(t) w^-1 = e_{w(alpha)}(eps t) for every t.
+def conjugation_sign(rep: Representation, ring: RingSpec, lift, source, target):
+    """eps with lift e_source(t) lift^-1 = e_target(eps t) on the ring's additive
+    generators, hence for every t as both sides are additive in t, or None.
+    Each conjugate is computed once; +1 is tried first, so characteristic 2
+    answers +1."""
+    e = rep.elementary_matrix
+    conjugates = [(t, sandwich(rep, ring, lift, e(ring, source, t), lift))
+                  for t in ring.additive_generators()]
+    for eps in (1, -1):
+        if all(c == e(ring, target, t if eps == 1 else ring.neg(t)) for t, c in conjugates):
+            return eps
+    return None
 
-    Checked on the ring's additive generators, which covers every t since
-    both sides are additive in t.  Returns (eps, True) on success; raises
-    GroupError when the identity fails (which would indicate a
-    structure-table inconsistency).
-    """
-    rs = rep.rs
+
+def weyl_conjugation_check(rep: Representation, ring: RingSpec, word, alpha) -> int:
+    """Sign eps with w e_alpha(t) w^-1 = e_{w(alpha)}(eps t) for every t, w the
+    canonical lift of the Weyl word; raises GroupError when neither sign holds
+    (which would indicate a structure-table inconsistency)."""
     alpha = tuple(alpha)
-    beta = rs.apply_word(word, alpha)
     lift = weyl_lift_word(rep, ring, word).letters
-    sign = None
-    for t in ring.additive_generators():
-        lhs = sandwich(rep, ring, lift, elementary(rep, ring, alpha, t).mat, lift)
-        matched = None
-        for eps in (1, -1):
-            s = t if eps == 1 else ring.neg(t)
-            if lhs == elementary(rep, ring, beta, s).mat:
-                matched = eps
-                break
-        if matched is None:
-            raise GroupError(f"Weyl conjugation failed for {alpha} at t={t}")
-        if t != ring.zero and ring.neg(t) != t:
-            if sign is None:
-                sign = matched
-            elif sign != matched:
-                raise GroupError(f"Weyl conjugation sign varies with t for {alpha}")
-    return (sign if sign is not None else 1), True
+    eps = conjugation_sign(rep, ring, lift, alpha, rep.rs.apply_word(word, alpha))
+    if eps is None:
+        raise GroupError(f"Weyl conjugation failed for {alpha}")
+    return eps
 
 
 # ---------------------------------------------------------------------------
@@ -500,8 +496,11 @@ def verify_steinberg_relations(
     memoized e_b(t), so a pair with no expansion letters costs two operations.
     Over a `ProductRing` every check runs on each factor with the components
     of (s, t), and fails when any factor fails.  Failures are collected in
-    the report, with the ring's own (s, t), not raised.
+    the report, with the ring's own (s, t), not raised; a mode other than
+    R1, R2 or both raises GroupError before any check runs.
     """
+    if mode not in ("R1", "R2", "both"):
+        raise GroupError(f"relation mode must be R1, R2 or both, not {mode!r}")
     rs = rep.rs
     report = RelationReport(rs.label, ring.label, rep.tag, caveat=rep.caveat)
     pairs, exhaustive = _parameter_pairs(ring, loop_cap, sample, seed)
@@ -551,5 +550,5 @@ def _conjugation_form(rep: Representation, ring: RingSpec, a, b, terms, s, t) ->
     """R2 at (s, t) as e_a(s) e_b(t) e_a(-s) = P e_b(t), P the product of the
     letters (g, C_ij s^i t^j) over the `expansion_terms`."""
     lhs = letters_matrix(rep, ring, [(a, s), (b, t), (a, ring.neg(s))])
-    letters = [(g, reduce(ring.mul, [s] * i + [t] * j, c)) for i, j, g, c in terms]
+    letters = expansion_letters(ring, terms, s, t)
     return lhs == rep.apply_left(ring, letters, rep.elementary_matrix(ring, b, t))

@@ -426,31 +426,18 @@ class RootSystem:
         return TavgenSplit(sub, phi0, phi1)
 
     def root_name(self, r) -> str:
-        """Readable name in the realization's coordinates."""
+        """Readable name in the realization's coordinates: signed multiples
+        of c, k for G2 (c first) and of e1, e2, ... otherwise."""
         if self.letter == "G":
-            a, b = r
-            terms = []
-            if b:
-                terms.append("c" if b == 1 else ("-c" if b == -1 else f"{b}c"))
-            if a:
-                s = "k" if a == 1 else ("-k" if a == -1 else f"{a}k")
-                if terms and a > 0:
-                    s = "+" + s
-                terms.append(s)
-            return "".join(terms) if terms else "0"
-        terms = []
-        for i, c in enumerate(r):
-            if not c:
-                continue
-            name = f"e{i + 1}"
-            if c == 1:
-                s = name if not terms else f"+{name}"
-            elif c == -1:
-                s = f"-{name}"
-            else:
-                s = f"{c:+d}{name}" if terms else f"{c}{name}"
-            terms.append(s)
-        return "".join(terms) if terms else "0"
+            pairs = zip(r[::-1], "ck")
+        else:
+            pairs = ((c, f"e{i + 1}") for i, c in enumerate(r))
+        out = ""
+        for c, name in pairs:
+            if c:
+                sign = "-" if c < 0 else "+" if out else ""
+                out += sign + (name if abs(c) == 1 else f"{abs(c)}{name}")
+        return out or "0"
 
     def __repr__(self):
         return f"<root system {self.label}, {len(self.roots)} roots>"

@@ -23,6 +23,7 @@ from chevlab.groups import (
     in_congruence_kernel,
     letters_matrix,
     random_elementary_word,
+    sandwich,
     subgroup_closure,
     torus_and_weyl,
     verify_steinberg_relations,
@@ -174,19 +175,68 @@ def test_torus_lands_in_diagonal():
 def test_weyl_conjugation_signs():
     rep = make_representation(A2, "defining-A")
     ring = ZmodRing(5)
-    sign, ok = weyl_conjugation_check(rep, ring, (0,), (1, -1, 0))
-    assert ok and sign in (1, -1)
-    sign, ok = weyl_conjugation_check(rep, ring, (), (1, -1, 0))
-    assert ok and sign == 1
+    assert weyl_conjugation_check(rep, ring, (0,), (1, -1, 0)) in (1, -1)
+    assert weyl_conjugation_check(rep, ring, (), (1, -1, 0)) == 1
 
 
 def test_weyl_conjugation_b2_z9():
     rep = make_representation(B2, "defining-B")
     ring = ZmodRing(9)
     # reflection in e1-e2 (simple index 0) maps e1 to e2
-    sign, ok = weyl_conjugation_check(rep, ring, (0,), (1, 0))
-    assert ok
+    assert weyl_conjugation_check(rep, ring, (0,), (1, 0)) in (1, -1)
     assert B2.apply_word((0,), (1, 0)) == (0, 1)
+
+
+def reference_weyl_sign(rep, ring, word, alpha):
+    """The former per-generator loop of `weyl_conjugation_check`, kept as the
+    oracle: each generator t matched on its own, +1 before -1, the sign read
+    off the generators with t != -t; GroupError on a failure or a sign that
+    varies with t."""
+    beta = rep.rs.apply_word(word, alpha)
+    lift = weyl_lift_word(rep, ring, word).letters
+    sign = None
+    for t in ring.additive_generators():
+        lhs = sandwich(rep, ring, lift, elementary(rep, ring, alpha, t).mat, lift)
+        matched = next(
+            (eps for eps in (1, -1)
+             if lhs == elementary(rep, ring, beta, t if eps == 1 else ring.neg(t)).mat),
+            None,
+        )
+        if matched is None:
+            raise GroupError(f"Weyl conjugation failed for {alpha} at t={t}")
+        if t != ring.zero and ring.neg(t) != t:
+            if sign is not None and sign != matched:
+                raise GroupError(f"Weyl conjugation sign varies with t for {alpha}")
+            sign = matched
+    return 1 if sign is None else sign
+
+
+SIGN_RINGS = ["GF(2)", "GF(3)", "GF(4)", "Z/4", "Z/9", "Z/4 x GF(3)", "Z/2 x Z/3"]
+
+
+@pytest.mark.parametrize("ring_text", SIGN_RINGS)
+@pytest.mark.parametrize("rs", [A2, B2, C2, G2], ids=lambda rs: rs.label)
+def test_weyl_conjugation_sign_matches_the_per_generator_oracle(rs, ring_text):
+    """Every root, every tag and every Weyl word of length at most 2: the one
+    sign check gives the oracle's sign."""
+    ring = parse_ring_spec(ring_text)
+    words = [w for w, _ in rs.weyl_elements() if len(w) <= 2]
+    for tag in available_tags(rs):
+        rep = make_representation(rs, tag)
+        for word in words:
+            for alpha in rs.roots:
+                expected = reference_weyl_sign(rep, ring, word, alpha)
+                assert weyl_conjugation_check(rep, ring, word, alpha) == expected
+
+
+def test_relation_modes_other_than_r1_r2_both_are_refused():
+    """A mistyped mode raises before any check runs, instead of passing with
+    no checks."""
+    rep, ring = make_representation(A2), ZmodRing(4)
+    for mode in ("r2", "R3"):
+        with pytest.raises(GroupError, match="R1, R2 or both"):
+            verify_steinberg_relations(rep, ring, mode=mode)
+    assert verify_steinberg_relations(rep, ring, mode="R2").commutator_checked == 30 * 16
 
 
 @pytest.mark.parametrize(
@@ -204,7 +254,7 @@ def test_weyl_conjugation_sign_holds_for_every_parameter(rs, tag, ring_text):
     ring = parse_ring_spec(ring_text)
     for alpha in rs.roots:
         for word in [(0,), (1,), (0, 1)]:
-            eps, _ = weyl_conjugation_check(rep, ring, word, alpha)
+            eps = weyl_conjugation_check(rep, ring, word, alpha)
             lift = weyl_lift_word(rep, ring, word)
             w, w_inv = lift.evaluate(), lift.inverse_word().evaluate()
             beta = rs.apply_word(word, alpha)

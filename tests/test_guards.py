@@ -1,0 +1,185 @@
+"""Negative controls for the guards that every answer passes before it leaves
+the program: each test corrupts one producer in one named way and asserts
+that the guard downstream of it fires, through the API (`GroupError`) and,
+for decompositions, through the CLI (exit 1, never 0 and never 2).
+
+Also a tooling guard: the decompositions and certificates run without a
+single dense product of `GroupElement`s."""
+import json
+from types import MappingProxyType
+
+import pytest
+from click.testing import CliRunner
+
+from chevlab import congruence, decompose, groups
+from chevlab.cli import main
+from chevlab.congruence import ideal_certificate, kernel_subgroup, omit_root_generation_check
+from chevlab.decompose import (
+    decompose_over_product,
+    local_decompose,
+    tavgen_decompose,
+)
+from chevlab.groups import (
+    ElementaryWord,
+    GroupElement,
+    GroupError,
+    weyl_conjugation_check,
+)
+from chevlab.reps import make_representation
+from chevlab.rings import ideal_from_generators, parse_ring_spec
+from chevlab.roots import _neg, build_root_system
+
+
+def fixed_word(label, ring_text, rep_tag=None) -> ElementaryWord:
+    """The fixed word e_{p_i}(i) e_{-p_(m+1-i)}(2i - 1), i = 1..m, over the
+    positive roots p_1..p_m (the input of the CLI decompose goldens)."""
+    rs = build_root_system(label)
+    ring = parse_ring_spec(ring_text)
+    pos = rs.positive
+    letters = []
+    for i in range(1, len(pos) + 1):
+        letters.append((pos[i - 1], ring.from_int(i)))
+        letters.append((_neg(pos[-i]), ring.from_int(2 * i - 1)))
+    return ElementaryWord(make_representation(rs, rep_tag), ring, letters)
+
+
+def bumped(word: ElementaryWord) -> ElementaryWord:
+    """The word with its first letter's parameter raised by one."""
+    (root, t), *rest = word.letters
+    return ElementaryWord(word.rep, word.ring, [(root, word.ring.add(t, word.ring.one)), *rest])
+
+
+# algorithm -> (the CLI decomposer's input, its bound key, the producer
+# just upstream of the epilogue: (module or class, attribute, stand-in)
+# returning the given word)
+EPILOGUE_CASES = {
+    "prop2": (("C2", "Z/9"), "local_bound",
+              lambda w: (decompose, "_single_letter_fast_path", lambda g: w)),
+    "merge": (("B2", "Z/360"), "merge_bound",
+              lambda w: (decompose, "product_merge_decompose", lambda g, words, join: w)),
+    "tavgen": (("A2", "GF(3)"), "fourfold_bound",
+               lambda w: (decompose._Machine, "word", lambda self: w)),
+}
+DECOMPOSERS = {
+    "prop2": local_decompose,
+    "merge": decompose_over_product,
+    "tavgen": lambda g: tavgen_decompose(local_decompose(g).word),
+}
+
+
+def corrupt_epilogue_input(monkeypatch, algorithm, corruption):
+    """The input g and the message the epilogue must raise, after one
+    corruption of the word or of the bound that the epilogue checks."""
+    (label, ring_text), key, producer = EPILOGUE_CASES[algorithm]
+    g = fixed_word(label, ring_text).evaluate()
+    word = DECOMPOSERS[algorithm](g).word
+    if corruption == "parameter":
+        monkeypatch.setattr(*producer(bumped(word)))
+        return g, f"{algorithm} word failed to re-evaluate"
+    constants = decompose.decomposition_constants
+    low = len(word) - 1
+    monkeypatch.setattr(
+        decompose, "decomposition_constants",
+        lambda rs: MappingProxyType({**constants(rs), key: low}),
+    )
+    return g, f"{algorithm} word exceeded its bound {key} = {low}"
+
+
+@pytest.mark.parametrize("corruption", ["parameter", "bound"])
+@pytest.mark.parametrize("algorithm", list(EPILOGUE_CASES))
+def test_epilogue_refuses_a_corrupted_decomposition(monkeypatch, algorithm, corruption):
+    g, message = corrupt_epilogue_input(monkeypatch, algorithm, corruption)
+    with pytest.raises(GroupError) as exc:
+        DECOMPOSERS[algorithm](g)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("corruption", ["parameter", "bound"])
+@pytest.mark.parametrize("algorithm", list(EPILOGUE_CASES))
+def test_epilogue_refusal_exits_1(monkeypatch, algorithm, corruption):
+    g, message = corrupt_epilogue_input(monkeypatch, algorithm, corruption)
+    label = g.rep.rs.label
+    res = CliRunner().invoke(main, [
+        "group", "decompose", "--type", label, "--ring", g.ring.label,
+        "--algorithm", algorithm, "--input", json.dumps(g.to_json()), "--format", "json",
+    ])
+    assert res.exit_code == 1
+    assert json.loads(res.output)["error"] == message
+
+
+def corrupt_weyl_letters(monkeypatch):
+    """Every Weyl lift e_a(u) e_-a(-u^-1) e_a(u), in `groups` and in
+    `congruence`, with its middle letter's parameter raised by one.  (Raising
+    the first one gives e_a(1) w_a(u), which still conjugates every root
+    group that e_a commutes with after w_a as w_a does.)"""
+    letters = groups.weyl_letters
+
+    def corrupted(rep, ring, alpha, u):
+        first, (root, t), last = letters(rep, ring, alpha, u)
+        return [first, (root, ring.add(t, ring.one)), last]
+
+    monkeypatch.setattr(groups, "weyl_letters", corrupted)
+    monkeypatch.setattr(congruence, "weyl_letters", corrupted)
+
+
+def test_sign_check_refuses_a_corrupted_lift(monkeypatch):
+    rs, ring = build_root_system("A2"), parse_ring_spec("GF(3)")
+    rep = make_representation(rs)
+    alpha = rs.simple[1]
+    word = ElementaryWord(rep, ring, [(rs.positive[-1], ring.one), (alpha, ring.one)])
+    assert weyl_conjugation_check(rep, ring, (0,), alpha) in (1, -1)
+    assert tavgen_decompose(word).verified
+    corrupt_weyl_letters(monkeypatch)
+    with pytest.raises(GroupError, match="Weyl conjugation failed"):
+        weyl_conjugation_check(rep, ring, (0,), alpha)
+    with pytest.raises(GroupError, match="Weyl conjugation failed"):
+        tavgen_decompose(word)
+
+
+def test_omit_root_falls_back_to_enumeration_on_a_corrupted_lift(monkeypatch):
+    """The conjugation certificate fails with the corrupted lift, so the
+    answer comes from the two closures, and it is still True."""
+    rs, ring = build_root_system("A2"), parse_ring_spec("GF(2)")
+    rep = make_representation(rs)
+    closures = []
+    closure = congruence.subgroup_closure
+
+    def spy(*args, **kwargs):
+        closures.append(1)
+        return closure(*args, **kwargs)
+
+    monkeypatch.setattr(congruence, "subgroup_closure", spy)
+    assert omit_root_generation_check(rep, ring, rs.positive[0])
+    assert closures == []
+    corrupt_weyl_letters(monkeypatch)
+    assert omit_root_generation_check(rep, ring, rs.positive[0])
+    assert closures == [1, 1]
+
+
+def test_no_dense_group_products(monkeypatch):
+    """Torus lifts, torus words and the G2 short isolation act by letters:
+    with `GroupElement.__mul__` refused, the decompositions (C2 over Z/9 has
+    torus units other than 1) and the certificates still run."""
+    decompose._torus_diag_table.cache_clear()
+
+    def refused(self, other):
+        raise AssertionError("dense GroupElement product")
+
+    units = []
+    torus_word = decompose.torus_word
+
+    def recorded(rep, ring, alpha, a):
+        units.append(a)
+        return torus_word(rep, ring, alpha, a)
+
+    monkeypatch.setattr(GroupElement, "__mul__", refused)
+    monkeypatch.setattr(decompose, "torus_word", recorded)
+    assert local_decompose(fixed_word("C2", "Z/9").evaluate()).verified
+    assert units  # torus words with a unit other than 1 were built
+    assert decompose_over_product(fixed_word("B2", "Z/360").evaluate()).verified
+    word = fixed_word("G2", "GF(3)", "adjoint")
+    assert tavgen_decompose(local_decompose(word.evaluate()).word).verified
+    for label, n, gen in [("G2", 25, 5), ("B3", 27, 9)]:
+        rep, ring = make_representation(build_root_system(label)), parse_ring_spec(f"Z/{n}")
+        ideal = ideal_from_generators(ring, [gen])
+        assert ideal_certificate(kernel_subgroup(rep, ring, ideal)).ideal.element_set() == ideal.element_set()

@@ -222,3 +222,51 @@ def test_root_names():
     g2 = build_root_system("G2")
     assert g2.root_name((1, 0)) == "k"
     assert g2.root_name((2, 3)) == "3c+2k"
+
+
+def reference_root_name(rs, r) -> str:
+    """The former two-branch `root_name`, kept as the oracle."""
+    if rs.letter == "G":
+        a, b = r
+        terms = []
+        if b:
+            terms.append("c" if b == 1 else ("-c" if b == -1 else f"{b}c"))
+        if a:
+            s = "k" if a == 1 else ("-k" if a == -1 else f"{a}k")
+            if terms and a > 0:
+                s = "+" + s
+            terms.append(s)
+        return "".join(terms) if terms else "0"
+    terms = []
+    for i, c in enumerate(r):
+        if not c:
+            continue
+        name = f"e{i + 1}"
+        if c == 1:
+            s = name if not terms else f"+{name}"
+        elif c == -1:
+            s = f"-{name}"
+        else:
+            s = f"{c:+d}{name}" if terms else f"{c}{name}"
+        terms.append(s)
+    return "".join(terms) if terms else "0"
+
+
+ROOT_NAME_TYPES = (
+    [f"A{n}" for n in range(1, 9)]
+    + [f"{x}{n}" for x in "BC" for n in range(2, 9)]
+    + [f"D{n}" for n in range(3, 9)]
+    + ["E6", "E7", "E8", "F4", "G2"]
+)
+
+
+def test_root_name_matches_the_reference_on_every_root():
+    """One sign rule for c, k and e1, e2, ...: the same name as the former
+    per-branch code on every root of every listed type, and on zero."""
+    count = 0
+    for label in ROOT_NAME_TYPES:
+        rs = build_root_system(label)
+        for r in list(rs.roots) + [(0,) * rs.ambient]:
+            assert rs.root_name(r) == reference_root_name(rs, r), (label, r)
+            count += 1
+    assert count == 1882 + len(ROOT_NAME_TYPES)
