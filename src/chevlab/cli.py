@@ -78,6 +78,13 @@ def _refuse(fmt: str, exc, prefix: str = "", **extra):
     _emit(fmt, False, {"error": str(exc), **extra}, [f"{prefix}{exc}"])
 
 
+def _check_elementary_count(rs, ring_spec, cap: int, omit=None):
+    """Refuse a closure before listing it when its distinct members e_r(t),
+    t != 0 and r not omitted, and the identity alone pass the cap."""
+    if (len(rs.roots) - (omit is not None)) * (ring_spec.card - 1) + 1 > cap:
+        raise gp.CapExceeded(f"closure exceeded cap {cap}")
+
+
 def _parse_subgroup(rep, ring, text):
     text = text.strip()
     if text == "full":
@@ -387,6 +394,7 @@ def group_closure(rs, ring_spec, rep, fmt, omit_text, cap):
     with _input_checks():
         omit = _parse_root(rs, omit_text) if omit_text else None
     try:
+        _check_elementary_count(rs, ring_spec, cap, omit)
         closure = gp.subgroup_closure(
             gp.all_elementaries(rep, ring_spec, omit_root=omit), cap=cap
         )
@@ -497,10 +505,7 @@ def ebg_check(rs, ring_spec, rep, fmt, cap):
                 f"the fourfold form needs a local ring; {ring_spec.label} is not local"
             )
     try:
-        # the e_r(t), t != 0, are distinct members of the closure: refuse
-        # before listing them when they alone pass the cap
-        if len(rs.roots) * (ring_spec.card - 1) + 1 > cap:
-            raise gp.CapExceeded(f"closure exceeded cap {cap}")
+        _check_elementary_count(rs, ring_spec, cap)
         words = gp.subgroup_closure(
             gp.elementary_generator_words(rep, ring_spec),
             cap=cap,

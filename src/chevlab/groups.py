@@ -19,9 +19,9 @@ and over a `ProductRing` runs every check on each factor with the components
 of (s, t); `word_matrix` and
 `ElementaryWord.evaluate` multiply letter by letter through `linalg.mat_mul`,
 which reads each e_a(t) - I off its full matrix.  The closure searches raw
-matrices: every generator h acts by column operations with the nonzero
-entries of h - I, and each member is wrapped as a `GroupElement` once, at
-the end.
+matrices and multiplies each distinct row by each generator once, by column
+operations with the nonzero entries of h - I; each member is wrapped as a
+`GroupElement` once, at the end.
 """
 from __future__ import annotations
 
@@ -342,15 +342,17 @@ def subgroup_closure(generators, cap: int, track_words: bool = False,
     """Multiplicative closure of the generators (a subgroup, the group being finite).
 
     One frontier search from the identity on raw matrices: each new matrix x
-    is multiplied on the right by every generator h, as column operations
-    x(I + E) with the nonzero entries of E = h - I, and is mapped to e x e^-1
+    is multiplied on the right by every generator h, and is mapped to e x e^-1
     for each letter e = e_r(t) in conjugators, as one row and one column
     letter (`conjugated`).  With the conjugators of E(R) this is the
     normal closure, since x e s e^-1 = e (e^-1 x e s) e^-1.  Members share
-    their equal rows, as most rows recur across members, and are wrapped as
-    `GroupElement`s once, at the end.  With track_words=True (and no
-    conjugators) the generators are (element, ElementaryWord) pairs and a
-    dict element -> ElementaryWord is returned; otherwise returns a
+    their equal rows.  x h = x(I + E), E = h - I, acts on each row alone by
+    column operations: each h keeps a dict row -> image (distinct rows x
+    generators entries), filled by one `linalg.col_ops` call over the rows of
+    an expanded member that have none yet, and x h is read off it.  Members
+    are wrapped as `GroupElement`s once, at the end.  With track_words=True
+    (and no conjugators) the generators are (element, ElementaryWord) pairs
+    and a dict element -> ElementaryWord is returned; otherwise returns a
     frozenset.  Raises CapExceeded when the closure grows past cap.
     """
     gens = list(generators)
@@ -360,12 +362,13 @@ def subgroup_closure(generators, cap: int, track_words: bool = False,
         gens = [(g, None) for g in gens]
     first = gens[0][0]
     rep, ring = first.rep, first.ring
-    actions = []
+    actions = []  # (row images or None, col_ops entries or conjugation pair, word)
     for h, hw in gens:
         first._check(h)
-        actions.append((linalg.col_ops, linalg.delta_entries(ring, h.mat), hw))
+        actions.append(({}, linalg.delta_entries(ring, h.mat), hw))
     for pair in conjugation_entries(rep, ring, conjugators):
-        actions.append((conjugated, pair, None))
+        actions.append((None, pair, None))
+    seen = actions[0][0]  # every generator's dict holds the same rows
     ident = rep.identity(ring)
     words = {ident: ElementaryWord(rep, ring) if track_words else None}
     rows = {r: r for r in ident}
@@ -374,10 +377,16 @@ def subgroup_closure(generators, cap: int, track_words: bool = False,
         nxt = []
         for x in frontier:
             xw = words[x]
-            for act, arg, hw in actions:
-                y = act(ring, x, arg)
-                if y not in words:
+            new = [r for r in x if r not in seen]
+            for image, arg, hw in actions:
+                if image is not None:  # its images are shared rows already
+                    if new:
+                        ys = linalg.col_ops(ring, new, arg)
+                        image.update(zip(new, [rows.setdefault(r, r) for r in ys]))
+                    y = tuple(map(image.__getitem__, x))
+                elif (y := conjugated(ring, x, arg)) not in words:
                     y = tuple([rows.setdefault(r, r) for r in y])
+                if y not in words:
                     words[y] = xw + hw if track_words else None
                     nxt.append(y)
                     if len(words) > cap:

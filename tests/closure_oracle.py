@@ -1,0 +1,55 @@
+"""The subgroup closure as it stood before row images, kept as a test oracle.
+
+Each new member x is multiplied on the right by every generator h as one
+full-matrix `linalg.col_ops` call.  `groups.subgroup_closure` now maps each
+distinct row through each generator once and builds products from those row
+images; the property in `test_groups.py` holds the two to the same members,
+words, dict order and cap behaviour.
+"""
+from chevlab import linalg
+from chevlab.groups import (
+    CapExceeded,
+    ElementaryWord,
+    GroupElement,
+    GroupError,
+    conjugated,
+    conjugation_entries,
+)
+
+
+def subgroup_closure(generators, cap: int, track_words: bool = False,
+                     conjugators=()):
+    """Multiplicative closure of the generators by full-matrix column operations."""
+    gens = list(generators)
+    if not gens:
+        raise GroupError("closure needs at least one generator")
+    if not track_words:
+        gens = [(g, None) for g in gens]
+    first = gens[0][0]
+    rep, ring = first.rep, first.ring
+    actions = []
+    for h, hw in gens:
+        first._check(h)
+        actions.append((linalg.col_ops, linalg.delta_entries(ring, h.mat), hw))
+    for pair in conjugation_entries(rep, ring, conjugators):
+        actions.append((conjugated, pair, None))
+    ident = rep.identity(ring)
+    words = {ident: ElementaryWord(rep, ring) if track_words else None}
+    rows = {r: r for r in ident}
+    frontier = [ident]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            xw = words[x]
+            for act, arg, hw in actions:
+                y = act(ring, x, arg)
+                if y not in words:
+                    y = tuple([rows.setdefault(r, r) for r in y])
+                    words[y] = xw + hw if track_words else None
+                    nxt.append(y)
+                    if len(words) > cap:
+                        raise CapExceeded(f"closure exceeded cap {cap}")
+        frontier = nxt
+    if track_words:
+        return {GroupElement(rep, ring, x): w for x, w in words.items()}
+    return frozenset(GroupElement(rep, ring, x) for x in words)

@@ -67,6 +67,10 @@ GOLDEN_REPORTS = {
     "group_closure_A2_GF2_omit": [
         "group", "closure", "--type", "A2", "--ring", "GF(2)", "--omit-root", "[1,-1,0]",
     ],
+    "group_closure_A2_Z4": ["group", "closure", "--type", "A2", "--ring", "Z/4"],
+    "group_closure_G2_adjoint_GF2": [
+        "group", "closure", "--type", "G2", "--rep", "adjoint", "--ring", "GF(2)",
+    ],
 }
 
 
@@ -324,13 +328,18 @@ def test_group_decompose_huge_local_ring_exit_2_under_memory_limit():
         ("group", "closure", "--type", "A2", "--cap", "1000", "--ring", HUGE),
         ("group", "closure", "--type", "A2", "--cap", "1000", "--ring", "GF(2)[x]/(x^64)"),
         ("group", "closure", "--type", "A2", "--cap", "1000", "--ring", f"{HUGE} x GF(3)"),
+        ("group", "closure", "--type", "A2", "--ring", "GF(2)[x]/(x^64)"),
         ("ebg", "check", "--type", "A2", "--ring", HUGE),
     ],
-    ids=["closure-zmod", "closure-polyquot", "closure-product", "ebg-check"],
+    ids=[
+        "closure-zmod", "closure-polyquot", "closure-product",
+        "closure-polyquot-default-cap", "ebg-check",
+    ],
 )
 def test_closure_on_a_huge_ring_hits_the_cap_under_memory_limit(args):
     """The cap bounds the work: generators come from the additive generators,
-    and `ebg check` refuses before listing e_r(t) over the ring."""
+    and `group closure` and `ebg check` refuse at once when the e_r(t) alone
+    pass the cap."""
     proc = run_under_memory_limit(*args)
     assert proc.returncode == 1
     assert "closure exceeded cap" in proc.stdout

@@ -1,10 +1,12 @@
 import random
+import time
 from functools import reduce
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import closure_oracle
 from chevlab import linalg
 from chevlab.chevalley import ChevalleyError
 from chevlab.groups import (
@@ -453,6 +455,90 @@ def test_closure_makes_no_dense_products(monkeypatch):
     normal = materialized_subgroup(rep, z9, [elementary(rep, z9, A2.roots[0], 3)])
     assert len(normal.data) == 3**8  # the congruence kernel of (3) in SL3(Z/9)
     assert calls == []
+
+
+ORACLE_GROUPS = [
+    (rs, tag, ring)
+    for rs, tag in [(A2, "defining-A"), (B2, "defining-B")]
+    for ring in ["GF(2)", "GF(3)", "Z/4", "GF(2)[x]/(x^2)", "Z/2 x GF(3)"]
+]
+
+
+def _outcome(closure, *args, **kwargs):
+    """A closure's answer, or the message of its CapExceeded."""
+    try:
+        return closure(*args, **kwargs)
+    except CapExceeded as exc:
+        return str(exc)
+
+
+def _items(words):
+    return words if isinstance(words, str) else [
+        (g.mat, w.letters) for g, w in words.items()
+    ]
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=st.sampled_from(ORACLE_GROUPS), data=st.data())
+def test_closure_matches_the_full_matrix_oracle(case, data):
+    """Row images give the members, the words in their dict order, the normal
+    closures and the cap outcomes of the full-matrix search they replaced."""
+    rs, tag, ring_text = case
+    rep = make_representation(rs, tag)
+    ring = parse_ring_spec(ring_text)
+    letters = [(r, t) for r in rs.roots for t in ring.additive_generators()]
+    pool = [
+        (g, ElementaryWord(rep, ring, [x]))
+        for g, x in zip(all_elementaries(rep, ring), letters)
+    ] + elementary_generator_words(rep, ring)
+    pairs = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=4))
+    if data.draw(st.booleans()):  # a Weyl lift: h - I has many nonzero entries
+        alpha = data.draw(st.sampled_from(rs.roots))
+        u = data.draw(st.sampled_from(ring.units()))
+        w = ElementaryWord(rep, ring, weyl_letters(rep, ring, alpha, u))
+        pairs.append((w.evaluate(), w))
+    gens = [g for g, _ in pairs]
+    cap = 2000
+    expected = _outcome(closure_oracle.subgroup_closure, pairs, cap, track_words=True)
+    found = _outcome(subgroup_closure, pairs, cap, track_words=True)
+    assert _items(found) == _items(expected)
+    done = not isinstance(expected, str)
+    for c in (len(expected) - 1, len(expected)) if done else (cap,):
+        assert _outcome(subgroup_closure, gens, c) == _outcome(
+            closure_oracle.subgroup_closure, gens, c
+        )
+    x = data.draw(st.sampled_from(gens + (list(expected)[1:] if done else [])))
+    assert _outcome(subgroup_closure, [x], 800, conjugators=letters) == _outcome(
+        closure_oracle.subgroup_closure, [x], 800, conjugators=letters
+    )
+
+
+def test_closure_multiplies_each_distinct_row_by_each_generator_once(monkeypatch):
+    """SL3(Z/3) under its 12 generators e_a(t), t != 0: the 5,616 members have
+    26 distinct rows, and `col_ops` sees each row once per generator."""
+    rep = make_representation(A2, "defining-A")
+    gens = [g for g, _ in elementary_generator_words(rep, ZmodRing(3))]
+    rows = []
+    col_ops = linalg.col_ops
+
+    def counted(ring, a, entries):
+        rows.append(len(a))
+        return col_ops(ring, a, entries)
+
+    monkeypatch.setattr(linalg, "col_ops", counted)
+    assert len(subgroup_closure(gens, cap=10**4)) == 5616
+    assert sum(rows) == 26 * len(gens) == 312
+
+
+def test_closure_over_a_huge_ring_reaches_the_cap_at_once():
+    """Row images are filled member by member, never by closing the orbit of a
+    row first: over GF(2)[x]/(x^64) that orbit is every unimodular row."""
+    rep = make_representation(A2, "defining-A")
+    gens = all_elementaries(rep, parse_ring_spec("GF(2)[x]/(x^64)"))
+    start = time.perf_counter()
+    with pytest.raises(CapExceeded):
+        subgroup_closure(gens, cap=1000)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_closure_rejects_generators_from_two_groups():
