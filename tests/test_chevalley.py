@@ -12,8 +12,9 @@ from chevlab.chevalley import (
     divided_powers,
     g2_epsilon_signs,
 )
-from chevlab.roots import RootSystem, _neg, build_root_system
+from chevlab.roots import RootSystem, _add, _neg, build_root_system
 from commutator_oracle import solve_commutator_coefficients
+from jacobi_oracle import reference_jacobi
 
 
 def entries(m):
@@ -96,11 +97,14 @@ def test_g2_has_coefficient_two():
     assert abs(table.n_constant((0, 1), (1, 1))) == 2
 
 
-def test_jacobi_exhaustive_small():
-    for label in ["A2", "B2", "C3", "G2"]:
-        table = build_basis(build_root_system(label))
+def test_jacobi_counts_generator_and_pair_checks():
+    """At every rank the check is by generators: 2 * rank * dim derivation
+    checks and dim^2 antisymmetry checks."""
+    for label, count in [("A2", 96), ("B2", 140), ("C3", 567), ("G2", 252)]:
+        rs = build_root_system(label)
+        table = build_basis(rs)
         dim = len(table.basis_keys())
-        assert table.verify_jacobi() == dim**3
+        assert table.verify_jacobi() == 2 * rs.rank * dim + dim**2 == count
 
 
 def test_jacobi_by_generators_e6():
@@ -110,30 +114,36 @@ def test_jacobi_by_generators_e6():
     assert table.verify_jacobi() == 2 * 6 * 78 + 78**2
 
 
-def test_jacobi_streams_its_triples():
-    """The rank <= 4 check holds no list of its dim^3 triples: for D4 that
-    list alone takes about 1.6 MB."""
+def test_jacobi_memory_is_bounded():
+    """The ad-matrix check holds the sparse ad x of each basis vector and a few
+    brackets at a time: for D4 it peaks well below 256 KB."""
     table = ChevalleyBasisTable(build_root_system("D4"))
     tracemalloc.start()
     try:
-        assert table.verify_jacobi() == 28**3
+        assert table.verify_jacobi() == 2 * 4 * 28 + 28**2
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 256 * 1024
 
 
+def quadruple(a, b):
+    """The keys of N(a, b), N(b, a), N(-a, -b) and N(-b, -a)."""
+    return (a, b), (b, a), (_neg(a), _neg(b)), (_neg(b), _neg(a))
+
+
 def flip_sign_quadruple(table, a, b):
-    """Negate N(a, b), N(b, a), N(-a, -b) and N(-b, -a) in place."""
-    for key in ((a, b), (b, a), (_neg(a), _neg(b)), (_neg(b), _neg(a))):
+    """Negate the quadruple of (a, b) in place."""
+    for key in quadruple(a, b):
         table.nmap[key] = -table.nmap[key]
 
 
-@pytest.mark.parametrize("label", ["B3", "F4", "E6", "E7"])
+@pytest.mark.parametrize("label", ["B3", "C3", "D4", "G2", "F4", "E6", "E7"])
 def test_jacobi_catches_sign_flips(label):
     """One flipped sign quadruple keeps every |N| = p + 1 and the
-    antisymmetry of the table, and fails Jacobi: on the streamed triples for
-    B3 and F4, and by generators for E6 and E7."""
+    antisymmetry of the table, and fails the generator check.  At rank <= 4
+    the reference triple loop refuses each drawn flip too, so the seed draws
+    no flip that leaves a valid table."""
     table = ChevalleyBasisTable(build_root_system(label))
     rng = random.Random(2010)
     for a, b in rng.sample(sorted(table.nmap), 4):
@@ -142,6 +152,67 @@ def test_jacobi_catches_sign_flips(label):
         with pytest.raises(ChevalleyError):
             table.verify_jacobi()
         flip_sign_quadruple(table, a, b)
+
+
+def zero_quadruple(table, a, b):
+    """Set the quadruple of (a, b) to 0 in place."""
+    for key in quadruple(a, b):
+        table.nmap[key] = 0
+
+
+def twist_root_signs(table, rng):
+    """N(a, b) -> eps_a eps_b eps_{a+b} N(a, b) for random signs with
+    eps_{-a} = eps_a: the table of the basis e'_a = eps_a e_a, which is again a
+    Chevalley basis."""
+    rs = table.rs
+    eps = {}
+    for r in rs.positive:
+        eps[r] = eps[_neg(r)] = rng.choice((1, -1))
+    table.nmap = {
+        (a, b): eps[a] * eps[b] * eps[_add(a, b)] * n
+        for (a, b), n in table.nmap.items()
+    }
+
+
+@pytest.mark.parametrize("label", ["A2", "A3", "B2", "C2", "B3", "C3", "D4", "G2"])
+def test_jacobi_agrees_with_the_triple_loop(label):
+    """On fresh tables with one or two flipped sign quadruples, one zeroed
+    quadruple or a root-sign twist, verify_jacobi raises exactly when the
+    reference triple loop finds a failing triple."""
+    rs = build_root_system(label)
+    rng = random.Random(f"jacobi {label}")
+    verdicts = set()
+    for case in range(25):
+        table = ChevalleyBasisTable(rs)
+        kind = ("flip", "flip2", "zero", "twist")[case % 4]
+        if kind == "twist":
+            twist_root_signs(table, rng)
+        else:
+            pairs = rng.sample(sorted(table.nmap), 2 if kind == "flip2" else 1)
+            for a, b in pairs:
+                (zero_quadruple if kind == "zero" else flip_sign_quadruple)(table, a, b)
+        if kind != "zero":
+            table._verify_magnitudes()
+        valid = reference_jacobi(table)
+        try:
+            table.verify_jacobi()
+            raised = False
+        except ChevalleyError:
+            raised = True
+        assert raised != valid, kind
+        verdicts.add(valid)
+    assert verdicts == {True, False}
+
+
+def test_magnitude_check_refuses_a_scaled_quadruple():
+    """The extraspecial recursion leaves magnitudes to _verify_magnitudes: an
+    F4 quadruple scaled by 2 keeps antisymmetry and is refused there."""
+    table = ChevalleyBasisTable(build_root_system("F4"))
+    a, b = sorted(table.nmap)[0]
+    for key in quadruple(a, b):
+        table.nmap[key] *= 2
+    with pytest.raises(ChevalleyError, match=r"\|N"):
+        table._verify_magnitudes()
 
 
 def test_coroot_brackets():
@@ -184,8 +255,8 @@ def test_ad_matrices_of_the_torus_and_the_root_vectors(label):
 
 
 def test_jacobi_by_generators_computes_each_bracket_once(monkeypatch):
-    """The E6 generator check reads every [x, y] off ad_matrices: 78^2
-    bracket_keys calls, none repeated."""
+    """The generator check reads every [x, y] off ad_matrices: dim^2
+    bracket_keys calls, none repeated, for E6 and for F4."""
     calls = []
     bracket_keys = ChevalleyBasisTable.bracket_keys
 
@@ -193,10 +264,12 @@ def test_jacobi_by_generators_computes_each_bracket_once(monkeypatch):
         calls.append((x, y))
         return bracket_keys(self, x, y)
 
-    table = ChevalleyBasisTable(build_root_system("E6"))
+    tables = [ChevalleyBasisTable(build_root_system(label)) for label in ("E6", "F4")]
     monkeypatch.setattr(ChevalleyBasisTable, "bracket_keys", counted)
-    table.verify_jacobi()
-    assert len(calls) == len(set(calls)) == 78**2
+    for table, dim in zip(tables, (78, 52)):
+        calls.clear()
+        table.verify_jacobi()
+        assert len(calls) == len(set(calls)) == dim**2
 
 
 def test_commutator_coefficients_a2():

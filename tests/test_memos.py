@@ -73,6 +73,15 @@ def test_one_bracket_reader():
     assert callers == {"chevalley.py"}
 
 
+def test_one_jacobi_path():
+    """ChevalleyBasisTable.verify_jacobi reads no rank attribute, so the
+    Jacobi check takes one path at every rank."""
+    tree = ast.parse((SRC / "chevalley.py").read_text())
+    (cls,) = (n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "ChevalleyBasisTable")
+    (fn,) = (n for n in cls.body if isinstance(n, ast.FunctionDef) and n.name == "verify_jacobi")
+    assert not [n for n in ast.walk(fn) if isinstance(n, ast.Attribute) and n.attr == "rank"]
+
+
 def test_elementary_memo_is_bounded():
     rep = make_representation(build_root_system("A", 1), "defining-A")
     ring = ZmodRing(2**61)
