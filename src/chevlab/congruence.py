@@ -19,8 +19,6 @@ from .groups import (
     GroupError,
     all_elementaries,
     commutator_expansion,
-    conjugated,
-    conjugation_entries,
     conjugation_sign,
     elementary,
     expansion_terms,
@@ -56,8 +54,8 @@ class NormalSubgroupHandle:
     """A normal subgroup given by a membership predicate.
 
     kind "kernel": the congruence kernel of reduction modulo an ideal.
-    kind "materialized": an explicit element set, closed under conjugation by
-    every elementary generator (validated at construction).
+    kind "materialized": an explicit element set, normal when built by
+    `materialized_subgroup`, which validates it with `check_normal`.
     kind "full": the whole group.
     """
 
@@ -92,24 +90,42 @@ def full_subgroup(rep, ring) -> NormalSubgroupHandle:
 
 
 def _conjugators(rep, ring) -> list:
-    """Letters (r, g) for every root r and additive generator g: closure under
-    conjugation by these e_r(g) is closure under E(R), as
-    e_r(s+t) = e_r(s) e_r(t)."""
-    return [(r, g) for r in rep.rs.roots for g in ring.additive_generators()]
+    """Letters (r, g), r a +-simple root, g an additive generator of the ring.
+
+    These e_r(g) generate E(R): e_r(s+t) = e_r(s) e_r(t) gives every e_r(t)
+    of a +-simple r, and every e_r(t) is w e_{a_i}(+-t) w^-1 for a simple a_i
+    and a Weyl lift w, a word in the e_{+-a_j}(+-1).  A finite set closed
+    under conjugation by each member of a generating set is closed under the
+    whole group (conjugation by c maps it into itself injectively, hence onto
+    it, so c^-1 preserves it too): 2 rank letters per additive generator
+    prove normality, in place of one per root."""
+    rs = rep.rs
+    return [(r, g) for a in rs.simple for r in (a, rs.opposite[a])
+            for g in ring.additive_generators()]
 
 
 def materialized_subgroup(rep, ring, generators, cap: int = 10**6) -> NormalSubgroupHandle:
-    """Normal closure of the generators, materialized and validated: one
-    frontier search (`subgroup_closure`) under right multiplication by the
-    generators and conjugation by `_conjugators`, re-checked by `check_normal`."""
-    gens = list(generators)
-    members = subgroup_closure(
-        gens or [identity_element(rep, ring)], cap=cap,
-        conjugators=_conjugators(rep, ring),
-    )
+    """Normal closure of the generators, by generators, validated by
+    `check_normal`: close the current generators (`subgroup_closure`), append
+    the first conjugate of one by a letter of `_conjugators` that the closure
+    misses, and repeat until none does.  A round at least doubles the order
+    (Lagrange), so there are at most log2|N| + 1 closures, each inside N:
+    CapExceeded is raised exactly when |N| > cap."""
+    given = list(generators)
+    gens = list(given) or [identity_element(rep, ring)]
+    letters = _conjugators(rep, ring)
+    while True:
+        members = subgroup_closure(gens, cap=cap)
+        missing = next((
+            y for g in gens for c in letters
+            if (y := GroupElement(rep, ring, sandwich(rep, ring, [c], g.mat, [c]))) not in members
+        ), None)
+        if missing is None:
+            break
+        gens.append(missing)
     handle = NormalSubgroupHandle(
         rep, ring, "materialized", members,
-        f"normal closure of {len(gens)} generators ({len(members)} elements)",
+        f"normal closure of {len(given)} generators ({len(members)} elements)",
     )
     if not check_normal(handle):
         raise CertificateError("materialized subgroup failed normality check")
@@ -118,16 +134,16 @@ def materialized_subgroup(rep, ring, generators, cap: int = 10**6) -> NormalSubg
 
 def check_normal(n: NormalSubgroupHandle) -> bool:
     """Conjugation-closure validation against the elementary generators: every
-    member of a materialized subgroup by every letter of `_conjugators`, sampled
-    members and conjugators of a kernel subgroup.  Conjugates are formed by
-    row and column operations."""
+    member of a materialized subgroup by every letter of `_conjugators`
+    (which proves normality in E(R)), sampled members and conjugators of a
+    kernel subgroup.  Conjugates are formed by row and column operations."""
     rep, ring = n.rep, n.ring
     if n.kind == "full":
         return True
     if n.kind == "materialized":
-        pairs = conjugation_entries(rep, ring, _conjugators(rep, ring))
+        letters = _conjugators(rep, ring)
         mats = {g.mat for g in n.data}
-        return all(conjugated(ring, x, pair) in mats for x in mats for pair in pairs)
+        return all(sandwich(rep, ring, [c], x, [c]) in mats for x in mats for c in letters)
     # kernel: sample 40 members as words in e_r(a), a = r*g in the ideal, and
     # conjugate each by a sampled e_r(t), t != 0, with a fixed seed; neither
     # the ring, the ideal nor the conjugators are listed
@@ -144,8 +160,8 @@ def check_normal(n: NormalSubgroupHandle) -> bool:
             return False
         root, t = rng.choice(roots), ring.element_at(rng.randrange(ring.card))
         t = t if t != ring.zero else ring.one
-        pair = conjugation_entries(rep, ring, [(root, t)])[0]
-        if not n.contains(GroupElement(rep, ring, conjugated(ring, g.mat, pair))):
+        e = [(root, t)]
+        if not n.contains(GroupElement(rep, ring, sandwich(rep, ring, e, g.mat, e))):
             return False
     return True
 

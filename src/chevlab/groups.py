@@ -11,17 +11,18 @@ Inverses come from words, e_a(t)^-1 = e_a(-t) (`ElementaryWord.inverse_word`,
 `commutator`, the one product of two `GroupElement`s) is the reference path.
 The relation checks, the expansions (letters from `expansion_letters`), the
 torus and Weyl lifts and conjugation by letters act by row and column
-operations (`letters_matrix`, `sandwich`, `conjugated`), not by dense
-products; one check, `conjugation_sign`, reads the sign of w e_a(t) w^-1 =
-e_b(+-t).  The relation checker tests R2 in the conjugation form
-e_a(s) e_b(t) e_a(-s) = P e_b(t), P the product of the expansion's letters,
-and over a `ProductRing` runs every check on each factor with the components
-of (s, t); `word_matrix` and
+operations (`letters_matrix`, `sandwich`), not by dense products; one check,
+`conjugation_sign`, reads the sign of w e_a(t) w^-1 = e_b(+-t).  The relation
+checker tests R2 in the conjugation form e_a(s) e_b(t) e_a(-s) = P e_b(t),
+P the product of the expansion's letters, and over a `ProductRing` runs every
+check on each factor with the components of (s, t); `word_matrix` and
 `ElementaryWord.evaluate` multiply letter by letter through `linalg.mat_mul`,
 which reads each e_a(t) - I off its full matrix.  The closure searches raw
-matrices and multiplies each distinct row by each generator once, by column
-operations with the nonzero entries of h - I; each member is wrapped as a
-`GroupElement` once, at the end.
+matrices under one action, right multiplication by the generators, and
+multiplies each distinct row by each generator once, by column operations
+with the nonzero entries of h - I; each member is wrapped as a
+`GroupElement` once, at the end.  Normal closures are built on it one
+generator at a time (`congruence.materialized_subgroup`).
 """
 from __future__ import annotations
 
@@ -337,23 +338,19 @@ def in_congruence_kernel(g: GroupElement, ideal: IdealHandle) -> bool:
 # Brute-force closure
 
 
-def subgroup_closure(generators, cap: int, track_words: bool = False,
-                     conjugators=()):
+def subgroup_closure(generators, cap: int, track_words: bool = False):
     """Multiplicative closure of the generators (a subgroup, the group being finite).
 
     One frontier search from the identity on raw matrices: each new matrix x
-    is multiplied on the right by every generator h, and is mapped to e x e^-1
-    for each letter e = e_r(t) in conjugators, as one row and one column
-    letter (`conjugated`).  With the conjugators of E(R) this is the
-    normal closure, since x e s e^-1 = e (e^-1 x e s) e^-1.  Members share
-    their equal rows.  x h = x(I + E), E = h - I, acts on each row alone by
-    column operations: each h keeps a dict row -> image (distinct rows x
-    generators entries), filled by one `linalg.col_ops` call over the rows of
-    an expanded member that have none yet, and x h is read off it.  Members
-    are wrapped as `GroupElement`s once, at the end.  With track_words=True
-    (and no conjugators) the generators are (element, ElementaryWord) pairs
-    and a dict element -> ElementaryWord is returned; otherwise returns a
-    frozenset.  Raises CapExceeded when the closure grows past cap.
+    is multiplied on the right by every generator h.  Members share their
+    equal rows.  x h = x(I + E), E = h - I, acts on each row alone by column
+    operations: each h keeps a dict row -> image (distinct rows x generators
+    entries), filled by one `linalg.col_ops` call over the rows of an
+    expanded member that have none yet, and x h is read off it.  Members are
+    wrapped as `GroupElement`s once, at the end.  With track_words=True the
+    generators are (element, ElementaryWord) pairs and a dict element ->
+    ElementaryWord is returned; otherwise returns a frozenset.  Raises
+    CapExceeded when the closure grows past cap.
     """
     gens = list(generators)
     if not gens:
@@ -362,12 +359,10 @@ def subgroup_closure(generators, cap: int, track_words: bool = False,
         gens = [(g, None) for g in gens]
     first = gens[0][0]
     rep, ring = first.rep, first.ring
-    actions = []  # (row images or None, col_ops entries or conjugation pair, word)
+    actions = []  # (row images, col_ops entries, word) per generator
     for h, hw in gens:
         first._check(h)
         actions.append(({}, linalg.delta_entries(ring, h.mat), hw))
-    for pair in conjugation_entries(rep, ring, conjugators):
-        actions.append((None, pair, None))
     seen = actions[0][0]  # every generator's dict holds the same rows
     ident = rep.identity(ring)
     words = {ident: ElementaryWord(rep, ring) if track_words else None}
@@ -378,14 +373,11 @@ def subgroup_closure(generators, cap: int, track_words: bool = False,
         for x in frontier:
             xw = words[x]
             new = [r for r in x if r not in seen]
-            for image, arg, hw in actions:
-                if image is not None:  # its images are shared rows already
-                    if new:
-                        ys = linalg.col_ops(ring, new, arg)
-                        image.update(zip(new, [rows.setdefault(r, r) for r in ys]))
-                    y = tuple(map(image.__getitem__, x))
-                elif (y := conjugated(ring, x, arg)) not in words:
-                    y = tuple([rows.setdefault(r, r) for r in y])
+            for image, entries, hw in actions:
+                if new:
+                    ys = linalg.col_ops(ring, new, entries)
+                    image.update(zip(new, [rows.setdefault(r, r) for r in ys]))
+                y = tuple(map(image.__getitem__, x))
                 if y not in words:
                     words[y] = xw + hw if track_words else None
                     nxt.append(y)
@@ -395,22 +387,6 @@ def subgroup_closure(generators, cap: int, track_words: bool = False,
     if track_words:
         return {GroupElement(rep, ring, x): w for x, w in words.items()}
     return frozenset(GroupElement(rep, ring, x) for x in words)
-
-
-def conjugation_entries(rep: Representation, ring: RingSpec, letters) -> list:
-    """(entries of e_r(t) - I, entries of e_r(-t) - I) per letter (r, t), for
-    `conjugated`."""
-    return [
-        (rep._entries(ring, r, t), rep._entries(ring, r, ring.neg(t)))
-        for r, t in letters
-    ]
-
-
-def conjugated(ring: RingSpec, mat, pair):
-    """e_r(t) mat e_r(-t) for a pair of `conjugation_entries`: one row and one
-    column letter."""
-    left, right = pair
-    return linalg.col_ops(ring, linalg.row_ops(ring, left, mat), right)
 
 
 def all_elementaries(rep: Representation, ring: RingSpec, omit_root=None):

@@ -5,6 +5,12 @@ full-matrix `linalg.col_ops` call.  `groups.subgroup_closure` now maps each
 distinct row through each generator once and builds products from those row
 images; the property in `test_groups.py` holds the two to the same members,
 words, dict order and cap behaviour.
+
+With conjugators, each member x is also mapped to e x e^-1 for each letter e
+(`sandwich`): the one-search normal closure that `materialized_subgroup`
+used before it grew normal closures one generator at a time.  It is checked
+against a dense search on arbitrary letters, and the normal closures against
+it with the conjugators of every root.
 """
 from chevlab import linalg
 from chevlab.groups import (
@@ -12,8 +18,7 @@ from chevlab.groups import (
     ElementaryWord,
     GroupElement,
     GroupError,
-    conjugated,
-    conjugation_entries,
+    sandwich,
 )
 
 
@@ -31,8 +36,11 @@ def subgroup_closure(generators, cap: int, track_words: bool = False,
     for h, hw in gens:
         first._check(h)
         actions.append((linalg.col_ops, linalg.delta_entries(ring, h.mat), hw))
-    for pair in conjugation_entries(rep, ring, conjugators):
-        actions.append((conjugated, pair, None))
+
+    def conjugate(ring, x, c):
+        return sandwich(rep, ring, [c], x, [c])
+
+    actions += [(conjugate, c, None) for c in conjugators]
     ident = rep.identity(ring)
     words = {ident: ElementaryWord(rep, ring) if track_words else None}
     rows = {r: r for r in ident}

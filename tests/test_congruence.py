@@ -25,6 +25,7 @@ from chevlab.groups import (
     commutator,
     elementary,
     in_congruence_kernel,
+    subgroup_closure,
 )
 from chevlab.reps import make_representation
 from chevlab.rings import IdealHandle, ZmodRing, ideal_from_generators, parse_ring_spec
@@ -145,9 +146,27 @@ def test_generation_and_normal_closure_do_not_walk_the_ring(monkeypatch):
     rep = make_representation(A2, "defining-A")
     ring = ZmodRing(4)
     assert len(all_elementaries(rep, ring)) == len(A2.roots)
-    assert len(congruence._conjugators(rep, ring)) == len(A2.roots)
+    assert len(congruence._conjugators(rep, ring)) == 2 * A2.rank  # one additive generator
     n = materialized_subgroup(rep, ring, [elementary(rep, ring, (1, -1, 0), 2)])
     assert len(n.data) == 2**8
+
+
+@pytest.mark.parametrize("label, tag, ring_text, order", [
+    ("A2", "defining-A", "Z/4", 43008),
+    ("C2", "defining-C", "Z/3", 51840),
+    ("G2", "adjoint", "GF(2)", 12096),
+])
+def test_the_conjugators_generate_the_elementary_group(label, tag, ring_text, order):
+    """The e_r(g), r a +-simple root, that `check_normal` conjugates by
+    generate E(R), so closure under them is normality."""
+    rs = build_root_system(label)
+    rep = make_representation(rs, tag)
+    ring = parse_ring_spec(ring_text)
+    letters = congruence._conjugators(rep, ring)
+    assert len(letters) == 2 * rs.rank * len(ring.additive_generators())
+    conjugators = [elementary(rep, ring, r, g) for r, g in letters]
+    assert len(subgroup_closure(conjugators, cap=10**5)) == order
+    assert len(subgroup_closure(all_elementaries(rep, ring), cap=10**5)) == order
 
 
 def test_weyl_level_equality():

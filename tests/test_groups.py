@@ -410,22 +410,94 @@ def test_closure_matches_dense_reference_search(case, data):
     if not words:
         words.append(ElementaryWord(rep, ring))
     conjugators = data.draw(st.lists(letter, max_size=2))
-    track = not conjugators and data.draw(st.booleans())
+    track = data.draw(st.booleans())
     gens = [w.evaluate() for w in words]
     cap = 400
+    try:
+        expected = _dense_closure(gens, cap)
+    except CapExceeded:
+        with pytest.raises(CapExceeded):
+            subgroup_closure(gens, cap)
+    else:
+        if track:
+            found = subgroup_closure(list(zip(gens, words)), cap, track_words=True)
+            assert [g.mat for g in found] == expected
+            assert all(w.evaluate() == g for g, w in found.items())
+        else:
+            found = subgroup_closure(gens, cap)
+            assert found == {GroupElement(rep, ring, m) for m in expected}
+    if not conjugators:
+        return
+    # the oracle's conjugator action, the former one-search normal closure
     try:
         expected = _dense_closure(gens, cap, conjugators)
     except CapExceeded:
         with pytest.raises(CapExceeded):
-            subgroup_closure(gens, cap, conjugators=conjugators)
+            closure_oracle.subgroup_closure(gens, cap, conjugators=conjugators)
         return
-    if track:
-        found = subgroup_closure(list(zip(gens, words)), cap, track_words=True)
-        assert [g.mat for g in found] == expected
-        assert all(w.evaluate() == g for g, w in found.items())
-    else:
-        found = subgroup_closure(gens, cap, conjugators=conjugators)
-        assert found == {GroupElement(rep, ring, m) for m in expected}
+    found = closure_oracle.subgroup_closure(gens, cap, conjugators=conjugators)
+    assert found == {GroupElement(rep, ring, m) for m in expected}
+
+
+def _normal_closure_matches_the_oracle(rep, ring, gens, cap):
+    """`materialized_subgroup` against the oracle's one search under the
+    conjugators of every root: the same members, or CapExceeded on both
+    sides, and CapExceeded on both at cap = |N| - 1 when N is not trivial."""
+    from chevlab.congruence import materialized_subgroup
+
+    letters = [(r, g) for r in rep.rs.roots for g in ring.additive_generators()]
+    try:
+        expected = closure_oracle.subgroup_closure(gens, cap, conjugators=letters)
+    except CapExceeded:
+        with pytest.raises(CapExceeded):
+            materialized_subgroup(rep, ring, gens, cap=cap)
+        return
+    assert materialized_subgroup(rep, ring, gens, cap=cap).data == expected
+    if len(expected) == 1:  # the search starts at the identity, uncounted
+        return
+    with pytest.raises(CapExceeded):
+        materialized_subgroup(rep, ring, gens, cap=len(expected) - 1)
+    with pytest.raises(CapExceeded):
+        closure_oracle.subgroup_closure(gens, len(expected) - 1, conjugators=letters)
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=st.sampled_from(CLOSURE_GROUPS), data=st.data())
+def test_normal_closure_matches_the_one_search_oracle(case, data):
+    """The normal closure by generators, conjugating by the +-simple-root
+    letters, has the members of the former one search under the conjugators
+    of every root, and raises CapExceeded exactly when |N| > cap."""
+    rs, tag, ring_text = case
+    rep = make_representation(rs, tag)
+    ring = parse_ring_spec(ring_text)
+    nonzero = [t for t in ring.elements() if t != ring.zero]
+    letter = st.tuples(st.sampled_from(rs.roots), st.sampled_from(nonzero))
+
+    def element():
+        kind = data.draw(st.sampled_from(["elementary", "weyl", "member"]))
+        if kind == "elementary":
+            return elementary(rep, ring, *data.draw(letter))
+        if kind == "weyl":
+            alpha = data.draw(st.sampled_from(rs.roots))
+            u = data.draw(st.sampled_from(ring.units()))
+            return GroupElement(rep, ring, letters_matrix(rep, ring, weyl_letters(rep, ring, alpha, u)))
+        pairs = [
+            (elementary(rep, ring, *x), ElementaryWord(rep, ring, [x]))
+            for x in data.draw(st.lists(letter, min_size=2, max_size=2))
+        ]
+        return data.draw(st.sampled_from(list(subgroup_closure(pairs, 2000, track_words=True))))
+
+    gens = [element() for _ in range(data.draw(st.integers(1, 2)))]
+    _normal_closure_matches_the_oracle(rep, ring, gens, cap=2000)
+
+
+def test_g2_normal_closure_matches_the_one_search_oracle():
+    """G2(2) in the adjoint representation: the long root elements generate
+    the simple index-2 subgroup U3(3), of order 6,048."""
+    rs = build_root_system("G2")
+    rep, ring = make_representation(rs, "adjoint"), parse_ring_spec("GF(2)")
+    g = elementary(rep, ring, min(rs.long_roots()), ring.one)
+    _normal_closure_matches_the_oracle(rep, ring, [g], cap=13000)
 
 
 def test_closure_members_share_their_rows():
@@ -481,8 +553,8 @@ def _items(words):
 @settings(max_examples=40, deadline=None)
 @given(case=st.sampled_from(ORACLE_GROUPS), data=st.data())
 def test_closure_matches_the_full_matrix_oracle(case, data):
-    """Row images give the members, the words in their dict order, the normal
-    closures and the cap outcomes of the full-matrix search they replaced."""
+    """Row images give the members, the words in their dict order and the cap
+    outcomes of the full-matrix search they replaced."""
     rs, tag, ring_text = case
     rep = make_representation(rs, tag)
     ring = parse_ring_spec(ring_text)
@@ -507,10 +579,6 @@ def test_closure_matches_the_full_matrix_oracle(case, data):
         assert _outcome(subgroup_closure, gens, c) == _outcome(
             closure_oracle.subgroup_closure, gens, c
         )
-    x = data.draw(st.sampled_from(gens + (list(expected)[1:] if done else [])))
-    assert _outcome(subgroup_closure, [x], 800, conjugators=letters) == _outcome(
-        closure_oracle.subgroup_closure, [x], 800, conjugators=letters
-    )
 
 
 def test_closure_multiplies_each_distinct_row_by_each_generator_once(monkeypatch):

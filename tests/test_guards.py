@@ -1,7 +1,8 @@
 """Negative controls for the guards that every answer passes before it leaves
 the program: each test corrupts one producer in one named way and asserts
-that the guard downstream of it fires, through the API (`GroupError`) and,
-for decompositions, through the CLI (exit 1, never 0 and never 2).
+that the guard downstream of it fires, through the API (`GroupError`, or
+`CertificateError` for `check_normal`) and, for decompositions, through the
+CLI (exit 1, never 0 and never 2).
 
 Also a tooling guard: the decompositions and certificates run without a
 single dense product of `GroupElement`s."""
@@ -13,7 +14,15 @@ from click.testing import CliRunner
 
 from chevlab import congruence, decompose, groups
 from chevlab.cli import main
-from chevlab.congruence import ideal_certificate, kernel_subgroup, omit_root_generation_check
+from chevlab.congruence import (
+    CertificateError,
+    NormalSubgroupHandle,
+    check_normal,
+    ideal_certificate,
+    kernel_subgroup,
+    materialized_subgroup,
+    omit_root_generation_check,
+)
 from chevlab.decompose import (
     decompose_over_product,
     local_decompose,
@@ -23,6 +32,8 @@ from chevlab.groups import (
     ElementaryWord,
     GroupElement,
     GroupError,
+    elementary,
+    subgroup_closure,
     weyl_conjugation_check,
 )
 from chevlab.reps import make_representation
@@ -183,3 +194,28 @@ def test_no_dense_group_products(monkeypatch):
         rep, ring = make_representation(build_root_system(label)), parse_ring_spec(f"Z/{n}")
         ideal = ideal_from_generators(ring, [gen])
         assert ideal_certificate(kernel_subgroup(rep, ring, ideal)).ideal.element_set() == ideal.element_set()
+
+
+def sl3_z9_subgroup(corruption) -> NormalSubgroupHandle:
+    """A "materialized" handle over SL3(Z/9) that is not normal: the normal
+    closure of e_a(3) (the kernel mod 3, 3^8 elements) with the member
+    e_a(3) dropped, or the root subgroup <e_a(1)> (9 elements)."""
+    rs = build_root_system("A2")
+    rep, ring = make_representation(rs), parse_ring_spec("Z/9")
+    alpha = rs.simple[0]
+    if corruption == "member dropped":
+        full = materialized_subgroup(rep, ring, [elementary(rep, ring, alpha, 3)])
+        members = full.data - {elementary(rep, ring, alpha, 3)}
+        assert len(members) == 3**8 - 1
+    else:
+        members = subgroup_closure([elementary(rep, ring, alpha, 1)], cap=100)
+        assert len(members) == 9
+    return NormalSubgroupHandle(rep, ring, "materialized", members, corruption)
+
+
+@pytest.mark.parametrize("corruption", ["member dropped", "root subgroup"])
+def test_check_normal_refuses_a_subgroup_that_is_not_normal(corruption):
+    n = sl3_z9_subgroup(corruption)
+    assert not check_normal(n)
+    with pytest.raises(CertificateError, match="conjugation-closure check"):
+        ideal_certificate(n)

@@ -82,6 +82,30 @@ def test_one_jacobi_path():
     assert not [n for n in ast.walk(fn) if isinstance(n, ast.Attribute) and n.attr == "rank"]
 
 
+def test_one_closure_action():
+    """groups.subgroup_closure takes (generators, cap, track_words) and acts
+    by right multiplication alone: no row operations, no conjugation; and no
+    second conjugation helper is left in src."""
+    tree = ast.parse((SRC / "groups.py").read_text())
+    (fn,) = (n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "subgroup_closure")
+    args = fn.args
+    assert [a.arg for a in args.posonlyargs + args.args] == ["generators", "cap", "track_words"]
+    assert not (args.vararg or args.kwarg or args.kwonlyargs)
+    called = {
+        node.func.attr if isinstance(node.func, ast.Attribute) else getattr(node.func, "id", None)
+        for node in ast.walk(fn) if isinstance(node, ast.Call)
+    }
+    assert not called & {"row_ops", "sandwich"}
+    defined = {
+        (path.name, node.name)
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and node.name in ("conjugated", "conjugation_entries")
+    }
+    assert not defined
+
+
 def test_elementary_memo_is_bounded():
     rep = make_representation(build_root_system("A", 1), "defining-A")
     ring = ZmodRing(2**61)
