@@ -12,6 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
+from . import linalg
 from .chevalley import build_basis
 from .groups import (
     ElementaryWord,
@@ -136,14 +137,17 @@ def check_normal(n: NormalSubgroupHandle) -> bool:
     """Conjugation-closure validation against the elementary generators: every
     member of a materialized subgroup by every letter of `_conjugators`
     (which proves normality in E(R)), sampled members and conjugators of a
-    kernel subgroup.  Conjugates are formed by row and column operations."""
+    kernel subgroup.  Conjugates are formed by row and column operations,
+    from the entries of e_r(+-t) - I built once per letter."""
     rep, ring = n.rep, n.ring
     if n.kind == "full":
         return True
     if n.kind == "materialized":
-        letters = _conjugators(rep, ring)
+        pairs = [(rep._entries(ring, r, t), rep._entries(ring, r, ring.neg(t)))
+                 for r, t in _conjugators(rep, ring)]
         mats = {g.mat for g in n.data}
-        return all(sandwich(rep, ring, [c], x, [c]) in mats for x in mats for c in letters)
+        return all(linalg.col_ops(ring, linalg.row_ops(ring, left, x), right) in mats
+                   for x in mats for left, right in pairs)
     # kernel: sample 40 members as words in e_r(a), a = r*g in the ideal, and
     # conjugate each by a sampled e_r(t), t != 0, with a fixed seed; neither
     # the ring, the ideal nor the conjugators are listed

@@ -387,7 +387,6 @@ def _rewrite_to_simple_letters(word: ElementaryWord) -> list:
     rep, ring = word.rep, word.ring
     rs = rep.rs
     simple_set = set(rs.simple) | {rs.opposite[s] for s in rs.simple}
-    rewrites = {}  # root -> (base, sign, lift letters, inverse), once per call
     out = []
     for root, t in word.letters:
         if t == ring.zero:
@@ -395,16 +394,14 @@ def _rewrite_to_simple_letters(word: ElementaryWord) -> list:
         if root in simple_set:
             out.append((root, t))
             continue
-        if root not in rewrites:
-            base = next(s for s in rs.simple if rs.norm(s) == rs.norm(root))
-            w = rs.same_length_conjugator(base, root)
-            lift = weyl_lift_word(rep, ring, w)
-            rewrites[root] = (base, weyl_conjugation_check(rep, ring, w, base),
-                              lift.letters, lift.inverse_word().letters)
-        base, eps, lift, inverse = rewrites[root]
-        out.extend(lift)
-        out.append((base, t if eps == 1 else ring.neg(t)))
-        out.extend(inverse)
+        base = next(s for s in rs.simple if rs.norm(s) == rs.norm(root))
+        w = rs.same_length_conjugator(base, root)
+        eps = weyl_conjugation_check(rep, ring, w, base)
+        lift = weyl_lift_word(rep, ring, w)
+        s = t if eps == 1 else ring.neg(t)
+        out.extend(lift.letters)
+        out.append((base, s))
+        out.extend(lift.inverse_word().letters)
     return out
 
 

@@ -305,25 +305,6 @@ def test_tavgen_crosscheck_with_local():
         assert local_decompose(g).word.evaluate() == g
 
 
-def test_tavgen_checks_each_non_simple_root_once(monkeypatch):
-    """The rewrite to +-simple letters runs one Weyl-conjugation sign check per
-    distinct non-simple root of the word, not one per letter."""
-    rep, ring = make_representation(B2), ZmodRing(9)
-    simple = set(B2.simple) | {_neg(r) for r in B2.simple}
-    others = [r for r in B2.roots if r not in simple]
-    letters = [(r, t) for t in (1, 2, 4) for r in others + [B2.simple[0]]]
-    checks = []
-    check = decompose.weyl_conjugation_check
-
-    def spy(rep, ring, word, alpha):
-        checks.append(alpha)
-        return check(rep, ring, word, alpha)
-
-    monkeypatch.setattr(decompose, "weyl_conjugation_check", spy)
-    assert tavgen_decompose(ElementaryWord(rep, ring, letters)).verified
-    assert len(checks) == len(others) == 4
-
-
 def test_tavgen_corrupted_inner_block_fails_telescope_check(monkeypatch):
     rep = rep_of(A2)
     ring = ZmodRing(3)
