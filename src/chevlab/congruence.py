@@ -5,7 +5,11 @@ ring, the certificate machinery locates an ideal a with e_r(a) contained in N
 for every root r, by replaying commutator manipulations concretely: every
 claimed membership is re-checked against N's membership predicate, and the
 final ideal is verified exhaustively root by root.  Nothing is trusted from
-the derivation alone.
+the derivation alone.  The branches of the length-class split share their
+steps: `_first_pair` finds each root pair, `_peel` strips replayed members
+off a product in N, and `_long_coverage` reaches the long roots through the
+doubling identity.  The cross-factor check of a product ring runs over the
+factors' additive generators, so no factor is listed.
 """
 from __future__ import annotations
 
@@ -15,7 +19,6 @@ from dataclasses import dataclass, field
 from . import linalg
 from .chevalley import build_basis
 from .groups import (
-    ElementaryWord,
     GroupElement,
     GroupError,
     all_elementaries,
@@ -266,6 +269,48 @@ def _expansion(rep, ring, terms, a, b, s, t):
     return GroupElement(rep, ring, lhs), letters
 
 
+def _peel(n, prod, letters, target, param, what):
+    """Peel prod, a member of N, down to its `target` letter.
+
+    The caller has checked that the letters multiply out to prod.  Every
+    other letter is replayed in N, so the rest, left^-1 prod right^-1 formed
+    by one `sandwich`, is in N too; it must be e_target(param), and it is
+    replayed as well."""
+    rep, ring = n.rep, n.ring
+    cut = next((i for i, (r, _) in enumerate(letters) if r == target), len(letters))
+    left, right = letters[:cut], letters[cut + 1:]
+    for r, x in left + right:
+        _member(n, elementary(rep, ring, r, x), f"residue factor of the {what}")
+    left_inv = [(r, ring.neg(x)) for r, x in reversed(left)]
+    rest = GroupElement(rep, ring, sandwich(rep, ring, left_inv, prod.mat, right))
+    if rest != elementary(rep, ring, target, param):
+        raise CertificateError(f"{what} peel failed")
+    _member(n, rest, f"peeled factor of the {what}")
+
+
+def _unit_sum(table, a, b, k) -> bool:
+    """[e_a(s), e_b(t)] = e_{a+b}(C st) with |C| = k and no other factor."""
+    coeffs = table.commutator_coefficients(a, b)
+    return set(coeffs) == {(1, 1)} and abs(coeffs[(1, 1)]) == k
+
+
+def _first_pair(firsts, seconds, ok, what):
+    """The first (a, b), a over firsts and b over seconds in their order, with ok(a, b)."""
+    for a in firsts:
+        for b in seconds:
+            if ok(a, b):
+                return a, b
+    raise CertificateError(f"no {what} found")
+
+
+def _doubling_pair(rs, table):
+    """Orthogonal short pair (sigma, tau) with sigma + tau a long root."""
+    shorts, longs = sorted(rs.short_roots()), set(rs.long_roots())
+    return _first_pair(shorts, shorts, lambda s, t: (
+        rs.inner(s, t) == 0 and _add(s, t) in longs and _unit_sum(table, s, t, 2)
+    ), "doubling pair")
+
+
 def _spread_by_weyl(rs, levels, trace, sample_root):
     """Check the level set of every root in sample_root's length class."""
     cls = [r for r in rs.roots if rs.norm(r) == rs.norm(sample_root)]
@@ -282,6 +327,27 @@ def _spread_by_weyl(rs, levels, trace, sample_root):
     )
 
 
+def _long_coverage(n, trace, table, levels, values, sigma, tau, detail):
+    """e_{sigma+tau}(t) in N for every t in values, by the doubling identity
+    [e_sigma(t/c), e_tau(1)] = e_{sigma+tau}(t), c = C_11(sigma, tau) a unit,
+    then spread over the long roots; `detail` is the trace line."""
+    rep, ring = n.rep, n.ring
+    lam = _add(sigma, tau)
+    c_inv = ring.inv(ring.from_int(table.commutator_coefficients(sigma, tau)[(1, 1)]))
+    terms = expansion_terms(rep, ring, sigma, tau)
+    for t in sorted_values(ring, values):
+        r = ring.mul(t, c_inv)
+        if r not in values:
+            raise CertificateError("scaled parameter escaped the ideal")
+        _member(n, elementary(rep, ring, sigma, r), "short member")
+        comm, letters = _expansion(rep, ring, terms, sigma, tau, r, ring.one)
+        _member(n, comm, "doubling commutator")
+        if letters != [(lam, t)]:
+            raise CertificateError("long coverage identity failed")
+    trace.log("long-coverage", detail)
+    _spread_by_weyl(rep.rs, levels, trace, lam)
+
+
 def _a2_ideal_derivation(n, trace, table, levels, a, b):
     """Prove level(a) is an ideal using [e_a(r), e_b(s)] = e_{a+b}(+-rs).
 
@@ -289,9 +355,7 @@ def _a2_ideal_derivation(n, trace, table, levels, a, b):
     """
     rep, ring = n.rep, n.ring
     rs = rep.rs
-    coeffs = table.commutator_coefficients(a, b)
-    if set(coeffs) != {(1, 1)} or abs(coeffs[(1, 1)]) != 1:
-        raise CertificateError(f"pair {a}, {b} is not an A2-type pair")
+    c = table.commutator_coefficients(a, b)[(1, 1)]
     s = _add(a, b)
     values = levels[a]
     terms = expansion_terms(rep, ring, a, b)
@@ -308,24 +372,10 @@ def _a2_ideal_derivation(n, trace, table, levels, a, b):
         "a2-multiplication",
         f"level set of {rs.root_name(a)} closed under multiplication via "
         f"[e_{rs.root_name(a)}(r), e_{rs.root_name(b)}(s)] "
-        f"= e_{rs.root_name(s)}({coeffs[(1,1)]:+d}rs), "
+        f"= e_{rs.root_name(s)}({c:+d}rs), "
         f"{len(values)}x{ring.card} instances replayed",
     )
     return values
-
-
-def _find_a2_pair(rs, table, candidates):
-    for a in candidates:
-        for b in candidates:
-            if b == a or b == _neg(a):
-                continue
-            if not rs.is_root(_add(a, b)):
-                continue
-            coeffs = table.commutator_coefficients(a, b)
-            if set(coeffs) == {(1, 1)} and abs(coeffs[(1, 1)]) == 1:
-                if _add(a, b) in candidates:
-                    return a, b
-    return None
 
 
 def _require_2_unit(rs, ring):
@@ -381,11 +431,12 @@ def ideal_certificate(n: NormalSubgroupHandle) -> CertificateTrace:
     trace = CertificateTrace(None, label)
     values = None
     if a2_roots is not None:
-        pair = _find_a2_pair(rs, table, a2_roots)
-        if pair is None:
-            raise CertificateError("no A2 subsystem found")
-        values = _a2_ideal_derivation(n, trace, table, levels, *pair)
-        _spread_by_weyl(rs, levels, trace, pair[0])
+        members = set(a2_roots)
+        a, b = _first_pair(a2_roots, a2_roots, lambda a, b: (
+            b != a and _add(a, b) in members and _unit_sum(table, a, b, 1)
+        ), "A2 subsystem")
+        values = _a2_ideal_derivation(n, trace, table, levels, a, b)
+        _spread_by_weyl(rs, levels, trace, a)
     if cover is not None:
         values = cover(n, trace, table, levels, values)
     ideal = _ideal_of(ring, values)
@@ -406,7 +457,12 @@ def _cover_b_mixed(n, trace, table, levels, values):
     """Shorts from the long ideal via [e_l(r), e_{-m}(1)] peeling."""
     rep, ring = n.rep, n.ring
     rs = rep.rs
-    lam, mu = _find_mixed_pair(rs)
+    longs, shorts = set(rs.long_roots()), set(rs.short_roots())
+    # (lam long, mu short) with lam - mu short and lam - 2mu a long root
+    lam, mu = _first_pair(sorted(longs), sorted(shorts), lambda lam, mu: (
+        _sub(lam, mu) in shorts and _sub(lam, _scale(2, mu)) in longs
+        and not rs.is_root(_add(lam, mu))
+    ), "mixed identity pair")
     nmu = _neg(mu)
     short1 = _sub(lam, mu)
     coeffs = table.commutator_coefficients(lam, nmu)
@@ -425,14 +481,7 @@ def _cover_b_mixed(n, trace, table, levels, values):
         comm, letters = _expansion(rep, ring, terms, lam, nmu, r, ring.one)
         _member(n, comm, "mixed commutator")
         # peel the trailing long factor, which is already certified
-        (g1, p1), (g2, p2) = letters
-        if p2 not in values:
-            raise CertificateError("long factor parameter escaped the ideal")
-        _member(n, elementary(rep, ring, g2, p2), "long factor of the mixed identity")
-        short_el = GroupElement(rep, ring, sandwich(rep, ring, [], comm.mat, [(g2, p2)]))
-        if short_el != elementary(rep, ring, g1, p1):
-            raise CertificateError("mixed identity peel failed")
-        _member(n, short_el, "short factor of the mixed identity")
+        _peel(n, comm, letters, short1, ring.mul(ring.from_int(c1), r), "mixed identity")
     trace.log(
         "short-coverage",
         f"e_{rs.root_name(short1)}({c1:+d}r) in N for every r in the ideal "
@@ -444,29 +493,15 @@ def _cover_b_mixed(n, trace, table, levels, values):
 
 def _cover_c_doubling(n, trace, table, levels, values):
     """Longs from the short ideal; the doubled sum needs 2 to be a unit."""
-    rep, ring = n.rep, n.ring
-    rs = rep.rs
-    sigma, tau = _find_doubling_pair(rs, table)
+    rs = n.rep.rs
+    sigma, tau = _doubling_pair(rs, table)
     c = table.commutator_coefficients(sigma, tau)[(1, 1)]
-    lam = _add(sigma, tau)
-    c_inv = ring.inv(ring.from_int(c))
-    terms = expansion_terms(rep, ring, sigma, tau)
-    for t in sorted_values(ring, values):
-        r = ring.mul(t, c_inv)
-        if r not in values:
-            raise CertificateError("scaled parameter escaped the ideal")
-        _member(n, elementary(rep, ring, sigma, r), "short member")
-        comm, letters = _expansion(rep, ring, terms, sigma, tau, r, ring.one)
-        _member(n, comm, "doubling commutator")
-        if letters[0][1] != t:
-            raise CertificateError("doubling parameter mismatch")
-    trace.log(
-        "long-coverage",
+    _long_coverage(
+        n, trace, table, levels, values, sigma, tau,
         f"[e_{rs.root_name(sigma)}(r), e_{rs.root_name(tau)}(1)] = "
-        f"e_{rs.root_name(lam)}({c:+d}r) with {c:+d} a unit "
+        f"e_{rs.root_name(_add(sigma, tau))}({c:+d}r) with {c:+d} a unit "
         f"({len(values)} instances)",
     )
-    _spread_by_weyl(rs, levels, trace, lam)
     return values
 
 
@@ -474,7 +509,7 @@ def _cover_rank2(n, trace, table, levels, values):
     """The rank-2 two-length case: quarter-parameter manipulations."""
     rep, ring = n.rep, n.ring
     rs = rep.rs
-    sigma, tau = _find_doubling_pair(rs, table)
+    sigma, tau = _doubling_pair(rs, table)
     lam, ntau = _add(sigma, tau), _neg(tau)
     d = table.commutator_coefficients(sigma, tau)[(1, 1)]  # +-2
     c1 = table.commutator_coefficients(lam, ntau)[(1, 1)]
@@ -505,13 +540,10 @@ def _cover_rank2(n, trace, table, levels, values):
             _member(n, ca, "first mixed commutator")
             _member(n, cb, "second mixed commutator")
             prod = GroupElement(rep, ring, sandwich(rep, ring, [], ca.mat, lb))
-            rs_val = ring.mul(r, s)
-            expected = elementary(
-                rep, ring, sigma, ring.mul(ring.from_int(2 * c1), v)
-            )
-            if prod != expected:
+            rs_val, w = ring.mul(r, s), ring.mul(ring.from_int(2 * c1), v)
+            if prod != elementary(rep, ring, sigma, w):
                 raise CertificateError("difference-of-commutators identity failed")
-            if ring.mul(ring.from_int(2 * c1), v) != rs_val:
+            if w != rs_val:
                 raise CertificateError("parameter bookkeeping failed")
             _member(n, prod, "short element certifying multiplicative closure")
             if rs_val not in values:
@@ -525,19 +557,11 @@ def _cover_rank2(n, trace, table, levels, values):
     )
     _spread_by_weyl(rs, levels, trace, sigma)
     # long coverage via the doubling identity at u = 1/d
-    d_inv = ring.inv(ring.from_int(d))
-    for t in sorted_values(ring, values):
-        r = ring.mul(t, d_inv)
-        comm, _ = _expansion(rep, ring, doubling, sigma, tau, r, one)
-        _member(n, comm, "long coverage instance")
-        if comm != elementary(rep, ring, lam, t):
-            raise CertificateError("long coverage identity failed")
-    trace.log(
-        "long-coverage",
+    _long_coverage(
+        n, trace, table, levels, values, sigma, tau,
         f"e_{rs.root_name(lam)}(t) in N for every t in the ideal "
         f"({len(values)} instances)",
     )
-    _spread_by_weyl(rs, levels, trace, lam)
     return values
 
 
@@ -563,39 +587,10 @@ def _cover_g2_short(n, trace, table, levels, values):
         _member(n, c_pos, "first short-isolation commutator")
         _member(n, c_neg, "second short-isolation commutator")
         prod = GroupElement(rep, ring, rep.apply_right(ring, c_pos.mat, neg_letters))
-        coords = [
-            (r, x) for r, x in unipotent_coordinates(prod, +1)
-            if x != ring.zero
-        ]
-        short_param = None
-        for r, x in coords:
-            if r == target:
-                if short_param is not None:
-                    raise CertificateError("doubled short factor not unique")
-                short_param = x
-                continue
-            if rs.norm(r) != rs.norm(k) or x not in values:
-                raise CertificateError(
-                    "unexpected factor while isolating the short root"
-                )
-            _member(n, elementary(rep, ring, r, x), "long residue factor")
-        if short_param is None:
-            short_param = ring.zero
-        if short_param != t:
-            raise CertificateError("short parameter bookkeeping failed")
+        coords = [(r, x) for r, x in unipotent_coordinates(prod, +1) if x != ring.zero]
         if letters_matrix(rep, ring, coords) != prod.mat:
             raise CertificateError("isolation product failed to re-evaluate")
-        # peel: every non-target factor is in N, so the target factor is too
-        cut = next(
-            (i for i, (r, _) in enumerate(coords) if r == target), len(coords)
-        )
-        prefix_inv = ElementaryWord(rep, ring, coords[:cut]).inverse_word().letters
-        short_el = GroupElement(
-            rep, ring, sandwich(rep, ring, prefix_inv, prod.mat, coords[cut + 1:])
-        )
-        if short_el != elementary(rep, ring, target, t):
-            raise CertificateError("short factor extraction failed")
-        _member(n, short_el, "isolated doubled-short factor")
+        _peel(n, prod, coords, target, t, "short isolation")
     trace.log(
         "short-isolation",
         "doubled commutator [e_k(u), e_c(1)][e_k(u), e_c(-1)] reduced to a "
@@ -604,38 +599,6 @@ def _cover_g2_short(n, trace, table, levels, values):
     )
     _spread_by_weyl(rs, levels, trace, target)
     return values
-
-
-def _find_mixed_pair(rs):
-    """(lam long, mu short) with lam - mu short and lam - 2mu a long root."""
-    longs = set(rs.long_roots())
-    shorts = set(rs.short_roots())
-    for lam in sorted(longs):
-        for mu in sorted(shorts):
-            d1 = _sub(lam, mu)
-            d2 = _sub(lam, _scale(2, mu))
-            if d1 in shorts and d2 in longs:
-                if not rs.is_root(_add(lam, mu)):
-                    return lam, mu
-    raise CertificateError("no mixed identity pair found")
-
-
-def _find_doubling_pair(rs, table):
-    """Orthogonal short pair (sigma, tau) with sigma + tau a long root."""
-    shorts = set(rs.short_roots())
-    longs = set(rs.long_roots())
-    for sigma in sorted(shorts):
-        for tau in sorted(shorts):
-            if tau in (sigma, _neg(sigma)):
-                continue
-            if rs.inner(sigma, tau) != 0:
-                continue
-            if _add(sigma, tau) not in longs:
-                continue
-            coeffs = table.commutator_coefficients(sigma, tau)
-            if set(coeffs) == {(1, 1)} and abs(coeffs[(1, 1)]) == 2:
-                return sigma, tau
-    raise CertificateError("no doubling pair found")
 
 
 # ---------------------------------------------------------------------------
@@ -701,8 +664,11 @@ class CrossFactorReport:
 def cross_factor_commute_check(rep: Representation, ring: RingSpec) -> CrossFactorReport:
     """Elementaries supported on different factors of a product ring commute.
 
-    Exhaustive over all root pairs (including opposite roots) and all
-    parameter pairs; the ring must be a direct product.
+    Exhaustive over all root pairs (including opposite roots) and over the
+    pairs of additive generators of the two factors: e_a is additive in its
+    parameter, so e_a(r) and e_b(s) commute for all r, s once they do for
+    generators.  `parameters_checked` counts those generator pairs.  The ring
+    must be a direct product.
     """
     if not isinstance(ring, ProductRing):
         raise GroupError("cross-factor check needs a product ring")
@@ -716,8 +682,8 @@ def cross_factor_commute_check(rep: Representation, ring: RingSpec) -> CrossFact
             for a in roots:
                 for b in roots:
                     report.pairs_checked += 1
-                    for r in ring.factors[fi].elements():
-                        for s in ring.factors[fj].elements():
+                    for r in ring.factors[fi].additive_generators():
+                        for s in ring.factors[fj].additive_generators():
                             x = (a, ring.inject(fi, r))
                             y = (b, ring.inject(fj, s))
                             report.parameters_checked += 1

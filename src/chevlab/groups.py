@@ -366,6 +366,8 @@ def subgroup_closure(generators, cap: int, track_words: bool = False):
     seen = actions[0][0]  # every generator's dict holds the same rows
     ident = rep.identity(ring)
     words = {ident: ElementaryWord(rep, ring) if track_words else None}
+    if cap < 1:  # the identity counts against the cap
+        raise CapExceeded(f"closure exceeded cap {cap}")
     rows = {r: r for r in ident}
     frontier = [ident]
     while frontier:
@@ -420,10 +422,11 @@ def elementary_generator_words(rep: Representation, ring: RingSpec):
 def random_elementary_word(
     rep: Representation, ring: RingSpec, length: int, rng: random.Random
 ) -> ElementaryWord:
+    """`length` uniform letters (root, t), t drawn by index without listing
+    the ring: the draws of `rng.choice(ring.elements())`."""
     roots = list(rep.rs.roots)
-    values = ring.elements()
     letters = [
-        (rng.choice(roots), rng.choice(values)) for _ in range(length)
+        (rng.choice(roots), ring.element_at(rng.randrange(ring.card))) for _ in range(length)
     ]
     return ElementaryWord(rep, ring, letters)
 

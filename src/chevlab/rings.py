@@ -82,22 +82,41 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def _rho_factor(n: int) -> int:
+    """A proper factor of the odd composite n: Pollard's rho, Floyd's cycle
+    search on x -> x^2 + c from x = 2, for c = 1, 2, ... until one splits n."""
+    for c in itertools.count(1):
+        x = y = 2
+        d = 1
+        while d == 1:
+            x = (x * x + c) % n
+            y = (y * y + c) % n
+            y = (y * y + c) % n
+            d = math.gcd(x - y, n)
+        if d != n:
+            return d
+
+
 def factorize(n: int) -> list[tuple[int, int]]:
-    """Prime factorization by trial division, ascending primes; stops as soon
-    as the remaining cofactor is prime."""
-    out = []
-    d = 2
-    while n > 1 and not is_prime(n):
-        while n % d:
-            d += 1 if d == 2 else 2
-        k = 0
-        while n % d == 0:
-            n //= d
-            k += 1
-        out.append((d, k))
-    if n > 1:
-        out.append((n, 1))
-    return out
+    """Prime factorization, ascending primes: trial division by the primes up
+    to 41, then Pollard's rho on the rest; a factor is kept once `is_prime`
+    accepts it, and split again otherwise."""
+    if n < 2:
+        return []
+    counts = {}
+    for p in _MR_BASES:
+        while n % p == 0:
+            n //= p
+            counts[p] = counts.get(p, 0) + 1
+    rest = [n] if n > 1 else []
+    while rest:
+        m = rest.pop()
+        if is_prime(m):
+            counts[m] = counts.get(m, 0) + 1
+        else:
+            d = _rho_factor(m)
+            rest += [d, m // d]
+    return sorted(counts.items())
 
 
 # ---------------------------------------------------------------------------

@@ -43,6 +43,8 @@ def subgroup_closure(generators, cap: int, track_words: bool = False,
     actions += [(conjugate, c, None) for c in conjugators]
     ident = rep.identity(ring)
     words = {ident: ElementaryWord(rep, ring) if track_words else None}
+    if cap < 1:  # the identity counts against the cap
+        raise CapExceeded(f"closure exceeded cap {cap}")
     rows = {r: r for r in ident}
     frontier = [ident]
     while frontier:

@@ -395,7 +395,7 @@ def test_a8_cross_factor_commutation():
         report = cross_factor_commute_check(rep, ring)
         ok = ok and report.ok
         checked.append(
-            f"{ring_text}: {report.parameters_checked} parameter pairs "
+            f"{ring_text}: {report.parameters_checked} additive generator pairs "
             f"over {report.pairs_checked} root pairs (opposite roots included)"
         )
     _report("A8", ok, "; ".join(checked))

@@ -368,6 +368,15 @@ def test_verify_relations_both_samples_a_huge_ring_under_memory_limit(ring):
     assert "Traceback" not in proc.stderr
 
 
+def test_decompose_artinian_splits_two_large_primes_under_memory_limit():
+    """Z/n for n = 10000000019 * 10000000033, which trial division splits only
+    after 5e9 steps: Pollard's rho splits it at once."""
+    proc = run_under_memory_limit("ring", "decompose-artinian", "Z/100000000520000000627")
+    assert proc.returncode == 0, proc.stderr
+    assert "Z/100000000520000000627 ~ Z/10000000019 x Z/10000000033" in proc.stdout
+    assert "PASS" in proc.stdout
+
+
 @pytest.mark.parametrize("ring", [HUGE, "GF(2)[x]/(x^64)", f"{HUGE} x GF(3)"])
 def test_decompose_artinian_samples_a_huge_ring_under_memory_limit(ring):
     """Above `ROUND_TRIP_LIMIT` the round trip runs on a fixed sample drawn by

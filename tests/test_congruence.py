@@ -344,6 +344,33 @@ def test_cross_factor_commute_z2xz2_opposite_roots():
     assert report.ok
 
 
+def test_cross_factor_checks_generator_pairs():
+    """Z/4 x GF(9): one additive generator against two, on each of the 2 x 36
+    ordered root pairs, where listing both factors made 2,592 checks."""
+    rep = make_representation(A2, "defining-A")
+    report = cross_factor_commute_check(rep, parse_ring_spec("Z/4 x GF(9)"))
+    assert report.ok
+    assert (report.pairs_checked, report.parameters_checked) == (72, 144)
+    huge = parse_ring_spec(f"Z/{2**61} x GF(3)")  # not listed: a bounded walk
+    assert cross_factor_commute_check(rep, huge).parameters_checked == 72
+
+
+def test_cross_factor_sees_a_leaking_injection(monkeypatch):
+    """An inject that also writes 1 into the next factor makes elementaries of
+    different factors meet, and the check reports failures."""
+    rep = make_representation(A2, "defining-A")
+    ring = parse_ring_spec("Z/2 x Z/3")
+    inject = ring.inject
+
+    def leaky(i, v):
+        other = (i + 1) % len(ring.factors)
+        return ring.add(inject(i, v), inject(other, ring.factors[other].one))
+
+    monkeypatch.setattr(ring, "inject", leaky)
+    report = cross_factor_commute_check(rep, ring)
+    assert not report.ok and report.failures
+
+
 def test_cross_factor_requires_product():
     rep = make_representation(A2, "defining-A")
     with pytest.raises(Exception):

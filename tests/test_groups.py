@@ -313,6 +313,49 @@ def test_closure_identity_only():
     assert closure == frozenset({identity_element(rep, ring)})
 
 
+def test_closure_counts_the_identity_against_the_cap():
+    """The trivial group has one element, so cap 0 is already exceeded."""
+    rep = make_representation(A2, "defining-A")
+    ring = ZmodRing(2)
+    one = identity_element(rep, ring)
+    assert subgroup_closure([one], cap=1) == frozenset({one})
+    with pytest.raises(CapExceeded):
+        subgroup_closure([one], cap=0)
+    with pytest.raises(CapExceeded):
+        subgroup_closure([(one, ElementaryWord(rep, ring))], cap=0, track_words=True)
+
+
+def reference_random_elementary_word(rep, ring, length, rng):
+    """`random_elementary_word` as it stood, drawing from the listed ring."""
+    roots = list(rep.rs.roots)
+    values = ring.elements()
+    letters = [
+        (rng.choice(roots), rng.choice(values)) for _ in range(length)
+    ]
+    return ElementaryWord(rep, ring, letters)
+
+
+@pytest.mark.parametrize("ring_text", ["Z/9", "GF(4)", "Z/4 x GF(3)", "GF(2)[x]/(x^3)"])
+def test_random_word_draws_as_from_the_listed_ring(ring_text):
+    rep, ring = make_representation(B2, "defining-B"), parse_ring_spec(ring_text)
+    for seed in range(50):
+        rng, ref = random.Random(seed), random.Random(seed)
+        word = random_elementary_word(rep, ring, 7, rng)
+        assert word.letters == reference_random_elementary_word(rep, ring, 7, ref).letters
+        assert rng.random() == ref.random()  # the same draws were made
+
+
+def test_random_word_does_not_list_the_ring(monkeypatch):
+    ring = parse_ring_spec("GF(2)[x]/(x^64)")
+
+    def refused(self):
+        raise AssertionError("the ring was listed")
+
+    monkeypatch.setattr(type(ring), "elements", refused)
+    word = random_elementary_word(make_representation(A2), ring, 5, random.Random(3))
+    assert len(word.letters) == 5 and all(len(t) == 64 for _, t in word.letters)
+
+
 def test_closure_cap():
     rep = make_representation(A2, "defining-A")
     ring = ZmodRing(3)
@@ -442,7 +485,7 @@ def test_closure_matches_dense_reference_search(case, data):
 def _normal_closure_matches_the_oracle(rep, ring, gens, cap):
     """`materialized_subgroup` against the oracle's one search under the
     conjugators of every root: the same members, or CapExceeded on both
-    sides, and CapExceeded on both at cap = |N| - 1 when N is not trivial."""
+    sides, and CapExceeded on both at cap = |N| - 1."""
     from chevlab.congruence import materialized_subgroup
 
     letters = [(r, g) for r in rep.rs.roots for g in ring.additive_generators()]
@@ -453,8 +496,6 @@ def _normal_closure_matches_the_oracle(rep, ring, gens, cap):
             materialized_subgroup(rep, ring, gens, cap=cap)
         return
     assert materialized_subgroup(rep, ring, gens, cap=cap).data == expected
-    if len(expected) == 1:  # the search starts at the identity, uncounted
-        return
     with pytest.raises(CapExceeded):
         materialized_subgroup(rep, ring, gens, cap=len(expected) - 1)
     with pytest.raises(CapExceeded):

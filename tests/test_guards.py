@@ -1,12 +1,16 @@
 """Negative controls for the guards that every answer passes before it leaves
 the program: each test corrupts one producer in one named way and asserts
 that the guard downstream of it fires, through the API (`GroupError`, or
-`CertificateError` for `check_normal`) and, for decompositions, through the
-CLI (exit 1, never 0 and never 2).
+`CertificateError` for `check_normal` and the certificate replays) and, for
+decompositions and one certificate, through the CLI (exit 1, never 0 and
+never 2).  An `ast` walk holds every membership replay of `congruence` to a
+control.
 
 Also a tooling guard: the decompositions and certificates run without a
 single dense product of `GroupElement`s."""
+import ast
 import json
+from pathlib import Path
 from types import MappingProxyType
 
 import pytest
@@ -219,3 +223,168 @@ def test_check_normal_refuses_a_subgroup_that_is_not_normal(corruption):
     assert not check_normal(n)
     with pytest.raises(CertificateError, match="conjugation-closure check"):
         ideal_certificate(n)
+
+
+# ---------------------------------------------------------------------------
+# Certificate replays: one corruption each, and the check that must catch it
+
+CERTIFICATE_CASES = {
+    "A2/Z/27": ("A2", "Z/27", 3),
+    "B3/Z/27": ("B3", "Z/27", 9),
+    "C3/Z/9": ("C3", "Z/9", 3),
+    "B2/Z/9": ("B2", "Z/9", 3),
+    "G2/Z/25": ("G2", "Z/25", 5),  # adjoint, the default G2 representation
+}
+
+
+def certificate_kernel(case) -> NormalSubgroupHandle:
+    label, ring_text, gen = CERTIFICATE_CASES[case]
+    rep, ring = make_representation(build_root_system(label)), parse_ring_spec(ring_text)
+    return kernel_subgroup(rep, ring, ideal_from_generators(ring, [gen]))
+
+
+def bump_first_coefficient(monkeypatch):
+    """Every commutator expansion with its first structure constant raised by one."""
+    terms = congruence.expansion_terms
+
+    def corrupted(rep, ring, a, b):
+        (i, j, g, c), *rest = terms(rep, ring, a, b)
+        return [(i, j, g, ring.add(c, ring.one)), *rest]
+
+    monkeypatch.setattr(congruence, "expansion_terms", corrupted)
+
+
+def bump_last_letter_within(monkeypatch, site, step):
+    """Inside the function `site` only, `_expansion` hands back its verified
+    letters with `step` added to the last one's parameter."""
+    expansion, scoped = congruence._expansion, getattr(congruence, site)
+    active = []
+
+    def corrupted(rep, ring, *args):
+        comm, letters = expansion(rep, ring, *args)
+        if active:
+            (g, x), letters = letters[-1], letters[:-1]
+            letters = [*letters, (g, ring.add(x, step))]
+        return comm, letters
+
+    def within(*args):
+        active.append(site)
+        try:
+            return scoped(*args)
+        finally:
+            active.pop()
+
+    monkeypatch.setattr(congruence, "_expansion", corrupted)
+    monkeypatch.setattr(congruence, site, within)
+
+
+class RefusingHandle(NormalSubgroupHandle):
+    """A kernel subgroup with one member dropped from its predicate."""
+
+    def __init__(self, n, refused):
+        super().__init__(n.rep, n.ring, n.kind, n.data, f"{n.description} minus one member")
+        self.refused = refused
+
+    def contains(self, g):
+        return g.mat != self.refused and super().contains(g)
+
+
+def first_composite_member(monkeypatch, n, what):
+    """The first matrix that the replay `what` asks about in a clean run which
+    is neither the identity nor any e_r(t): dropping it from N leaves every
+    level set as it was."""
+    rep, ring = n.rep, n.ring
+    elementaries = {elementary(rep, ring, r, t).mat for r in rep.rs.roots for t in ring.elements()}
+    asked = []
+    member = congruence._member
+
+    def spy(handle, g, name):
+        if name == what:
+            asked.append(g.mat)
+        return member(handle, g, name)
+
+    with monkeypatch.context() as m:
+        m.setattr(congruence, "_member", spy)
+        ideal_certificate(n)
+    return next(x for x in asked if x not in elementaries)
+
+
+def derive_the_unit_ideal(monkeypatch):
+    """The derived parameter set read as the unit ideal."""
+    monkeypatch.setattr(congruence, "_ideal_of", lambda ring, values: ideal_from_generators(ring, [ring.one]))
+
+
+# (case, corruption, argument, the function in congruence.py whose check
+# fires, the message); every function of congruence.py that replays a
+# membership (`_member`, `_peel`) is reached by one of them
+REPLAY_CONTROLS = [
+    *[(case, "coefficient", None, "_expansion", "commutator expansion failed")
+      for case in CERTIFICATE_CASES],
+    ("A2/Z/27", "letter", "_a2_ideal_derivation", "_a2_ideal_derivation",
+     "derived product escaped the level set"),
+    ("B3/Z/27", "letter", "_cover_b_mixed", "_peel",
+     "replay failed: residue factor of the mixed identity is not in N"),
+    ("B3/Z/27", "letter in N", "_cover_b_mixed", "_peel", "mixed identity peel failed"),
+    ("C3/Z/9", "letter", "_long_coverage", "_long_coverage", "long coverage identity failed"),
+    ("B2/Z/9", "letter", "_long_coverage", "_long_coverage", "long coverage identity failed"),
+    ("B2/Z/9", "letter", "_cover_rank2", "_cover_rank2",
+     "difference-of-commutators identity failed"),
+    ("G2/Z/25", "letter", "_cover_g2_short", "_peel",
+     "replay failed: residue factor of the short isolation is not in N"),
+    ("B3/Z/27", "member", "mixed commutator", "_cover_b_mixed",
+     "replay failed: mixed commutator is not in N"),
+    ("B2/Z/9", "member", "first mixed commutator", "_cover_rank2",
+     "replay failed: first mixed commutator is not in N"),
+    ("G2/Z/25", "member", "first short-isolation commutator", "_cover_g2_short",
+     "replay failed: first short-isolation commutator is not in N"),
+    ("G2/Z/25", "member", "second short-isolation commutator", "_cover_g2_short",
+     "replay failed: second short-isolation commutator is not in N"),
+    ("A2/Z/27", "ideal", None, "ideal_certificate", r"replay failed: e_\S+\(1\) is not in N"),
+]
+# functions that replay a membership with no control above, and why
+UNCONTROLLED_REPLAYS = {}
+
+
+@pytest.mark.parametrize(
+    "case, corruption, arg, site, message", REPLAY_CONTROLS,
+    ids=[f"{c[0]}-{c[1]}-{c[2] or c[3]}" for c in REPLAY_CONTROLS],
+)
+def test_certificate_replay_catches_a_corruption(monkeypatch, case, corruption, arg, site, message):
+    n = certificate_kernel(case)
+    if corruption == "coefficient":
+        bump_first_coefficient(monkeypatch)
+    elif corruption == "letter":  # by one, out of the ideal
+        bump_last_letter_within(monkeypatch, arg, n.ring.one)
+    elif corruption == "letter in N":  # by the ideal's generator
+        bump_last_letter_within(monkeypatch, arg, n.data.generator)
+    elif corruption == "member":
+        n = RefusingHandle(n, first_composite_member(monkeypatch, n, arg))
+    else:
+        derive_the_unit_ideal(monkeypatch)
+    with pytest.raises(CertificateError, match=message) as exc:
+        ideal_certificate(n)
+    assert site in [entry.name for entry in exc.traceback]
+
+
+def test_certificate_with_a_corrupted_expansion_exits_1(monkeypatch):
+    bump_first_coefficient(monkeypatch)
+    res = CliRunner().invoke(main, [
+        "congruence", "certify", "--type", "G2", "--ring", "Z/25",
+        "--subgroup", "kernel:(5)", "--format", "json",
+    ])
+    assert res.exit_code == 1
+    assert "commutator expansion failed" in json.loads(res.output)["error"]
+
+
+def test_every_membership_replay_has_a_control():
+    """Each function of congruence.py that calls `_member` or `_peel` is the
+    site of a control in REPLAY_CONTROLS, or is listed with its reason."""
+    tree = ast.parse(Path(congruence.__file__).read_text())
+    replaying = {
+        fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+        and any(isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id in ("_member", "_peel") for node in ast.walk(fn))
+    }
+    assert replaying  # the walk found the replays
+    sites = {c[3] for c in REPLAY_CONTROLS}
+    assert replaying - sites == set(UNCONTROLLED_REPLAYS)

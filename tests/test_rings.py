@@ -27,6 +27,7 @@ from chevlab.rings import (
     poly_is_irreducible,
     residue_field,
 )
+import factor_oracle
 import poly_oracle
 
 
@@ -318,6 +319,18 @@ def test_factorize_stops_at_a_prime_cofactor():
     p = 2**61 - 1
     assert factorize(p) == [(p, 1)]
     assert factorize(12 * p) == [(2, 2), (3, 1), (p, 1)]
+
+
+def test_factorize_agrees_with_trial_division():
+    """Trial division up to 41, then Pollard's rho: the oracle's answers on
+    -1..4,999 and on cofactors that rho has to split or find prime."""
+    for n in [*range(-1, 5000), 2**61, 10**12 + 39, 3 * 4294967311, 43**2 * 47, 1009**3]:
+        assert factorize(n) == factor_oracle.factorize(n), n
+
+
+def test_factorize_splits_two_large_primes():
+    """10000000019 * 10000000033: trial division would make 5e9 steps."""
+    assert factorize(100000000520000000627) == [(10000000019, 1), (10000000033, 1)]
 
 
 def test_large_prime_modulus_parses_as_a_field():
