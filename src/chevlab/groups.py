@@ -17,18 +17,20 @@ checker tests R2 in the conjugation form e_a(s) e_b(t) e_a(-s) = P e_b(t),
 P the product of the expansion's letters, and over a `ProductRing` runs every
 check on each factor with the components of (s, t); `word_matrix` and
 `ElementaryWord.evaluate` multiply letter by letter through `linalg.mat_mul`,
-which reads each e_a(t) - I off its full matrix.  The closure searches raw
-matrices under one action, right multiplication by the generators, and
-multiplies each distinct row by each generator once, by column operations
-with the nonzero entries of h - I; each member is wrapped as a
-`GroupElement` once, at the end.  Normal closures are built on it one
-generator at a time (`congruence.materialized_subgroup`).
+which reads each e_a(t) - I off its full matrix.  The closure searches
+tuples of row ids, each distinct row interned once, under one action, right
+multiplication by the generators, and multiplies each distinct row by each
+generator once, by column operations with the nonzero entries of h - I;
+each member is decoded and wrapped as a `GroupElement` once, at the end.
+Normal closures are built on it one generator at a time
+(`congruence.materialized_subgroup`).
 """
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
 from functools import partial, reduce
+from operator import itemgetter
 
 from . import linalg
 from .chevalley import _int_smat_mul, build_basis
@@ -341,16 +343,19 @@ def in_congruence_kernel(g: GroupElement, ideal: IdealHandle) -> bool:
 def subgroup_closure(generators, cap: int, track_words: bool = False):
     """Multiplicative closure of the generators (a subgroup, the group being finite).
 
-    One frontier search from the identity on raw matrices: each new matrix x
-    is multiplied on the right by every generator h.  Members share their
-    equal rows.  x h = x(I + E), E = h - I, acts on each row alone by column
-    operations: each h keeps a dict row -> image (distinct rows x generators
-    entries), filled by one `linalg.col_ops` call over the rows of an
-    expanded member that have none yet, and x h is read off it.  Members are
-    wrapped as `GroupElement`s once, at the end.  With track_words=True the
-    generators are (element, ElementaryWord) pairs and a dict element ->
-    ElementaryWord is returned; otherwise returns a frozenset.  Raises
-    CapExceeded when the closure grows past cap.
+    One frontier search from the identity over interned rows: each distinct
+    row gets an integer id the first time it appears, a member is the tuple
+    of its row ids, and each new member x is multiplied on the right by every
+    generator h.  x h = x(I + E), E = h - I, acts on each row alone by column
+    operations: each h keeps a dict id -> image id (distinct rows x
+    generators entries), filled by one `linalg.col_ops` call over the rows of
+    an expanded member that have none yet, and x h is read off it by one
+    `itemgetter` per member.  Members are decoded into matrices of the shared
+    row tuples, the id tuples are dropped, and the matrices are wrapped as
+    `GroupElement`s once, at the end.  With track_words=True the generators
+    are (element, ElementaryWord) pairs and a dict element -> ElementaryWord
+    is returned; otherwise returns a frozenset.  Raises CapExceeded when the
+    closure grows past cap.
     """
     gens = list(generators)
     if not gens:
@@ -359,36 +364,47 @@ def subgroup_closure(generators, cap: int, track_words: bool = False):
         gens = [(g, None) for g in gens]
     first = gens[0][0]
     rep, ring = first.rep, first.ring
-    actions = []  # (row images, col_ops entries, word) per generator
+    actions = []  # (id -> image id, col_ops entries, word) per generator
     for h, hw in gens:
         first._check(h)
         actions.append(({}, linalg.delta_entries(ring, h.mat), hw))
-    seen = actions[0][0]  # every generator's dict holds the same rows
-    ident = rep.identity(ring)
+    mapped = actions[0][0]  # every generator's dict holds the same ids
+    rows = list(rep.identity(ring))  # id -> row
+    ids = {r: i for i, r in enumerate(rows)}  # row -> id
+    ident = tuple(range(len(rows)))
     words = {ident: ElementaryWord(rep, ring) if track_words else None}
     if cap < 1:  # the identity counts against the cap
         raise CapExceeded(f"closure exceeded cap {cap}")
-    rows = {r: r for r in ident}
     frontier = [ident]
     while frontier:
         nxt = []
         for x in frontier:
+            new = [i for i in x if i not in mapped]
+            if new:
+                src = [rows[i] for i in new]
+                for image, entries, _ in actions:
+                    ys = linalg.col_ops(ring, src, entries)
+                    for r in ys:
+                        if r not in ids:
+                            ids[r] = len(rows)
+                            rows.append(r)
+                    image.update(zip(new, map(ids.__getitem__, ys)))
             xw = words[x]
-            new = [r for r in x if r not in seen]
-            for image, entries, hw in actions:
-                if new:
-                    ys = linalg.col_ops(ring, new, entries)
-                    image.update(zip(new, [rows.setdefault(r, r) for r in ys]))
-                y = tuple(map(image.__getitem__, x))
+            pick = itemgetter(*x)  # image -> x h, a tuple as x has >= 2 rows
+            for image, _, hw in actions:
+                y = pick(image)
                 if y not in words:
                     words[y] = xw + hw if track_words else None
                     nxt.append(y)
                     if len(words) > cap:
                         raise CapExceeded(f"closure exceeded cap {cap}")
         frontier = nxt
+    row = rows.__getitem__
     if track_words:
-        return {GroupElement(rep, ring, x): w for x, w in words.items()}
-    return frozenset(GroupElement(rep, ring, x) for x in words)
+        return {GroupElement(rep, ring, tuple(map(row, x))): w for x, w in words.items()}
+    mats = [tuple(map(row, x)) for x in words]
+    del words  # the id tuples go before the members are wrapped
+    return frozenset(GroupElement(rep, ring, m) for m in mats)
 
 
 def all_elementaries(rep: Representation, ring: RingSpec, omit_root=None):

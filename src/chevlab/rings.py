@@ -46,25 +46,21 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
 
 
 # Miller-Rabin with the prime bases up to 41 is exact below this bound
-# (Sorenson and Webster, "Strong pseudoprimes to twelve prime bases", 2017).
+# (Sorenson and Webster, "Strong pseudoprimes to twelve prime bases", 2017);
+# the bound itself is a composite that passes all 13 bases.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_EXACT_BELOW = 3317044064679887385961981
 
 
 def is_prime(n: int) -> bool:
-    """Exact primality: deterministic Miller-Rabin below 3.3e24, trial division above."""
+    """Exact primality by deterministic Miller-Rabin below 3.3e24.  At and
+    above that bound a witness still proves n composite, but a number that
+    passes every base is not certified prime, and raises RingError."""
     if n < 2:
         return False
     for p in _MR_BASES:
         if n % p == 0:
             return n == p
-    if n >= _MR_EXACT_BELOW:
-        d = 43
-        while d * d <= n:
-            if n % d == 0:
-                return False
-            d += 2
-        return True
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2
@@ -79,6 +75,11 @@ def is_prime(n: int) -> bool:
                 break
         else:
             return False
+    if n >= _MR_EXACT_BELOW:
+        raise RingError(
+            f"{n} passes Miller-Rabin to the bases up to 41 but is not certified "
+            f"prime: primality is exact only below {_MR_EXACT_BELOW}"
+        )
     return True
 
 
@@ -100,7 +101,8 @@ def _rho_factor(n: int) -> int:
 def factorize(n: int) -> list[tuple[int, int]]:
     """Prime factorization, ascending primes: trial division by the primes up
     to 41, then Pollard's rho on the rest; a factor is kept once `is_prime`
-    accepts it, and split again otherwise."""
+    accepts it, and split again otherwise.  A factor above 3.3e24 that no
+    Miller-Rabin base refutes raises RingError from `is_prime`."""
     if n < 2:
         return []
     counts = {}

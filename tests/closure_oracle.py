@@ -1,10 +1,11 @@
 """The subgroup closure as it stood before row images, kept as a test oracle.
 
 Each new member x is multiplied on the right by every generator h as one
-full-matrix `linalg.col_ops` call.  `groups.subgroup_closure` now maps each
-distinct row through each generator once and builds products from those row
-images; the property in `test_groups.py` holds the two to the same members,
-words, dict order and cap behaviour.
+full-matrix `linalg.col_ops` call.  `groups.subgroup_closure` now gives each
+distinct row an integer id, maps each id through each generator once, and
+builds products as tuples of image ids, decoded into matrices at the end;
+the property in `test_groups.py` holds the two to the same members, words,
+dict order and cap behaviour.
 
 With conjugators, each member x is also mapped to e x e^-1 for each letter e
 (`sandwich`): the one-search normal closure that `materialized_subgroup`

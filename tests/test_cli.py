@@ -424,6 +424,18 @@ def test_other_ring_errors_in_a_certificate_are_not_bad_input(monkeypatch):
     assert isinstance(res.exception, RingError)
 
 
+def test_uncertified_modulus_exits_2_at_once():
+    """Z/n for a probable prime n above the Miller-Rabin bound is refused as
+    input; trial division from 43 up would not return."""
+    n = 3317044064679887385962123
+    proc = subprocess.run(
+        [sys.executable, "-m", "chevlab.cli", "ring", "decompose-artinian", f"Z/{n}"],
+        capture_output=True, text=True, timeout=20, env=child_env(),
+    )
+    assert proc.returncode == 2
+    assert f"{n} passes Miller-Rabin" in proc.stdout + proc.stderr
+
+
 # Runs argv[1:] and prints its exit code, its ru_maxrss in KB and its output.
 # A fresh launcher, not the test process, starts the command: at exec a
 # process inherits the high-water RSS of the process it was forked from.

@@ -6,6 +6,11 @@ decompositions and one certificate, through the CLI (exit 1, never 0 and
 never 2).  An `ast` walk holds every membership replay of `congruence` to a
 control.
 
+The input guards of `groups` have controls too: each feeds one API call an
+argument it must refuse and asserts its `GroupError` and message, so that
+deleting the check fails the test, also where the call would otherwise
+raise some other error.
+
 Also a tooling guard: the decompositions and certificates run without a
 single dense product of `GroupElement`s."""
 import ast
@@ -36,12 +41,15 @@ from chevlab.groups import (
     ElementaryWord,
     GroupElement,
     GroupError,
+    congruence_reduce,
     elementary,
+    in_congruence_kernel,
     subgroup_closure,
+    torus_and_weyl,
     weyl_conjugation_check,
 )
 from chevlab.reps import make_representation
-from chevlab.rings import ideal_from_generators, parse_ring_spec
+from chevlab.rings import ZmodRing, ideal_from_generators, parse_ring_spec
 from chevlab.roots import _neg, build_root_system
 
 
@@ -120,6 +128,45 @@ def test_epilogue_refusal_exits_1(monkeypatch, algorithm, corruption):
     ])
     assert res.exit_code == 1
     assert json.loads(res.output)["error"] == message
+
+
+A2_REP = make_representation(build_root_system("A2"), "defining-A")
+Z4, Z8 = ZmodRing(4), ZmodRing(8)
+# guard -> (a call it must refuse, its exact message)
+INPUT_GUARDS = {
+    "elementary non-root": (
+        lambda: elementary(A2_REP, Z4, (1, 1, 1), 1),
+        "(1, 1, 1) is not a root of A2"),
+    "word from_json non-root": (
+        lambda: ElementaryWord.from_json(A2_REP, Z4, [{"root": [1, 1, 1], "t": 1}]),
+        "(1, 1, 1) is not a root of A2"),
+    "words from two groups": (
+        lambda: ElementaryWord(A2_REP, Z4) + ElementaryWord(A2_REP, Z8),
+        "words live in different groups"),
+    "non-unit Weyl lift": (
+        lambda: torus_and_weyl(A2_REP, Z4, (1, -1, 0), 2),
+        "Weyl lift needs a unit parameter"),
+    "reduce mod an ideal of another ring": (
+        lambda: congruence_reduce(
+            elementary(A2_REP, Z4, (1, -1, 0), 1), ideal_from_generators(Z8, [2])),
+        "ideal belongs to a different ring"),
+    "kernel of an ideal of another ring": (
+        lambda: in_congruence_kernel(
+            elementary(A2_REP, Z4, (1, -1, 0), 1), ideal_from_generators(Z8, [2])),
+        "ideal belongs to a different ring"),
+    "closure of no generators": (
+        lambda: subgroup_closure([], cap=10),
+        "closure needs at least one generator"),
+}
+
+
+@pytest.mark.parametrize("guard", list(INPUT_GUARDS))
+def test_input_guard_refuses(guard):
+    call, message = INPUT_GUARDS[guard]
+    with pytest.raises(GroupError) as exc:
+        call()
+    assert type(exc.value) is GroupError
+    assert str(exc.value) == message
 
 
 def corrupt_weyl_letters(monkeypatch):

@@ -82,20 +82,31 @@ def test_one_jacobi_path():
     assert not [n for n in ast.walk(fn) if isinstance(n, ast.Attribute) and n.attr == "rank"]
 
 
+def _called(tree) -> list:
+    """Names of the functions called in the tree, one per call site."""
+    return [
+        node.func.attr if isinstance(node.func, ast.Attribute) else getattr(node.func, "id", None)
+        for node in ast.walk(tree) if isinstance(node, ast.Call)
+    ]
+
+
 def test_one_closure_action():
     """groups.subgroup_closure takes (generators, cap, track_words) and acts
-    by right multiplication alone: no row operations, no conjugation; and no
-    second conjugation helper is left in src."""
+    by right multiplication alone: no row operations, no conjugation, no
+    dense product, and `linalg.col_ops` at one call site; members are wrapped
+    as `GroupElement`s after the search loop, never inside it; and no second
+    conjugation helper is left in src."""
     tree = ast.parse((SRC / "groups.py").read_text())
     (fn,) = (n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "subgroup_closure")
     args = fn.args
     assert [a.arg for a in args.posonlyargs + args.args] == ["generators", "cap", "track_words"]
     assert not (args.vararg or args.kwarg or args.kwonlyargs)
-    called = {
-        node.func.attr if isinstance(node.func, ast.Attribute) else getattr(node.func, "id", None)
-        for node in ast.walk(fn) if isinstance(node, ast.Call)
-    }
-    assert not called & {"row_ops", "sandwich"}
+    called = _called(fn)
+    assert not set(called) & {"row_ops", "sandwich", "mat_mul"}
+    assert called.count("col_ops") == 1
+    (loop,) = (n for n in ast.walk(fn) if isinstance(n, ast.While))
+    assert "GroupElement" not in _called(loop)
+    assert "GroupElement" in called
     defined = {
         (path.name, node.name)
         for path in sorted(SRC.glob("*.py"))

@@ -328,6 +328,24 @@ def test_factorize_agrees_with_trial_division():
         assert factorize(n) == factor_oracle.factorize(n), n
 
 
+def test_factorize_splits_a_composite_above_the_exact_bound():
+    """(2^61 - 1)(2^31 - 1) lies above 3.3e24: a Miller-Rabin witness proves
+    it composite, and rho splits it, where trial division would not return."""
+    assert factorize((2**61 - 1) * (2**31 - 1)) == [(2**31 - 1, 1), (2**61 - 1, 1)]
+
+
+@pytest.mark.parametrize("n", [3317044064679887385962123, rings._MR_EXACT_BELOW])
+def test_is_prime_refuses_an_uncertified_number(n):
+    """A probable prime above the bound, and the bound itself, a composite
+    that passes all 13 bases: neither is certified, so both raise."""
+    with pytest.raises(RingError) as exc:
+        is_prime(n)
+    assert str(exc.value) == (
+        f"{n} passes Miller-Rabin to the bases up to 41 but is not certified "
+        f"prime: primality is exact only below 3317044064679887385961981"
+    )
+
+
 def test_factorize_splits_two_large_primes():
     """10000000019 * 10000000033: trial division would make 5e9 steps."""
     assert factorize(100000000520000000627) == [(10000000019, 1), (10000000033, 1)]
