@@ -2,20 +2,20 @@
 
 Implements the constructive toolchain: the four-letter torus identity, exact
 big-cell (Gauss) factorization over local rings, eliminated one column at a
-time by row operations, Bruhat decomposition over finite fields by brute
-force over the Weyl group, where each try applies a lift inverse tabulated
-once per (representation, field) as one column pass, the local-ring
-decomposition assembled from those two, the letterwise merge over product
-rings, and the (U+ U-)^4 normal form obtained by rank induction: a letter
-pushed into the eight blocks u_0..u_7 moves through their Levi parts in the
-rank-(l-1) machine, and one backward pass rebuilds u'_k = R_{k-1} u_k R_k^-1
-from the telescoped Levi conjugators R_k.  The pass keeps a block as it is
-while R_k = 1 and its Levi part is unchanged, since then R_{k-1} = 1 and
-u'_k = u_k.  Letters act on matrices as row and column operations
-(`Representation.apply_left`/`apply_right`).  Every algorithm ends in one
-epilogue, `_verified_report`: the word's length is checked against its bound
-and the word re-evaluated against its input before the `DecompositionReport`
-is built; verification is part of the contract.
+time by row operations, Bruhat decomposition over finite fields by brute force
+over the Weyl group, where each try is screened by its first pivot and then
+applies a lift inverse tabulated once per (representation, field) as one
+column pass, the local-ring decomposition assembled from those two, the
+letterwise merge over product rings, and the (U+ U-)^4 normal form obtained by
+rank induction: a letter pushed into the eight blocks u_0..u_7 moves through
+their Levi parts in the rank-(l-1) machine, and one backward pass rebuilds
+u'_k = R_{k-1} u_k R_k^-1 from the telescoped Levi conjugators R_k.  The pass
+keeps a block as it is while R_k = 1 and its Levi part is unchanged, since
+then R_{k-1} = 1 and u'_k = u_k.  Letters act on matrices as row and column
+operations (`Representation.apply_left`/`apply_right`).  Every algorithm ends
+in one epilogue, `_verified_report`: the word's length is checked against its
+bound and the word re-evaluated against its input before the
+`DecompositionReport` is built; verification is part of the contract.
 """
 from __future__ import annotations
 
@@ -242,16 +242,28 @@ def _weyl_lift_inverses(rep: Representation, ring: RingSpec) -> tuple:
     return tuple(out)
 
 
+def _first_pivot(ring: RingSpec, mat, entries):
+    """Entry (0, 0) of mat (I + E) for the entries E = [(i, j, c)]."""
+    terms = [ring.mul(mat[0][i], c) for i, j, c in entries if j == 0]
+    return functools.reduce(ring.add, terms, mat[0][0])
+
+
 def bruhat_decompose(g: GroupElement):
     """(weyl word, elementary word) with the word evaluating to g, over a field.
 
     Tries the Weyl elements in order: g lift(w)^-1 is one column pass by the
-    tabulated lift inverse, and the first remainder in the big cell factors."""
+    tabulated lift inverse, and the first remainder in the big cell factors.
+    A try whose first pivot is zero (over a field, not a unit) stops before its
+    column pass.  Some try factors: the cells B- w B cover the group, and for g
+    in B- w B, g lift(w)^-1 is in B- w U w^-1, whose root groups (roots w(a),
+    a > 0) split into lower and upper ones, so it is in the big cell B- U."""
     rep, ring = g.rep, g.ring
     if not ring.is_field:
         raise GroupError("Bruhat decomposition needs a field")
     check_decomposition_supported(rep.rs)
     for word, entries in _weyl_lift_inverses(rep, ring):
+        if _first_pivot(ring, g.mat, entries) == ring.zero:
+            continue
         remainder = linalg.col_ops(ring, g.mat, entries)
         try:
             cell = big_cell_factor(GroupElement(rep, ring, remainder))

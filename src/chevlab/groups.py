@@ -17,7 +17,7 @@ checker tests R2 in the conjugation form e_a(s) e_b(t) e_a(-s) = P e_b(t),
 P the product of the expansion's letters, and over a `ProductRing` runs every
 check on each factor with the components of (s, t); `word_matrix` and
 `ElementaryWord.evaluate` multiply letter by letter through `linalg.mat_mul`,
-which reads each e_a(t) - I off its full matrix.  The closure searches
+which reads e_a(t) - I off the rows that e_a(t) moves.  The closure searches
 tuples of row ids, each distinct row interned once, under one action, right
 multiplication by the generators, and multiplies each distinct row by each
 generator once, by column operations with the nonzero entries of h - I;

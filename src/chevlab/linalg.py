@@ -33,11 +33,13 @@ def mat_mul(spec: RingSpec, a, b):
 
 
 def delta_entries(spec: RingSpec, mat) -> tuple:
-    """The nonzero entries (i, j, c) of mat - I, the diagonal included."""
+    """The nonzero entries (i, j, c) of mat - I, the diagonal included; a row
+    equal to the identity's is passed over by one test, not scanned."""
     zero, one = spec.zero, spec.one
     return tuple(
         (i, j, v if i != j else spec.sub(v, one))
         for i, row in enumerate(mat)
+        if not (row[i] == one and row.count(zero) == len(row) - 1)
         for j, v in enumerate(row)
         if v != (one if i == j else zero)
     )

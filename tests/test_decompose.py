@@ -1,3 +1,4 @@
+import functools
 import random
 
 import pytest
@@ -43,6 +44,7 @@ C2 = build_root_system("C2")
 B3 = build_root_system("B3")
 A3 = build_root_system("A3")
 G2 = build_root_system("G2")
+D4 = build_root_system("D4")
 
 
 def rep_of(rs, tag=None):
@@ -556,6 +558,7 @@ def cell_element(rep, ring, w, rng):
 
 
 BRUHAT_GROUPS = [(A2, None), (B2, None), (C2, None), (G2, "adjoint")]
+LARGE_BRUHAT_GROUPS = [(A3, None), (B3, None), (D4, None)]
 
 
 @settings(max_examples=60, deadline=None)
@@ -571,6 +574,44 @@ def test_bruhat_matches_the_reference_path(group, field, seed):
     g = cell_element(rep, ring, w, rng)
     weyl, word = bruhat_decompose(g)
     assert (weyl, word.letters) == (w, reference_bruhat_decompose(g)[1].letters)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    group=st.sampled_from(LARGE_BRUHAT_GROUPS),
+    field=st.sampled_from(["GF(2)", "GF(3)", "GF(4)", "GF(5)"]),
+    seed=st.integers(0, 2**32),
+)
+def test_bruhat_matches_the_reference_path_at_ranks_3_and_4(group, field, seed):
+    rs, tag = group
+    rep, ring, rng = rep_of(rs, tag), parse_ring_spec(field), random.Random(seed)
+    w = rng.choice(rs.weyl_elements())[0]
+    g = cell_element(rep, ring, w, rng)
+    weyl, word = bruhat_decompose(g)
+    assert (weyl, word.letters) == (w, reference_bruhat_decompose(g)[1].letters)
+
+
+@pytest.mark.parametrize("field", ["GF(2)", "GF(3)", "GF(4)", "GF(5)"])
+@pytest.mark.parametrize(
+    "group", BRUHAT_GROUPS + LARGE_BRUHAT_GROUPS, ids=lambda group: group[0].label
+)
+def test_first_pivot_matches_the_letter_path(group, field):
+    """For every Weyl element w, the screen's pivot is entry (0, 0) of
+    g lift(w)^-1 applied letter by letter, and it is zero exactly when the
+    big-cell factorization of that remainder fails at pivot 0."""
+    rs, tag = group
+    rep, ring = rep_of(rs, tag), parse_ring_spec(field)
+    rng = random.Random(f"{rs.label} {field}")
+    g = cell_element(rep, ring, rng.choice(rs.weyl_elements())[0], rng)
+    table = decompose._weyl_lift_inverses(rep, ring)
+    for (w, _), (word, entries) in zip(rs.weyl_elements(), table, strict=True):
+        assert word == w
+        inverse = weyl_lift_word(rep, ring, w).inverse_word().letters
+        remainder = rep.apply_right(ring, g.mat, inverse)
+        pivot = decompose._first_pivot(ring, g.mat, entries)
+        assert pivot == remainder[0][0]
+        outcome = _big_cell_outcome(big_cell_factor, GroupElement(rep, ring, remainder))
+        assert (pivot == ring.zero) == (outcome == ("NotInBigCell", "pivot 0 is not a unit"))
 
 
 def _big_cell_outcome(factor, g):
@@ -621,15 +662,24 @@ def test_bruhat_refuses_a_wrong_lift_inverse(monkeypatch):
 
 
 def test_bruhat_work_guard(monkeypatch):
-    """With the lift table warm, a search through all 48 Weyl elements of B3
-    builds one lift word, for the element that factors, and applies no
-    letter by column operations: each try is one pass by a lift inverse."""
+    """With the lift and torus tables warm, a search through all 48 Weyl
+    elements of B3 builds one lift word, for the element that factors, and
+    applies no letter by column operations.  Each try reads its first pivot,
+    and only a try whose pivot is nonzero makes its pass by the lift inverse
+    and reaches `big_cell_factor`."""
     rep, ring = rep_of(B3), parse_ring_spec("GF(3)")
     w0 = B3.weyl_elements()[-1][0]
     g = cell_element(rep, ring, w0, random.Random(7))
     decompose._weyl_lift_inverses(rep, ring)
-    lifts, applied = [], []
+    decompose._torus_diag_table(rep, ring)  # its torus lifts apply letters
+    nonzero_pivots = 0
+    for w, _ in B3.weyl_elements():  # w0 is the last one
+        dense = weyl_lift_word(rep, ring, w).inverse_word().evaluate().mat
+        terms = [ring.mul(g.mat[0][k], dense[k][0]) for k in range(rep.dim)]
+        nonzero_pivots += functools.reduce(ring.add, terms, ring.zero) != ring.zero
+    lifts, applied, factored = [], [], []
     lift_word, apply_right = decompose.weyl_lift_word, Representation.apply_right
+    factor = decompose.big_cell_factor
 
     def counted_lift(*args):
         lifts.append(args[2])
@@ -639,12 +689,18 @@ def test_bruhat_work_guard(monkeypatch):
         applied.append(1)
         return apply_right(*args)
 
+    def counted_factor(h):
+        factored.append(1)
+        return factor(h)
+
     monkeypatch.setattr(decompose, "weyl_lift_word", counted_lift)
     monkeypatch.setattr(Representation, "apply_right", counted_apply)
+    monkeypatch.setattr(decompose, "big_cell_factor", counted_factor)
     weyl, _ = bruhat_decompose(g)
     assert weyl == w0 and len(w0) == 9
     assert lifts == [w0]
     assert applied == []
+    assert len(factored) == nonzero_pivots < 48
 
 
 # ---------------------------------------------------------------------------

@@ -6,14 +6,15 @@ decompositions and one certificate, through the CLI (exit 1, never 0 and
 never 2).  An `ast` walk holds every membership replay of `congruence` to a
 control.
 
-The input guards of `groups` have controls too: each feeds one API call an
-argument it must refuse and asserts its `GroupError` and message, so that
-deleting the check fails the test, also where the call would otherwise
-raise some other error.
+The input guards of `groups` and `decompose` have controls too: each feeds
+one API call an argument it must refuse and asserts its `GroupError` and
+message, so that deleting the check fails the test, also where the call
+would otherwise raise some other error.
 
 Also a tooling guard: the decompositions and certificates run without a
 single dense product of `GroupElement`s."""
 import ast
+import dataclasses
 import json
 from pathlib import Path
 from types import MappingProxyType
@@ -33,9 +34,11 @@ from chevlab.congruence import (
     omit_root_generation_check,
 )
 from chevlab.decompose import (
+    big_cell_factor,
     decompose_over_product,
     local_decompose,
     tavgen_decompose,
+    torus_word,
 )
 from chevlab.groups import (
     ElementaryWord,
@@ -43,13 +46,15 @@ from chevlab.groups import (
     GroupError,
     congruence_reduce,
     elementary,
+    identity_element,
     in_congruence_kernel,
     subgroup_closure,
     torus_and_weyl,
     weyl_conjugation_check,
+    weyl_lift_word,
 )
 from chevlab.reps import make_representation
-from chevlab.rings import ZmodRing, ideal_from_generators, parse_ring_spec
+from chevlab.rings import ZmodRing, artinian_decompose, ideal_from_generators, parse_ring_spec
 from chevlab.roots import _neg, build_root_system
 
 
@@ -117,21 +122,79 @@ def test_epilogue_refuses_a_corrupted_decomposition(monkeypatch, algorithm, corr
     assert str(exc.value) == message
 
 
-@pytest.mark.parametrize("corruption", ["parameter", "bound"])
-@pytest.mark.parametrize("algorithm", list(EPILOGUE_CASES))
-def test_epilogue_refusal_exits_1(monkeypatch, algorithm, corruption):
-    g, message = corrupt_epilogue_input(monkeypatch, algorithm, corruption)
-    label = g.rep.rs.label
+def assert_cli_refuses(g, algorithm, message):
+    """`group decompose` on g exits 1 with the message, never 0 and never 2."""
     res = CliRunner().invoke(main, [
-        "group", "decompose", "--type", label, "--ring", g.ring.label,
+        "group", "decompose", "--type", g.rep.rs.label, "--ring", g.ring.label,
         "--algorithm", algorithm, "--input", json.dumps(g.to_json()), "--format", "json",
     ])
     assert res.exit_code == 1
     assert json.loads(res.output)["error"] == message
 
 
+@pytest.mark.parametrize("corruption", ["parameter", "bound"])
+@pytest.mark.parametrize("algorithm", list(EPILOGUE_CASES))
+def test_epilogue_refusal_exits_1(monkeypatch, algorithm, corruption):
+    g, message = corrupt_epilogue_input(monkeypatch, algorithm, corruption)
+    assert_cli_refuses(g, algorithm, message)
+
+
+def assert_refused_in(site, message, call):
+    """call() raises a `GroupError` with the message, from the function site."""
+    with pytest.raises(GroupError) as exc:
+        call()
+    assert str(exc.value) == message
+    assert site in [entry.name for entry in exc.traceback]
+
+
+def test_torus_word_refuses_the_torus_element_of_another_unit(monkeypatch):
+    """With h_a(-u) in place of h_a(u), the torus words that the C2/Z/9
+    factorization builds (units other than 1) fail their check."""
+    g = fixed_word("C2", "Z/9").evaluate()
+    assert local_decompose(g).verified  # the torus table is built unpatched
+    monkeypatch.setattr(
+        decompose, "torus_and_weyl",
+        lambda rep, ring, alpha, a: torus_and_weyl(rep, ring, alpha, ring.neg(a)),
+    )
+    message = "torus identity failed to verify"
+    assert_refused_in("torus_word", message, lambda: local_decompose(g))
+    assert_cli_refuses(g, "prop2", message)
+
+
+def test_merge_refuses_a_corrupted_factor_word(monkeypatch):
+    """The word of the first local factor of Z/360 with its first letter's
+    parameter raised by one: the merged word no longer re-evaluates."""
+    g = fixed_word("B2", "Z/360").evaluate()
+    first = artinian_decompose(g.ring).factors[0].label
+    local = decompose.local_decompose
+
+    def corrupted(h):
+        report = local(h)
+        if h.ring.label != first:
+            return report
+        return dataclasses.replace(report, word=bumped(report.word))
+
+    monkeypatch.setattr(decompose, "local_decompose", corrupted)
+    message = "merged word failed to re-evaluate"
+    assert_refused_in("product_merge_decompose", message, lambda: decompose_over_product(g))
+    assert_cli_refuses(g, "merge", message)
+
+
+def test_bruhat_search_with_no_chamber_refuses(monkeypatch):
+    """With a lift table that holds the identity alone, an input outside the
+    big cell (the lift of the longest Weyl element) matches no chamber."""
+    rs, ring = build_root_system("A2"), parse_ring_spec("GF(3)")
+    rep = make_representation(rs)
+    g = weyl_lift_word(rep, ring, rs.weyl_elements()[-1][0]).evaluate()
+    assert g.mat[0][0] == ring.zero
+    monkeypatch.setattr(decompose, "_weyl_lift_inverses", lambda rep, ring: (((), ()),))
+    message = "no Weyl chamber matched; the cell cover is broken"
+    assert_refused_in("bruhat_decompose", message, lambda: local_decompose(g))
+    assert_cli_refuses(g, "prop2", message)
+
+
 A2_REP = make_representation(build_root_system("A2"), "defining-A")
-Z4, Z8 = ZmodRing(4), ZmodRing(8)
+Z4, Z6, Z8 = ZmodRing(4), ZmodRing(6), ZmodRing(8)
 # guard -> (a call it must refuse, its exact message)
 INPUT_GUARDS = {
     "elementary non-root": (
@@ -157,6 +220,15 @@ INPUT_GUARDS = {
     "closure of no generators": (
         lambda: subgroup_closure([], cap=10),
         "closure needs at least one generator"),
+    "torus word of a non-unit": (
+        lambda: torus_word(A2_REP, Z4, (1, -1, 0), 2),
+        "torus word needs a unit"),
+    "big cell over a ring that is not local": (
+        lambda: big_cell_factor(identity_element(A2_REP, Z6)),
+        "big-cell factorization needs a local ring"),
+    "fourfold form over a ring that is not local": (
+        lambda: tavgen_decompose(ElementaryWord(A2_REP, Z6, [((1, -1, 0), 1)])),
+        "the fourfold normal form needs a local ring"),
 }
 
 

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chevlab.groups import ElementaryWord, letters_matrix, sandwich, word_matrix
-from chevlab.linalg import SingularMatrix, identity_matrix, mat_det, mat_mul
+from chevlab.linalg import SingularMatrix, delta_entries, identity_matrix, mat_det, mat_mul
 from chevlab.reps import make_representation
 from chevlab.rings import PolyQuotientRing, ProductRing, ZmodRing, parse_ring_spec
 from chevlab.roots import build_root_system
@@ -163,6 +163,45 @@ def test_mat_mul_over_the_zero_ring():
     zero = edge_matrix(3, 0)
     assert identity_matrix(ring, 3) == zero
     assert mat_mul(ring, zero, zero) == zero
+
+
+def full_scan_delta_entries(ring, mat):
+    """The nonzero entries (i, j, c) of mat - I, every row scanned."""
+    one, zero = ring.one, ring.zero
+    return tuple(
+        (i, j, v if i != j else ring.sub(v, one))
+        for i, row in enumerate(mat)
+        for j, v in enumerate(row)
+        if v != (one if i == j else zero)
+    )
+
+
+DELTA_RINGS = {
+    text: ZmodRing(1) if text == "Z/1" else parse_ring_spec(text)
+    for text in ["Z/9", f"Z/{2**61}", "GF(4)", "GF(2)[x]/(x^3)", "Z/4 x GF(3)", "Z/1"]
+}
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    ring_text=st.sampled_from(list(DELTA_RINGS)),
+    kinds=st.lists(st.sampled_from(["identity", "random", "one entry"]), min_size=1, max_size=9),
+    seed=seeds,
+)
+def test_delta_entries_matches_the_full_scan(ring_text, kinds, seed):
+    """Rows of the identity, random rows, and identity rows with one entry
+    redrawn, at dimensions 1-9; over Z/1 every row is the identity's and its
+    one is its zero."""
+    ring, rng = DELTA_RINGS[ring_text], random.Random(seed)
+    dim = len(kinds)
+    rows = [list(row) for row in identity_matrix(ring, dim)]
+    for row, kind in zip(rows, kinds):
+        if kind == "random":
+            row[:] = [random_value(rng, ring) for _ in range(dim)]
+        elif kind == "one entry":
+            row[rng.randrange(dim)] = random_value(rng, ring)
+    mat = tuple(map(tuple, rows))
+    assert delta_entries(ring, mat) == full_scan_delta_entries(ring, mat)
 
 
 small_primes = st.sampled_from([2, 3, 5, 7, 11, 13, 31, 257])
