@@ -803,25 +803,34 @@ def test_ebg_check_a2_gf2():
     assert res.output == (GOLDEN / "ebg_check_A2_GF2.json").read_text()
 
 
+# (type, ring, kernel generator, golden name): every branch of the length-class
+# split, B-mixed at ranks 3 and 4, rank 2 from both sides, and the kernels
+# over a polynomial quotient and over each factor of a product ring
+CERTIFY_GOLDENS = [
+    ("A2", "Z/27", "3", "A2_Z27"),
+    ("B2", "Z/9", "3", "B2_Z9"),
+    ("B3", "Z/27", "9", "B3_Z27"),
+    ("C3", "Z/9", "3", "C3_Z9"),
+    ("D4", "Z/4", "2", "D4_Z4"),
+    ("G2", "Z/25", "5", "G2_Z25"),
+    ("F4", "Z/4", "2", "F4_Z4"),
+    ("C2", "Z/25", "5", "C2_Z25"),
+    ("A2", "GF(2)[x]/(x^3)", "[0,1]", "A2_GF2x_x3"),
+    ("A2", "Z/4 x GF(3)", "[2,0]", "A2_Z4xGF3_2_0"),
+    ("A2", "Z/4 x GF(3)", "[0,1]", "A2_Z4xGF3_0_1"),
+]
+
+
 @pytest.mark.parametrize(
-    "label, ring, ideal",
-    [
-        ("A2", "Z/27", "3"),
-        ("B2", "Z/9", "3"),
-        ("B3", "Z/27", "9"),
-        ("C3", "Z/9", "3"),
-        ("D4", "Z/4", "2"),
-        ("G2", "Z/25", "5"),
-    ],
+    "label, ring, ideal, name", CERTIFY_GOLDENS, ids=[f"{c[0]}-{c[1]}-{c[2]}" for c in CERTIFY_GOLDENS],
 )
-def test_congruence_certify_matches_golden_report(label, ring, ideal):
+def test_congruence_certify_matches_golden_report(label, ring, ideal, name):
     res = run(
         "congruence", "certify", "--type", label, "--ring", ring,
         "--subgroup", f"kernel:({ideal})", "--format", "json",
     )
     assert res.exit_code == 0
-    name = f"congruence_certify_{label}_{ring.replace('/', '')}.json"
-    assert res.output == (GOLDEN / name).read_text()
+    assert res.output == (GOLDEN / f"congruence_certify_{name}.json").read_text()
 
 
 def test_deterministic_output():
