@@ -2,29 +2,32 @@
 
 Given a finite-index normal subgroup N of the elementary group over a finite
 ring, the certificate machinery locates an ideal a with e_r(a) contained in N
-for every root r, by replaying commutator manipulations concretely: every
-claimed membership is re-checked against N's membership predicate, and the
-final ideal is verified exhaustively root by root.  Nothing is trusted from
-the derivation alone.  The branches of the length-class split share their
-steps: `_first_pair` finds each root pair, `_peel` strips replayed members
-off a product in N, and `_long_coverage` reaches the long roots through the
-doubling identity.  The cross-factor check of a product ring runs over the
-factors' additive generators, so no factor is listed.
+for every root r.  The derivation yields claims written as letter lists,
+`member` (the word's product is in N) and `equal` (two words give one
+matrix), and `_replay` checks each as it comes, against N's membership
+predicate, down to e_r(t) for every root r and every t in the ideal: nothing
+is trusted from the derivation alone.  The branches of the length-class
+split share their steps: `_first_pair` finds each root pair, `_peel` strips
+members off a product in N, and `_long_coverage` reaches the long roots by
+the doubling identity.  The cross-factor check of a product ring runs over
+the factors' additive generators, so no factor is listed.
 """
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from itertools import permutations, product
 
 from . import linalg
 from .chevalley import build_basis
+from .decompose import unipotent_coordinates
 from .groups import (
     GroupElement,
     GroupError,
     all_elementaries,
-    commutator_expansion,
     conjugation_sign,
     elementary,
+    expansion_letters,
     expansion_terms,
     identity_element,
     in_congruence_kernel,
@@ -256,36 +259,60 @@ class CertificateTrace:
         return {s.kind for s in self.steps}
 
 
-def _member(n: NormalSubgroupHandle, g: GroupElement, what: str):
-    if not n.contains(g):
-        raise CertificateError(f"replay failed: {what} is not in N")
+def member(letters, why):
+    """Claim: the product of the letters is in N."""
+    return "member", why, letters
 
 
-def _expansion(rep, ring, terms, a, b, s, t):
-    """[e_a(s), e_b(t)] and its expansion letters over `terms`, both verified."""
-    lhs, letters = commutator_expansion(rep, ring, terms, a, b, s, t)
-    if lhs != letters_matrix(rep, ring, letters):
-        raise CertificateError(f"commutator expansion failed for {a}, {b}")
-    return GroupElement(rep, ring, lhs), letters
+def equal(left, right, why):
+    """Claim: the words `left` and `right` give the same matrix."""
+    return "equal", why, left, right
 
 
-def _peel(n, prod, letters, target, param, what):
-    """Peel prod, a member of N, down to its `target` letter.
-
-    The caller has checked that the letters multiply out to prod.  Every
-    other letter is replayed in N, so the rest, left^-1 prod right^-1 formed
-    by one `sandwich`, is in N too; it must be e_target(param), and it is
-    replayed as well."""
+def _replay(n: NormalSubgroupHandle, claims):
+    """Check the claims one by one as the derivation yields them, each word
+    evaluated by `letters_matrix`; the first false claim raises, naming its
+    `why`, and the derivation is not resumed.  A word of the claim just
+    before (a member claim's word that an equal claim compared) is not
+    evaluated again; no other matrix is kept."""
     rep, ring = n.rep, n.ring
+    kept_words, kept = [], []
+    for kind, why, *words in claims:
+        mats = [kept[kept_words.index(w)] if w in kept_words else letters_matrix(rep, ring, w)
+                for w in words]
+        kept_words, kept = words, mats
+        if kind == "equal":
+            if mats[0] != mats[1]:
+                raise CertificateError(f"replay failed: {why} does not hold")
+        elif not n.contains(GroupElement(rep, ring, mats[0])):
+            raise CertificateError(f"replay failed: {why} is not in N")
+
+
+def _inverse(ring, letters) -> list:
+    return [(r, ring.neg(x)) for r, x in reversed(letters)]
+
+
+def _commutator(ring, a, b, s, t) -> list:
+    """The word e_a(s) e_b(t) e_a(-s) e_b(-t) of [e_a(s), e_b(t)]."""
+    return [(a, s), (b, t), (a, ring.neg(s)), (b, ring.neg(t))]
+
+
+def _expansion(ring, terms, a, b, s, t):
+    """The word of [e_a(s), e_b(t)] and its expansion letters over `terms`."""
+    return _commutator(ring, a, b, s, t), expansion_letters(ring, terms, s, t)
+
+
+def _peel(ring, word, letters, target, param, what):
+    """Claims that peel `word`, whose product is in N and reads as `letters`,
+    down to its `target` letter: every other letter is in N, so the rest,
+    left^-1 word right^-1, is in N too, and it is e_target(param)."""
     cut = next((i for i, (r, _) in enumerate(letters) if r == target), len(letters))
     left, right = letters[:cut], letters[cut + 1:]
-    for r, x in left + right:
-        _member(n, elementary(rep, ring, r, x), f"residue factor of the {what}")
-    left_inv = [(r, ring.neg(x)) for r, x in reversed(left)]
-    rest = GroupElement(rep, ring, sandwich(rep, ring, left_inv, prod.mat, right))
-    if rest != elementary(rep, ring, target, param):
-        raise CertificateError(f"{what} peel failed")
-    _member(n, rest, f"peeled factor of the {what}")
+    for letter in left + right:
+        yield member([letter], f"residue factor of the {what}")
+    rest = _inverse(ring, left) + word + _inverse(ring, right)
+    yield equal(rest, [(target, param)], f"{what} peel")
+    yield member([(target, param)], f"peeled factor of the {what}")
 
 
 def _unit_sum(table, a, b, k) -> bool:
@@ -330,22 +357,20 @@ def _spread_by_weyl(rs, levels, trace, sample_root):
 def _long_coverage(n, trace, table, levels, values, sigma, tau, detail):
     """e_{sigma+tau}(t) in N for every t in values, by the doubling identity
     [e_sigma(t/c), e_tau(1)] = e_{sigma+tau}(t), c = C_11(sigma, tau) a unit,
-    then spread over the long roots; `detail` is the trace line."""
-    rep, ring = n.rep, n.ring
+    then spread over the long roots; `detail` is the trace line.  Returns
+    values."""
+    ring = n.ring
     lam = _add(sigma, tau)
     c_inv = ring.inv(ring.from_int(table.commutator_coefficients(sigma, tau)[(1, 1)]))
-    terms = expansion_terms(rep, ring, sigma, tau)
     for t in sorted_values(ring, values):
         r = ring.mul(t, c_inv)
-        if r not in values:
-            raise CertificateError("scaled parameter escaped the ideal")
-        _member(n, elementary(rep, ring, sigma, r), "short member")
-        comm, letters = _expansion(rep, ring, terms, sigma, tau, r, ring.one)
-        _member(n, comm, "doubling commutator")
-        if letters != [(lam, t)]:
-            raise CertificateError("long coverage identity failed")
+        yield member([(sigma, r)], "short member")
+        word = _commutator(ring, sigma, tau, r, ring.one)
+        yield equal(word, [(lam, t)], "long coverage identity")
+        yield member(word, "doubling commutator")
     trace.log("long-coverage", detail)
-    _spread_by_weyl(rep.rs, levels, trace, lam)
+    _spread_by_weyl(n.rep.rs, levels, trace, lam)
+    return values
 
 
 def _a2_ideal_derivation(n, trace, table, levels, a, b):
@@ -360,14 +385,11 @@ def _a2_ideal_derivation(n, trace, table, levels, a, b):
     values = levels[a]
     terms = expansion_terms(rep, ring, a, b)
     for r in sorted_values(ring, values):
-        _member(n, elementary(rep, ring, a, r), f"e_{rs.root_name(a)}({ring.format_element(r)})")
+        yield member([(a, r)], f"e_{rs.root_name(a)}({ring.format_element(r)})")
         for t in ring.elements():
-            comm, letters = _expansion(rep, ring, terms, a, b, r, t)
-            _member(n, comm, "commutator of an N-member with a generator")
-            if letters[0][1] not in values:
-                raise CertificateError(
-                    "derived product escaped the level set; N is not normal"
-                )
+            word, letters = _expansion(ring, terms, a, b, r, t)
+            yield equal(word, letters, "A2 commutator expansion")
+            yield member(word, "commutator of an N-member with a generator")
     trace.log(
         "a2-multiplication",
         f"level set of {rs.root_name(a)} closed under multiplication via "
@@ -376,14 +398,6 @@ def _a2_ideal_derivation(n, trace, table, levels, a, b):
         f"{len(values)}x{ring.card} instances replayed",
     )
     return values
-
-
-def _require_2_unit(rs, ring):
-    if not ring.is_unit(ring.from_int(2)):
-        raise CertificateError(
-            f"2 is not a unit in {ring.label}: the {rs.label} certificate "
-            "needs the division-by-2 manipulations"
-        )
 
 
 def _plan(rs):
@@ -415,42 +429,51 @@ def ideal_certificate(n: NormalSubgroupHandle) -> CertificateTrace:
     mixed commutator identity; rank-2 two-length systems and the long-root
     direction of C_n use the quarter-parameter manipulations (2 must be a
     unit); G2 isolates the short factor of a doubled commutator.  Every
-    branch reads one table of level sets, each computed once.
+    branch reads one table of level sets, each computed once.  The
+    derivation yields its claims to `_replay`, which checks each one.
     """
-    rep, ring = n.rep, n.ring
-    rs = rep.rs
+    ring, rs = n.ring, n.rep.rs
     if rs.rank < 2:
         raise CertificateError("certificates need rank >= 2")
     table = build_basis(rs)
     if not check_normal(n):
         raise CertificateError("subgroup failed the conjugation-closure check")
     label, a2_roots, cover, needs_2 = _plan(rs)
-    if needs_2:
-        _require_2_unit(rs, ring)
+    if needs_2 and not ring.is_unit(ring.from_int(2)):
+        raise CertificateError(
+            f"2 is not a unit in {ring.label}: the {rs.label} certificate "
+            "needs the division-by-2 manipulations"
+        )
     levels = {r: level_set(n, r).values for r in rs.roots}
     trace = CertificateTrace(None, label)
+    _replay(n, _certificate_claims(n, trace, table, levels, a2_roots, cover))
+    return trace
+
+
+def _certificate_claims(n, trace, table, levels, a2_roots, cover):
+    """The claims of `ideal_certificate`, which fills in `trace`: the A2
+    head and the cover step of the plan, then e_r(t) in N for every root r
+    and every t of the derived ideal, no step trusted."""
+    ring, rs = n.ring, n.rep.rs
     values = None
     if a2_roots is not None:
         members = set(a2_roots)
         a, b = _first_pair(a2_roots, a2_roots, lambda a, b: (
             b != a and _add(a, b) in members and _unit_sum(table, a, b, 1)
         ), "A2 subsystem")
-        values = _a2_ideal_derivation(n, trace, table, levels, a, b)
+        values = yield from _a2_ideal_derivation(n, trace, table, levels, a, b)
         _spread_by_weyl(rs, levels, trace, a)
     if cover is not None:
-        values = cover(n, trace, table, levels, values)
+        values = yield from cover(n, trace, table, levels, values)
     ideal = _ideal_of(ring, values)
     if ideal is None:
         raise CertificateError("derived parameter set is not an ideal")
     trace.ideal = ideal = ideal_from_generators(ring, [ideal.generator])
-    # final soundness replay: every membership re-verified, no step trusted
     params = ideal.elements_list()
     for r in rs.roots:
         for t in params:
-            name = f"e_{rs.root_name(r)}({ring.format_element(t)})"
-            _member(n, elementary(rep, ring, r, t), name)
+            yield member([(r, t)], f"e_{rs.root_name(r)}({ring.format_element(t)})")
         trace.per_root.append((r, len(params)))
-    return trace
 
 
 def _cover_b_mixed(n, trace, table, levels, values):
@@ -477,11 +500,12 @@ def _cover_b_mixed(n, trace, table, levels, values):
     )
     terms = expansion_terms(rep, ring, lam, nmu)
     for r in sorted_values(ring, values):
-        _member(n, elementary(rep, ring, lam, r), "long-root member")
-        comm, letters = _expansion(rep, ring, terms, lam, nmu, r, ring.one)
-        _member(n, comm, "mixed commutator")
+        yield member([(lam, r)], "long-root member")
+        word, letters = _expansion(ring, terms, lam, nmu, r, ring.one)
+        yield member(word, "mixed commutator")
         # peel the trailing long factor, which is already certified
-        _peel(n, comm, letters, short1, ring.mul(ring.from_int(c1), r), "mixed identity")
+        yield from _peel(ring, word, letters, short1, ring.mul(ring.from_int(c1), r),
+                         "mixed identity")
     trace.log(
         "short-coverage",
         f"e_{rs.root_name(short1)}({c1:+d}r) in N for every r in the ideal "
@@ -496,13 +520,12 @@ def _cover_c_doubling(n, trace, table, levels, values):
     rs = n.rep.rs
     sigma, tau = _doubling_pair(rs, table)
     c = table.commutator_coefficients(sigma, tau)[(1, 1)]
-    _long_coverage(
+    return (yield from _long_coverage(
         n, trace, table, levels, values, sigma, tau,
         f"[e_{rs.root_name(sigma)}(r), e_{rs.root_name(tau)}(1)] = "
         f"e_{rs.root_name(_add(sigma, tau))}({c:+d}r) with {c:+d} a unit "
         f"({len(values)} instances)",
-    )
-    return values
+    ))
 
 
 def _cover_rank2(n, trace, table, levels, values):
@@ -520,34 +543,25 @@ def _cover_rank2(n, trace, table, levels, values):
         f"e_{rs.root_name(lam)}({d:+d}ru); u ranges over the ring since "
         "2 (hence 4) is a unit",
     )
-    one = ring.one
     half = ring.inv(ring.from_int(2 * c1 * d))
-    doubling = expansion_terms(rep, ring, sigma, tau)
     mixed = expansion_terms(rep, ring, lam, ntau)
-    # multiplicative closure of the starting level set
+    # multiplicative closure of the starting level set: with v = rs / (2 c1),
+    # [e_lam(v), e_ntau(1)] = e_sigma(rs) [e_lam(v), e_ntau(-1)], both in N
     for r in sorted_values(ring, values):
-        _member(n, elementary(rep, ring, sigma, r), "starting level member")
+        yield member([(sigma, r)], "starting level member")
         for s in ring.elements():
             u = ring.mul(s, half)
             v = ring.mul(ring.from_int(d), ring.mul(r, u))
-            glong = elementary(rep, ring, lam, v)
-            comm, _ = _expansion(rep, ring, doubling, sigma, tau, r, u)
-            if comm != glong:
-                raise CertificateError("doubling identity failed")
-            _member(n, glong, "long element from the doubling identity")
-            ca, _ = _expansion(rep, ring, mixed, lam, ntau, v, one)
-            cb, lb = _expansion(rep, ring, mixed, lam, ntau, v, ring.neg(one))
-            _member(n, ca, "first mixed commutator")
-            _member(n, cb, "second mixed commutator")
-            prod = GroupElement(rep, ring, sandwich(rep, ring, [], ca.mat, lb))
-            rs_val, w = ring.mul(r, s), ring.mul(ring.from_int(2 * c1), v)
-            if prod != elementary(rep, ring, sigma, w):
-                raise CertificateError("difference-of-commutators identity failed")
-            if w != rs_val:
-                raise CertificateError("parameter bookkeeping failed")
-            _member(n, prod, "short element certifying multiplicative closure")
-            if rs_val not in values:
-                raise CertificateError("level set is not multiplicatively closed")
+            yield equal(_commutator(ring, sigma, tau, r, u), [(lam, v)], "doubling identity")
+            yield member([(lam, v)], "long element from the doubling identity")
+            first = _commutator(ring, lam, ntau, v, ring.one)
+            second, expanded = _expansion(ring, mixed, lam, ntau, v, ring.neg(ring.one))
+            closure = [(sigma, ring.mul(r, s))]
+            yield equal(first, closure + expanded, "difference-of-commutators identity")
+            yield member(first, "first mixed commutator")
+            yield equal(second, expanded, "expansion of the second mixed commutator")
+            yield member(second, "second mixed commutator")
+            yield member(closure, "short element certifying multiplicative closure")
     trace.log(
         "difference-of-commutators",
         f"e_{rs.root_name(sigma)}(rs) recovered as "
@@ -557,12 +571,11 @@ def _cover_rank2(n, trace, table, levels, values):
     )
     _spread_by_weyl(rs, levels, trace, sigma)
     # long coverage via the doubling identity at u = 1/d
-    _long_coverage(
+    return (yield from _long_coverage(
         n, trace, table, levels, values, sigma, tau,
         f"e_{rs.root_name(lam)}(t) in N for every t in the ideal "
         f"({len(values)} instances)",
-    )
-    return values
+    ))
 
 
 def _cover_g2_short(n, trace, table, levels, values):
@@ -572,25 +585,18 @@ def _cover_g2_short(n, trace, table, levels, values):
     k, c = (1, 0), (0, 1)
     eps2 = table.commutator_coefficients(k, c)[(1, 2)]
     target = (1, 2)  # 2c + k
-    from .decompose import unipotent_coordinates
-
     scale = ring.inv(ring.from_int(2 * eps2))
-    one = ring.one
-    terms = expansion_terms(rep, ring, k, c)
     for t in sorted_values(ring, values):
         u = ring.mul(t, scale)
-        if u not in values:
-            raise CertificateError("scaled parameter escaped the ideal")
-        _member(n, elementary(rep, ring, k, u), "long member")
-        c_pos, _ = _expansion(rep, ring, terms, k, c, u, one)
-        c_neg, neg_letters = _expansion(rep, ring, terms, k, c, u, ring.neg(one))
-        _member(n, c_pos, "first short-isolation commutator")
-        _member(n, c_neg, "second short-isolation commutator")
-        prod = GroupElement(rep, ring, rep.apply_right(ring, c_pos.mat, neg_letters))
+        yield member([(k, u)], "long member")
+        pos = _commutator(ring, k, c, u, ring.one)
+        neg = _commutator(ring, k, c, u, ring.neg(ring.one))
+        yield member(pos, "first short-isolation commutator")
+        yield member(neg, "second short-isolation commutator")
+        # the product's height-ordered letters say which to peel
+        prod = GroupElement(rep, ring, letters_matrix(rep, ring, pos + neg))
         coords = [(r, x) for r, x in unipotent_coordinates(prod, +1) if x != ring.zero]
-        if letters_matrix(rep, ring, coords) != prod.mat:
-            raise CertificateError("isolation product failed to re-evaluate")
-        _peel(n, prod, coords, target, t, "short isolation")
+        yield from _peel(ring, pos + neg, coords, target, t, "short isolation")
     trace.log(
         "short-isolation",
         "doubled commutator [e_k(u), e_c(1)][e_k(u), e_c(-1)] reduced to a "
@@ -634,9 +640,9 @@ def omit_root_generation_check(
         r for r in rs.roots
         if r not in (alpha, _neg(alpha)) and rs.inner(alpha, r) != 0
     )
+    # source = s_beta(alpha) = alpha - <alpha, beta^v> beta with <alpha, beta> != 0
+    # and beta != +-alpha, so in a reduced system source is not +-alpha
     source = rs.reflect(beta, alpha)
-    if source in (alpha, _neg(alpha)):
-        raise GroupError("reflection basis degenerated")
     # the lift of s_beta is a 3-letter word avoiding +-alpha
     lift = weyl_letters(rep, ring, beta, ring.one)
     if conjugation_sign(rep, ring, lift, source, alpha) is not None:
@@ -673,22 +679,14 @@ def cross_factor_commute_check(rep: Representation, ring: RingSpec) -> CrossFact
     if not isinstance(ring, ProductRing):
         raise GroupError("cross-factor check needs a product ring")
     report = CrossFactorReport(0, 0, [])
-    roots = list(rep.rs.roots)
-    nf = len(ring.factors)
-    for fi in range(nf):
-        for fj in range(nf):
-            if fi == fj:
-                continue
-            for a in roots:
-                for b in roots:
-                    report.pairs_checked += 1
-                    for r in ring.factors[fi].additive_generators():
-                        for s in ring.factors[fj].additive_generators():
-                            x = (a, ring.inject(fi, r))
-                            y = (b, ring.inject(fj, s))
-                            report.parameters_checked += 1
-                            if letters_matrix(rep, ring, [x, y]) != letters_matrix(
-                                rep, ring, [y, x]
-                            ):
-                                report.failures.append((fi, fj, a, b, r, s))
+    roots = rep.rs.roots
+    for fi, fj in permutations(range(len(ring.factors)), 2):
+        for a, b in product(roots, roots):
+            report.pairs_checked += 1
+            for r in ring.factors[fi].additive_generators():
+                for s in ring.factors[fj].additive_generators():
+                    x, y = (a, ring.inject(fi, r)), (b, ring.inject(fj, s))
+                    report.parameters_checked += 1
+                    if letters_matrix(rep, ring, [x, y]) != letters_matrix(rep, ring, [y, x]):
+                        report.failures.append((fi, fj, a, b, r, s))
     return report

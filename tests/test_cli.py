@@ -822,7 +822,8 @@ CERTIFY_GOLDENS = [
 
 
 @pytest.mark.parametrize(
-    "label, ring, ideal, name", CERTIFY_GOLDENS, ids=[f"{c[0]}-{c[1]}-{c[2]}" for c in CERTIFY_GOLDENS],
+    "label, ring, ideal, name", CERTIFY_GOLDENS,
+    ids=[f"{c[0]}-{c[1]}-{c[2]}" for c in CERTIFY_GOLDENS],
 )
 def test_congruence_certify_matches_golden_report(label, ring, ideal, name):
     res = run(

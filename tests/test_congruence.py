@@ -1,3 +1,4 @@
+import json
 import os
 import resource
 import subprocess
@@ -95,6 +96,41 @@ def test_certificate_computes_each_level_set_once(monkeypatch, label, tag, modul
     ideal_certificate(n)
     # one table of level sets, shared by the A2 head, the cover steps and the spreads
     assert sorted(calls) == sorted(rs.roots)
+
+
+# (type, ring, kernel generator as JSON) -> (member claims on one letter, on
+# a longer word), over the benchmark's nine (type, ring) pairs of certificates
+MEMBER_SPLIT = {
+    ("A2", "Z/27", "3"): (63, 243),
+    ("B2", "Z/9", "3"): (84, 57),
+    ("B3", "Z/27", "9"): (66, 84),
+    ("C2", "Z/25", "5"): (300, 255),
+    ("C3", "Z/9", "3"): (60, 30),
+    ("D4", "Z/4", "2"): (50, 8),
+    ("G2", "Z/25", "5"): (75, 135),
+    ("A2", "GF(2)[x]/(x^3)", "[0, 1]"): (28, 32),
+    ("A2", "Z/4 x GF(3)", "[2, 0]"): (14, 24),
+}
+
+
+def test_member_claims_split_into_letters_and_longer_words(monkeypatch):
+    """A member claim on one letter e_r(t) asks what the level-set table has
+    settled already from the same predicate; only the longer words (here
+    commutators, whose product may still be an e_r(t)) can ask something
+    new.  The split is read off the claims and is part of no report."""
+    split = {}
+
+    def counted(n, claims):
+        words = [claim[2] for claim in claims if claim[0] == "member"]
+        split[key] = (sum(len(w) == 1 for w in words), sum(len(w) > 1 for w in words))
+
+    monkeypatch.setattr(congruence, "_replay", counted)
+    for key in MEMBER_SPLIT:
+        label, ring_text, gen = key
+        rep, ring = make_representation(build_root_system(label)), parse_ring_spec(ring_text)
+        ideal = ideal_from_generators(ring, [ring.element_from_json(json.loads(gen))])
+        ideal_certificate(kernel_subgroup(rep, ring, ideal))
+    assert split == MEMBER_SPLIT
 
 
 def test_level_set_full_group():
@@ -321,14 +357,6 @@ def test_omit_root_generation_b2_gf2_against_enumeration():
         assert fast and slow
 
 
-def test_omit_root_rejects_rank1():
-    a1 = build_root_system("A", 1)
-    rep = make_representation(a1, "defining-A")
-    ring = ZmodRing(2)
-    with pytest.raises(Exception):
-        omit_root_generation_check(rep, ring, (1, -1))
-
-
 def test_cross_factor_commute_z2xz3():
     rep = make_representation(A2, "defining-A")
     ring = parse_ring_spec("Z/2 x Z/3")
@@ -369,12 +397,6 @@ def test_cross_factor_sees_a_leaking_injection(monkeypatch):
     monkeypatch.setattr(ring, "inject", leaky)
     report = cross_factor_commute_check(rep, ring)
     assert not report.ok and report.failures
-
-
-def test_cross_factor_requires_product():
-    rep = make_representation(A2, "defining-A")
-    with pytest.raises(Exception):
-        cross_factor_commute_check(rep, ZmodRing(6))
 
 
 def test_certificate_refuses_g2_z4():

@@ -1,10 +1,11 @@
 """Negative controls for the guards that every answer passes before it leaves
 the program: each test corrupts one producer in one named way and asserts
 that the guard downstream of it fires, through the API (`GroupError`, or
-`CertificateError` for `check_normal` and the certificate replays) and, for
-decompositions and one certificate, through the CLI (exit 1, never 0 and
-never 2).  An `ast` walk holds every membership replay of `congruence` to a
-control.
+`CertificateError` for `check_normal` and the certificate guards) and, for
+decompositions and three certificates, through the CLI (exit 1, never 0 and
+never 2).  A certificate is a stream of claims that `congruence._replay`
+checks: the replay controls corrupt the claims, and an `ast` walk keeps
+`_replay` the only place on the certificate path that asks N's predicate.
 
 The input guards of `groups` and `decompose` have controls too: each feeds
 one API call an argument it must refuse and asserts its `GroupError` and
@@ -15,7 +16,9 @@ Also a tooling guard: the decompositions and certificates run without a
 single dense product of `GroupElement`s."""
 import ast
 import dataclasses
+import inspect
 import json
+import re
 from pathlib import Path
 from types import MappingProxyType
 
@@ -26,8 +29,10 @@ from chevlab import congruence, decompose, groups
 from chevlab.cli import main
 from chevlab.congruence import (
     CertificateError,
+    LevelSet,
     NormalSubgroupHandle,
     check_normal,
+    cross_factor_commute_check,
     ideal_certificate,
     kernel_subgroup,
     materialized_subgroup,
@@ -48,6 +53,7 @@ from chevlab.groups import (
     elementary,
     identity_element,
     in_congruence_kernel,
+    letters_matrix,
     subgroup_closure,
     torus_and_weyl,
     weyl_conjugation_check,
@@ -193,8 +199,9 @@ def test_bruhat_search_with_no_chamber_refuses(monkeypatch):
     assert_cli_refuses(g, "prop2", message)
 
 
+A1_REP = make_representation(build_root_system("A1"), "defining-A")
 A2_REP = make_representation(build_root_system("A2"), "defining-A")
-Z4, Z6, Z8 = ZmodRing(4), ZmodRing(6), ZmodRing(8)
+Z2, Z4, Z6, Z8 = ZmodRing(2), ZmodRing(4), ZmodRing(6), ZmodRing(8)
 # guard -> (a call it must refuse, its exact message)
 INPUT_GUARDS = {
     "elementary non-root": (
@@ -229,6 +236,12 @@ INPUT_GUARDS = {
     "fourfold form over a ring that is not local": (
         lambda: tavgen_decompose(ElementaryWord(A2_REP, Z6, [((1, -1, 0), 1)])),
         "the fourfold normal form needs a local ring"),
+    "omitted-root generation at rank 1": (
+        lambda: omit_root_generation_check(A1_REP, Z2, (1, -1)),
+        "omitted-root generation needs rank >= 2"),
+    "cross-factor check of a ring that is not a product": (
+        lambda: cross_factor_commute_check(A2_REP, Z6),
+        "cross-factor check needs a product ring"),
 }
 
 
@@ -373,28 +386,44 @@ def bump_first_coefficient(monkeypatch):
     monkeypatch.setattr(congruence, "expansion_terms", corrupted)
 
 
-def bump_last_letter_within(monkeypatch, site, step):
-    """Inside the function `site` only, `_expansion` hands back its verified
-    letters with `step` added to the last one's parameter."""
-    expansion, scoped = congruence._expansion, getattr(congruence, site)
-    active = []
+def corrupt_claims(monkeypatch, scope, why, step):
+    """Of the claims that the derivation function `scope` yields, the first
+    with this `why` reaches `_replay` with `step` added to the parameter of
+    the last letter of its last word."""
+    replay, scoped = congruence._replay, getattr(congruence, scope)
+    active, done = [], []
 
-    def corrupted(rep, ring, *args):
-        comm, letters = expansion(rep, ring, *args)
-        if active:
-            (g, x), letters = letters[-1], letters[:-1]
-            letters = [*letters, (g, ring.add(x, step))]
-        return comm, letters
+    def corrupted(ring, claims):
+        for kind, reason, *words in claims:
+            if active and not done and reason == why:
+                done.append(reason)
+                *rest, (root, x) = words[-1]
+                words[-1] = [*rest, (root, ring.add(x, step))]
+            yield (kind, reason, *words)
 
     def within(*args):
-        active.append(site)
+        active.append(scope)
         try:
-            return scoped(*args)
+            return (yield from scoped(*args))
         finally:
             active.pop()
 
-    monkeypatch.setattr(congruence, "_expansion", corrupted)
-    monkeypatch.setattr(congruence, site, within)
+    monkeypatch.setattr(
+        congruence, "_replay", lambda n, claims: replay(n, corrupted(n.ring, claims)))
+    monkeypatch.setattr(congruence, scope, within)
+
+
+def watch_claims(monkeypatch):
+    """Lists that `_replay` fills from then on: the derivations (generators)
+    it is given, and each claim as it takes it."""
+    replay, derivations, seen = congruence._replay, [], []
+
+    def watched(n, claims):
+        derivations.append(claims)
+        return replay(n, (seen.append(claim) or claim for claim in claims))
+
+    monkeypatch.setattr(congruence, "_replay", watched)
+    return derivations, seen
 
 
 class RefusingHandle(NormalSubgroupHandle):
@@ -408,24 +437,18 @@ class RefusingHandle(NormalSubgroupHandle):
         return g.mat != self.refused and super().contains(g)
 
 
-def first_composite_member(monkeypatch, n, what):
-    """The first matrix that the replay `what` asks about in a clean run which
-    is neither the identity nor any e_r(t): dropping it from N leaves every
-    level set as it was."""
+def first_composite_member(monkeypatch, n, why):
+    """The first matrix that a member claim with this `why` names in a clean
+    run which is neither the identity nor any e_r(t): dropping it from N
+    leaves every level set as it was."""
     rep, ring = n.rep, n.ring
     elementaries = {elementary(rep, ring, r, t).mat for r in rep.rs.roots for t in ring.elements()}
-    asked = []
-    member = congruence._member
-
-    def spy(handle, g, name):
-        if name == what:
-            asked.append(g.mat)
-        return member(handle, g, name)
-
     with monkeypatch.context() as m:
-        m.setattr(congruence, "_member", spy)
+        _, seen = watch_claims(m)
         ideal_certificate(n)
-    return next(x for x in asked if x not in elementaries)
+    named = (letters_matrix(rep, ring, word) for kind, reason, word, *_ in seen
+             if (kind, reason) == ("member", why))
+    return next(x for x in named if x not in elementaries)
 
 
 def derive_the_unit_ideal(monkeypatch):
@@ -433,56 +456,69 @@ def derive_the_unit_ideal(monkeypatch):
     monkeypatch.setattr(congruence, "_ideal_of", lambda ring, values: ideal_from_generators(ring, [ring.one]))
 
 
-# (case, corruption, argument, the function in congruence.py whose check
-# fires, the message); every function of congruence.py that replays a
-# membership (`_member`, `_peel`) is reached by one of them
+# (case, corruption, scope, the why of the claim that fails).  A "letter"
+# corruption changes the first claim with that why which the derivation
+# function `scope` yields: by one (out of the ideal) or by the ideal's
+# generator ("letter in N").  A "member" corruption drops a matrix that a
+# claim with that why names from N.  "coefficient" raises a structure
+# constant of every expansion (`_expansion` puts them into the claims), and
+# "ideal" reads the ideal that `ideal_certificate` derives as the unit ideal.
+# `_replay` raises each time, naming the claim.
 REPLAY_CONTROLS = [
-    *[(case, "coefficient", None, "_expansion", "commutator expansion failed")
-      for case in CERTIFICATE_CASES],
-    ("A2/Z/27", "letter", "_a2_ideal_derivation", "_a2_ideal_derivation",
-     "derived product escaped the level set"),
-    ("B3/Z/27", "letter", "_cover_b_mixed", "_peel",
-     "replay failed: residue factor of the mixed identity is not in N"),
-    ("B3/Z/27", "letter in N", "_cover_b_mixed", "_peel", "mixed identity peel failed"),
-    ("C3/Z/9", "letter", "_long_coverage", "_long_coverage", "long coverage identity failed"),
-    ("B2/Z/9", "letter", "_long_coverage", "_long_coverage", "long coverage identity failed"),
-    ("B2/Z/9", "letter", "_cover_rank2", "_cover_rank2",
-     "difference-of-commutators identity failed"),
-    ("G2/Z/25", "letter", "_cover_g2_short", "_peel",
-     "replay failed: residue factor of the short isolation is not in N"),
-    ("B3/Z/27", "member", "mixed commutator", "_cover_b_mixed",
-     "replay failed: mixed commutator is not in N"),
-    ("B2/Z/9", "member", "first mixed commutator", "_cover_rank2",
-     "replay failed: first mixed commutator is not in N"),
-    ("G2/Z/25", "member", "first short-isolation commutator", "_cover_g2_short",
-     "replay failed: first short-isolation commutator is not in N"),
-    ("G2/Z/25", "member", "second short-isolation commutator", "_cover_g2_short",
-     "replay failed: second short-isolation commutator is not in N"),
-    ("A2/Z/27", "ideal", None, "ideal_certificate", r"replay failed: e_\S+\(1\) is not in N"),
+    *[(case, "coefficient", "_expansion", "A2 commutator expansion")
+      for case in CERTIFICATE_CASES if case != "B2/Z/9"],
+    ("B2/Z/9", "coefficient", "_expansion", "difference-of-commutators identity"),
+    ("A2/Z/27", "letter", "_a2_ideal_derivation", "commutator of an N-member with a generator"),
+    ("B3/Z/27", "letter", "_cover_b_mixed", "residue factor of the mixed identity"),
+    ("B3/Z/27", "letter in N", "_cover_b_mixed", "mixed identity peel"),
+    ("C3/Z/9", "letter", "_long_coverage", "long coverage identity"),
+    ("B2/Z/9", "letter", "_long_coverage", "doubling commutator"),
+    ("B2/Z/9", "letter", "_cover_rank2", "doubling identity"),
+    ("G2/Z/25", "letter", "_cover_g2_short", "short isolation peel"),
+    ("B3/Z/27", "member", None, "mixed commutator"),
+    ("B2/Z/9", "member", None, "first mixed commutator"),
+    ("G2/Z/25", "member", None, "first short-isolation commutator"),
+    ("G2/Z/25", "member", None, "second short-isolation commutator"),
+    ("A2/Z/27", "ideal", "ideal_certificate", r"e_\S+\(1\)"),
 ]
-# functions that replay a membership with no control above, and why
-UNCONTROLLED_REPLAYS = {}
 
 
 @pytest.mark.parametrize(
-    "case, corruption, arg, site, message", REPLAY_CONTROLS,
+    "case, corruption, scope, why", REPLAY_CONTROLS,
     ids=[f"{c[0]}-{c[1]}-{c[2] or c[3]}" for c in REPLAY_CONTROLS],
 )
-def test_certificate_replay_catches_a_corruption(monkeypatch, case, corruption, arg, site, message):
+def test_certificate_replay_catches_a_corruption(monkeypatch, case, corruption, scope, why):
     n = certificate_kernel(case)
     if corruption == "coefficient":
         bump_first_coefficient(monkeypatch)
-    elif corruption == "letter":  # by one, out of the ideal
-        bump_last_letter_within(monkeypatch, arg, n.ring.one)
-    elif corruption == "letter in N":  # by the ideal's generator
-        bump_last_letter_within(monkeypatch, arg, n.data.generator)
+    elif corruption == "letter":
+        corrupt_claims(monkeypatch, scope, why, n.ring.one)
+    elif corruption == "letter in N":
+        corrupt_claims(monkeypatch, scope, why, n.data.generator)
     elif corruption == "member":
-        n = RefusingHandle(n, first_composite_member(monkeypatch, n, arg))
+        n = RefusingHandle(n, first_composite_member(monkeypatch, n, why))
     else:
         derive_the_unit_ideal(monkeypatch)
+    message = f"^replay failed: {why} (does not hold|is not in N)$"
     with pytest.raises(CertificateError, match=message) as exc:
         ideal_certificate(n)
-    assert site in [entry.name for entry in exc.traceback]
+    assert exc.traceback[-1].name == "_replay"
+
+
+def test_a_failed_claim_stops_the_derivation(monkeypatch):
+    """The derivation is a stream: once `_replay` refuses a claim it takes no
+    further claim, and the derivation stays suspended where it stood."""
+    n = certificate_kernel("B2/Z/9")
+    with monkeypatch.context() as m:
+        _, clean = watch_claims(m)
+        ideal_certificate(n)
+    corrupt_claims(monkeypatch, "_cover_rank2", "doubling identity", n.ring.one)
+    derivations, seen = watch_claims(monkeypatch)
+    with pytest.raises(CertificateError, match="doubling identity does not hold"):
+        ideal_certificate(n)
+    first = next(i for i, claim in enumerate(clean) if claim[1] == "doubling identity")
+    assert seen == clean[:first + 1]
+    assert inspect.getgeneratorstate(derivations[0]) == inspect.GEN_SUSPENDED
 
 
 def test_certificate_with_a_corrupted_expansion_exits_1(monkeypatch):
@@ -492,18 +528,109 @@ def test_certificate_with_a_corrupted_expansion_exits_1(monkeypatch):
         "--subgroup", "kernel:(5)", "--format", "json",
     ])
     assert res.exit_code == 1
-    assert "commutator expansion failed" in json.loads(res.output)["error"]
+    assert json.loads(res.output)["error"] == "replay failed: A2 commutator expansion does not hold"
 
 
 def test_every_membership_replay_has_a_control():
-    """Each function of congruence.py that calls `_member` or `_peel` is the
-    site of a control in REPLAY_CONTROLS, or is listed with its reason."""
+    """On the certificate path only `_replay` asks N's predicate (besides
+    `level_set` and `check_normal`, and `_ideal_of`, which asks an ideal),
+    and no derivation (a generator of congruence.py) raises on a comparison:
+    each check is a claim, and REPLAY_CONTROLS corrupts the claims."""
     tree = ast.parse(Path(congruence.__file__).read_text())
-    replaying = {
-        fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
-        and any(isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-                and node.func.id in ("_member", "_peel") for node in ast.walk(fn))
+    functions = [fn for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)]
+    asking = {
+        (fn.name, node.func.value.id) for fn in functions for node in ast.walk(fn)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "contains" and isinstance(node.func.value, ast.Name)
     }
-    assert replaying  # the walk found the replays
-    sites = {c[3] for c in REPLAY_CONTROLS}
-    assert replaying - sites == set(UNCONTROLLED_REPLAYS)
+    assert asking == {("level_set", "n"), ("check_normal", "n"), ("_replay", "n"),
+                      ("_ideal_of", "ideal")}
+    derivations = {
+        fn.name: fn for fn in functions
+        if any(isinstance(node, (ast.Yield, ast.YieldFrom)) for node in ast.walk(fn))
+    }
+    assert set(derivations) == {
+        "_peel", "_long_coverage", "_a2_ideal_derivation", "_certificate_claims",
+        "_cover_b_mixed", "_cover_c_doubling", "_cover_rank2", "_cover_g2_short",
+    }
+    compared = [
+        name for name, fn in derivations.items() for node in ast.walk(fn)
+        if isinstance(node, ast.If) and any(
+            isinstance(test, ast.Compare)
+            and any(isinstance(op, (ast.Eq, ast.NotEq)) for op in test.ops)
+            for test in ast.walk(node.test))
+        and any(isinstance(inner, ast.Raise) for inner in ast.walk(node))
+    ]
+    assert compared == []
+    assert {c[2] for c in REPLAY_CONTROLS if c[1].startswith("letter")} <= set(derivations)
+
+
+# ---------------------------------------------------------------------------
+# Certificate guards outside the replay: one corruption of the producer just
+# upstream of each, through the API and, for the two on the certificate
+# path, the CLI (exit 1, never 0 and never 2)
+
+
+def assert_certify_refuses(label, ring_text, generator, message):
+    res = CliRunner().invoke(main, [
+        "congruence", "certify", "--type", label, "--ring", ring_text,
+        "--subgroup", f"kernel:({generator})", "--format", "json",
+    ])
+    assert res.exit_code == 1
+    assert re.fullmatch(message, json.loads(res.output)["error"])
+
+
+def corrupt_level_sets(monkeypatch, values):
+    """`level_set` with the values of root r read as values(n, r) where that
+    is not None."""
+    level = congruence.level_set
+
+    def corrupted(n, alpha):
+        found = level(n, alpha)
+        changed = values(n, tuple(alpha))
+        return found if changed is None else LevelSet(found.root, changed, None)
+
+    monkeypatch.setattr(congruence, "level_set", corrupted)
+
+
+def test_weyl_spread_refuses_level_sets_that_differ(monkeypatch):
+    """With the level set of the last root of A2 read as {0}, the spread of
+    the A2 head over the length class finds two level sets that differ."""
+    corrupt_level_sets(
+        monkeypatch, lambda n, r: frozenset({n.ring.zero}) if r == n.rep.rs.roots[-1] else None)
+    message = r"level sets of \(.*\) and \(.*\) differ; N is not normal"
+    with pytest.raises(CertificateError) as exc:
+        ideal_certificate(certificate_kernel("A2/Z/27"))
+    assert re.fullmatch(message, str(exc.value))
+    assert exc.traceback[-1].name == "_spread_by_weyl"
+    assert_certify_refuses("A2", "Z/27", "3", message)
+
+
+def test_certificate_refuses_a_derived_set_that_is_not_an_ideal(monkeypatch):
+    """Over GF(2)[x]/(x^3), N the kernel mod (x): with every level set read
+    as {0, x}, an additive subgroup of the ideal (x) but not an ideal, every
+    claim holds and the spread agrees, and the derived set is refused."""
+    ring = parse_ring_spec("GF(2)[x]/(x^3)")
+    x = ring.element_from_json([0, 1])
+    corrupt_level_sets(monkeypatch, lambda n, r: frozenset({ring.zero, x}))
+    rep = make_representation(build_root_system("A2"))
+    n = kernel_subgroup(rep, ring, ideal_from_generators(ring, [x]))
+    message = "derived parameter set is not an ideal"
+    with pytest.raises(CertificateError) as exc:
+        ideal_certificate(n)
+    assert str(exc.value) == message
+    assert exc.traceback[-1].name == "_certificate_claims"
+    assert_certify_refuses("A2", "GF(2)[x]/(x^3)", "[0,1]", message)
+
+
+def test_materialized_subgroup_refuses_a_closure_that_is_not_normal(monkeypatch):
+    """With every conjugate by a letter read as the element itself, the
+    search for a missing conjugate finds none, and the closure of e_a(1)
+    over SL3(Z/3) (3 elements) fails the normality check."""
+    rs, ring = build_root_system("A2"), parse_ring_spec("Z/3")
+    rep = make_representation(rs)
+    monkeypatch.setattr(congruence, "sandwich", lambda rep, ring, left, mat, right: mat)
+    with pytest.raises(CertificateError) as exc:
+        materialized_subgroup(rep, ring, [elementary(rep, ring, rs.simple[0], 1)])
+    assert str(exc.value) == "materialized subgroup failed normality check"
+    assert exc.traceback[-1].name == "materialized_subgroup"
