@@ -2,12 +2,13 @@
 
 Every integer matrix here is sparse, {row: {col: value}} with no zero
 entries: the generators X_a, their divided powers X_a^k / k! and the
-brackets.  For classical types the bracket table is read off explicit integer
-matrix realizations (sl, so, sp), which keeps the table and the defining
-representations consistent by construction.  For exceptional types the table
-is built by the extraspecial-pair recursion.  Every table is certified by
-root-string magnitude checks and by one Jacobi check by generators, complete
-at every rank.
+brackets.  Every bracket table is built by the extraspecial-pair recursion,
+whose signs at the extraspecial pairs fix the whole table.  For types A-D
+those signs are read off the explicit integer matrices (sl, so, sp) of the
+defining representations, and the matrices are then checked against the
+table by generators (verify_model); for E, F and G the signs are +1.  Every
+table is certified by root-string magnitude checks and by one Jacobi check
+by generators, complete at every rank.
 
 The adjoint action ad x of every basis vector is built in one place,
 ChevalleyBasisTable.ad_matrices, for the generator Jacobi check, the adjoint
@@ -84,6 +85,11 @@ def classical_generators(rs: RootSystem):
     return dim, xmats, weights
 
 
+def _defining_model(rs: RootSystem):
+    """The root vectors X_a of the defining matrices of types A-D, else None."""
+    return classical_generators(rs)[1] if rs.letter in "ABCD" else None
+
+
 # ---------------------------------------------------------------------------
 # Structure table
 
@@ -91,44 +97,21 @@ def classical_generators(rs: RootSystem):
 def _p_value(rs: RootSystem, a, b) -> int:
     """Largest p with b - p*a a root."""
     p = 0
-    cur = b
-    while True:
-        cur = _sub(cur, a)
-        if not rs.is_root(cur):
-            return p
+    while rs.is_root(_sub(b, _scale(p + 1, a))):
         p += 1
+    return p
 
 
-def _table_from_matrices(rs: RootSystem):
-    _, xmats, _ = classical_generators(rs)
-    nmap = {}
-    for a in rs.roots:
-        for b in rs.roots:
-            s = _add(a, b)
-            if s == tuple([0] * rs.ambient):
-                continue
-            br = _smat_bracket(xmats[a], xmats[b])
-            if rs.is_root(s):
-                c = _solve_scalar_multiple(br, xmats[s])
-                if c is None:
-                    raise ChevalleyError(
-                        f"bracket of {a}, {b} is not a multiple of X_{s}"
-                    )
-                nmap[(a, b)] = c
-            elif br:
-                raise ChevalleyError(f"bracket of {a}, {b} should vanish")
-    return nmap
-
-
-def _table_extraspecial(rs: RootSystem):
-    positives = sorted(rs.positive, key=lambda r: (rs.height(r), r))
+def _table_extraspecial(rs: RootSystem, xmats):
+    """N(a, b) for every pair of roots with a + b a root, by the
+    extraspecial-pair recursion (Carter, Simple Groups of Lie Type, 4.2): the
+    sign of N at the extraspecial pair of each positive root fixes the rest.
+    With the root vectors xmats of a matrix model that sign is the one with
+    [X_a, X_b] = +-(p+1) X_{a+b}, and a bracket of any other form raises;
+    without a model it is +1."""
+    positives = rs.positive  # by (height, root)
     order = {r: i for i, r in enumerate(positives)}
     nmap = {}  # (a, b) positive, a before b in the order
-
-    def lookup_pos(a, b) -> int:
-        if order[a] < order[b]:
-            return nmap[(a, b)]
-        return -nmap[(b, a)]
 
     def get_n(a, b) -> int:
         s = _add(a, b)
@@ -136,7 +119,7 @@ def _table_extraspecial(rs: RootSystem):
             return 0
         pa, pb = rs.is_positive(a), rs.is_positive(b)
         if pa and pb:
-            return lookup_pos(a, b)
+            return nmap[(a, b)] if order[a] < order[b] else -nmap[(b, a)]
         if not pa and not pb:
             return -get_n(_neg(a), _neg(b))
         z = _neg(s)
@@ -158,16 +141,19 @@ def _table_extraspecial(rs: RootSystem):
     for gamma in positives:
         if rs.height(gamma) < 2:
             continue
-        specials = []
-        for a in positives:
-            b = _sub(gamma, a)
-            if rs.is_root(b) and rs.is_positive(b) and order[a] < order[b]:
-                specials.append((a, b))
-        specials.sort(key=lambda ab: order[ab[0]])
+        specials = [(a, b) for a in positives  # in the order of a
+                    if (b := _sub(gamma, a)) in rs.positive_set and order[a] < order[b]]
         if not specials:
             raise ChevalleyError(f"no special pair for {gamma}")
         a1, b1 = specials[0]
-        nmap[(a1, b1)] = _p_value(rs, a1, b1) + 1
+        n = _p_value(rs, a1, b1) + 1
+        if xmats is not None:
+            bracket = _smat_bracket(xmats[a1], xmats[b1])
+            if bracket == _smat_scale(-n, xmats[gamma]):
+                n = -n
+            elif bracket != _smat_scale(n, xmats[gamma]):
+                raise ChevalleyError(f"[X_{a1}, X_{b1}] is not +-{n} X_{gamma} in the matrix model")
+        nmap[(a1, b1)] = n
         for a, b in specials[1:]:
             t2 = term(b1, _neg(a), a1, _neg(b))
             t3 = term(_neg(a), a1, b1, _neg(b))
@@ -176,15 +162,8 @@ def _table_extraspecial(rs: RootSystem):
                 raise ChevalleyError("non-integral structure constant")
             nmap[(a, b)] = int(val)
 
-    full = {}
-    for a in rs.roots:
-        for b in rs.roots:
-            if b == _neg(a):
-                continue
-            s = _add(a, b)
-            if rs.is_root(s):
-                full[(a, b)] = get_n(a, b)
-    return full
+    return {(a, b): get_n(a, b) for a in rs.roots for b in rs.roots
+            if b != rs.opposite[a] and rs.is_root(_add(a, b))}
 
 
 class ChevalleyBasisTable:
@@ -197,10 +176,7 @@ class ChevalleyBasisTable:
 
     def __init__(self, rs: RootSystem):
         self.rs = rs
-        if rs.letter in "ABCD":  # signs of the classical matrix realization
-            self.nmap = _table_from_matrices(rs)
-        else:  # extraspecial pairs positive
-            self.nmap = _table_extraspecial(rs)
+        self.nmap = _table_extraspecial(rs, _defining_model(rs))
         self.hcoords = {r: rs.coroot_coords(r) for r in rs.roots}
         self._verify_magnitudes()
 
@@ -246,11 +222,7 @@ class ChevalleyBasisTable:
             c = rs.cartan_int(v1, rs.simple[v2])
             return {k1: -c} if c else {}
         if v2 == _neg(v1):
-            return {
-                ("h", i): c
-                for i, c in enumerate(self.hcoords[v1])
-                if c
-            }
+            return {("h", i): c for i, c in enumerate(self.hcoords[v1]) if c}
         s = _add(v1, v2)
         if rs.is_root(s):
             n = self.nmap[(v1, v2)]
@@ -275,7 +247,8 @@ class ChevalleyBasisTable:
         and [e_{+-a_i}, e_a] = N e_{a+-a_i} with |N| = p + 1 != 0 (checked at
         construction), so by saturation every e_a lies in D, and D is
         everything: the e_{+-a_i} generate the algebra over Q.  Both checks
-        read ad_matrices, which compute each bracket once.
+        read ad_matrices, which compute each bracket once.  The derivation
+        check is shared with verify_model, with ad in place of phi.
         """
         keys = self.basis_keys()
         ad = self.ad_matrices()
@@ -284,14 +257,37 @@ class ChevalleyBasisTable:
                 for j, c in row.items():
                     if ad[keys[j]].get(k, {}).get(i) != -c:
                         raise ChevalleyError(f"antisymmetry failure on {x}, {keys[j]}")
+        index = {y: j for j, y in enumerate(keys)}
+
+        def column(x, y):  # [x, y] is column j of ad x
+            j = index[y]
+            return {keys[k]: r[j] for k, r in ad[x].items() if j in r}
+
+        return self._check_by_generators(ad, column, "ad") + len(keys) ** 2
+
+    def verify_model(self, xmats) -> int:
+        """The matrices X_a of xmats carry this table's bracket: with phi(e_a)
+        = X_a and phi(h_i) = [X_{a_i}, X_{-a_i}], phi[x, y] = [phi x, phi y]
+        for x = e_{+-a_i} and every basis vector y, [x, y] read off
+        bracket_keys; returns the number of checks, 2 * rank * dim, and raises
+        ChevalleyError on the first failure.  After verify_jacobi this is
+        complete by the argument of its docstring, phi in place of ad."""
+        rs = self.rs
+        phi = {("e", r): xmats[r] for r in rs.roots}
+        phi.update((("h", i), _smat_bracket(xmats[a], xmats[_neg(a)])) for i, a in enumerate(rs.simple))
+        return self._check_by_generators(phi, self.bracket_keys, "phi")
+
+    def _check_by_generators(self, rep: dict, bracket, name: str) -> int:
+        """rep[x, y] = [rep x, rep y] for x = e_{+-a_i} and every basis key y
+        of rep, a sparse integer matrix per key, with [x, y] given as
+        bracket(x, y), a coordinate dict; returns the number of checks."""
         gens = [("e", s) for a in self.rs.simple for s in (a, _neg(a))]
         for x in gens:
-            for j, y in enumerate(keys):
-                # [x, y] is column j of ad x
-                terms = (_smat_scale(r[j], ad[keys[k]]) for k, r in ad[x].items() if j in r)
-                if _smat_sum(terms) != _smat_bracket(ad[x], ad[y]):
-                    raise ChevalleyError(f"ad[x, y] != [ad x, ad y] for x = {x}, y = {y}")
-        return len(gens) * len(keys) + len(keys) ** 2
+            for y in rep:
+                image = _smat_sum(_smat_scale(c, rep[k]) for k, c in bracket(x, y).items())
+                if image != _smat_bracket(rep[x], rep[y]):
+                    raise ChevalleyError(f"{name}[x, y] != [{name} x, {name} y] for x = {x}, y = {y}")
+        return len(gens) * len(rep)
 
     # -- adjoint matrices -----------------------------------------------------
 
@@ -397,14 +393,6 @@ def _smat_bracket(a: dict, b: dict) -> dict:
     return _smat_sum((_int_smat_mul(a, b), _smat_scale(-1, _int_smat_mul(b, a))))
 
 
-def _solve_scalar_multiple(target: dict, base: dict):
-    """c with target == c * base, for a nonzero base; None if no such c."""
-    r, row = next(iter(base.items()))
-    col, v = next(iter(row.items()))
-    c, rem = divmod(target.get(r, {}).get(col, 0), v)
-    return None if rem or target != _smat_scale(c, base) else c
-
-
 def _int_smat_mul(a: dict, b: dict) -> dict:
     out: dict = {}
     for r, row in a.items():
@@ -454,11 +442,16 @@ def divided_powers(x: dict, dim: int) -> list:
 @functools.cache
 def build_basis(rs: RootSystem) -> ChevalleyBasisTable:
     """The integral bracket table of a root system, built once per type and
-    certified before it is returned: every |N| = p + 1, and the Jacobi
-    identity on every basis triple, by the generator check of
-    ChevalleyBasisTable.verify_jacobi at every rank."""
+    certified before it is returned: every |N| = p + 1, the Jacobi identity
+    on every basis triple, by the generator check of
+    ChevalleyBasisTable.verify_jacobi at every rank, and for types A-D the
+    defining matrices, from which the extraspecial signs were read, carry
+    the whole bracket (ChevalleyBasisTable.verify_model, by generators)."""
     table = ChevalleyBasisTable(rs)
     table.verify_jacobi()
+    model = _defining_model(rs)
+    if model is not None:
+        table.verify_model(model)
     return table
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import reduce
 from itertools import permutations, product
 
 from . import linalg
@@ -25,12 +26,14 @@ from .groups import (
     GroupElement,
     GroupError,
     all_elementaries,
+    commutator_expansion,
+    commutator_word,
     conjugation_sign,
     elementary,
-    expansion_letters,
     expansion_terms,
     identity_element,
     in_congruence_kernel,
+    inverse_letters,
     letters_matrix,
     sandwich,
     subgroup_closure,
@@ -288,20 +291,6 @@ def _replay(n: NormalSubgroupHandle, claims):
             raise CertificateError(f"replay failed: {why} is not in N")
 
 
-def _inverse(ring, letters) -> list:
-    return [(r, ring.neg(x)) for r, x in reversed(letters)]
-
-
-def _commutator(ring, a, b, s, t) -> list:
-    """The word e_a(s) e_b(t) e_a(-s) e_b(-t) of [e_a(s), e_b(t)]."""
-    return [(a, s), (b, t), (a, ring.neg(s)), (b, ring.neg(t))]
-
-
-def _expansion(ring, terms, a, b, s, t):
-    """The word of [e_a(s), e_b(t)] and its expansion letters over `terms`."""
-    return _commutator(ring, a, b, s, t), expansion_letters(ring, terms, s, t)
-
-
 def _peel(ring, word, letters, target, param, what):
     """Claims that peel `word`, whose product is in N and reads as `letters`,
     down to its `target` letter: every other letter is in N, so the rest,
@@ -310,7 +299,7 @@ def _peel(ring, word, letters, target, param, what):
     left, right = letters[:cut], letters[cut + 1:]
     for letter in left + right:
         yield member([letter], f"residue factor of the {what}")
-    rest = _inverse(ring, left) + word + _inverse(ring, right)
+    rest = inverse_letters(ring, left) + word + inverse_letters(ring, right)
     yield equal(rest, [(target, param)], f"{what} peel")
     yield member([(target, param)], f"peeled factor of the {what}")
 
@@ -365,7 +354,7 @@ def _long_coverage(n, trace, table, levels, values, sigma, tau, detail):
     for t in sorted_values(ring, values):
         r = ring.mul(t, c_inv)
         yield member([(sigma, r)], "short member")
-        word = _commutator(ring, sigma, tau, r, ring.one)
+        word = commutator_word(ring, sigma, tau, r, ring.one)
         yield equal(word, [(lam, t)], "long coverage identity")
         yield member(word, "doubling commutator")
     trace.log("long-coverage", detail)
@@ -387,7 +376,7 @@ def _a2_ideal_derivation(n, trace, table, levels, a, b):
     for r in sorted_values(ring, values):
         yield member([(a, r)], f"e_{rs.root_name(a)}({ring.format_element(r)})")
         for t in ring.elements():
-            word, letters = _expansion(ring, terms, a, b, r, t)
+            word, letters = commutator_expansion(ring, terms, a, b, r, t)
             yield equal(word, letters, "A2 commutator expansion")
             yield member(word, "commutator of an N-member with a generator")
     trace.log(
@@ -501,7 +490,7 @@ def _cover_b_mixed(n, trace, table, levels, values):
     terms = expansion_terms(rep, ring, lam, nmu)
     for r in sorted_values(ring, values):
         yield member([(lam, r)], "long-root member")
-        word, letters = _expansion(ring, terms, lam, nmu, r, ring.one)
+        word, letters = commutator_expansion(ring, terms, lam, nmu, r, ring.one)
         yield member(word, "mixed commutator")
         # peel the trailing long factor, which is already certified
         yield from _peel(ring, word, letters, short1, ring.mul(ring.from_int(c1), r),
@@ -552,10 +541,10 @@ def _cover_rank2(n, trace, table, levels, values):
         for s in ring.elements():
             u = ring.mul(s, half)
             v = ring.mul(ring.from_int(d), ring.mul(r, u))
-            yield equal(_commutator(ring, sigma, tau, r, u), [(lam, v)], "doubling identity")
+            yield equal(commutator_word(ring, sigma, tau, r, u), [(lam, v)], "doubling identity")
             yield member([(lam, v)], "long element from the doubling identity")
-            first = _commutator(ring, lam, ntau, v, ring.one)
-            second, expanded = _expansion(ring, mixed, lam, ntau, v, ring.neg(ring.one))
+            first = commutator_word(ring, lam, ntau, v, ring.one)
+            second, expanded = commutator_expansion(ring, mixed, lam, ntau, v, ring.neg(ring.one))
             closure = [(sigma, ring.mul(r, s))]
             yield equal(first, closure + expanded, "difference-of-commutators identity")
             yield member(first, "first mixed commutator")
@@ -578,6 +567,25 @@ def _cover_rank2(n, trace, table, levels, values):
     ))
 
 
+def _isolation_coordinates(rep, ring):
+    """u -> the nonzero height-ordered coordinates (root, x) of the G2
+    product [e_k(u), e_c(1)][e_k(u), e_c(-1)], read off its matrix once, at
+    u = 1.  Conjugation by the cocharacter of the coweight dual to k maps
+    e_r(x) to e_r(u^i x) for r = i*k + j*c, so over Z[u, 1/u] the
+    coordinate at (i, j) is its value at u = 1 times u^i; both sides lie in
+    Z[u], so the identity holds over every ring."""
+    k, c, one = (1, 0), (0, 1), ring.one
+    word = commutator_word(ring, k, c, one, one) + commutator_word(ring, k, c, one, ring.neg(one))
+    at_one = [(r, x) for r, x in unipotent_coordinates(
+        GroupElement(rep, ring, letters_matrix(rep, ring, word)), +1) if x != ring.zero]
+
+    def at(u):
+        scaled = ((r, reduce(ring.mul, [u] * r[0], x)) for r, x in at_one)
+        return [(r, x) for r, x in scaled if x != ring.zero]
+
+    return at
+
+
 def _cover_g2_short(n, trace, table, levels, values):
     """Isolate the doubled-short factor of a commutator of long-ideal members."""
     rep, ring = n.rep, n.ring
@@ -586,17 +594,16 @@ def _cover_g2_short(n, trace, table, levels, values):
     eps2 = table.commutator_coefficients(k, c)[(1, 2)]
     target = (1, 2)  # 2c + k
     scale = ring.inv(ring.from_int(2 * eps2))
+    coordinates = _isolation_coordinates(rep, ring)
     for t in sorted_values(ring, values):
         u = ring.mul(t, scale)
         yield member([(k, u)], "long member")
-        pos = _commutator(ring, k, c, u, ring.one)
-        neg = _commutator(ring, k, c, u, ring.neg(ring.one))
+        pos = commutator_word(ring, k, c, u, ring.one)
+        neg = commutator_word(ring, k, c, u, ring.neg(ring.one))
         yield member(pos, "first short-isolation commutator")
         yield member(neg, "second short-isolation commutator")
         # the product's height-ordered letters say which to peel
-        prod = GroupElement(rep, ring, letters_matrix(rep, ring, pos + neg))
-        coords = [(r, x) for r, x in unipotent_coordinates(prod, +1) if x != ring.zero]
-        yield from _peel(ring, pos + neg, coords, target, t, "short isolation")
+        yield from _peel(ring, pos + neg, coordinates(u), target, t, "short isolation")
     trace.log(
         "short-isolation",
         "doubled commutator [e_k(u), e_c(1)][e_k(u), e_c(-1)] reduced to a "

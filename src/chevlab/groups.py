@@ -6,9 +6,11 @@ and Weyl lifts, congruence reduction, a brute-force subgroup closure, and
 exhaustive/sampled verification of the additivity and commutator relations.
 Closures of E(R) take e_a(g) for g in the ring's additive generators, never
 every e_a(t), so a closure's cap bounds its work on every ring.
-Inverses come from words, e_a(t)^-1 = e_a(-t) (`ElementaryWord.inverse_word`,
-`commutator_expansion`); Gauss-Jordan elimination (`GroupElement.inverse`,
-`commutator`, the one product of two `GroupElement`s) is the reference path.
+Inverses come from words, e_a(t)^-1 = e_a(-t) (`inverse_letters`, the one
+letter inversion), and commutators are the one word `commutator_word`, with
+its expansion letters from `commutator_expansion`; Gauss-Jordan elimination
+(`GroupElement.inverse`, `commutator`, the one product of two
+`GroupElement`s) is the reference path.
 The relation checks, the expansions (letters from `expansion_letters`), the
 torus and Weyl lifts and conjugation by letters act by row and column
 operations (`letters_matrix`, `sandwich`), not by dense products; one check,
@@ -174,8 +176,17 @@ def letters_matrix(rep: Representation, ring: RingSpec, letters):
 def sandwich(rep: Representation, ring: RingSpec, left, mat, right):
     """left . mat . right^-1 for letter lists: the left letters act as row
     operations, those of right^-1 (reversed, negated) as column operations."""
-    inverse = [(r, ring.neg(t)) for r, t in reversed(right)]
-    return rep.apply_right(ring, rep.apply_left(ring, left, mat), inverse)
+    return rep.apply_right(ring, rep.apply_left(ring, left, mat), inverse_letters(ring, right))
+
+
+def inverse_letters(ring: RingSpec, letters) -> list:
+    """The letters of the inverse word: e_a(t)^-1 = e_a(-t), in reverse order."""
+    return [(r, ring.neg(t)) for r, t in reversed(letters)]
+
+
+def commutator_word(ring: RingSpec, a, b, s, t) -> list:
+    """The word e_a(s) e_b(t) e_a(-s) e_b(-t) of [e_a(s), e_b(t)]."""
+    return [(a, s), (b, t), (a, ring.neg(s)), (b, ring.neg(t))]
 
 
 def expansion_letters(ring: RingSpec, terms, s, t) -> list:
@@ -183,12 +194,10 @@ def expansion_letters(ring: RingSpec, terms, s, t) -> list:
     return [(g, reduce(ring.mul, [s] * i + [t] * j, c)) for i, j, g, c in terms]
 
 
-def commutator_expansion(rep: Representation, ring: RingSpec, terms, a, b, s, t):
-    """[e_a(s), e_b(t)] = e_a(s) e_b(t) e_a(-s) e_b(-t) as a raw matrix, from the
-    memoized e_a(s) by column operations, and the letters (g, C_ij s^i t^j) of
-    its expansion over `terms`, for the caller to evaluate and compare."""
-    word = [(a, s), (b, t), (a, ring.neg(s)), (b, ring.neg(t))]
-    return letters_matrix(rep, ring, word), expansion_letters(ring, terms, s, t)
+def commutator_expansion(ring: RingSpec, terms, a, b, s, t):
+    """The word of [e_a(s), e_b(t)] and the letters (g, C_ij s^i t^j) of its
+    expansion over `terms`, for the caller to evaluate and compare."""
+    return commutator_word(ring, a, b, s, t), expansion_letters(ring, terms, s, t)
 
 
 class ElementaryWord:
@@ -208,11 +217,7 @@ class ElementaryWord:
         return self._value
 
     def inverse_word(self) -> "ElementaryWord":
-        return ElementaryWord(
-            self.rep,
-            self.ring,
-            [(r, self.ring.neg(t)) for r, t in reversed(self.letters)],
-        )
+        return ElementaryWord(self.rep, self.ring, inverse_letters(self.ring, self.letters))
 
     def __len__(self):
         return len(self.letters)
@@ -264,7 +269,7 @@ def weyl_letters(rep: Representation, ring: RingSpec, alpha, u):
 def torus_and_weyl(rep: Representation, ring: RingSpec, alpha, u):
     """(w_alpha(u), h_alpha(u) = w_alpha(u) w_alpha(1)^-1), from 3 and 6 letters."""
     w = weyl_letters(rep, ring, alpha, u)
-    w1_inv = [(r, ring.neg(t)) for r, t in reversed(weyl_letters(rep, ring, alpha, ring.one))]
+    w1_inv = inverse_letters(ring, weyl_letters(rep, ring, alpha, ring.one))
     return tuple(GroupElement(rep, ring, letters_matrix(rep, ring, x)) for x in (w, w + w1_inv))
 
 

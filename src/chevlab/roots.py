@@ -204,12 +204,12 @@ def _solve_coords(basis, target):
 
 
 class TavgenSplit:
-    """Partition of a root system by an extremal simple root."""
+    """The roots phi0 of a root system without a given extremal simple root,
+    and the subsystem they form."""
 
-    def __init__(self, sub_system, phi0, phi1):
+    def __init__(self, sub_system, phi0):
         self.sub_system = sub_system
         self.phi0 = tuple(phi0)
-        self.phi1 = tuple(phi1)
 
 
 class RootSystem:
@@ -255,9 +255,10 @@ class RootSystem:
     # -- construction -------------------------------------------------------
 
     @classmethod
-    def from_subsystem(cls, parent: "RootSystem", roots, simples, label):
-        letter, rank = parse_type(label) if label else ("?", len(simples))
-        return cls(letter, rank, parent.ambient, parent.gram, roots, simples, label=label)
+    def from_subsystem(cls, parent: "RootSystem", roots, simples):
+        """The subsystem of the given roots and simple roots, unclassified:
+        its label is ?<rank>."""
+        return cls("?", len(simples), parent.ambient, parent.gram, roots, simples)
 
     # -- bilinear data ------------------------------------------------------
 
@@ -307,19 +308,15 @@ class RootSystem:
         return tuple(r for r in self.roots if self._norms[r] == low)
 
     def coroot_coords(self, alpha) -> tuple:
-        """Integer coordinates of alpha^v in the simple-coroot basis."""
-        target = [Fraction(2 * x, self.norm(alpha)) for x in alpha]
-        basis = [
-            [Fraction(2 * x, self.norm(s)) for x in s] for s in self.simple
-        ]
-        sol = _solve_coords([tuple(b) for b in basis], tuple(target))
-        if sol is None:
-            raise RootSystemError("coroot outside coroot lattice span")
+        """Integer coordinates of alpha^v in the simple-coroot basis: alpha =
+        sum c_i a_i gives alpha^v = 2 alpha / |alpha|^2 = sum c_i |a_i|^2 /
+        |alpha|^2 a_i^v."""
         out = []
-        for x in sol:
-            if x.denominator != 1:
+        for c, s in zip(self.simple_coords[alpha], self.simple):
+            q, rem = divmod(c * self.norm(s), self.norm(alpha))
+            if rem:
                 raise RootSystemError("non-integral coroot coordinates")
-            out.append(int(x))
+            out.append(q)
         return tuple(out)
 
     # -- Weyl group ---------------------------------------------------------
@@ -407,23 +404,14 @@ class RootSystem:
 
     @functools.cache
     def tavgen_split(self, alpha_index: int) -> TavgenSplit:
-        """Split off an extremal simple root: roots without/with that root."""
+        """Split off an extremal simple root: the roots without it."""
         if alpha_index not in self.extremal_simple_indices():
             raise RootSystemError(
                 f"simple root #{alpha_index} is not an extremal Dynkin node"
             )
-        phi0, phi1 = [], []
-        for r in self.roots:
-            if self.simple_coords[r][alpha_index] == 0:
-                phi0.append(r)
-            else:
-                phi1.append(r)
-        sub_simples = [
-            s for i, s in enumerate(self.simple) if i != alpha_index
-        ]
-        label = classify(self, phi0, sub_simples)
-        sub = RootSystem.from_subsystem(self, phi0, sub_simples, label)
-        return TavgenSplit(sub, phi0, phi1)
+        phi0 = [r for r in self.roots if self.simple_coords[r][alpha_index] == 0]
+        sub_simples = [s for i, s in enumerate(self.simple) if i != alpha_index]
+        return TavgenSplit(RootSystem.from_subsystem(self, phi0, sub_simples), phi0)
 
     def root_name(self, r) -> str:
         """Readable name in the realization's coordinates: signed multiples
@@ -441,35 +429,6 @@ class RootSystem:
 
     def __repr__(self):
         return f"<root system {self.label}, {len(self.roots)} roots>"
-
-
-def classify(parent: RootSystem, roots, simples) -> str:
-    """Classify a subsystem by rank, root count, and length census."""
-    rank = len(simples)
-    count = len(roots)
-    if rank == 0:
-        return "A0"
-    if rank == 1:
-        return "A1"
-    norms = sorted({parent.norm(r) for r in roots})
-    if len(norms) == 1:
-        if count == rank * (rank + 1):
-            return f"A{rank}"
-        if count == 2 * rank * (rank - 1):
-            return f"D{rank}"
-        if (rank, count) in ((6, 72), (7, 126), (8, 240)):
-            return f"E{rank}"
-    else:
-        short_count = sum(1 for r in roots if parent.norm(r) == norms[0])
-        if rank == 2 and count == 8:
-            return "C2" if short_count == 4 else "B2"
-        if rank == 2 and count == 12:
-            return "G2"
-        if rank == 4 and count == 48 and short_count == 24:
-            return "F4"
-        if count == 2 * rank * rank:
-            return f"B{rank}" if short_count == 2 * rank else f"C{rank}"
-    return f"?{rank}"
 
 
 def build_root_system(type_label, rank=None) -> RootSystem:

@@ -4,6 +4,7 @@ import tracemalloc
 
 import pytest
 
+from chevlab import chevalley
 from chevlab.chevalley import (
     ChevalleyBasisTable,
     ChevalleyError,
@@ -15,6 +16,7 @@ from chevlab.chevalley import (
 from chevlab.roots import RootSystem, _add, _neg, build_root_system
 from commutator_oracle import solve_commutator_coefficients
 from jacobi_oracle import reference_jacobi
+from table_oracle import table_from_matrices
 
 
 def entries(m):
@@ -66,6 +68,60 @@ def test_a_type_matches_matrix_units():
                     assert br == combination((n, x[s]))
                 else:
                     assert br == {}
+
+
+CLASSICAL_LABELS = (
+    [f"A{n}" for n in range(1, 8)] + [f"B{n}" for n in range(2, 7)]
+    + [f"C{n}" for n in range(2, 7)] + [f"D{n}" for n in range(3, 7)]
+)
+
+
+@pytest.mark.parametrize("label", CLASSICAL_LABELS)
+def test_classical_tables_match_the_matrix_reader(label):
+    """The extraspecial recursion, with its signs read off the defining
+    matrices, gives the table that reading all |Phi|^2 brackets off those
+    matrices gave."""
+    rs = build_root_system(label)
+    assert build_basis(rs).nmap == table_from_matrices(rs)
+
+
+def corrupt_model(monkeypatch, rs, corruption):
+    """classical_generators with one X_r changed: the first simple root's
+    negated, or a stray diagonal entry added to the highest or the lowest
+    root's."""
+    generators = chevalley.classical_generators
+    root = {"negated": rs.simple[0], "stray at the highest root": rs.positive[-1],
+            "stray at the lowest root": rs.negative[-1]}[corruption]
+
+    def corrupted(system):
+        dim, xmats, weights = generators(system)
+        x = xmats[root]
+        xmats[root] = ({r: {c: -v for c, v in row.items()} for r, row in x.items()}
+                       if corruption == "negated" else {**x, 0: {**x.get(0, {}), 0: 1}})
+        return dim, xmats, weights
+
+    monkeypatch.setattr(chevalley, "classical_generators", corrupted)
+
+
+@pytest.mark.parametrize("label", ["A3", "B3", "C3", "D4"])
+@pytest.mark.parametrize("corruption, check, message", [
+    ("negated", "_check_by_generators", r"phi\[x, y\] != \[phi x, phi y\]"),
+    ("stray at the highest root", "_table_extraspecial", r"is not \+-\d+ X_.* in the matrix model"),
+    ("stray at the lowest root", "_check_by_generators", r"phi\[x, y\] != \[phi x, phi y\]"),
+])
+def test_a_corrupted_matrix_model_is_refused(monkeypatch, label, corruption, check, message):
+    """A negated X_r reads as other extraspecial signs, and the table built
+    from them passes its magnitude and Jacobi checks, so only the model
+    check refuses it; a stray entry at a positive root breaks the sign read
+    of its extraspecial pair, and one at a negative root, which no sign read
+    sees, the model check."""
+    rs = build_root_system(label)
+    corrupt_model(monkeypatch, rs, corruption)
+    with pytest.raises(ChevalleyError, match=message) as exc:
+        build_basis.__wrapped__(rs)
+    names = [entry.name for entry in exc.traceback]
+    assert names[-1] == check and "_verify_magnitudes" not in names
+    assert ("verify_model" in names) == (check == "_check_by_generators")
 
 
 def test_bracket_zero_for_non_roots():

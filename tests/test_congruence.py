@@ -21,11 +21,15 @@ from chevlab.congruence import (
     omit_root_generation_check,
     weyl_level_equality,
 )
+from chevlab.decompose import unipotent_coordinates
 from chevlab.groups import (
+    GroupElement,
     all_elementaries,
     commutator,
+    commutator_word,
     elementary,
     in_congruence_kernel,
+    letters_matrix,
     subgroup_closure,
 )
 from chevlab.reps import make_representation
@@ -329,6 +333,26 @@ def test_certificate_g2_z25_kernel():
     n = kernel_subgroup(rep, ring, ideal_from_generators(ring, [5]))
     trace = ideal_certificate(n)
     assert trace.ideal.element_set() == frozenset({0, 5, 10, 15, 20})
+
+
+def stripped_isolation_coordinates(rep, ring, u):
+    """The nonzero height-ordered coordinates of [e_k(u), e_c(1)][e_k(u), e_c(-1)],
+    read off its matrix at this u: the per-instance strip the G2 cover made
+    before it read them once per certificate."""
+    k, c = (1, 0), (0, 1)
+    word = commutator_word(ring, k, c, u, ring.one) + commutator_word(ring, k, c, u, ring.neg(ring.one))
+    g = GroupElement(rep, ring, letters_matrix(rep, ring, word))
+    return [(r, x) for r, x in unipotent_coordinates(g, +1) if x != ring.zero]
+
+
+@pytest.mark.parametrize("ring_text", ["Z/4", "Z/25", "Z/27", "Z/49", "Z/125", "GF(5)", "GF(7)", "GF(9)"])
+def test_g2_isolation_coordinates_scale_from_u_1(ring_text):
+    """The coordinates read once at u = 1 and scaled by u^i at the root
+    (i, j) are the ones the strip reads off the matrix, for every u."""
+    rep, ring = make_representation(G2), parse_ring_spec(ring_text)
+    coordinates = congruence._isolation_coordinates(rep, ring)
+    for u in ring.elements():
+        assert coordinates(u) == stripped_isolation_coordinates(rep, ring, u)
 
 
 def test_certificate_rank1_rejected():

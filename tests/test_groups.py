@@ -819,9 +819,9 @@ def test_commutator_expansion_matches_reference_commutator(case, data):
     s = data.draw(st.sampled_from(ring.elements()))
     t = data.draw(st.sampled_from(ring.elements()))
     terms = expansion_terms(rep, ring, a, b)
-    mat, letters = commutator_expansion(rep, ring, terms, a, b, s, t)
+    word, letters = commutator_expansion(ring, terms, a, b, s, t)
     reference = commutator(elementary(rep, ring, a, s), elementary(rep, ring, b, t))
-    assert mat == reference.mat
+    assert letters_matrix(rep, ring, word) == reference.mat
     assert word_matrix(rep, ring, letters) == reference.mat
 
 
@@ -1113,8 +1113,8 @@ def test_factorwise_conjugation_form_agrees_with_the_unsplit_commutator(case, bu
                 if y == _neg(x):
                     continue
                 terms = groups.expansion_terms(rep, ring, x, y)
-                mat, letters = commutator_expansion(rep, ring, terms, x, y, s, t)
-                if mat != letters_matrix(rep, ring, letters):
+                word, letters = commutator_expansion(ring, terms, x, y, s, t)
+                if letters_matrix(rep, ring, word) != letters_matrix(rep, ring, letters):
                     expected.append(("R2", x, y, s, t))
     assert report.failures == expected
     # the bump shows exactly where its letter's parameter moves

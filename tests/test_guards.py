@@ -7,6 +7,10 @@ never 2).  A certificate is a stream of claims that `congruence._replay`
 checks: the replay controls corrupt the claims, and an `ast` walk keeps
 `_replay` the only place on the certificate path that asks N's predicate.
 
+Three guards that no other test reaches have controls of the same kind: the
+sampled kernel branch of `check_normal`, the re-evaluation inside
+`big_cell_factor` and the failure witness of `ebg check`.
+
 The input guards of `groups` and `decompose` have controls too: each feeds
 one API call an argument it must refuse and asserts its `GroupError` and
 message, so that deleting the check fails the test, also where the call
@@ -461,7 +465,8 @@ def derive_the_unit_ideal(monkeypatch):
 # function `scope` yields: by one (out of the ideal) or by the ideal's
 # generator ("letter in N").  A "member" corruption drops a matrix that a
 # claim with that why names from N.  "coefficient" raises a structure
-# constant of every expansion (`_expansion` puts them into the claims), and
+# constant of every expansion (`commutator_expansion` puts them into the
+# claims; its scope, "_expansion", only names the row), and
 # "ideal" reads the ideal that `ideal_certificate` derives as the unit ideal.
 # `_replay` raises each time, naming the claim.
 REPLAY_CONTROLS = [
@@ -634,3 +639,105 @@ def test_materialized_subgroup_refuses_a_closure_that_is_not_normal(monkeypatch)
         materialized_subgroup(rep, ring, [elementary(rep, ring, rs.simple[0], 1)])
     assert str(exc.value) == "materialized subgroup failed normality check"
     assert exc.traceback[-1].name == "materialized_subgroup"
+
+
+# ---------------------------------------------------------------------------
+# Guards that no other tier-1 test reaches: the sampled kernel branch of
+# `check_normal`, the re-evaluation of `big_cell_factor` and the failure
+# witness of `ebg check`, each after one corruption just upstream
+
+
+def count_contains(monkeypatch) -> list:
+    """A list that gets one entry per call of `NormalSubgroupHandle.contains`."""
+    calls, contains = [], NormalSubgroupHandle.contains
+
+    def counted(self, g):
+        calls.append(g)
+        return contains(self, g)
+
+    monkeypatch.setattr(NormalSubgroupHandle, "contains", counted)
+    return calls
+
+
+@pytest.mark.parametrize("corruption", ["member", "conjugate"])
+def test_check_normal_refuses_a_corrupted_kernel_sample(monkeypatch, corruption):
+    """Over SL3(Z/27), N the kernel mod (3): with the first letter of each
+    sampled member raised by one (out of the ideal), the first member asked
+    is not in N; with each conjugate's right-hand letters dropped, e_r(t) g
+    is not in N at the first sample whose t is not in the ideal."""
+    n = certificate_kernel("A2/Z/27")
+    if corruption == "member":
+        letters = congruence.letters_matrix
+
+        def corrupted(rep, ring, word):
+            (root, t), *rest = word
+            return letters(rep, ring, [(root, ring.add(t, ring.one)), *rest])
+
+        monkeypatch.setattr(congruence, "letters_matrix", corrupted)
+    else:
+        monkeypatch.setattr(
+            congruence, "sandwich", lambda rep, ring, left, mat, right: rep.apply_left(ring, left, mat))
+    calls = count_contains(monkeypatch)
+    assert check_normal(n) is False
+    # the member test asks once per sample, the conjugate test once more
+    assert len(calls) == 1 if corruption == "member" else len(calls) % 2 == 0
+    with pytest.raises(CertificateError) as exc:
+        ideal_certificate(n)
+    assert str(exc.value) == "subgroup failed the conjugation-closure check"
+    assert_certify_refuses("A2", "Z/27", "3", "subgroup failed the conjugation-closure check")
+
+
+def test_big_cell_factor_refuses_a_corrupted_coordinate(monkeypatch):
+    """With the last upper coordinate that `unipotent_coordinates` reads over
+    Z/9 raised by one (the Bruhat step over GF(3) left clean), the big-cell
+    factorization of the C2/Z/9 input no longer re-evaluates."""
+    g = fixed_word("C2", "Z/9").evaluate()
+    coordinates = decompose.unipotent_coordinates
+
+    def corrupted(h, sign, order=None):
+        coords = coordinates(h, sign, order)
+        if sign < 0 or h.ring.is_field:
+            return coords
+        *rest, (root, x) = coords
+        return [*rest, (root, h.ring.add(x, h.ring.one))]
+
+    monkeypatch.setattr(decompose, "unipotent_coordinates", corrupted)
+    message = "factorization failed to re-evaluate"
+    with pytest.raises(decompose.NotInBigCell) as exc:
+        local_decompose(g)
+    assert str(exc.value) == message
+    assert exc.traceback[-1].name == "big_cell_factor"
+    assert_cli_refuses(g, "prop2", message)
+
+
+@pytest.mark.parametrize("corruption", ["raised", "wrong word"])
+def test_ebg_check_names_a_failure_witness(monkeypatch, corruption):
+    """Over SL3(GF(2)): with the fourfold machine's word bumped, every
+    element but the identity raises in `tavgen_decompose`; with the report's
+    word bumped, its word no longer evaluates to the element.  Either way
+    `ebg check` exits 1 and names the first element that failed."""
+    rs, ring = build_root_system("A2"), parse_ring_spec("GF(2)")
+    rep = make_representation(rs)
+    words = subgroup_closure(groups.elementary_generator_words(rep, ring), cap=10**6, track_words=True)
+    witness = next(g for g in words if not g.is_identity())
+    if corruption == "raised":
+        word = decompose._Machine.word
+        monkeypatch.setattr(
+            decompose._Machine, "word", lambda self: bumped(w) if len(w := word(self)) else w)
+        with pytest.raises(GroupError) as exc:
+            tavgen_decompose(words[witness])
+        assert str(exc.value) == "tavgen word failed to re-evaluate"
+    else:
+        tavgen = decompose.tavgen_decompose
+
+        def corrupted(w):
+            report = tavgen(w)
+            return dataclasses.replace(report, word=bumped(report.word)) if len(w) else report
+
+        monkeypatch.setattr(decompose, "tavgen_decompose", corrupted)
+    res = CliRunner().invoke(main, [
+        "ebg", "check", "--type", "A2", "--ring", "GF(2)", "--format", "json"])
+    assert res.exit_code == 1
+    doc = json.loads(res.output)
+    assert (doc["passed"], doc["total"], doc["in_fourfold_form"]) == (False, 168, 1)
+    assert doc["witness"] == witness.to_json()

@@ -90,6 +90,25 @@ def _called(tree) -> list:
     ]
 
 
+def test_one_table_builder():
+    """Every structure table comes from the extraspecial recursion: no module
+    in src defines the former matrix reader or its scalar solve, and
+    ChevalleyBasisTable.__init__ calls one builder, on no branch."""
+    defined = {
+        node.name for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.FunctionDef)
+    }
+    assert not defined & {"_table_from_matrices", "_solve_scalar_multiple"}
+    tree = ast.parse((SRC / "chevalley.py").read_text())
+    builders = {n.name for n in tree.body if isinstance(n, ast.FunctionDef) and n.name.startswith("_table")}
+    assert builders == {"_table_extraspecial"}
+    (cls,) = (n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "ChevalleyBasisTable")
+    (init,) = (n for n in cls.body if isinstance(n, ast.FunctionDef) and n.name == "__init__")
+    assert [name for name in _called(init) if name in builders] == ["_table_extraspecial"]
+    assert not [n for n in ast.walk(init) if isinstance(n, (ast.If, ast.IfExp))]
+
+
 def test_one_closure_action():
     """groups.subgroup_closure takes (generators, cap, track_words) and acts
     by right multiplication alone: no row operations, no conjugation, no

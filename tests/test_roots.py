@@ -169,18 +169,18 @@ def test_tavgen_split_a3():
     ends = rs.extremal_simple_indices()
     assert ends == [0, 2]
     split = rs.tavgen_split(0)
-    assert split.sub_system.label == "A2"
-    assert len(split.phi0) == 6 and len(split.phi1) == 6
-    assert set(split.phi0) | set(split.phi1) == rs.root_set
-    assert not (set(split.phi0) & set(split.phi1))
+    # the A2 on e2, e3, e4: the roots e_i - e_j that do not involve e1
+    assert split.sub_system.simple == ((0, 1, -1, 0), (0, 0, 1, -1))
+    assert set(split.phi0) == {r for r in rs.roots if r[0] == 0}
+    assert len(split.phi0) == 6 and set(split.sub_system.roots) == set(split.phi0)
 
 
 def test_tavgen_split_b2_long_end():
     rs = build_root_system("B2")
     # simple roots: e1-e2 (long), e2 (short); the long one is index 0
     split = rs.tavgen_split(0)
-    assert split.sub_system.label == "A1"
-    assert len(split.phi0) == 2
+    assert split.sub_system.simple == ((0, 1),)
+    assert set(split.phi0) == {(0, 1), (0, -1)}
 
 
 def test_tavgen_split_g2():
